@@ -40,7 +40,6 @@ from .heat import (
     HeatKernel,
     kernel_from_semigroup,
     minimal_kernel,
-    semigroup,
     verify_axioms,
     verify_rho_bound,
 )

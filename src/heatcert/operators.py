@@ -9,7 +9,6 @@ fiber dimension), which is genuinely Hermitian.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,6 @@ class OperatorMatrix:
     measure: Measure
     kind: str  # scalar-laplacian | covariant | dirichlet-restriction | multiplication | sum
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -49,12 +47,11 @@ class OperatorMatrix:
 
     def eigh(self):
         """Eigendecomposition of the symmetrized matrix, cached."""
-        with self._lock:
-            if "eigh" not in self._cache:
-                a = self.symmetrized()
-                a = 0.5 * (a + a.conj().T)
-                self._cache["eigh"] = np.linalg.eigh(a)
-            return self._cache["eigh"]
+        if "eigh" not in self._cache:
+            a = self.symmetrized()
+            a = 0.5 * (a + a.conj().T)
+            self._cache["eigh"] = np.linalg.eigh(a)
+        return self._cache["eigh"]
 
     def check_self_adjoint(self, tol=WEIGHTED_HERMITIAN_TOL) -> float:
         a = self.symmetrized()
@@ -75,11 +72,16 @@ class OperatorMatrix:
         return float(np.sqrt(np.real(self.inner(f, f))))
 
 
+def require_psd(op: OperatorMatrix):
+    """Raise unless lambda_min >= -PSD_TOL, so that e^{-tH} contracts."""
+    lam = op.lambda_min()
+    if lam < -PSD_TOL:
+        raise ValueError(f"{op.kind} operator not PSD: lambda_min = {lam}")
+
+
 def _check_psd_kind(op: OperatorMatrix):
     if op.kind in ("scalar-laplacian", "covariant", "dirichlet-restriction"):
-        lam = op.lambda_min()
-        if lam < -PSD_TOL:
-            raise ValueError(f"{op.kind} operator not PSD: lambda_min = {lam}")
+        require_psd(op)
 
 
 def assemble_laplacian(g: WeightedGraph) -> OperatorMatrix:
@@ -197,14 +199,13 @@ def dirichlet_restriction(H: OperatorMatrix, subset) -> OperatorMatrix:
     """Principal submatrix on the subset (fiber blocks included), with the
     restricted measure. Diagonal degree terms are retained, which is what
     makes the restriction a Dirichlet (killing) boundary condition."""
-    subset = [v for v in H.vertices if v in set(subset)]
-    if not subset:
+    keep = set(subset)
+    pos = [i for i, v in enumerate(H.vertices) if v in keep]
+    if not pos:
         raise ValueError("empty Dirichlet subset")
+    subset = [H.vertices[i] for i in pos]
     d = H.rank
-    idx = []
-    for v in subset:
-        i = H.vertices.index(v)
-        idx.extend(range(i * d, (i + 1) * d))
+    idx = [i * d + k for i in pos for k in range(d)]
     sub = H.matrix[np.ix_(idx, idx)]
     meas = Measure({v: H.measure.weights[v] for v in subset})
     op = OperatorMatrix(sub, tuple(subset), d, meas, "dirichlet-restriction")
@@ -212,14 +213,21 @@ def dirichlet_restriction(H: OperatorMatrix, subset) -> OperatorMatrix:
     return op
 
 
+def spectral_function(H: OperatorMatrix, g) -> np.ndarray:
+    """g(H) acting on coordinate vectors: D^{-1/2} U g(Lambda) U* D^{1/2}
+    from the cached eigendecomposition; g maps the eigenvalue array to the
+    diagonal of g(Lambda)."""
+    lam, u = H.eigh()
+    s = np.sqrt(H.measure_weights())
+    core = (u * g(lam)) @ u.conj().T
+    return (core / s[:, None]) * s[None, :]
+
+
 def resolvent(H: OperatorMatrix, a: float) -> np.ndarray:
     """(H + a)^{-1} via the symmetrized eigendecomposition; a > 0."""
     if a <= 0:
         raise ValueError("resolvent shift must be positive")
-    lam, u = H.eigh()
-    s = np.sqrt(H.measure_weights())
-    core = (u / (lam + a)) @ u.conj().T
-    return (core / s[:, None]) * s[None, :]
+    return spectral_function(H, lambda lam: 1.0 / (lam + a))
 
 
 def semigroup_matrix(H: OperatorMatrix, t: float) -> np.ndarray:
@@ -228,10 +236,5 @@ def semigroup_matrix(H: OperatorMatrix, t: float) -> np.ndarray:
         raise ValueError("negative time")
     if t == 0:
         return np.eye(H.dim, dtype=complex)
-    lam, u = H.eigh()
-    if lam[0] < -PSD_TOL:
-        raise ValueError(f"operator not PSD (lambda_min = {lam[0]}); semigroup "
-                         "would not contract")
-    s = np.sqrt(H.measure_weights())
-    core = (u * np.exp(-t * np.clip(lam, 0.0, None))) @ u.conj().T
-    return (core / s[:, None]) * s[None, :]
+    require_psd(H)
+    return spectral_function(H, lambda lam: np.exp(-t * np.clip(lam, 0.0, None)))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from heatcert.bundle import EndomorphismField, UnitaryConnection
 from heatcert.compactness import (
@@ -19,13 +20,14 @@ from heatcert.compactness import (
 )
 from heatcert.control import ControlPair, F2Family, fit_control
 from heatcert.graph import Measure, build_exhaustion, make_graph, path_graph, random_graph
-from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup, semigroup
+from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup
 from heatcert.operators import (
     add_potential,
     assemble_covariant,
     assemble_laplacian,
     multiplication_operator,
     resolvent,
+    semigroup_matrix as semigroup,
 )
 
 
@@ -326,6 +328,93 @@ class TestDomination:
         H2c = assemble_covariant(g2, 1, UnitaryConnection.trivial(g2, 1))
         with pytest.raises(ValueError):
             check_domination(H2c, H1, (1.0,), (1.0,), 1, np.random.default_rng(0))
+
+
+def fiber_norms(f, d):
+    return np.sqrt(np.sum(np.abs(f.reshape(-1, d)) ** 2, axis=1))
+
+
+def reference_domination(H_cov, H_scal, times, a_values, trials, rng):
+    """Section-by-section Kato gaps: (worst gap, worst_at) per family."""
+    d = H_cov.rank
+    dim = H_cov.dim
+    sections = [np.eye(dim, dtype=complex)[:, j] for j in range(dim)]
+    for _ in range(trials):
+        sections.append(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    out = []
+    for key, params, op in (("t", times, semigroup), ("a", a_values, resolvent)):
+        worst, worst_at = -np.inf, None
+        for p in params:
+            m_cov, m_scal = op(H_cov, p), np.real(op(H_scal, p))
+            for si, f in enumerate(sections):
+                gap = float(np.max(fiber_norms(m_cov @ f, d) - m_scal @ fiber_norms(f, d)))
+                if gap > worst:
+                    worst, worst_at = gap, {key: p, "section": si}
+        out.append((worst, worst_at))
+    return out
+
+
+class TestFastPathsAgainstReferences:
+    def test_laplace_matches_explicit_semigroup_sum(self):
+        rng = np.random.default_rng(21)
+        g = random_graph(12, rng)
+        Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
+        a = 1.5
+        s_nodes, weights = special.roots_laguerre(320)
+        explicit = np.zeros((Hc.dim, Hc.dim), dtype=complex)
+        for s, w in zip(s_nodes, weights):
+            explicit += w * semigroup(Hc, s / a)
+        explicit /= a
+        fast = resolvent_via_laplace(Hc, a)
+        rel = np.linalg.norm(fast - explicit) / np.linalg.norm(explicit)
+        assert rel <= 1e-12
+
+    @pytest.mark.parametrize("rank", [2, 1])
+    def test_block_domination_matches_section_loop(self, rank):
+        # rank 1 uses the trivial connection, T = S: many sections tie at a
+        # gap of exactly 0, so the first worst section must be kept
+        rng = np.random.default_rng(22)
+        g = random_graph(10, rng)
+        conn = random_connection(g, 2, rng) if rank == 2 else UnitaryConnection.trivial(g, 1)
+        Hc = assemble_covariant(g, rank, conn)
+        H = assemble_laplacian(g)
+        times, a_values, trials = (0.05, 0.5, 2.0), (0.5, 3.0), 7
+        rows = check_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
+        ref = reference_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
+        assert [r.name for r in rows] == ["kato-domination-semigroup",
+                                          "kato-domination-resolvent",
+                                          "kato-spectral-ordering"]
+        for row, (worst, worst_at) in zip(rows, ref):
+            assert abs(row.lhs - worst) <= 1e-13
+            assert row.detail["worst_at"] == worst_at
+        assert rows[2].lhs == H.lambda_min() and rows[2].rhs == Hc.lambda_min()
+
+    def test_doubled_edge_weights_break_domination(self):
+        rng = np.random.default_rng(23)
+        g = random_graph(10, rng)
+        doubled = make_graph(g.vertices, g.rho,
+                             [(*tuple(pair), 2.0 * w) for pair, w in g.b.items()])
+        Hc = assemble_covariant(doubled, 2, random_connection(doubled, 2, rng))
+        rows = check_domination(Hc, assemble_laplacian(g), (0.1, 1.0), (1.0,), 5, rng)
+        semi = next(r for r in rows if r.name == "kato-domination-semigroup")
+        assert not semi.ok
+
+    def test_too_few_nodes_fail_the_crosscheck(self):
+        rng = np.random.default_rng(24)
+        H = assemble_laplacian(random_graph(20, rng))
+        a = 0.05
+        assert H.eigh()[0][-1] / a > 100
+        direct = resolvent(H, a)
+        quad = resolvent_via_laplace(H, a, nodes=8)
+        assert np.linalg.norm(quad - direct) / np.linalg.norm(direct) > 1e-6
+
+    def test_non_psd_operator_rejected(self):
+        g = path_graph(4)
+        H = assemble_laplacian(g)
+        V = EndomorphismField.scalar({v: -1.0 for v in g.vertices})
+        shifted = add_potential(H, V)
+        with pytest.raises(ValueError, match="not PSD"):
+            resolvent_via_laplace(shifted, 1.0)
 
 
 class TestPotentialDecompositionBuild:

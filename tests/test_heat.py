@@ -7,11 +7,10 @@ from heatcert.heat import (
     HeatKernel,
     kernel_from_semigroup,
     minimal_kernel,
-    semigroup,
     verify_axioms,
     verify_rho_bound,
 )
-from heatcert.operators import assemble_laplacian
+from heatcert.operators import assemble_laplacian, semigroup_matrix as semigroup
 
 
 def two_vertex(beta=1.0, rho=(1.0, 1.0)):
