@@ -83,6 +83,13 @@ class UnitaryConnection:
     def get(self, x: str, y: str) -> np.ndarray:
         return np.asarray(self.phi[(x, y)], dtype=complex)
 
+    def stack(self, vertices, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """phi(vertices[x[k]], vertices[y[k]]) for every k, as one
+        (len(x), rank, rank) array."""
+        return np.array([self.phi[(vertices[i], vertices[j])]
+                         for i, j in zip(x.tolist(), y.tolist())],
+                        dtype=complex).reshape(len(x), self.rank, self.rank)
+
     @staticmethod
     def trivial(g: WeightedGraph, rank: int = 1) -> "UnitaryConnection":
         eye = np.eye(rank, dtype=complex)

@@ -18,11 +18,12 @@ import numpy as np
 from scipy import special
 
 from .bundle import EndomorphismField
-from .control import ControlPair, F2Family, check_integrability
+from .control import ControlPair, F2Family, _quad_f2, check_integrability
 from .graph import Exhaustion, Measure, lq_norm, weak_vanishing_profile
 from .heat import HeatKernel
 from .operators import (
     OperatorMatrix,
+    _symmetrize,
     dirichlet_restriction,
     multiplication_operator,
     require_psd,
@@ -97,8 +98,7 @@ def _scalar_values(W, vertices) -> np.ndarray:
 
 def hs_norm_weighted(mat: np.ndarray, weights: np.ndarray) -> float:
     """Hilbert-Schmidt norm of an operator on the weighted L^2 space."""
-    s = np.sqrt(weights)
-    return float(np.linalg.norm((s[:, None] * mat) / s[None, :], "fro"))
+    return float(np.linalg.norm(_symmetrize(mat, weights), "fro"))
 
 
 def check_hs_bound(W1, k: HeatKernel, cp: ControlPair, t: float) -> list[LedgerRow]:
@@ -339,35 +339,17 @@ class CompactnessReport:
 
 
 def _weighted_singular_values(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    s = np.sqrt(weights)
-    return np.linalg.svd((s[:, None] * mat) / s[None, :], compute_uv=False)
+    return np.linalg.svd(_symmetrize(mat, weights), compute_uv=False)
 
 
 def laplace_weight_integral(F2: F2Family, q: float, a: float,
                             time_scale: float = 1.0) -> float:
     """integral of e^{-a t} F2(time_scale * t)^{1/(2q)} dt, by the
     singularity-aware quadrature from the integrability checker."""
-    C, gamma = F2.effective_power()
-    # F2(k t) = C ((k t)^-gamma + 1) = C k^-gamma (t^-gamma + k^gamma)
-    # bounded above by (C k^-gamma)(t^-gamma + 1) only when k >= 1; evaluate
-    # exactly instead by folding the scale into a shifted family.
-    from scipy import integrate
-
-    def integrand(t):
-        return np.exp(-a * t) * F2(time_scale * t) ** (1.0 / (2.0 * q))
-
-    s_exp = gamma / (2.0 * q)
-    if s_exp >= 1.0:
+    _, gamma = F2.effective_power()
+    if gamma / (2.0 * q) >= 1.0:
         raise ValueError("integral diverges at t = 0")
-    if s_exp > 0:
-        pexp = 1.0 / (1.0 - s_exp)
-        left, _ = integrate.quad(
-            lambda u: integrand(u ** pexp) * pexp * u ** (pexp - 1.0),
-            0.0, 1.0, epsabs=1e-10, limit=200)
-    else:
-        left, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-10, limit=200)
-    right, _ = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-10, limit=200)
-    return left + right
+    return _quad_f2(lambda t: F2(time_scale * t), gamma, q, a)[0]
 
 
 def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,

@@ -16,7 +16,7 @@ from scipy import integrate
 
 from .heat import HeatKernel
 
-QUAD_ABS_TOL = 1e-8
+QUAD_ABS_TOL = 1e-10  # per quadrature piece
 
 
 def bakry_emery_factor(m: int, beta: float, R: float, r: float) -> float:
@@ -137,25 +137,25 @@ def _quad_f2(f2, gamma: float, q: float, a: float = 1.0) -> tuple[float, float]:
     up like t^-gamma at the origin.
 
     Split at t = 1; on (0, 1] substitute t = u^{1/(1 - s)} with s = gamma/(2q)
-    so the endpoint power singularity is flattened out.
+    so the endpoint power singularity is flattened out. Each piece is
+    integrated to QUAD_ABS_TOL.
     """
     s = gamma / (2.0 * q)
 
     def integrand(t):
-        return math.exp(-a * t) * f2(t) ** (1.0 / (2.0 * q))
+        return np.exp(-a * t) * f2(t) ** (1.0 / (2.0 * q))
 
     if s > 0:
         pexp = 1.0 / (1.0 - s)
 
         def left(u):
-            t = u ** pexp
             # dt = pexp * u^(pexp - 1) du; t^-s * dt stays bounded
-            return integrand(t) * pexp * u ** (pexp - 1.0)
+            return integrand(u ** pexp) * pexp * u ** (pexp - 1.0)
 
-        v1, e1 = integrate.quad(left, 0.0, 1.0, epsabs=QUAD_ABS_TOL / 2, limit=200)
+        v1, e1 = integrate.quad(left, 0.0, 1.0, epsabs=QUAD_ABS_TOL, limit=200)
     else:
-        v1, e1 = integrate.quad(integrand, 0.0, 1.0, epsabs=QUAD_ABS_TOL / 2, limit=200)
-    v2, e2 = integrate.quad(integrand, 1.0, np.inf, epsabs=QUAD_ABS_TOL / 2, limit=200)
+        v1, e1 = integrate.quad(integrand, 0.0, 1.0, epsabs=QUAD_ABS_TOL, limit=200)
+    v2, e2 = integrate.quad(integrand, 1.0, np.inf, epsabs=QUAD_ABS_TOL, limit=200)
     return v1 + v2, e1 + e2
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 # Edge weights below this are ignored for adjacency (x ~ y) but kept in sums,
 # so connectivity does not flap on float dust.
@@ -27,22 +27,44 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Immutable weighted graph. Vertex order fixes all matrix indexing."""
+    """Immutable weighted graph. Vertex order fixes all matrix indexing.
+
+    `vertices`, `rho` and `b` are the constructor and file-format fields.
+    Everything else reads the integer form derived from them once: edge
+    arrays `src`, `dst` (vertex indices; a loop pair has src == dst) and `w`
+    in `b` order, the weighted degree vector `deg`, and the CSR adjacency
+    `adj` of the edges with w > ADJACENCY_EPS.
+    """
 
     vertices: tuple[str, ...]
     rho: dict[str, float]
     b: dict[frozenset, float]  # one entry per unordered pair
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False, compare=False)
+    deg: np.ndarray = field(init=False, repr=False, compare=False)
+    adj: csr_array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {v: i for i, v in enumerate(self.vertices)}
-        object.__setattr__(self, "_index", index)
-        adj: dict[str, list[tuple[str, float]]] = {v: [] for v in self.vertices}
-        for pair, w in self.b.items():
-            if w > ADJACENCY_EPS:
-                u, v = tuple(pair)
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-        object.__setattr__(self, "_adj", adj)
+        pairs = [tuple(pair) for pair in self.b]
+        src = np.array([index[p[0]] for p in pairs], dtype=np.intp)
+        dst = np.array([index[p[-1]] for p in pairs], dtype=np.intp)
+        w = np.array(list(self.b.values()), dtype=float)
+        n = len(self.vertices)
+        # per edge src, then dst, so each entry sums in b order; sub-eps
+        # weights count, and a loop pair counts once
+        ends = np.stack([src, dst], axis=1).ravel()
+        once = np.ones(ends.size, dtype=bool)
+        once[1::2] = src != dst
+        deg = np.bincount(ends[once], np.repeat(w, 2)[once], minlength=n)
+        near = w > ADJACENCY_EPS
+        rows = np.concatenate([src[near], dst[near]])
+        cols = np.concatenate([dst[near], src[near]])
+        adj = csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        for name, value in (("_index", index), ("src", src), ("dst", dst), ("w", w),
+                            ("deg", deg), ("adj", adj)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -51,16 +73,9 @@ class WeightedGraph:
     def index(self, v: str) -> int:
         return self._index[v]
 
-    def neighbors(self, v: str) -> list[tuple[str, float]]:
-        """Neighbors of v with edge weights, adjacency per b > eps."""
-        return self._adj[v]
-
-    def edge(self, u: str, v: str) -> float:
-        return self.b.get(frozenset((u, v)), 0.0)
-
     def degree(self, v: str) -> float:
         """Weighted degree sum_y b(v, y); includes sub-eps weights."""
-        return sum(w for pair, w in self.b.items() if v in pair)
+        return float(self.deg[self._index[v]])
 
     def rho_vector(self) -> np.ndarray:
         return np.array([self.rho[v] for v in self.vertices], dtype=float)
@@ -137,39 +152,29 @@ class ValidationReport:
 def validate_graph(g: WeightedGraph) -> ValidationReport:
     """Diagnostic check of all structural invariants; never raises."""
     report = ValidationReport()
-    for pair in g.b:
-        if len(pair) == 1:
-            (v,) = tuple(pair)
-            report.violations.append(f"loop at {v}")
-    for v in g.vertices:
-        if not g.rho.get(v, 0.0) > 0:
-            report.violations.append(f"nonpositive rho at {v}")
-        if not math.isfinite(g.degree(v)):
-            report.violations.append(f"infinite weighted degree at {v}")
-    for pair, w in g.b.items():
-        if w < 0:
-            u, v = tuple(pair)
-            report.violations.append(f"negative edge weight on ({u},{v})")
+    for e in np.flatnonzero(g.src == g.dst):
+        report.violations.append(f"loop at {g.vertices[g.src[e]]}")
+    rho_ok = np.array([g.rho.get(v, 0.0) > 0 for v in g.vertices], dtype=bool)
+    deg_ok = np.isfinite(g.deg)
+    for i in np.flatnonzero(~(rho_ok & deg_ok)):
+        if not rho_ok[i]:
+            report.violations.append(f"nonpositive rho at {g.vertices[i]}")
+        if not deg_ok[i]:
+            report.violations.append(f"infinite weighted degree at {g.vertices[i]}")
+    for e in np.flatnonzero(g.w < 0):
+        u, v = g.vertices[g.src[e]], g.vertices[g.dst[e]]
+        report.violations.append(f"negative edge weight on ({u},{v})")
     if g.n > 0:
-        reached = _bfs(g, g.vertices[0])
-        if len(reached) < g.n:
-            missing = sorted(set(g.vertices) - reached)[:5]
+        unreached = np.flatnonzero(np.isinf(_hops(g, 0)))
+        if unreached.size:
+            missing = sorted(g.vertices[i] for i in unreached)[:5]
             report.violations.append(f"graph disconnected; unreachable e.g. {missing}")
     return report
 
 
-def _bfs(g: WeightedGraph, root: str, max_hops: int | None = None) -> set:
-    seen = {root}
-    frontier = deque([(root, 0)])
-    while frontier:
-        v, d = frontier.popleft()
-        if max_hops is not None and d >= max_hops:
-            continue
-        for u, _ in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                frontier.append((u, d + 1))
-    return seen
+def _hops(g: WeightedGraph, root: int) -> np.ndarray:
+    """Hop count from vertex index root to every vertex; inf if unreachable."""
+    return csgraph.shortest_path(g.adj, unweighted=True, indices=root)
 
 
 def lq_norm(f, q: float, m: Measure) -> float:
@@ -208,9 +213,11 @@ def build_exhaustion(g: WeightedGraph, root: str, radii) -> Exhaustion:
     radii = list(radii)
     if sorted(radii) != radii or len(set(radii)) != len(radii):
         raise ValueError("radii must be strictly increasing")
+    hops = _hops(g, g.index(root))
+    names = np.array(g.vertices, dtype=object)
     levels = []
     for r in radii:
-        ball = frozenset(_bfs(g, root, max_hops=r))
+        ball = frozenset(names[hops <= max(r, 0)])  # a ball always holds its root
         if levels and ball == levels[-1]:
             break
         levels.append(ball)
@@ -257,18 +264,6 @@ def path_graph(n: int, rho=1.0, b=1.0) -> WeightedGraph:
     rho_map = {v: rho for v in names} if np.isscalar(rho) else dict(zip(names, rho))
     edges = [(names[i], names[i + 1], b) for i in range(n - 1)]
     return make_graph(names, rho_map, edges)
-
-
-def lattice2d_graph(nx: int, ny: int, rho=1.0, b=1.0) -> WeightedGraph:
-    names = [f"v{i}_{j}" for i in range(nx) for j in range(ny)]
-    edges = []
-    for i in range(nx):
-        for j in range(ny):
-            if i + 1 < nx:
-                edges.append((f"v{i}_{j}", f"v{i+1}_{j}", b))
-            if j + 1 < ny:
-                edges.append((f"v{i}_{j}", f"v{i}_{j+1}", b))
-    return make_graph(names, {v: rho for v in names}, edges)
 
 
 def random_graph(n: int, rng: np.random.Generator, p=0.15,

@@ -42,8 +42,7 @@ class OperatorMatrix:
 
     def symmetrized(self) -> np.ndarray:
         """A = D^{1/2} M D^{-1/2}, Hermitian and unitarily equivalent to M."""
-        s = np.sqrt(self.measure_weights())
-        return (s[:, None] * self.matrix) / s[None, :]
+        return _symmetrize(self.matrix, self.measure_weights())
 
     def eigh(self):
         """Eigendecomposition of the symmetrized matrix, cached."""
@@ -79,29 +78,61 @@ def require_psd(op: OperatorMatrix):
         raise ValueError(f"{op.kind} operator not PSD: lambda_min = {lam}")
 
 
-def _check_psd_kind(op: OperatorMatrix):
-    if op.kind in ("scalar-laplacian", "covariant", "dirichlet-restriction"):
-        require_psd(op)
+def _symmetrize(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """D^{1/2} M D^{-1/2} for D = diag(weights)."""
+    s = np.sqrt(weights)
+    return (s[:, None] * mat) / s[None, :]
+
+
+def _oriented_edges(g: WeightedGraph, rank: int, connection):
+    """Both orientations (x, y) of every edge, per edge (src, dst) then
+    (dst, src), in b order: index arrays x and y, the weights b(x, y), and
+    the fiber maps phi(y, x) stacked (2|E|, rank, rank); identity blocks
+    when connection is None."""
+    x = np.stack([g.src, g.dst], axis=1).ravel()
+    y = np.stack([g.dst, g.src], axis=1).ravel()
+    if connection is None:
+        phi = np.ones((x.size, 1, 1))
+    else:
+        phi = connection.stack(g.vertices, y, x)
+    return x, y, np.repeat(g.w, 2), phi
+
+
+def _assemble(g: WeightedGraph, rank: int, connection, kind: str) -> OperatorMatrix:
+    """Block operator: diagonal deg(x)/rho(x) Id, off-diagonal
+    -(b(x,y)/rho(x)) phi(y, x). Each diagonal entry sums b(x,y)/rho(x) over
+    the edges at x in b order."""
+    report = validate_graph(g)
+    if not report.ok:
+        raise ValueError(f"invalid graph: {report.violations}")
+    n, d = g.n, rank
+    x, y, w, phi = _oriented_edges(g, d, connection)
+    coef = w / g.rho_vector()[x]
+    m = np.zeros((n * d, n * d), dtype=complex)
+    m.reshape(n, d, n, d)[x, :, y, :] -= coef[:, None, None] * phi
+    diag = np.arange(n * d)
+    m[diag, diag] = np.repeat(np.bincount(x, coef, minlength=n), d)
+    return OperatorMatrix(m, g.vertices, d, Measure.from_rho(g), kind)
 
 
 def assemble_laplacian(g: WeightedGraph) -> OperatorMatrix:
     """H[x,x] = deg(x)/rho(x), H[x,y] = -b(x,y)/rho(x); PSD, constants in kernel."""
-    report = validate_graph(g)
-    if not report.ok:
-        raise ValueError(f"invalid graph: {report.violations}")
-    n = g.n
-    m = np.zeros((n, n), dtype=complex)
-    rho = g.rho_vector()
-    for pair, w in g.b.items():
-        u, v = tuple(pair)
-        i, j = g.index(u), g.index(v)
-        m[i, i] += w / rho[i]
-        m[j, j] += w / rho[j]
-        m[i, j] -= w / rho[i]
-        m[j, i] -= w / rho[j]
-    op = OperatorMatrix(m, g.vertices, 1, Measure.from_rho(g), "scalar-laplacian")
-    _check_psd_kind(op)
+    op = _assemble(g, 1, None, "scalar-laplacian")
+    require_psd(op)
     return op
+
+
+def _form(g: WeightedGraph, rank: int, connection, f1: np.ndarray,
+          f2: np.ndarray) -> complex:
+    """(1/2) sum over ordered adjacent pairs of
+    b(x,y) <f1(x) - phi(y,x) f1(y), f2(x) - phi(y,x) f2(y)>."""
+    x, y, w, phi = _oriented_edges(g, rank, connection)
+
+    def grad(f):
+        f = f.reshape(g.n, rank)
+        return f[x] - (phi @ f[y][..., None])[..., 0]
+
+    return complex(0.5 * np.sum(w * np.sum(np.conj(grad(f1)) * grad(f2), axis=1)))
 
 
 def quadratic_form(g: WeightedGraph, f1: np.ndarray, f2: np.ndarray) -> complex:
@@ -109,19 +140,14 @@ def quadratic_form(g: WeightedGraph, f1: np.ndarray, f2: np.ndarray) -> complex:
     b(x,y) conj(f1(x)-f1(y)) (f2(x)-f2(y)); antilinear in f1."""
     if f1.shape != (g.n,) or f2.shape != (g.n,):
         raise ValueError("function shape does not match graph")
-    total = 0.0 + 0.0j
-    for pair, w in g.b.items():
-        u, v = tuple(pair)
-        i, j = g.index(u), g.index(v)
-        total += w * np.conj(f1[i] - f1[j]) * (f2[i] - f2[j])
-    return complex(total)  # both edge orientations contribute the same term
+    return _form(g, 1, None, f1, f2)
 
 
 def form_bound(g: WeightedGraph) -> float:
     """C(b, rho) = sup_x deg(x)/rho(x); 2 C bounds the form and the operator."""
     if g.n == 0:
         return 0.0
-    return max(g.degree(v) / g.rho[v] for v in g.vertices)
+    return float(np.max(g.deg / g.rho_vector()))
 
 
 def assemble_covariant(g: WeightedGraph, rank: int,
@@ -131,44 +157,17 @@ def assemble_covariant(g: WeightedGraph, rank: int,
     scalar Laplacian entrywise."""
     if connection.rank != rank:
         raise ValueError("connection rank mismatch")
-    report = validate_graph(g)
-    if not report.ok:
-        raise ValueError(f"invalid graph: {report.violations}")
-    n = g.n
-    d = rank
-    m = np.zeros((n * d, n * d), dtype=complex)
-    rho = g.rho_vector()
-    eye = np.eye(d)
-    for pair, w in g.b.items():
-        u, v = tuple(pair)
-        i, j = g.index(u), g.index(v)
-        m[i * d:(i + 1) * d, i * d:(i + 1) * d] += (w / rho[i]) * eye
-        m[j * d:(j + 1) * d, j * d:(j + 1) * d] += (w / rho[j]) * eye
-        m[i * d:(i + 1) * d, j * d:(j + 1) * d] -= (w / rho[i]) * connection.get(v, u)
-        m[j * d:(j + 1) * d, i * d:(i + 1) * d] -= (w / rho[j]) * connection.get(u, v)
-    op = OperatorMatrix(m, g.vertices, d, Measure.from_rho(g), "covariant")
+    op = _assemble(g, rank, connection, "covariant")
     if op.check_self_adjoint() > WEIGHTED_HERMITIAN_TOL:
         raise ValueError("covariant assembly lost self-adjointness; phi not unitary?")
-    _check_psd_kind(op)
+    require_psd(op)
     return op
 
 
 def covariant_form(g: WeightedGraph, rank: int, connection: UnitaryConnection,
                    f1: np.ndarray, f2: np.ndarray) -> complex:
     """Covariant Dirichlet form; f given as stacked fiber blocks."""
-    d = rank
-    total = 0.0 + 0.0j
-    for pair, w in g.b.items():
-        u, v = tuple(pair)
-        i, j = g.index(u), g.index(v)
-        phi_vu = connection.get(v, u)  # fiber at v -> fiber at u
-        phi_uv = connection.get(u, v)
-        d1_u = f1[i * d:(i + 1) * d] - phi_vu @ f1[j * d:(j + 1) * d]
-        d2_u = f2[i * d:(i + 1) * d] - phi_vu @ f2[j * d:(j + 1) * d]
-        d1_v = f1[j * d:(j + 1) * d] - phi_uv @ f1[i * d:(i + 1) * d]
-        d2_v = f2[j * d:(j + 1) * d] - phi_uv @ f2[i * d:(i + 1) * d]
-        total += 0.5 * w * (np.conj(d1_u) @ d2_u + np.conj(d1_v) @ d2_v)
-    return complex(total)
+    return _form(g, rank, connection, f1, f2)
 
 
 def multiplication_operator(W: EndomorphismField, vertices, measure: Measure
@@ -209,7 +208,7 @@ def dirichlet_restriction(H: OperatorMatrix, subset) -> OperatorMatrix:
     sub = H.matrix[np.ix_(idx, idx)]
     meas = Measure({v: H.measure.weights[v] for v in subset})
     op = OperatorMatrix(sub, tuple(subset), d, meas, "dirichlet-restriction")
-    _check_psd_kind(op)
+    require_psd(op)
     return op
 
 

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heatcert.graph import (
+    ADJACENCY_EPS,
     GraphFormatError,
     Measure,
+    WeightedGraph,
     build_exhaustion,
     lq_norm,
     make_graph,
@@ -184,3 +186,75 @@ def test_measure_reweighted_by_f1():
     f1 = {v: 0.5 for v in g.vertices}
     m = Measure.from_rho(g, f1)
     assert m.of(g.vertices) == pytest.approx(3.0)
+
+
+def test_violations_keep_their_order():
+    # per vertex: rho, then degree; then negative weights in b order
+    b = {frozenset({"a"}): 0.0, frozenset({"a", "b"}): math.inf,
+         frozenset({"b", "c"}): -1.0, frozenset({"c", "d"}): 1.0}
+    g = WeightedGraph(("a", "b", "c", "d"), {"a": 1.0, "b": 0.0, "c": 1.0, "d": 1.0}, b)
+    u, v = tuple(frozenset({"b", "c"}))
+    assert validate_graph(g).violations == [
+        "loop at a",
+        "infinite weighted degree at a",
+        "nonpositive rho at b",
+        "infinite weighted degree at b",
+        f"negative edge weight on ({u},{v})",
+        "graph disconnected; unreachable e.g. ['c', 'd']",
+    ]
+
+
+@pytest.mark.parametrize("bridge, connected", [(1e-16, False), (1e-14, True)])
+def test_sub_eps_bridge_counts_in_degree_only(bridge, connected):
+    assert (bridge > ADJACENCY_EPS) == connected
+    g = make_graph(["a", "b", "c"], {"a": 1.0, "b": 1.0, "c": 1.0},
+                   [("a", "b", 1.0), ("b", "c", bridge)])
+    assert g.degree("c") == bridge
+    assert g.degree("b") == 1.0 + bridge
+    rep = validate_graph(g)
+    if connected:
+        assert rep.ok
+        assert build_exhaustion(g, "a", [1, 2]).levels[-1] == frozenset(g.vertices)
+    else:
+        assert rep.violations == ["graph disconnected; unreachable e.g. ['c']"]
+        with pytest.raises(ValueError, match="disconnected"):
+            build_exhaustion(g, "a", [1, 2])
+
+
+def reference_balls(g, root, radii):
+    """build_exhaustion's levels from one BFS per radius over g.b."""
+    levels = []
+    for r in radii:
+        seen, frontier = {root}, [root]
+        for _ in range(max(r, 0)):
+            reached = []
+            for x in frontier:
+                for pair, w in g.b.items():
+                    if x in pair and w > ADJACENCY_EPS:
+                        for y in pair - {x}:
+                            if y not in seen:
+                                seen.add(y)
+                                reached.append(y)
+            frontier = reached
+        if levels and seen == levels[-1]:
+            break
+        levels.append(frozenset(seen))
+        if len(seen) == g.n:
+            break
+    return levels
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exhaustion_balls_match_reference_bfs(seed):
+    # sparse random hosts with some sub-eps chords, which must not shorten hops
+    rng = np.random.default_rng(seed)
+    g = random_graph(40, rng, p=0.04)
+    edges = [(*tuple(pair), w) for pair, w in g.b.items()]
+    for _ in range(15):
+        u, v = rng.choice(g.vertices, size=2, replace=False)
+        if frozenset((u, v)) not in g.b:
+            edges.append((u, v, 1e-16))
+    g = make_graph(g.vertices, g.rho, edges)
+    root = str(rng.choice(g.vertices))
+    radii = [0, 1, 2, 3, 5, 8, 13, 40]
+    assert list(build_exhaustion(g, root, radii).levels) == reference_balls(g, root, radii)

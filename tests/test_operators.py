@@ -265,3 +265,72 @@ def test_resolvent_two_vertex_analytic():
     r = resolvent(H, 1.0)
     expected = 0.5 * np.array([[1 + 1 / 3, 1 - 1 / 3], [1 - 1 / 3, 1 + 1 / 3]])
     np.testing.assert_allclose(np.real(r), expected, atol=1e-12)
+
+
+# Per-edge loop references: the assembly and the forms are array expressions
+# over the edge arrays; these loops walk the b dict directly.
+
+def loop_covariant(g, d, phi):
+    """phi(x, y) -> fiber map x -> y; None for the scalar Laplacian."""
+    n = g.n
+    m = np.zeros((n * d, n * d), dtype=complex)
+    rho = g.rho_vector()
+    eye = np.eye(d)
+    for pair, w in g.b.items():
+        u, v = tuple(pair)
+        i, j = g.index(u), g.index(v)
+        m[i * d:(i + 1) * d, i * d:(i + 1) * d] += (w / rho[i]) * eye
+        m[j * d:(j + 1) * d, j * d:(j + 1) * d] += (w / rho[j]) * eye
+        if phi is None:
+            m[i, j] -= w / rho[i]
+            m[j, i] -= w / rho[j]
+        else:
+            m[i * d:(i + 1) * d, j * d:(j + 1) * d] -= (w / rho[i]) * phi(v, u)
+            m[j * d:(j + 1) * d, i * d:(i + 1) * d] -= (w / rho[j]) * phi(u, v)
+    return m
+
+
+def loop_form(g, d, phi, f1, f2):
+    total = 0.0 + 0.0j
+    for pair, w in g.b.items():
+        u, v = tuple(pair)
+        i, j = g.index(u), g.index(v)
+        phi_vu, phi_uv = phi(v, u), phi(u, v)
+        d1_u = f1[i * d:(i + 1) * d] - phi_vu @ f1[j * d:(j + 1) * d]
+        d2_u = f2[i * d:(i + 1) * d] - phi_vu @ f2[j * d:(j + 1) * d]
+        d1_v = f1[j * d:(j + 1) * d] - phi_uv @ f1[i * d:(i + 1) * d]
+        d2_v = f2[j * d:(j + 1) * d] - phi_uv @ f2[i * d:(i + 1) * d]
+        total += 0.5 * w * (np.conj(d1_u) @ d2_u + np.conj(d1_v) @ d2_v)
+    return complex(total)
+
+
+class TestArrayAssemblyAgainstLoops:
+    @pytest.mark.parametrize("seed", [21, 22, 23])
+    def test_laplacian_bitwise(self, seed):
+        g = random_graph(25, np.random.default_rng(seed))
+        assert len(set(g.rho.values())) == g.n
+        np.testing.assert_array_equal(assemble_laplacian(g).matrix,
+                                      loop_covariant(g, 1, None))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_covariant_bitwise(self, d):
+        rng = np.random.default_rng(30 + d)
+        g = random_graph(20, rng)
+        conn = random_connection(g, d, rng)
+        H = assemble_covariant(g, d, conn)
+        assert np.array_equal(H.matrix, loop_covariant(g, d, conn.get))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_forms_match_loops(self, d):
+        rng = np.random.default_rng(40 + d)
+        g = random_graph(20, rng)
+        conn = random_connection(g, d, rng)
+        one = np.ones((1, 1))
+        for _ in range(5):
+            f1, f2 = (rng.standard_normal(g.n * d) + 1j * rng.standard_normal(g.n * d)
+                      for _ in range(2))
+            ref = loop_form(g, d, conn.get, f1, f2)
+            assert abs(covariant_form(g, d, conn, f1, f2) - ref) <= 1e-12 * abs(ref)
+            if d == 1:
+                ref = loop_form(g, 1, lambda x, y: one, f1, f2)
+                assert abs(quadratic_form(g, f1, f2) - ref) <= 1e-12 * abs(ref)
