@@ -21,6 +21,11 @@ UNITARY_TOL = 1e-10
 MAX_RANK = 8
 
 
+def _stack(matrices, rank: int) -> np.ndarray:
+    """A list of rank x rank matrices as one complex (len, rank, rank) array."""
+    return np.array(matrices, dtype=complex).reshape(len(matrices), rank, rank)
+
+
 @dataclass(frozen=True)
 class HermitianBundle:
     rank: int
@@ -46,6 +51,10 @@ class HermitianBundle:
     def metric(self, v: str) -> np.ndarray:
         return np.asarray(self.fiber_metric[v], dtype=complex)
 
+    def metrics(self, vertices) -> np.ndarray:
+        """The metrics at the given vertices, as one (len, rank, rank) array."""
+        return _stack([self.fiber_metric[v] for v in vertices], self.rank)
+
 
 @dataclass(frozen=True)
 class UnitaryConnection:
@@ -60,25 +69,43 @@ class UnitaryConnection:
     bundle: HermitianBundle | None = None
 
     def __post_init__(self):
-        for (x, y), m in self.phi.items():
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (self.rank, self.rank):
-                raise ValueError(f"phi({x},{y}) has shape {m.shape}")
-            if (y, x) not in self.phi:
-                raise ValueError(f"missing reverse edge ({y},{x})")
-            back = np.asarray(self.phi[(y, x)], dtype=complex)
-            if np.linalg.norm(back @ m - np.eye(self.rank), 2) > UNITARY_TOL:
+        # Shape and reverse-edge checks run per pair, in dict order; the two
+        # 2-norm checks then run batched over the pairs before the first
+        # failure, so the first offending pair raises what a per-pair loop
+        # checking shape, reverse, inverse, unitarity would.
+        d = self.rank
+        pairs = list(self.phi)
+        error = None
+        for k, (x, y) in enumerate(pairs):
+            if np.shape(self.phi[(x, y)]) != (d, d):
+                error = f"phi({x},{y}) has shape {np.shape(self.phi[(x, y)])}"
+            elif (y, x) not in self.phi:
+                error = f"missing reverse edge ({y},{x})"
+            elif np.shape(self.phi[(y, x)]) != (d, d):
+                error = f"phi({y},{x}) has shape {np.shape(self.phi[(y, x)])}"
+            if error:
+                pairs = pairs[:k]
+                break
+        m = _stack([self.phi[(x, y)] for x, y in pairs], d)
+        back = _stack([self.phi[(y, x)] for x, y in pairs], d)
+        inverse_bad = np.linalg.norm(back @ m - np.eye(d), 2, axis=(1, 2)) > UNITARY_TOL
+        # unitarity w.r.t. fiber metrics: phi^* gy phi = gx
+        gx = self._metrics([x for x, _ in pairs])
+        gy = self._metrics([y for _, y in pairs])
+        unitary_bad = np.linalg.norm(m.conj().swapaxes(1, 2) @ gy @ m - gx, 2,
+                                     axis=(1, 2)) > UNITARY_TOL
+        for k in np.flatnonzero(inverse_bad | unitary_bad)[:1]:
+            x, y = pairs[k]
+            if inverse_bad[k]:
                 raise ValueError(f"phi({y},{x}) is not the inverse of phi({x},{y})")
-            gx = self._metric(x)
-            gy = self._metric(y)
-            # unitarity w.r.t. fiber metrics: phi^* gy phi = gx
-            if np.linalg.norm(m.conj().T @ gy @ m - gx, 2) > UNITARY_TOL:
-                raise ValueError(f"phi({x},{y}) not unitary w.r.t. fiber metrics")
+            raise ValueError(f"phi({x},{y}) not unitary w.r.t. fiber metrics")
+        if error:
+            raise ValueError(error)
 
-    def _metric(self, v):
+    def _metrics(self, vertices):
         if self.bundle is None:
             return np.eye(self.rank, dtype=complex)
-        return self.bundle.metric(v)
+        return self.bundle.metrics(vertices)
 
     def get(self, x: str, y: str) -> np.ndarray:
         return np.asarray(self.phi[(x, y)], dtype=complex)
@@ -86,9 +113,8 @@ class UnitaryConnection:
     def stack(self, vertices, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """phi(vertices[x[k]], vertices[y[k]]) for every k, as one
         (len(x), rank, rank) array."""
-        return np.array([self.phi[(vertices[i], vertices[j])]
-                         for i, j in zip(x.tolist(), y.tolist())],
-                        dtype=complex).reshape(len(x), self.rank, self.rank)
+        return _stack([self.phi[(vertices[i], vertices[j])]
+                       for i, j in zip(x.tolist(), y.tolist())], self.rank)
 
     @staticmethod
     def trivial(g: WeightedGraph, rank: int = 1) -> "UnitaryConnection":
@@ -150,6 +176,10 @@ class EndomorphismField:
     def get(self, v: str) -> np.ndarray:
         return np.asarray(self.values[v], dtype=complex)
 
+    def stack(self, vertices) -> np.ndarray:
+        """W at the given vertices, as one (len, rank, rank) array."""
+        return _stack([self.values[v] for v in vertices], self.rank)
+
 
 @dataclass(frozen=True)
 class Section:
@@ -183,12 +213,10 @@ def endo_norm(W: EndomorphismField, bundle: HermitianBundle) -> dict[str, float]
     """
     if W.rank != bundle.rank:
         raise ValueError("rank mismatch between field and bundle")
-    out = {}
-    for v in W.values:
-        L = np.linalg.cholesky(bundle.metric(v))
-        whitened = L.conj().T @ W.get(v) @ np.linalg.inv(L.conj().T)
-        out[v] = float(np.linalg.norm(whitened, 2))
-    return out
+    vertices = list(W.values)
+    Lh = np.linalg.cholesky(bundle.metrics(vertices)).conj().swapaxes(1, 2)
+    whitened = Lh @ W.stack(vertices) @ np.linalg.inv(Lh)
+    return dict(zip(vertices, np.linalg.norm(whitened, 2, axis=(1, 2)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -299,6 +327,9 @@ def load_bundle(path, vertices):
 
 def dump_bundle(path, bundle: HermitianBundle, connection=None, potentials=None):
     doc = {"rank": bundle.rank, "metric": "identity"}
+    vertices = list(bundle.fiber_metric)
+    if np.any(bundle.metrics(vertices) != np.eye(bundle.rank)):
+        doc["metric"] = {v: _complex_matrix_to_json(bundle.metric(v)) for v in vertices}
     if connection is not None:
         seen = set()
         entries = []

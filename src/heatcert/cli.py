@@ -118,7 +118,7 @@ def cmd_heat_verify(args) -> int:
     if args.exhaustion:
         root, radii = _parse_exhaustion(args.exhaustion)
         ex = build_exhaustion(g, root, radii)
-        mk = minimal_kernel(g, ex, _parse_times(args.times))
+        mk = minimal_kernel(g, ex, _parse_times(args.times), H=H)
         report["minimal_kernel"] = mk.to_dict()
         ok = ok and mk.monotone_ok
     report["pass"] = ok

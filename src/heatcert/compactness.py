@@ -92,7 +92,7 @@ def _scalar_values(W, vertices) -> np.ndarray:
     """Vertex function |W| as a vector: scalar fields give |w(x)|, matrix
     fields the fiber operator norm (Euclidean; orthonormal coordinates)."""
     if isinstance(W, EndomorphismField):
-        return np.array([float(np.linalg.norm(W.get(v), 2)) for v in vertices])
+        return np.linalg.norm(W.stack(vertices), 2, axis=(1, 2))
     return np.array([abs(W[v]) for v in vertices], dtype=float)
 
 

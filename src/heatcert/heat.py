@@ -202,10 +202,15 @@ class MinimalKernelReport:
         }
 
 
-def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times) -> MinimalKernelReport:
+def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times, *,
+                   H: OperatorMatrix | None = None) -> MinimalKernelReport:
     """Dirichlet kernels along the exhaustion; monotone increasing toward
     the minimal kernel, with per-level sup increments as the convergence
     diagnostic.
+
+    H is the host Laplacian `assemble_laplacian(g)` when the caller has
+    already built it (its cached spectrum then serves a level that is the
+    whole host); by default it is assembled here.
 
     Monotonicity is asserted on the full common index set of each pair of
     consecutive levels. The sup increments are measured on the first
@@ -217,7 +222,10 @@ def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times) -> MinimalKernelRepo
     for lv in ex.levels:
         if not lv <= host:
             raise ValueError("exhaustion level not contained in host")
-    H = assemble_laplacian(g)
+    if H is None:
+        H = assemble_laplacian(g)
+    elif H.kind != "scalar-laplacian" or H.vertices != g.vertices:
+        raise ValueError("host operator is not the scalar Laplacian of the graph")
     kernels = []
     levels = []
     for lv in ex.levels:

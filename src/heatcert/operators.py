@@ -5,6 +5,11 @@ Every operator here lives in the weighted inner product
 plain coordinate vectors; spectral work happens on the symmetrized matrix
 A = D^{1/2} M D^{-1/2} (D the diagonal of measure weights, repeated per
 fiber dimension), which is genuinely Hermitian.
+
+Scalar operators (no connection) are real float64 matrices, so their
+spectral work runs in real arithmetic; covariant operators are complex.
+Functions of H keep the dtype of H, and mixing with a complex operator
+upcasts.
 """
 
 from __future__ import annotations
@@ -87,8 +92,8 @@ def _symmetrize(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _oriented_edges(g: WeightedGraph, rank: int, connection):
     """Both orientations (x, y) of every edge, per edge (src, dst) then
     (dst, src), in b order: index arrays x and y, the weights b(x, y), and
-    the fiber maps phi(y, x) stacked (2|E|, rank, rank); identity blocks
-    when connection is None."""
+    the fiber maps phi(y, x) stacked (2|E|, rank, rank); real rank-1
+    identity blocks when connection is None."""
     x = np.stack([g.src, g.dst], axis=1).ravel()
     y = np.stack([g.dst, g.src], axis=1).ravel()
     if connection is None:
@@ -108,7 +113,7 @@ def _assemble(g: WeightedGraph, rank: int, connection, kind: str) -> OperatorMat
     n, d = g.n, rank
     x, y, w, phi = _oriented_edges(g, d, connection)
     coef = w / g.rho_vector()[x]
-    m = np.zeros((n * d, n * d), dtype=complex)
+    m = np.zeros((n * d, n * d), dtype=phi.dtype)
     m.reshape(n, d, n, d)[x, :, y, :] -= coef[:, None, None] * phi
     diag = np.arange(n * d)
     m[diag, diag] = np.repeat(np.bincount(x, coef, minlength=n), d)
@@ -197,17 +202,22 @@ def add_potential(H: OperatorMatrix, V: EndomorphismField) -> OperatorMatrix:
 def dirichlet_restriction(H: OperatorMatrix, subset) -> OperatorMatrix:
     """Principal submatrix on the subset (fiber blocks included), with the
     restricted measure. Diagonal degree terms are retained, which is what
-    makes the restriction a Dirichlet (killing) boundary condition."""
+    makes the restriction a Dirichlet (killing) boundary condition. A
+    subset holding every vertex of H gives H's own matrix and shares its
+    cached eigendecomposition."""
     keep = set(subset)
     pos = [i for i, v in enumerate(H.vertices) if v in keep]
     if not pos:
         raise ValueError("empty Dirichlet subset")
     subset = [H.vertices[i] for i in pos]
     d = H.rank
-    idx = [i * d + k for i in pos for k in range(d)]
-    sub = H.matrix[np.ix_(idx, idx)]
+    if len(pos) == len(H.vertices):
+        sub, cache = H.matrix, H._cache
+    else:
+        idx = [i * d + k for i in pos for k in range(d)]
+        sub, cache = H.matrix[np.ix_(idx, idx)], {}
     meas = Measure({v: H.measure.weights[v] for v in subset})
-    op = OperatorMatrix(sub, tuple(subset), d, meas, "dirichlet-restriction")
+    op = OperatorMatrix(sub, tuple(subset), d, meas, "dirichlet-restriction", cache)
     require_psd(op)
     return op
 
@@ -234,6 +244,6 @@ def semigroup_matrix(H: OperatorMatrix, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError("negative time")
     if t == 0:
-        return np.eye(H.dim, dtype=complex)
+        return np.eye(H.dim, dtype=H.matrix.dtype)
     require_psd(H)
     return spectral_function(H, lambda lam: np.exp(-t * np.clip(lam, 0.0, None)))

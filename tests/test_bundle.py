@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,12 @@ from heatcert.bundle import (
     HermitianBundle,
     Section,
     UnitaryConnection,
+    _complex_matrix_to_json,
     decompose_potential,
+    dump_bundle,
     endo_norm,
     gram_schmidt_frame,
+    load_bundle,
     pointwise_norm,
     trivialize,
     untrivialize,
@@ -155,6 +160,24 @@ class TestConnection:
         with pytest.raises(ValueError, match="unitary"):
             UnitaryConnection(2, {("x", "y"): m, ("y", "x"): np.linalg.inv(m)})
 
+    def test_first_offending_pair_in_dict_order(self):
+        rng = np.random.default_rng(9)
+        u, m = random_unitary(rng, 2), np.diag([2.0, 0.5])
+        ok = {("a", "b"): u, ("b", "a"): u.conj().T}
+        bad_unitary = {("c", "d"): m, ("d", "c"): np.linalg.inv(m)}
+        bad_inverse = {("e", "f"): u, ("f", "e"): u}
+        bad_shape = {("g", "h"): np.eye(3), ("h", "g"): np.eye(3)}
+        cases = [
+            ({**ok, **bad_unitary, **bad_shape}, r"phi\(c,d\) not unitary"),
+            ({**ok, **bad_shape, **bad_unitary}, r"phi\(g,h\) has shape \(3, 3\)"),
+            ({**bad_inverse, **bad_unitary}, r"phi\(f,e\) is not the inverse of phi\(e,f\)"),
+            ({**ok, ("x", "y"): u, **bad_inverse}, r"missing reverse edge \(y,x\)"),
+            ({**ok, ("p", "q"): u, ("q", "p"): np.eye(3)}, r"phi\(q,p\) has shape \(3, 3\)"),
+        ]
+        for phi, message in cases:
+            with pytest.raises(ValueError, match=message):
+                UnitaryConnection(2, phi)
+
 
 class TestDecompose:
     def test_zero_splits_to_zero(self):
@@ -198,3 +221,19 @@ class TestDecompose:
         W = EndomorphismField(2, {v: h for v in names}, self_adjoint=True)
         w1, w2 = decompose_potential(W, "threshold", b, threshold=1.0)
         assert w1.self_adjoint and w2.self_adjoint
+
+
+def test_bundle_file_round_trip_keeps_metrics(tmp_path):
+    metric = np.array([[4.0, 1j], [-1j, 1.0]])
+    doc = {"rank": 2, "metric": {
+        "x": _complex_matrix_to_json(metric),
+        "y": _complex_matrix_to_json(np.eye(2))}}
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(doc))
+    bundle, _, _ = load_bundle(first, ["x", "y"])
+    assert np.array_equal(bundle.metric("x"), metric)
+    second = tmp_path / "second.json"
+    dump_bundle(second, bundle)
+    again, _, _ = load_bundle(second, ["x", "y"])
+    for v in ("x", "y"):
+        assert np.array_equal(again.metric(v), bundle.metric(v))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,38 @@ def test_rho_bound_random_sweep():
         H = assemble_laplacian(g)
         k = kernel_from_semigroup(H, (0.01, 0.1, 1.0, 10.0, 100.0))
         assert verify_rho_bound(k).ok
+
+
+class TestOneEigendecompositionPerOperator:
+    def test_heat_verify_eigh_per_distinct_level(self, tmp_path, monkeypatch):
+        from heatcert import cli
+        from heatcert.graph import dump_graph
+
+        g = random_graph(12, np.random.default_rng(60))
+        root = g.vertices[0]
+        ex = build_exhaustion(g, root, [1, 2, g.n])
+        sizes = [len(lv) for lv in ex.levels]
+        assert sizes[-1] == g.n and len(set(sizes)) == len(sizes)
+        dump_graph(g, tmp_path / "g.json")
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        out = tmp_path / "report.json"
+        rc = cli.main(["heat", "verify", "--graph", str(tmp_path / "g.json"),
+                       "--exhaustion", f"root={root},radii=1,2,{g.n}",
+                       "--times", "0.5,1.0", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["minimal_kernel"]["level_sizes"] == sizes
+        assert len(calls) == len(sizes)
+
+    def test_minimal_kernel_rejects_foreign_host_operator(self):
+        from heatcert.bundle import UnitaryConnection
+        from heatcert.operators import assemble_covariant
+
+        g = path_graph(6)
+        ex = build_exhaustion(g, "v0", [2, 5])
+        with pytest.raises(ValueError):
+            minimal_kernel(g, ex, (1.0,), H=assemble_laplacian(path_graph(7)))
+        with pytest.raises(ValueError):
+            minimal_kernel(g, ex, (1.0,),
+                           H=assemble_covariant(g, 1, UnitaryConnection.trivial(g)))

@@ -334,3 +334,38 @@ class TestArrayAssemblyAgainstLoops:
             if d == 1:
                 ref = loop_form(g, 1, lambda x, y: one, f1, f2)
                 assert abs(quadratic_form(g, f1, f2) - ref) <= 1e-12 * abs(ref)
+
+
+class TestRealScalarPath:
+    """Scalar operators are real; the complex trivial-connection operator is
+    the reference they must agree with."""
+
+    def test_dtypes(self):
+        g = random_graph(15, np.random.default_rng(50))
+        H = assemble_laplacian(g)
+        assert H.matrix.dtype == np.float64
+        lam, u = H.eigh()
+        assert lam.dtype == np.float64 and u.dtype == np.float64
+        T = assemble_covariant(g, 1, UnitaryConnection.trivial(g))
+        assert T.matrix.dtype == np.complex128
+
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_agrees_with_complex_reference(self, seed):
+        from heatcert.compactness import resolvent_via_laplace
+        from heatcert.heat import kernel_from_semigroup
+
+        g = random_graph(30, np.random.default_rng(seed))
+        assert len(set(g.rho.values())) == g.n
+        H = assemble_laplacian(g)
+        T = assemble_covariant(g, 1, UnitaryConnection.trivial(g))
+
+        def rel(a, b):
+            return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+        times = (0.01, 0.5, 3.0)
+        assert rel(kernel_from_semigroup(H, times).kernels,
+                   kernel_from_semigroup(T, times).kernels) <= 1e-12
+        for a in (0.5, 2.0):
+            assert rel(resolvent(H, a), resolvent(T, a)) <= 1e-12
+            assert rel(resolvent_via_laplace(H, a), resolvent_via_laplace(T, a)) <= 1e-12
+        assert abs(H.lambda_min() - T.lambda_min()) <= 1e-12
