@@ -23,12 +23,14 @@ from .graph import Exhaustion, Measure, lq_norm, weak_vanishing_profile
 from .heat import HeatKernel
 from .operators import (
     OperatorMatrix,
+    _resolvent_g,
+    _semigroup_g,
     _symmetrize,
     dirichlet_restriction,
-    multiplication_operator,
     require_psd,
     resolvent,
     semigroup_matrix,
+    singular_values,
     spectral_function,
 )
 
@@ -91,14 +93,14 @@ def check_resolvent_laplace(H: OperatorMatrix, a: float, rtol: float = 1e-6) -> 
 def _scalar_values(W, vertices) -> np.ndarray:
     """Vertex function |W| as a vector: scalar fields give |w(x)|, matrix
     fields the fiber operator norm (Euclidean; orthonormal coordinates)."""
+    return np.linalg.norm(_blocks(W, vertices), 2, axis=(1, 2))
+
+
+def _blocks(W, vertices, rank: int = 1) -> np.ndarray:
+    """W as an (n, rank, rank) stack; a scalar map w acts as w(x) Id."""
     if isinstance(W, EndomorphismField):
-        return np.linalg.norm(W.stack(vertices), 2, axis=(1, 2))
-    return np.array([abs(W[v]) for v in vertices], dtype=float)
-
-
-def hs_norm_weighted(mat: np.ndarray, weights: np.ndarray) -> float:
-    """Hilbert-Schmidt norm of an operator on the weighted L^2 space."""
-    return float(np.linalg.norm(_symmetrize(mat, weights), "fro"))
+        return W.stack(vertices)
+    return np.array([W[v] for v in vertices], dtype=complex)[:, None, None] * np.eye(rank)
 
 
 def check_hs_bound(W1, k: HeatKernel, cp: ControlPair, t: float) -> list[LedgerRow]:
@@ -112,7 +114,7 @@ def check_hs_bound(W1, k: HeatKernel, cp: ControlPair, t: float) -> list[LedgerR
     w = _scalar_values(W1, k.vertices)
     # direct: matrix of W P_t acting on coordinate vectors
     mat = w[:, None] * (np.real(pt) * rho[None, :])
-    hs_direct_sq = hs_norm_weighted(mat, rho) ** 2
+    hs_direct_sq = float(np.linalg.norm(_symmetrize(mat, rho), "fro")) ** 2
     diag_sq = float(np.sum(w ** 2 * np.real(np.diagonal(p2t)) * rho))
     scale = max(hs_direct_sq, diag_sq, 1e-300)
     identity = LedgerRow("hs-identity-relerr",
@@ -132,9 +134,7 @@ def check_2to2_bound(W, H: OperatorMatrix, cp: ControlPair, t: float) -> LedgerR
     """
     if cp.q <= 1:
         raise ValueError("the 2->2 semigroup route is the q > 1 path")
-    w_op = multiplication_operator(_as_endo(W, H), H.vertices, H.measure)
-    mat = w_op.matrix @ semigroup_matrix(H, t)
-    lhs = float(_weighted_singular_values(mat, H.measure_weights())[0])
+    lhs = float(singular_values(H, _blocks(W, H.vertices, H.rank), _semigroup_g(H, t))[0])
     w_map = dict(zip(H.vertices, _scalar_values(W, H.vertices)))
     rhs = cp.F2(t) ** (1.0 / (2.0 * cp.q)) * lq_norm(w_map, 2 * cp.q, H.measure)
     return LedgerRow("step2-semigroup-norm-bound", lhs, rhs,
@@ -149,9 +149,7 @@ def check_resolvent_bound(W, H: OperatorMatrix, cp: ControlPair, a: float) -> Le
     """
     if cp.q <= 1:
         raise ValueError("the resolvent norm route is the q > 1 path")
-    w_op = multiplication_operator(_as_endo(W, H), H.vertices, H.measure)
-    mat = w_op.matrix @ resolvent(H, a)
-    lhs = float(_weighted_singular_values(mat, H.measure_weights())[0])
+    lhs = float(singular_values(H, _blocks(W, H.vertices, H.rank), _resolvent_g(a))[0])
     w_map = dict(zip(H.vertices, _scalar_values(W, H.vertices)))
     quad = laplace_weight_integral(cp.F2, cp.q, a)
     rhs = lq_norm(w_map, 2 * cp.q, H.measure) * quad
@@ -300,17 +298,12 @@ class PotentialDecomposition:
         vertices = list(measure.weights)
         w1v = _scalar_values(W1, vertices)
         w2v = _scalar_values(W2, vertices)
-        if isinstance(W, EndomorphismField):
-            for v in vertices:
-                if np.max(np.abs(W.get(v) - W1.get(v) - W2.get(v))) > 1e-12:
-                    raise ValueError(f"W1 + W2 != W at {v}")
-        else:
-            for v in vertices:
-                if abs(W[v] - W1[v] - W2[v]) > 1e-12:
-                    raise ValueError(f"W1 + W2 != W at {v}")
+        bad = np.max(np.abs(_blocks(W, vertices) - _blocks(W1, vertices)
+                            - _blocks(W2, vertices)), axis=(1, 2)) > 1e-12
+        if bad.any():
+            raise ValueError(f"W1 + W2 != W at {vertices[int(np.argmax(bad))]}")
         f1_measure = Measure({v: cp.F1[v] * measure.weights[v] for v in vertices})
-        w1_map = dict(zip(vertices, w1v))
-        norm = lq_norm(w1_map, 2 * cp.q, f1_measure)
+        norm = lq_norm(dict(zip(vertices, w1v)), 2 * cp.q, f1_measure)
         profile = weak_vanishing_profile(dict(zip(vertices, w2v)),
                                          measure, thresholds)
         return PotentialDecomposition(W, W1, W2, cp.q, float(norm), profile)
@@ -320,7 +313,8 @@ class PotentialDecomposition:
 class CompactnessReport:
     a: float
     levels: list[int]                       # scalar dimension per level
-    singular_values: dict[int, list[float]]  # full sigma list of W R per level
+    # all sigma of W R per level: cached eigenbasis over supp W, zero-padded
+    singular_values: dict[int, list[float]]
     top_k: int
     drift: dict[str, float]                 # per transition: max top-k drift
     bounds: list[LedgerRow]
@@ -336,10 +330,6 @@ class CompactnessReport:
             "bounds": [r.to_dict() for r in self.bounds],
             "verdict": self.verdict,
         }
-
-
-def _weighted_singular_values(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(_symmetrize(mat, weights), compute_uv=False)
 
 
 def laplace_weight_integral(F2: F2Family, q: float, a: float,
@@ -358,7 +348,9 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
     """Per exhaustion level: singular values of W (H|_level + a)^{-1},
     the resolvent operator-norm bound with its quadrature constant, the
     truncation surrogate for the bounded tail, and level-to-level drift
-    of the top singular values."""
+    of the top singular values. The sigma of W R and W1 R come from the
+    level's cached eigenbasis (`operators.singular_values`): an SVD of
+    W U (Lambda + a)^{-1} over the support of W, padded with zeros."""
     verdict_fail = None
     integrability = check_integrability(cp.F2, cp.q)
     if not integrability.convergent:
@@ -378,17 +370,14 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
         bound_name = "step3-resolvent-norm-bound"
         quantitative = a >= 1
     rhs = pd.w1_l2q_f1 * quad_value
+    g = _resolvent_g(a)
     for lv in ex.levels:
         Hn = dirichlet_restriction(H, lv)
-        weights = Hn.measure_weights()
-        R = resolvent(Hn, a)
-        w_full = multiplication_operator(_as_endo(pd.W, Hn), Hn.vertices, Hn.measure)
-        sv = _weighted_singular_values(w_full.matrix @ R, weights)
+        sv = singular_values(Hn, _blocks(pd.W, Hn.vertices, Hn.rank), g)
         singular[Hn.dim] = [float(x) for x in sv]
         dims.append(Hn.dim)
         top_lists.append(sv[:k_top])
-        w1_op = multiplication_operator(_as_endo(pd.W1, Hn), Hn.vertices, Hn.measure)
-        sigma1 = float(_weighted_singular_values(w1_op.matrix @ R, weights)[0])
+        sigma1 = float(singular_values(Hn, _blocks(pd.W1, Hn.vertices, Hn.rank), g)[0])
         row = LedgerRow(bound_name, sigma1, rhs, tol=1e-10,
                         detail={"level_dim": Hn.dim, "a": a,
                                 "quadrature_integral": quad_value,
@@ -416,11 +405,3 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
     verdict = "hypotheses-verified" if verdict_fail is None else f"hypothesis-failed:{verdict_fail}"
     return CompactnessReport(a, dims, singular, k_top, drift, bounds, verdict)
 
-
-def _as_endo(W, Hn: OperatorMatrix) -> EndomorphismField:
-    """Restrict W (scalar map or endo field) to the level's vertices."""
-    if isinstance(W, EndomorphismField):
-        return EndomorphismField(W.rank, {v: W.get(v) for v in Hn.vertices},
-                                 self_adjoint=W.self_adjoint)
-    return EndomorphismField(
-        Hn.rank, {v: complex(W[v]) * np.eye(Hn.rank) for v in Hn.vertices})

@@ -178,13 +178,10 @@ def covariant_form(g: WeightedGraph, rank: int, connection: UnitaryConnection,
 def multiplication_operator(W: EndomorphismField, vertices, measure: Measure
                             ) -> OperatorMatrix:
     """Block-diagonal matrix f(x) -> W(x) f(x)."""
-    d = W.rank
-    n = len(vertices)
-    m = np.zeros((n * d, n * d), dtype=complex)
-    for i, v in enumerate(vertices):
-        m[i * d:(i + 1) * d, i * d:(i + 1) * d] = W.get(v)
-    kind = "multiplication"
-    return OperatorMatrix(m, tuple(vertices), d, measure, kind)
+    d, n = W.rank, len(vertices)
+    m = np.zeros((n, d, n, d), dtype=complex)
+    m[np.arange(n), :, np.arange(n), :] = W.stack(vertices)
+    return OperatorMatrix(m.reshape(n * d, n * d), tuple(vertices), d, measure, "multiplication")
 
 
 def add_potential(H: OperatorMatrix, V: EndomorphismField) -> OperatorMatrix:
@@ -195,8 +192,7 @@ def add_potential(H: OperatorMatrix, V: EndomorphismField) -> OperatorMatrix:
     if V.rank != H.rank:
         raise ValueError("potential rank mismatch")
     Vop = multiplication_operator(V, H.vertices, H.measure)
-    kind = H.kind if V.nonnegative else "sum"
-    return OperatorMatrix(H.matrix + Vop.matrix, H.vertices, H.rank, H.measure, kind)
+    return OperatorMatrix(H.matrix + Vop.matrix, H.vertices, H.rank, H.measure, "sum")
 
 
 def dirichlet_restriction(H: OperatorMatrix, subset) -> OperatorMatrix:
@@ -232,18 +228,41 @@ def spectral_function(H: OperatorMatrix, g) -> np.ndarray:
     return (core / s[:, None]) * s[None, :]
 
 
-def resolvent(H: OperatorMatrix, a: float) -> np.ndarray:
-    """(H + a)^{-1} via the symmetrized eigendecomposition; a > 0."""
+def singular_values(H: OperatorMatrix, W: np.ndarray, g) -> np.ndarray:
+    """Singular values of W g(H) on the weighted L^2 space, W an (n, rank, rank)
+    stack: W commutes with the per-vertex D, so they are those of W U g(Lambda)
+    over the support of W (blocks not exactly zero), padded with zeros to H.dim."""
+    lam, u = H.eigh()
+    support = np.any(W != 0, axis=(1, 2))
+    rows = (W[support] @ u.reshape(len(W), H.rank, -1)[support]).reshape(-1, H.dim)
+    sv = np.zeros(H.dim)
+    if rows.size:
+        sv[:rows.shape[0]] = np.linalg.svd(rows * g(lam), compute_uv=False)
+    return sv
+
+
+def _resolvent_g(a: float):
+    """lambda -> 1 / (lambda + a), the spectral function of (H + a)^{-1}; a > 0."""
     if a <= 0:
         raise ValueError("resolvent shift must be positive")
-    return spectral_function(H, lambda lam: 1.0 / (lam + a))
+    return lambda lam: 1.0 / (lam + a)
+
+
+def _semigroup_g(H: OperatorMatrix, t: float):
+    """lambda -> e^{-t max(lambda, 0)}, the spectral function of e^{-tH}."""
+    if t < 0:
+        raise ValueError("negative time")
+    require_psd(H)
+    return lambda lam: np.exp(-t * np.clip(lam, 0.0, None))
+
+
+def resolvent(H: OperatorMatrix, a: float) -> np.ndarray:
+    """(H + a)^{-1} via the symmetrized eigendecomposition; a > 0."""
+    return spectral_function(H, _resolvent_g(a))
 
 
 def semigroup_matrix(H: OperatorMatrix, t: float) -> np.ndarray:
     """e^{-tH} acting on coordinate vectors; t >= 0, H PSD."""
-    if t < 0:
-        raise ValueError("negative time")
     if t == 0:
         return np.eye(H.dim, dtype=H.matrix.dtype)
-    require_psd(H)
-    return spectral_function(H, lambda lam: np.exp(-t * np.clip(lam, 0.0, None)))
+    return spectral_function(H, _semigroup_g(H, t))

@@ -138,6 +138,35 @@ class TestDominate:
         assert "kato-domination-semigroup" in names
         assert "kato-domination-resolvent" in names
 
+    def test_potential_ledger_matches_covariant_labelled_sum(self, tmp_path):
+        # H + V is labelled "sum"; the ledger is the one the same matrix
+        # gives under the "covariant" label
+        from heatcert.bundle import load_bundle
+        from heatcert.compactness import check_domination
+        from heatcert.operators import (OperatorMatrix, assemble_covariant,
+                                        multiplication_operator)
+
+        g = path_graph(6)
+        gpath, bpath, out = tmp_path / "g.json", tmp_path / "b.json", tmp_path / "rep.json"
+        dump_graph(g, gpath)
+        conn = UnitaryConnection.from_edge_phases(
+            g, {(f"v{i}", f"v{i+1}"): 0.4 for i in range(5)})
+        V = EndomorphismField.scalar({f"v{j}": 1.0 / (1.0 + j) for j in range(6)})
+        dump_bundle(bpath, HermitianBundle.trivial(g.vertices, 1), connection=conn,
+                    potentials={"v": V})
+        assert main(["dominate", "check", "--graph", str(gpath), "--bundle", str(bpath),
+                     "--potential", "v", "--times", "0.1,1.0", "--a", "1,2",
+                     "--trials", "5", "--seed", "3", "--out", str(out)]) == EXIT_OK
+        _, conn, pots = load_bundle(bpath, g.vertices)
+        H = assemble_covariant(g, 1, conn)
+        Vop = multiplication_operator(pots["v"], g.vertices, H.measure)
+        labelled = OperatorMatrix(H.matrix + Vop.matrix, H.vertices, 1, H.measure,
+                                  "covariant")
+        rows = check_domination(labelled, assemble_laplacian(g), (0.1, 1.0), (1.0, 2.0),
+                                5, np.random.default_rng(3))
+        expected = json.loads(json.dumps([r.to_dict() for r in rows]))
+        assert json.loads(out.read_text())["ledger"] == expected
+
 
 class TestCompactCertify:
     def test_scalar_potential_path(self, path_file, tmp_path):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from scipy import special
 
-from heatcert.bundle import EndomorphismField, UnitaryConnection
+from heatcert.bundle import (
+    EndomorphismField,
+    HermitianBundle,
+    UnitaryConnection,
+    decompose_potential,
+)
 from heatcert.compactness import (
     LedgerRow,
     PotentialDecomposition,
@@ -22,12 +27,15 @@ from heatcert.control import ControlPair, F2Family, fit_control
 from heatcert.graph import Measure, build_exhaustion, make_graph, path_graph, random_graph
 from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup
 from heatcert.operators import (
+    _symmetrize,
     add_potential,
     assemble_covariant,
     assemble_laplacian,
+    dirichlet_restriction,
     multiplication_operator,
     resolvent,
     semigroup_matrix as semigroup,
+    singular_values,
 )
 
 
@@ -415,6 +423,166 @@ class TestFastPathsAgainstReferences:
         shifted = add_potential(H, V)
         with pytest.raises(ValueError, match="not PSD"):
             resolvent_via_laplace(shifted, 1.0)
+
+
+def dense_singular_values(W: EndomorphismField, Hn, dense):
+    """The dense route: every singular value of the weighted W dense(Hn)."""
+    w = multiplication_operator(W, Hn.vertices, Hn.measure).matrix
+    return np.linalg.svd(_symmetrize(w @ dense(Hn), Hn.measure_weights()),
+                         compute_uv=False)
+
+
+def random_field(g, d, rng, support=None):
+    """Hermitian d x d blocks at the vertices in support (default: all),
+    exact zeros elsewhere."""
+    support = set(g.vertices if support is None else support)
+    vals = {}
+    for v in g.vertices:
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        vals[v] = (z + z.conj().T) / 2 if v in support else np.zeros((d, d))
+    return EndomorphismField(d, vals, self_adjoint=True)
+
+
+def assert_sv_close(fast, ref):
+    assert len(fast) == len(ref)
+    assert np.max(np.abs(np.asarray(fast) - ref)) <= 1e-12 * max(1.0, ref[0])
+
+
+def rank2_certify_case(seed):
+    """A rank-2 covariant host, a Hermitian W split at |W| = 1, and levels
+    of radius 1, 2 and the whole host."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(14, rng)
+    Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
+    W = random_field(g, 2, rng)
+    W1, W2 = decompose_potential(W, "threshold", HermitianBundle.trivial(g.vertices, 2),
+                                 threshold=1.0)
+    cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 1.0)
+    pd = PotentialDecomposition.build(W, W1, W2, cp, Measure.from_rho(g))
+    return g, Hc, pd, cp, build_exhaustion(g, g.vertices[0], [1, 2, g.n])
+
+
+class TestSingularValuesFromEigenbasis:
+    """operators.singular_values against svd(D^1/2 W R D^-1/2) on the dense
+    multiplication matrix times the dense resolvent or semigroup."""
+
+    @staticmethod
+    def hosts(rank):
+        # random hosts with rho in [0.1, 10], whole and on a Dirichlet level
+        rng = np.random.default_rng(40 + rank)
+        for n in (9, 16):
+            g = random_graph(n, rng)
+            H = (assemble_laplacian(g) if rank == 1
+                 else assemble_covariant(g, rank, random_connection(g, rank, rng)))
+            level = build_exhaustion(g, g.vertices[0], [1]).levels[0]
+            assert 1 < len(level) < n
+            for Hn in (H, dirichlet_restriction(H, level)):
+                yield g, Hn, rng
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_matches_dense_route(self, rank):
+        for g, Hn, rng in self.hosts(rank):
+            half = [v for v in Hn.vertices if rng.random() < 0.5] or [Hn.vertices[0]]
+            for support in (None, half):
+                W = random_field(g, rank, rng, support)
+                for a in (0.5, 2.0):
+                    fast = singular_values(Hn, W.stack(Hn.vertices),
+                                           lambda lam: 1.0 / (lam + a))
+                    assert_sv_close(fast, dense_singular_values(
+                        W, Hn, lambda H: resolvent(H, a)))
+                    # exactly |S| rank positive values, then exact zeros
+                    r = rank * sum(1 for v in Hn.vertices
+                                   if support is None or v in support)
+                    assert np.all(fast[:r] > 0) and np.all(fast[r:] == 0.0)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_tiny_potential_keeps_its_support(self, rank):
+        # the support is where the blocks are not exactly zero, at any scale
+        for g, Hn, rng in self.hosts(rank):
+            W = random_field(g, rank, rng)
+            tiny = singular_values(Hn, 1e-30 * W.stack(Hn.vertices),
+                                   lambda lam: 1.0 / (lam + 1.0))
+            ref = dense_singular_values(W, Hn, lambda H: resolvent(H, 1.0))
+            assert np.all(tiny > 0)
+            assert_sv_close(1e30 * tiny, ref)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_zero_potential_is_exactly_zero(self, rank):
+        for g, Hn, rng in self.hosts(rank):
+            zero = np.zeros((len(Hn.vertices), rank, rank), dtype=complex)
+            sv = singular_values(Hn, zero, lambda lam: 1.0 / (lam + 1.0))
+            assert sv.tolist() == [0.0] * Hn.dim
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_q_above_one_rows_match_dense_route(self, rank):
+        for g, Hn, rng in self.hosts(rank):
+            half = [v for v in Hn.vertices if rng.random() < 0.5] or [Hn.vertices[0]]
+            W = random_field(g, rank, rng, half)
+            cases = [(W, W)]
+            if rank == 1:  # a scalar map acts as w(x) Id
+                scalar = {v: float(rng.standard_normal()) if v in half else 0.0
+                          for v in g.vertices}
+                cases.append((scalar, EndomorphismField.scalar(scalar)))
+            cp = ControlPair({v: 1.0 for v in Hn.vertices}, F2Family.constant(1.0), 2.0)
+            for Wq, field in cases:
+                for t in (0.01, 0.5, 2.0):
+                    ref = dense_singular_values(field, Hn, lambda H: semigroup(H, t))
+                    lhs = check_2to2_bound(Wq, Hn, cp, t).lhs
+                    assert abs(lhs - ref[0]) <= 1e-12 * max(1.0, ref[0])
+                for a in (1.0, 3.0):
+                    ref = dense_singular_values(field, Hn, lambda H: resolvent(H, a))
+                    lhs = check_resolvent_bound(Wq, Hn, cp, a).lhs
+                    assert abs(lhs - ref[0]) <= 1e-12 * max(1.0, ref[0])
+
+    def test_q_above_one_rows_keep_their_guards(self):
+        g = path_graph(4)
+        H = assemble_laplacian(g)
+        W = {v: 1.0 for v in g.vertices}
+        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 2.0)
+        with pytest.raises(ValueError, match="negative time"):
+            check_2to2_bound(W, H, cp, -0.5)
+        with pytest.raises(ValueError, match="shift must be positive"):
+            check_resolvent_bound(W, H, cp, 0.0)
+        shifted = add_potential(H, EndomorphismField.scalar({v: -1.0 for v in g.vertices}))
+        with pytest.raises(ValueError, match="not PSD"):
+            check_2to2_bound(W, shifted, cp, 0.5)
+
+    def test_certify_matches_dense_route(self):
+        g, Hc, pd, cp, ex = rank2_certify_case(45)
+        W, W1 = pd.W, pd.W1
+        assert 0 < sum(np.any(W1.get(v) != 0) for v in g.vertices) < g.n
+        rep = certify_compactness(pd, Hc, cp, ex, a=2.0)
+        rows = [r for r in rep.bounds if r.name == "step1-resolvent-hs-bound"]
+        assert len(rows) == len(ex.levels)
+        for lv, row in zip(ex.levels, rows):
+            Hn = dirichlet_restriction(Hc, lv)
+            ref = dense_singular_values(W, Hn, lambda H: resolvent(H, 2.0))
+            assert_sv_close(rep.singular_values[Hn.dim], ref)
+            ref1 = dense_singular_values(W1, Hn, lambda H: resolvent(H, 2.0))[0]
+            assert row.detail["level_dim"] == Hn.dim
+            assert abs(row.lhs - ref1) <= 1e-12 * max(1.0, ref1)
+
+
+class TestCertifyFormsNoDenseProducts:
+    def test_no_resolvent_no_multiplication_one_eigh_per_level(self, monkeypatch):
+        from heatcert import compactness, operators
+
+        g, Hc, pd, cp, ex = rank2_certify_case(46)
+        sizes = [len(lv) for lv in ex.levels]
+        assert sizes[-1] == g.n and len(set(sizes)) == len(sizes)
+        calls = []
+        for mod in (operators, compactness):
+            for name in ("resolvent", "multiplication_operator"):
+                if hasattr(mod, name):
+                    fn = getattr(mod, name)
+                    monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=fn, **k:
+                                        calls.append(_n) or _f(*a, **k))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+        rep = certify_compactness(pd, Hc, cp, ex, a=2.0)
+        assert rep.levels == [2 * s for s in sizes]
+        # the host level shares the eigendecomposition assembly cached
+        assert calls == ["eigh"] * (len(sizes) - 1)
 
 
 class TestPotentialDecompositionBuild:

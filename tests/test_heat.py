@@ -231,3 +231,13 @@ class TestOneEigendecompositionPerOperator:
         with pytest.raises(ValueError):
             minimal_kernel(g, ex, (1.0,),
                            H=assemble_covariant(g, 1, UnitaryConnection.trivial(g)))
+
+    def test_minimal_kernel_rejects_schroedinger_operator(self):
+        from heatcert.bundle import EndomorphismField
+        from heatcert.operators import add_potential
+
+        g = path_graph(6)
+        ex = build_exhaustion(g, "v0", [2, 5])
+        V = EndomorphismField.scalar({v: 1.0 for v in g.vertices})
+        with pytest.raises(ValueError):
+            minimal_kernel(g, ex, (1.0,), H=add_potential(assemble_laplacian(g), V))

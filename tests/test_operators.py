@@ -186,6 +186,13 @@ class TestPotential:
         expected = [(3 - np.sqrt(5)) / 2, (3 + np.sqrt(5)) / 2]
         np.testing.assert_allclose(lam, expected, atol=1e-12)
 
+    def test_sum_is_labelled_a_sum(self):
+        # a nonnegative potential does not make H + V a Laplacian
+        H = assemble_laplacian(two_vertex())
+        for w in (0.0, 1.0, -1.0):
+            V = EndomorphismField.scalar({"1": w, "2": w})
+            assert add_potential(H, V).kind == "sum"
+
     def test_rejects_non_self_adjoint(self):
         H = assemble_laplacian(two_vertex())
         V = EndomorphismField(1, {"1": np.array([[1j]]), "2": np.array([[0.0]])})
