@@ -1,7 +1,11 @@
 """Heat semigroups and minimal heat kernels on weighted graphs.
 
 Kernel convention: e^{-tH} f(x) = sum_y p(t, x, y) f(y) rho(y), so
-p(t, x, y) = [e^{-tH}]_{x, y} / rho(y). The four kernel axioms
+p(t, x, y) = [e^{-tH}]_{x, y} / rho(y) = [Phi e^{-t Lambda} Phi*]_{x, y}
+with Phi = D^{-1/2} U from the operator's cached eigendecomposition. A
+kernel stack is tabulated once per operator and time grid, cached on the
+operator and read-only; a complex kernel (nontrivial connection) is
+refused rather than truncated to its real part. The four kernel axioms
 (Chapman-Kolmogorov, symmetry, sub-Markov row mass, strong continuity at
 t = 0) are verified, never assumed, and the minimal kernel is approached
 through Dirichlet restrictions along an exhaustion.
@@ -15,12 +19,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Exhaustion, WeightedGraph
-from .operators import OperatorMatrix, assemble_laplacian, dirichlet_restriction, semigroup_matrix
+from .operators import (
+    OperatorMatrix,
+    _semigroup_g,
+    assemble_laplacian,
+    dirichlet_restriction,
+    semigroup_matrix,
+)
 
 A1_TOL = 1e-8
 A2_TOL = 1e-10
 A3_TOL = 1e-10
 NEG_TOL = 1e-12
+KERNEL_IMAG_TOL = 1e-12  # max |Im p| relative to max |p|
 
 # Default time grid: spans 1e-3 .. 1e2 and its central band is closed
 # under doubling so the Chapman-Kolmogorov check has composable pairs.
@@ -47,20 +58,40 @@ class HeatKernel:
 
 
 def kernel_from_semigroup(H: OperatorMatrix, times) -> HeatKernel:
+    """Kernel stack p(t) = Phi e^{-t Lambda} Phi*, Phi = D^{-1/2} U, from the
+    cached eigendecomposition of the scalar operator H, one product per time
+    written into a read-only (n_times, n, n) array; p(0) is exactly
+    diag(1/rho). The stack is cached on H per time grid, and a kernel with
+    an imaginary part above round-off (a nontrivial connection) is refused."""
     if H.rank != 1:
         raise ValueError("heat kernels are scalar; trivialize first")
     times = tuple(sorted(float(t) for t in times))
-    if any(t < 0 for t in times):
-        raise ValueError("negative time")
+    key = ("kernel", times)
+    if key in H._cache:
+        return H._cache[key]
+    # guards first: t < 0 and a non-PSD H raise before any work
+    gs = [_semigroup_g(H, t) if t else None for t in times]
     rho = H.measure.vector(H.vertices)
-    mats = []
-    for t in times:
-        if t == 0:
+    lam, u = H.eigh()
+    phi = u / np.sqrt(rho)[:, None]
+    phi_h = phi.conj().T
+    stack = np.empty((len(times), H.dim, H.dim))
+    for out, g in zip(stack, gs):
+        if g is None:
             # p(0, x, y) = delta_{xy} / rho(y), the kernel of the identity
-            mats.append(np.diag(1.0 / rho))
+            out.fill(0.0)
+            np.fill_diagonal(out, 1.0 / rho)
+        elif np.isrealobj(phi):
+            np.matmul(phi * g(lam), phi_h, out=out)
         else:
-            mats.append(np.real(semigroup_matrix(H, t)) / rho[None, :])
-    return HeatKernel(times, np.stack(mats), H.vertices, rho)
+            p = (phi * g(lam)) @ phi_h
+            if np.max(np.abs(p.imag)) > KERNEL_IMAG_TOL * np.max(np.abs(p)):
+                raise ValueError("heat kernel is not real; the connection is not trivial")
+            out[...] = p.real
+    stack.flags.writeable = False
+    k = HeatKernel(times, stack, H.vertices, rho)
+    H._cache[key] = k
+    return k
 
 
 @dataclass
@@ -151,7 +182,8 @@ def _continuity_probe(H: OperatorMatrix, times=(1e-3, 1e-6)) -> bool:
     w = H.measure_weights()
     h_norms = np.sqrt(w @ np.abs(H.matrix) ** 2)
     for t in times:
-        steps = semigroup_matrix(H, t) - np.eye(H.dim)
+        steps = semigroup_matrix(H, t)
+        steps[np.diag_indices(H.dim)] -= 1.0
         if not np.all(np.sqrt(w @ np.abs(steps) ** 2) <= t * h_norms + 1e-12):
             return False
     return True

@@ -241,3 +241,92 @@ class TestOneEigendecompositionPerOperator:
         V = EndomorphismField.scalar({v: 1.0 for v in g.vertices})
         with pytest.raises(ValueError):
             minimal_kernel(g, ex, (1.0,), H=add_potential(assemble_laplacian(g), V))
+
+
+class TestTabulatedStack:
+    """The stack is Phi e^{-t Lambda} Phi* with Phi = D^{-1/2} U; the dense
+    semigroup divided by rho is the reference it must agree with."""
+
+    TIMES = (0.0, 0.01, 0.5, 3.0)
+
+    @pytest.mark.parametrize("seed", [70, 71, 72])
+    def test_matches_semigroup_route(self, seed):
+        from heatcert.operators import dirichlet_restriction
+
+        g = random_graph(30, np.random.default_rng(seed))
+        assert len(set(g.rho.values())) == g.n
+        H = assemble_laplacian(g)
+        level = build_exhaustion(g, g.vertices[0], [2]).levels[0]
+        assert 1 < len(level) < g.n
+        for op in (H, dirichlet_restriction(H, level)):
+            k = kernel_from_semigroup(op, self.TIMES)
+            rho = op.measure.vector(op.vertices)
+            np.testing.assert_array_equal(k.at(0.0), np.diag(1.0 / rho))
+            for t, mat in zip(k.times[1:], k.kernels[1:]):
+                ref = np.real(semigroup(op, t)) / rho[None, :]
+                assert np.linalg.norm(mat - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_complex_kernel_refused(self):
+        from heatcert.cli import build_coulomb_demo
+        from heatcert.operators import assemble_covariant
+
+        g, connection, _ = build_coulomb_demo(12, 1.0, 0.3)
+        H = assemble_covariant(g, 1, connection)
+        p = semigroup(H, 1.0)
+        assert np.max(np.abs(p.imag)) > 0.1 * np.max(np.abs(p))
+        with pytest.raises(ValueError, match="not real"):
+            kernel_from_semigroup(H, (1.0,))
+
+    def test_stack_is_read_only(self, tmp_path):
+        from heatcert.heat import dump_kernel, load_kernel
+
+        H = assemble_laplacian(path_graph(5))
+        k = kernel_from_semigroup(H, (0.0, 1.0))
+        with pytest.raises(ValueError):
+            k.kernels[1, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            k.at(0.0)[0, 1] = 1.0
+        dump_kernel(k, tmp_path / "k.json")
+        loaded = load_kernel(tmp_path / "k.json")
+        loaded.kernels[1, 0, 0] = 1.0
+        assert loaded.kernels[1, 0, 0] == 1.0
+
+    def test_host_tabulated_once(self):
+        g = path_graph(10)
+        times = (0.5, 1.0)
+        H = assemble_laplacian(g)
+        to_host = build_exhaustion(g, "v0", [3, 9])
+        assert to_host.levels[-1] == frozenset(g.vertices)
+        last = minimal_kernel(g, to_host, times, H=H).kernels[-1]
+        assert last is kernel_from_semigroup(H, times)
+        assert last is kernel_from_semigroup(H, [1.0, 0.5])
+        assert last is not kernel_from_semigroup(assemble_laplacian(g), times)
+        assert minimal_kernel(g, to_host, (0.5, 2.0), H=H).kernels[-1] is not last
+        short = build_exhaustion(g, "v0", [3, 8])
+        assert minimal_kernel(g, short, times, H=H).kernels[-1] is not last
+
+    def test_heat_verify_builds_host_stack_once(self, tmp_path, monkeypatch):
+        from heatcert import cli, heat
+        from heatcert.graph import dump_graph
+
+        g = random_graph(12, np.random.default_rng(60))
+        root = g.vertices[0]
+        dump_graph(g, tmp_path / "g.json")
+        sizes = []
+        make = heat.HeatKernel
+        monkeypatch.setattr(heat, "HeatKernel",
+                            lambda *a: sizes.append(len(a[2])) or make(*a))
+        rc = cli.main(["heat", "verify", "--graph", str(tmp_path / "g.json"),
+                       "--exhaustion", f"root={root},radii=1,2,{g.n}",
+                       "--times", "0.5,1.0", "--out", str(tmp_path / "r.json")])
+        assert rc == 0
+        assert sizes.count(g.n) == 1
+        assert len(sizes) == len(build_exhaustion(g, root, [1, 2, g.n]).levels)
+
+    def test_continuity_probe_subtracts_identity(self, monkeypatch):
+        from heatcert import heat
+
+        H = assemble_laplacian(random_graph(15, np.random.default_rng(73)))
+        assert heat._continuity_probe(H)
+        monkeypatch.setattr(heat, "semigroup_matrix", lambda H, t: 2.0 * np.eye(H.dim))
+        assert not heat._continuity_probe(H)
