@@ -3,7 +3,6 @@ for relative compactness of potential perturbations."""
 
 from .graph import (
     Exhaustion,
-    Measure,
     WeightedGraph,
     build_exhaustion,
     load_graph,
@@ -15,14 +14,9 @@ from .graph import (
 from .bundle import (
     EndomorphismField,
     HermitianBundle,
-    Section,
     UnitaryConnection,
     decompose_potential,
     endo_norm,
-    gram_schmidt_frame,
-    pointwise_norm,
-    trivialize,
-    untrivialize,
 )
 from .operators import (
     OperatorMatrix,
@@ -30,7 +24,6 @@ from .operators import (
     assemble_covariant,
     assemble_laplacian,
     dirichlet_restriction,
-    form_bound,
     multiplication_operator,
     quadratic_form,
     resolvent,
@@ -48,7 +41,6 @@ from .control import (
     F2Family,
     bakry_emery_factor,
     check_integrability,
-    combine_additive,
     fit_control,
 )
 from .compactness import (

@@ -1,16 +1,16 @@
 """Hermitian vector bundles over a vertex set.
 
 Rank-d fibers with per-vertex Hermitian metrics, unitary edge connections
-(one matrix per directed edge), endomorphism fields (matrix potentials),
-and the orthonormal-frame trivialization that turns general fiber metrics
-into Euclidean coordinates. All spectral code downstream assumes the
-trivialized (orthonormal) picture.
+(one matrix per directed edge) and endomorphism fields (matrix potentials).
+All spectral code downstream works in Euclidean fiber coordinates; a
+general fiber metric enters only through the unitarity check of the
+connection and the metric operator norm of `endo_norm`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,31 +181,6 @@ class EndomorphismField:
         return _stack([self.values[v] for v in vertices], self.rank)
 
 
-@dataclass(frozen=True)
-class Section:
-    rank: int
-    values: dict[str, np.ndarray]  # vertex -> fiber vector in C^d
-
-    def __post_init__(self):
-        for v, vec in self.values.items():
-            if np.asarray(vec).shape != (self.rank,):
-                raise ValueError(f"fiber vector at {v} has wrong length")
-
-    def get(self, v: str) -> np.ndarray:
-        return np.asarray(self.values[v], dtype=complex)
-
-
-def pointwise_norm(f: Section, bundle: HermitianBundle) -> dict[str, float]:
-    """x -> |f(x)|_x, the fiber-metric norm of the section."""
-    if f.rank != bundle.rank:
-        raise ValueError("rank mismatch between section and bundle")
-    out = {}
-    for v in f.values:
-        vec = f.get(v)
-        out[v] = float(np.sqrt(np.real(vec.conj() @ bundle.metric(v) @ vec)))
-    return out
-
-
 def endo_norm(W: EndomorphismField, bundle: HermitianBundle) -> dict[str, float]:
     """x -> operator norm of W(x) w.r.t. the fiber metric.
 
@@ -217,41 +192,6 @@ def endo_norm(W: EndomorphismField, bundle: HermitianBundle) -> dict[str, float]
     Lh = np.linalg.cholesky(bundle.metrics(vertices)).conj().swapaxes(1, 2)
     whitened = Lh @ W.stack(vertices) @ np.linalg.inv(Lh)
     return dict(zip(vertices, np.linalg.norm(whitened, 2, axis=(1, 2)).tolist()))
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Per-vertex orthonormal frame; columns of basis[v] are frame vectors."""
-
-    rank: int
-    basis: dict[str, np.ndarray]
-    coeff_map: dict[str, np.ndarray] = field(repr=False, default=None)
-
-
-def gram_schmidt_frame(bundle: HermitianBundle) -> Frame:
-    """Orthonormal frame per vertex, via the metric Cholesky factor.
-
-    With metric G = L L^*, the frame vectors are the columns of (L^*)^{-1}
-    and the coefficient map (trivialization) is multiplication by L^*.
-    """
-    basis, coeff = {}, {}
-    for v in bundle.fiber_metric:
-        gmat = bundle.metric(v)
-        if np.linalg.cond(gmat) > 1e12:
-            raise ValueError(f"fiber metric at {v} numerically singular")
-        L = np.linalg.cholesky(gmat)
-        basis[v] = np.linalg.inv(L.conj().T)
-        coeff[v] = L.conj().T
-    return Frame(bundle.rank, basis, coeff)
-
-
-def trivialize(f: Section, frame: Frame) -> Section:
-    """Frame coefficients of f; an isometry onto Euclidean fibers."""
-    return Section(frame.rank, {v: frame.coeff_map[v] @ f.get(v) for v in f.values})
-
-
-def untrivialize(c: Section, frame: Frame) -> Section:
-    return Section(frame.rank, {v: frame.basis[v] @ c.get(v) for v in c.values})
 
 
 def decompose_potential(W: EndomorphismField, rule: str, bundle: HermitianBundle,

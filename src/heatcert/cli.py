@@ -23,8 +23,8 @@ from .compactness import (
     check_hs_bound,
     check_resolvent_laplace,
 )
-from .control import ControlPair, F2Family, check_integrability, fit_control
-from .graph import GraphFormatError, build_exhaustion, load_graph, path_graph, validate_graph, Measure
+from .control import F2Family, check_integrability, fit_control
+from .graph import GraphFormatError, build_exhaustion, load_graph, path_graph, validate_graph
 from .heat import (
     DEFAULT_TIMES,
     dump_kernel,
@@ -48,23 +48,11 @@ def _parse_times(spec: str | None):
 
 
 def _parse_exhaustion(spec: str):
-    """root=ID,radii=1,2,3"""
-    root = None
-    radii = None
-    for part in spec.split(";"):
-        if part.startswith("root="):
-            root = part[len("root="):]
-        elif part.startswith("radii="):
-            radii = [int(x) for x in part[len("radii="):].split(",")]
-    if root is None or radii is None:
-        # allow comma form root=ID,radii=...
-        head, _, tail = spec.partition(",radii=")
-        if head.startswith("root=") and tail:
-            root = head[len("root="):]
-            radii = [int(x) for x in tail.split(",")]
-    if root is None or radii is None:
+    """root=ID,radii=r1,r2,... -> (ID, [r1, r2, ...])"""
+    head, _, tail = spec.partition(",radii=")
+    if not head.startswith("root=") or not tail:
         raise ValueError("exhaustion spec must be root=ID,radii=r1,r2,...")
-    return root, radii
+    return head[len("root="):], [int(x) for x in tail.split(",")]
 
 
 def _emit(report: dict, out_path, seed):
@@ -156,7 +144,7 @@ def cmd_control_fit(args) -> int:
     pair, cert = fit_control(k, args.family, args.q)
     report = {
         "command": "control fit",
-        "F1": {v: pair.F1[v] for v in k.vertices},
+        "F1": dict(zip(k.vertices, pair.F1.tolist())),
         "F2": {"kind": pair.F2.kind, "C": pair.F2.C, "gamma": pair.F2.gamma},
         "q": pair.q,
         "certificate": cert.to_dict(),
@@ -206,7 +194,7 @@ def cmd_compact_certify(args) -> int:
     pair, cert = fit_control(k, "graph", args.q)
     root, radii = _parse_exhaustion(args.levels)
     ex = build_exhaustion(g, root, radii)
-    pd = PotentialDecomposition.build(W, W1, W2, pair, Measure.from_rho(g))
+    pd = PotentialDecomposition.build(W, W1, W2, pair, g)
     report = certify_compactness(pd, H, pair, ex, args.a, args.topk)
     ok = report.verdict == "hypotheses-verified" and cert.ok
     _emit({"command": "compact certify", "control_certificate": cert.to_dict(),
@@ -240,8 +228,7 @@ def cmd_demo_coulomb(args) -> int:
     rho_rep = verify_rho_bound(k)
     pair, cert = fit_control(k, "graph", 1.0)
     W1, W2 = decompose_potential(W, "threshold", bundle, threshold=args.threshold)
-    w1_map = {v: float(np.real(W1.get(v)[0, 0])) for v in g.vertices}
-    hs_rows = check_hs_bound(w1_map, k, pair, t=0.5)
+    hs_rows = check_hs_bound(W1, k, pair, t=0.5)
     ledger += hs_rows
     ledger.append(check_resolvent_laplace(H_scal, a=1.0))
     dom_rows = check_domination(H_cov, H_scal, times=(0.1, 1.0),
@@ -249,7 +236,7 @@ def cmd_demo_coulomb(args) -> int:
     ledger += dom_rows
     radii = [args.n // 4, args.n // 2, 3 * args.n // 4, args.n - 1]
     ex = build_exhaustion(g, "v0", radii)
-    pd = PotentialDecomposition.build(W, W1, W2, pair, Measure.from_rho(g))
+    pd = PotentialDecomposition.build(W, W1, W2, pair, g)
     report = certify_compactness(pd, H_cov, pair, ex, a=args.a, k_top=args.topk)
     transitions = list(report.drift)  # insertion order = level order
     drift_last = report.drift[transitions[-1]] if transitions else 0.0

@@ -19,7 +19,7 @@ from scipy import special
 
 from .bundle import EndomorphismField
 from .control import ControlPair, F2Family, _quad_f2, check_integrability
-from .graph import Exhaustion, Measure, lq_norm, weak_vanishing_profile
+from .graph import Exhaustion, WeightedGraph, lq_norm, weak_vanishing_profile
 from .heat import HeatKernel
 from .operators import (
     OperatorMatrix,
@@ -120,8 +120,7 @@ def check_hs_bound(W1, k: HeatKernel, cp: ControlPair, t: float) -> list[LedgerR
     identity = LedgerRow("hs-identity-relerr",
                          abs(hs_direct_sq - diag_sq) / scale, HS_IDENTITY_RTOL,
                          detail={"t": t, "hs_sq": hs_direct_sq, "diag_sq": diag_sq})
-    f1 = np.array([cp.F1[v] for v in k.vertices])
-    norm_sq = float(np.sum(w ** 2 * f1 * rho))
+    norm_sq = float(np.sum(w ** 2 * cp.F1 * rho))
     bound = LedgerRow("hs-step1-bound", diag_sq, cp.F2(2 * t) * norm_sq,
                       tol=1e-12 * max(1.0, norm_sq), detail={"t": t})
     return [identity, bound]
@@ -135,8 +134,8 @@ def check_2to2_bound(W, H: OperatorMatrix, cp: ControlPair, t: float) -> LedgerR
     if cp.q <= 1:
         raise ValueError("the 2->2 semigroup route is the q > 1 path")
     lhs = float(singular_values(H, _blocks(W, H.vertices, H.rank), _semigroup_g(H, t))[0])
-    w_map = dict(zip(H.vertices, _scalar_values(W, H.vertices)))
-    rhs = cp.F2(t) ** (1.0 / (2.0 * cp.q)) * lq_norm(w_map, 2 * cp.q, H.measure)
+    w = _scalar_values(W, H.vertices)
+    rhs = cp.F2(t) ** (1.0 / (2.0 * cp.q)) * lq_norm(w, 2 * cp.q, H.rho)
     return LedgerRow("step2-semigroup-norm-bound", lhs, rhs,
                      tol=1e-10 * max(1.0, rhs), detail={"t": t, "q": cp.q})
 
@@ -150,9 +149,8 @@ def check_resolvent_bound(W, H: OperatorMatrix, cp: ControlPair, a: float) -> Le
     if cp.q <= 1:
         raise ValueError("the resolvent norm route is the q > 1 path")
     lhs = float(singular_values(H, _blocks(W, H.vertices, H.rank), _resolvent_g(a))[0])
-    w_map = dict(zip(H.vertices, _scalar_values(W, H.vertices)))
     quad = laplace_weight_integral(cp.F2, cp.q, a)
-    rhs = lq_norm(w_map, 2 * cp.q, H.measure) * quad
+    rhs = lq_norm(_scalar_values(W, H.vertices), 2 * cp.q, H.rho) * quad
     return LedgerRow("step3-resolvent-norm-bound", lhs, rhs,
                      tol=1e-10 * max(1.0, rhs),
                      detail={"a": a, "q": cp.q, "quadrature_integral": quad})
@@ -293,20 +291,18 @@ class PotentialDecomposition:
     w2_profile: dict[float, float]
 
     @staticmethod
-    def build(W, W1, W2, cp: ControlPair, measure: Measure,
+    def build(W, W1, W2, cp: ControlPair, g: WeightedGraph,
               thresholds=(1.0, 0.1, 0.01)) -> "PotentialDecomposition":
-        vertices = list(measure.weights)
+        vertices = g.vertices
         w1v = _scalar_values(W1, vertices)
         w2v = _scalar_values(W2, vertices)
         bad = np.max(np.abs(_blocks(W, vertices) - _blocks(W1, vertices)
                             - _blocks(W2, vertices)), axis=(1, 2)) > 1e-12
         if bad.any():
             raise ValueError(f"W1 + W2 != W at {vertices[int(np.argmax(bad))]}")
-        f1_measure = Measure({v: cp.F1[v] * measure.weights[v] for v in vertices})
-        norm = lq_norm(dict(zip(vertices, w1v)), 2 * cp.q, f1_measure)
-        profile = weak_vanishing_profile(dict(zip(vertices, w2v)),
-                                         measure, thresholds)
-        return PotentialDecomposition(W, W1, W2, cp.q, float(norm), profile)
+        norm = lq_norm(w1v, 2 * cp.q, cp.F1 * g.rho_vec)
+        profile = weak_vanishing_profile(w2v, g.rho_vec, thresholds)
+        return PotentialDecomposition(W, W1, W2, cp.q, norm, profile)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Weighted graphs, vertex measures, and exhaustions.
+"""Weighted graphs, vertex weight vectors, and exhaustions.
 
 A weighted graph is a triple (vertices, edge weights b, vertex weights rho):
 b is symmetric with zero diagonal and finite row sums, rho is strictly
@@ -32,8 +32,9 @@ class WeightedGraph:
     `vertices`, `rho` and `b` are the constructor and file-format fields.
     Everything else reads the integer form derived from them once: edge
     arrays `src`, `dst` (vertex indices; a loop pair has src == dst) and `w`
-    in `b` order, the weighted degree vector `deg`, and the CSR adjacency
-    `adj` of the edges with w > ADJACENCY_EPS.
+    in `b` order, the vertex weight vector `rho_vec` and the weighted degree
+    vector `deg` in vertex order, and the CSR adjacency `adj` of the edges
+    with w > ADJACENCY_EPS.
     """
 
     vertices: tuple[str, ...]
@@ -42,6 +43,7 @@ class WeightedGraph:
     src: np.ndarray = field(init=False, repr=False, compare=False)
     dst: np.ndarray = field(init=False, repr=False, compare=False)
     w: np.ndarray = field(init=False, repr=False, compare=False)
+    rho_vec: np.ndarray = field(init=False, repr=False, compare=False)
     deg: np.ndarray = field(init=False, repr=False, compare=False)
     adj: csr_array = field(init=False, repr=False, compare=False)
 
@@ -52,6 +54,7 @@ class WeightedGraph:
         dst = np.array([index[p[-1]] for p in pairs], dtype=np.intp)
         w = np.array(list(self.b.values()), dtype=float)
         n = len(self.vertices)
+        rho_vec = np.array([self.rho.get(v, 0.0) for v in self.vertices], dtype=float)
         # per edge src, then dst, so each entry sums in b order; sub-eps
         # weights count, and a loop pair counts once
         ends = np.stack([src, dst], axis=1).ravel()
@@ -63,7 +66,7 @@ class WeightedGraph:
         cols = np.concatenate([dst[near], src[near]])
         adj = csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
         for name, value in (("_index", index), ("src", src), ("dst", dst), ("w", w),
-                            ("deg", deg), ("adj", adj)):
+                            ("rho_vec", rho_vec), ("deg", deg), ("adj", adj)):
             object.__setattr__(self, name, value)
 
     @property
@@ -76,9 +79,6 @@ class WeightedGraph:
     def degree(self, v: str) -> float:
         """Weighted degree sum_y b(v, y); includes sub-eps weights."""
         return float(self.deg[self._index[v]])
-
-    def rho_vector(self) -> np.ndarray:
-        return np.array([self.rho[v] for v in self.vertices], dtype=float)
 
 
 def make_graph(vertices, rho, edges) -> WeightedGraph:
@@ -102,30 +102,6 @@ def make_graph(vertices, rho, edges) -> WeightedGraph:
             raise GraphFormatError(f"duplicate edge ({u},{v}) with differing b")
         b[key] = float(w)
     return WeightedGraph(vertices, {v: float(rho[v]) for v in vertices}, b)
-
-
-@dataclass(frozen=True)
-class Measure:
-    """Vertex measure; plain mu_rho, or rho reweighted by a positive F1."""
-
-    weights: dict[str, float]
-
-    def __post_init__(self):
-        for v, w in self.weights.items():
-            if not w > 0:
-                raise ValueError(f"nonpositive measure weight at {v}")
-
-    @staticmethod
-    def from_rho(g: WeightedGraph, f1=None) -> "Measure":
-        if f1 is None:
-            return Measure(dict(g.rho))
-        return Measure({v: f1[v] * g.rho[v] for v in g.vertices})
-
-    def of(self, subset) -> float:
-        return sum(self.weights[v] for v in subset)
-
-    def vector(self, vertices) -> np.ndarray:
-        return np.array([self.weights[v] for v in vertices], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -154,16 +130,18 @@ def validate_graph(g: WeightedGraph) -> ValidationReport:
     report = ValidationReport()
     for e in np.flatnonzero(g.src == g.dst):
         report.violations.append(f"loop at {g.vertices[g.src[e]]}")
-    rho_ok = np.array([g.rho.get(v, 0.0) > 0 for v in g.vertices], dtype=bool)
+    rho_ok = np.isfinite(g.rho_vec) & (g.rho_vec > 0)
     deg_ok = np.isfinite(g.deg)
     for i in np.flatnonzero(~(rho_ok & deg_ok)):
         if not rho_ok[i]:
-            report.violations.append(f"nonpositive rho at {g.vertices[i]}")
+            kind = "nonpositive" if np.isfinite(g.rho_vec[i]) else "non-finite"
+            report.violations.append(f"{kind} rho at {g.vertices[i]}")
         if not deg_ok[i]:
             report.violations.append(f"infinite weighted degree at {g.vertices[i]}")
-    for e in np.flatnonzero(g.w < 0):
+    for e in np.flatnonzero(np.isnan(g.w) | (g.w < 0)):
         u, v = g.vertices[g.src[e]], g.vertices[g.dst[e]]
-        report.violations.append(f"negative edge weight on ({u},{v})")
+        kind = "NaN" if np.isnan(g.w[e]) else "negative"
+        report.violations.append(f"{kind} edge weight on ({u},{v})")
     if g.n > 0:
         unreached = np.flatnonzero(np.isinf(_hops(g, 0)))
         if unreached.size:
@@ -177,17 +155,19 @@ def _hops(g: WeightedGraph, root: int) -> np.ndarray:
     return csgraph.shortest_path(g.adj, unweighted=True, indices=root)
 
 
-def lq_norm(f, q: float, m: Measure) -> float:
-    """L^q norm of a vertex function w.r.t. the measure; q in [1, inf]."""
+def lq_norm(f: np.ndarray, q: float, weights: np.ndarray) -> float:
+    """L^q norm of a vertex function w.r.t. the vertex weights; q in [1, inf]."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
+    f = np.abs(f)
     if math.isinf(q):
-        return max((abs(f[v]) for v in m.weights), default=0.0)
-    return sum(abs(f[v]) ** q * m.weights[v] for v in m.weights) ** (1.0 / q)
+        return float(np.max(f, initial=0.0))
+    return float(np.sum(f ** q * weights) ** (1.0 / q))
 
 
-def weak_vanishing_profile(f, m: Measure, thresholds) -> dict[float, float]:
-    """Measure of the level sets {|f| >= c} for each threshold c.
+def weak_vanishing_profile(f: np.ndarray, weights: np.ndarray,
+                           thresholds) -> dict[float, float]:
+    """Weight of the level sets {|f| >= c} for each threshold c.
 
     Finite values for every c are the finite-truncation proxy for the
     potential class that vanishes weakly at infinity.
@@ -196,7 +176,7 @@ def weak_vanishing_profile(f, m: Measure, thresholds) -> dict[float, float]:
     for c in thresholds:
         if not c > 0:
             raise ValueError("thresholds must be positive")
-        out[c] = sum(m.weights[v] for v in m.weights if abs(f[v]) >= c)
+        out[c] = float(np.sum(weights[np.abs(f) >= c]))
     return out
 
 

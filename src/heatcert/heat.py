@@ -71,7 +71,7 @@ def kernel_from_semigroup(H: OperatorMatrix, times) -> HeatKernel:
         return H._cache[key]
     # guards first: t < 0 and a non-PSD H raise before any work
     gs = [_semigroup_g(H, t) if t else None for t in times]
-    rho = H.measure.vector(H.vertices)
+    rho = H.rho
     lam, u = H.eigh()
     phi = u / np.sqrt(rho)[:, None]
     phi_h = phi.conj().T

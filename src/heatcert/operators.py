@@ -3,8 +3,8 @@
 Every operator here lives in the weighted inner product
 <f, h> = sum_x (f(x), h(x)) rho(x). Matrices are stored as they act on
 plain coordinate vectors; spectral work happens on the symmetrized matrix
-A = D^{1/2} M D^{-1/2} (D the diagonal of measure weights, repeated per
-fiber dimension), which is genuinely Hermitian.
+A = D^{1/2} M D^{-1/2} (D the diagonal of the vertex weights rho, repeated
+per fiber dimension), which is genuinely Hermitian.
 
 Scalar operators (no connection) are real float64 matrices, so their
 spectral work runs in real arithmetic; covariant operators are complex.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import EndomorphismField, UnitaryConnection
-from .graph import Measure, WeightedGraph, validate_graph
+from .graph import WeightedGraph, validate_graph
 
 WEIGHTED_HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -27,12 +27,13 @@ PSD_TOL = 1e-10
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator over (vertices x fiber dims) with its measure."""
+    """Dense operator over (vertices x fiber dims) with its vertex weights
+    rho, one per vertex in vertex order."""
 
     matrix: np.ndarray
     vertices: tuple[str, ...]
     rank: int
-    measure: Measure
+    rho: np.ndarray
     kind: str  # scalar-laplacian | covariant | dirichlet-restriction | multiplication | sum
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -41,9 +42,8 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
     def measure_weights(self) -> np.ndarray:
-        """Measure weight per scalar index (vertex weight repeated rank times)."""
-        w = self.measure.vector(self.vertices)
-        return np.repeat(w, self.rank)
+        """Weight per scalar index (vertex weight repeated rank times)."""
+        return np.repeat(self.rho, self.rank)
 
     def symmetrized(self) -> np.ndarray:
         """A = D^{1/2} M D^{-1/2}, Hermitian and unitarily equivalent to M."""
@@ -57,23 +57,13 @@ class OperatorMatrix:
             self._cache["eigh"] = np.linalg.eigh(a)
         return self._cache["eigh"]
 
-    def check_self_adjoint(self, tol=WEIGHTED_HERMITIAN_TOL) -> float:
+    def check_self_adjoint(self) -> float:
+        """Largest entry of |A - A*|; zero when M is weighted-self-adjoint."""
         a = self.symmetrized()
         return float(np.max(np.abs(a - a.conj().T)))
 
     def lambda_min(self) -> float:
         return float(self.eigh()[0][0])
-
-    def norm_2to2(self) -> float:
-        """Operator norm on the weighted L^2 space."""
-        return float(np.linalg.norm(self.symmetrized(), 2))
-
-    def inner(self, f: np.ndarray, h: np.ndarray) -> complex:
-        """Weighted inner product, antilinear in the first slot."""
-        return complex(np.sum(np.conj(f) * h * self.measure_weights()))
-
-    def weighted_norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.real(self.inner(f, f))))
 
 
 def require_psd(op: OperatorMatrix):
@@ -112,12 +102,12 @@ def _assemble(g: WeightedGraph, rank: int, connection, kind: str) -> OperatorMat
         raise ValueError(f"invalid graph: {report.violations}")
     n, d = g.n, rank
     x, y, w, phi = _oriented_edges(g, d, connection)
-    coef = w / g.rho_vector()[x]
+    coef = w / g.rho_vec[x]
     m = np.zeros((n * d, n * d), dtype=phi.dtype)
     m.reshape(n, d, n, d)[x, :, y, :] -= coef[:, None, None] * phi
     diag = np.arange(n * d)
     m[diag, diag] = np.repeat(np.bincount(x, coef, minlength=n), d)
-    return OperatorMatrix(m, g.vertices, d, Measure.from_rho(g), kind)
+    return OperatorMatrix(m, g.vertices, d, g.rho_vec, kind)
 
 
 def assemble_laplacian(g: WeightedGraph) -> OperatorMatrix:
@@ -148,13 +138,6 @@ def quadratic_form(g: WeightedGraph, f1: np.ndarray, f2: np.ndarray) -> complex:
     return _form(g, 1, None, f1, f2)
 
 
-def form_bound(g: WeightedGraph) -> float:
-    """C(b, rho) = sup_x deg(x)/rho(x); 2 C bounds the form and the operator."""
-    if g.n == 0:
-        return 0.0
-    return float(np.max(g.deg / g.rho_vector()))
-
-
 def assemble_covariant(g: WeightedGraph, rank: int,
                        connection: UnitaryConnection) -> OperatorMatrix:
     """Block operator: diagonal deg(x)/rho(x) Id, off-diagonal
@@ -175,13 +158,13 @@ def covariant_form(g: WeightedGraph, rank: int, connection: UnitaryConnection,
     return _form(g, rank, connection, f1, f2)
 
 
-def multiplication_operator(W: EndomorphismField, vertices, measure: Measure
+def multiplication_operator(W: EndomorphismField, vertices, rho: np.ndarray
                             ) -> OperatorMatrix:
     """Block-diagonal matrix f(x) -> W(x) f(x)."""
     d, n = W.rank, len(vertices)
     m = np.zeros((n, d, n, d), dtype=complex)
     m[np.arange(n), :, np.arange(n), :] = W.stack(vertices)
-    return OperatorMatrix(m.reshape(n * d, n * d), tuple(vertices), d, measure, "multiplication")
+    return OperatorMatrix(m.reshape(n * d, n * d), tuple(vertices), d, rho, "multiplication")
 
 
 def add_potential(H: OperatorMatrix, V: EndomorphismField) -> OperatorMatrix:
@@ -191,16 +174,16 @@ def add_potential(H: OperatorMatrix, V: EndomorphismField) -> OperatorMatrix:
         raise ValueError("potential must be pointwise self-adjoint")
     if V.rank != H.rank:
         raise ValueError("potential rank mismatch")
-    Vop = multiplication_operator(V, H.vertices, H.measure)
-    return OperatorMatrix(H.matrix + Vop.matrix, H.vertices, H.rank, H.measure, "sum")
+    Vop = multiplication_operator(V, H.vertices, H.rho)
+    return OperatorMatrix(H.matrix + Vop.matrix, H.vertices, H.rank, H.rho, "sum")
 
 
 def dirichlet_restriction(H: OperatorMatrix, subset) -> OperatorMatrix:
-    """Principal submatrix on the subset (fiber blocks included), with the
-    restricted measure. Diagonal degree terms are retained, which is what
-    makes the restriction a Dirichlet (killing) boundary condition. A
-    subset holding every vertex of H gives H's own matrix and shares its
-    cached eigendecomposition."""
+    """Principal submatrix on the subset (fiber blocks included), with rho
+    sliced to it. Diagonal degree terms are retained, which is what makes
+    the restriction a Dirichlet (killing) boundary condition. A subset
+    holding every vertex of H gives H's own matrix and shares its cached
+    eigendecomposition."""
     keep = set(subset)
     pos = [i for i, v in enumerate(H.vertices) if v in keep]
     if not pos:
@@ -212,8 +195,7 @@ def dirichlet_restriction(H: OperatorMatrix, subset) -> OperatorMatrix:
     else:
         idx = [i * d + k for i in pos for k in range(d)]
         sub, cache = H.matrix[np.ix_(idx, idx)], {}
-    meas = Measure({v: H.measure.weights[v] for v in subset})
-    op = OperatorMatrix(sub, tuple(subset), d, meas, "dirichlet-restriction", cache)
+    op = OperatorMatrix(sub, tuple(subset), d, H.rho[pos], "dirichlet-restriction", cache)
     require_psd(op)
     return op
 

@@ -6,17 +6,12 @@ import pytest
 from heatcert.bundle import (
     EndomorphismField,
     HermitianBundle,
-    Section,
     UnitaryConnection,
     _complex_matrix_to_json,
     decompose_potential,
     dump_bundle,
     endo_norm,
-    gram_schmidt_frame,
     load_bundle,
-    pointwise_norm,
-    trivialize,
-    untrivialize,
 )
 
 
@@ -24,11 +19,6 @@ def random_unitary(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()[None, :]
-
-
-def random_spd(rng, d):
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return z @ z.conj().T + d * np.eye(d)
 
 
 def power_iteration_norm(m, iters=2000):
@@ -40,29 +30,6 @@ def power_iteration_norm(m, iters=2000):
         v = a @ v
         v /= np.linalg.norm(v)
     return float(np.sqrt(np.real(v.conj() @ a @ v)))
-
-
-class TestPointwiseNorm:
-    def test_rank1_complex_modulus(self):
-        b = HermitianBundle.trivial(["x"], 1)
-        f = Section(1, {"x": np.array([3 + 4j])})
-        assert pointwise_norm(f, b)["x"] == pytest.approx(5.0)
-
-    def test_rank2_identity_metric(self):
-        b = HermitianBundle.trivial(["x"], 2)
-        f = Section(2, {"x": np.array([1.0, 1.0])})
-        assert pointwise_norm(f, b)["x"] == pytest.approx(np.sqrt(2))
-
-    def test_diagonal_metric(self):
-        b = HermitianBundle(2, {"x": np.diag([4.0, 1.0]).astype(complex)})
-        f = Section(2, {"x": np.array([1.0, 0.0])})
-        # quadratic form: sqrt(1 * 4 * 1) = 2
-        assert pointwise_norm(f, b)["x"] == pytest.approx(2.0)
-
-    def test_rank_mismatch(self):
-        b = HermitianBundle.trivial(["x"], 2)
-        with pytest.raises(ValueError):
-            pointwise_norm(Section(1, {"x": np.array([1.0])}), b)
 
 
 class TestEndoNorm:
@@ -95,47 +62,6 @@ class TestEndoNorm:
             n1, n2, ns = endo_norm(w1, b), endo_norm(w2, b), endo_norm(ws, b)
             for v in ("x", "y"):
                 assert ns[v] <= n1[v] + n2[v] + 1e-12
-
-
-class TestFrame:
-    def test_identity_metric_gives_standard_basis(self):
-        b = HermitianBundle.trivial(["x"], 2)
-        frame = gram_schmidt_frame(b)
-        np.testing.assert_allclose(frame.basis["x"], np.eye(2))
-        f = Section(2, {"x": np.array([1.0, 2.0])})
-        np.testing.assert_allclose(trivialize(f, frame).get("x"), [1.0, 2.0])
-
-    def test_diag_metric_frame_and_coefficient(self):
-        b = HermitianBundle(2, {"x": np.diag([4.0, 1.0]).astype(complex)})
-        frame = gram_schmidt_frame(b)
-        np.testing.assert_allclose(frame.basis["x"][:, 0], [0.5, 0.0])
-        f = Section(2, {"x": np.array([1.0, 0.0])})
-        assert trivialize(f, frame).get("x")[0] == pytest.approx(2.0)
-
-    def test_isometry_random_spd_metrics(self):
-        rng = np.random.default_rng(2)
-        verts = [f"v{i}" for i in range(5)]
-        b = HermitianBundle(3, {v: random_spd(rng, 3) for v in verts})
-        frame = gram_schmidt_frame(b)
-        f = Section(3, {v: rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                        for v in verts})
-        coeffs = trivialize(f, frame)
-        norms = pointwise_norm(f, b)
-        for v in verts:
-            assert np.linalg.norm(coeffs.get(v)) == pytest.approx(norms[v], rel=1e-10)
-        # frame orthonormality w.r.t. the metric
-        for v in verts:
-            e = frame.basis[v]
-            gram = e.conj().T @ b.metric(v) @ e
-            np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(4)
-        b = HermitianBundle(2, {"x": random_spd(rng, 2)})
-        frame = gram_schmidt_frame(b)
-        f = Section(2, {"x": rng.standard_normal(2) + 1j * rng.standard_normal(2)})
-        back = untrivialize(trivialize(f, frame), frame)
-        np.testing.assert_allclose(back.get("x"), f.get("x"), atol=1e-12)
 
 
 class TestConnection:

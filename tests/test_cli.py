@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from heatcert import SCHEMA_VERSION
 from heatcert.bundle import HermitianBundle, UnitaryConnection, EndomorphismField, dump_bundle
-from heatcert.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, main
+from heatcert.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, _parse_exhaustion, main
 from heatcert.graph import dump_graph, make_graph, path_graph, random_graph
 from heatcert.heat import dump_kernel, kernel_from_semigroup, load_kernel
 from heatcert.operators import assemble_laplacian
@@ -49,6 +50,37 @@ class TestGraphValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["graph", "validate", "--graph", str(bad)]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("rho_c, b_bc, violation", [
+        (math.inf, 1.0, "non-finite rho at c"),
+        (math.nan, 1.0, "non-finite rho at c"),
+        (1.0, math.nan, "NaN edge weight on "),
+    ])
+    def test_non_finite_input_rejected(self, tmp_path, capsys, rho_c, b_bc, violation):
+        g = make_graph(["a", "b", "c"], {"a": 1.0, "b": 1.0, "c": rho_c},
+                       [("a", "b", 1.0), ("b", "c", b_bc)])
+        gpath, out = tmp_path / "g.json", tmp_path / "rep.json"
+        dump_graph(g, gpath)
+        assert main(["graph", "validate", "--graph", str(gpath),
+                     "--out", str(out)]) == EXIT_VIOLATION
+        rep = json.loads(out.read_text())
+        assert rep["pass"] is False
+        assert any(v.startswith(violation) for v in rep["violations"])
+        assert main(["heat", "verify", "--graph", str(gpath)]) == EXIT_INPUT
+        assert "invalid graph" in capsys.readouterr().err
+
+
+class TestExhaustionSpec:
+    def test_root_may_hold_commas(self):
+        assert _parse_exhaustion("root=a,b,radii=1,2") == ("a,b", [1, 2])
+
+    @pytest.mark.parametrize("spec", ["radii=1,2", "root=v0", "root=v0,radii=",
+                                      "root=v0;radii=1,2"])
+    def test_incomplete_spec_is_an_input_error(self, path_file, spec):
+        with pytest.raises(ValueError):
+            _parse_exhaustion(spec)
+        assert main(["heat", "minimal", "--graph", path_file,
+                     "--exhaustion", spec]) == EXIT_INPUT
 
 
 class TestHeat:
@@ -159,8 +191,8 @@ class TestDominate:
                      "--trials", "5", "--seed", "3", "--out", str(out)]) == EXIT_OK
         _, conn, pots = load_bundle(bpath, g.vertices)
         H = assemble_covariant(g, 1, conn)
-        Vop = multiplication_operator(pots["v"], g.vertices, H.measure)
-        labelled = OperatorMatrix(H.matrix + Vop.matrix, H.vertices, 1, H.measure,
+        Vop = multiplication_operator(pots["v"], g.vertices, H.rho)
+        labelled = OperatorMatrix(H.matrix + Vop.matrix, H.vertices, 1, H.rho,
                                   "covariant")
         rows = check_domination(labelled, assemble_laplacian(g), (0.1, 1.0), (1.0, 2.0),
                                 5, np.random.default_rng(3))

@@ -24,7 +24,7 @@ from heatcert.compactness import (
     sup_kernel_on,
 )
 from heatcert.control import ControlPair, F2Family, fit_control
-from heatcert.graph import Measure, build_exhaustion, make_graph, path_graph, random_graph
+from heatcert.graph import build_exhaustion, make_graph, path_graph, random_graph
 from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup
 from heatcert.operators import (
     _symmetrize,
@@ -141,7 +141,7 @@ class TestHsBound:
     def test_rejects_q_above_one(self):
         g = two_vertex()
         k = kernel_from_semigroup(assemble_laplacian(g), (0.5, 1.0))
-        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 2.0)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 2.0)
         with pytest.raises(ValueError):
             check_hs_bound({"1": 1.0, "2": 0.0}, k, cp, t=0.5)
 
@@ -164,7 +164,7 @@ class TestStep2Step3:
     def test_single_vertex_resolvent_equality(self):
         g = make_graph(["x"], {"x": 1.0}, [])
         H = assemble_laplacian(g)
-        cp = ControlPair({"x": 1.0}, F2Family.constant(1.0), 2.0)
+        cp = ControlPair(np.ones(1), F2Family.constant(1.0), 2.0)
         row = check_resolvent_bound({"x": -3.0}, H, cp, a=1.0)
         # H = 0: sole singular value |w|/(0 + 1); quadrature constant 1
         assert row.lhs == pytest.approx(3.0, abs=1e-12)
@@ -175,7 +175,7 @@ class TestStep2Step3:
         rng = np.random.default_rng(3)
         g = random_graph(20, rng)
         H = assemble_laplacian(g)
-        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 2.0)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 2.0)
         W = {v: float(rng.standard_normal()) for v in g.vertices}
         sigmas = [check_resolvent_bound(W, H, cp, a).lhs
                   for a in (0.5, 1.0, 2.0, 4.0)]
@@ -185,7 +185,7 @@ class TestStep2Step3:
     def test_rejects_q_equal_one(self):
         g = two_vertex()
         H = assemble_laplacian(g)
-        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 1.0)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
         with pytest.raises(ValueError):
             check_2to2_bound({"1": 1.0, "2": 0.0}, H, cp, 0.5)
         with pytest.raises(ValueError):
@@ -427,7 +427,7 @@ class TestFastPathsAgainstReferences:
 
 def dense_singular_values(W: EndomorphismField, Hn, dense):
     """The dense route: every singular value of the weighted W dense(Hn)."""
-    w = multiplication_operator(W, Hn.vertices, Hn.measure).matrix
+    w = multiplication_operator(W, Hn.vertices, Hn.rho).matrix
     return np.linalg.svd(_symmetrize(w @ dense(Hn), Hn.measure_weights()),
                          compute_uv=False)
 
@@ -457,8 +457,8 @@ def rank2_certify_case(seed):
     W = random_field(g, 2, rng)
     W1, W2 = decompose_potential(W, "threshold", HermitianBundle.trivial(g.vertices, 2),
                                  threshold=1.0)
-    cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 1.0)
-    pd = PotentialDecomposition.build(W, W1, W2, cp, Measure.from_rho(g))
+    cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
+    pd = PotentialDecomposition.build(W, W1, W2, cp, g)
     return g, Hc, pd, cp, build_exhaustion(g, g.vertices[0], [1, 2, g.n])
 
 
@@ -523,7 +523,7 @@ class TestSingularValuesFromEigenbasis:
                 scalar = {v: float(rng.standard_normal()) if v in half else 0.0
                           for v in g.vertices}
                 cases.append((scalar, EndomorphismField.scalar(scalar)))
-            cp = ControlPair({v: 1.0 for v in Hn.vertices}, F2Family.constant(1.0), 2.0)
+            cp = ControlPair(np.ones(len(Hn.vertices)), F2Family.constant(1.0), 2.0)
             for Wq, field in cases:
                 for t in (0.01, 0.5, 2.0):
                     ref = dense_singular_values(field, Hn, lambda H: semigroup(H, t))
@@ -538,7 +538,7 @@ class TestSingularValuesFromEigenbasis:
         g = path_graph(4)
         H = assemble_laplacian(g)
         W = {v: 1.0 for v in g.vertices}
-        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 2.0)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 2.0)
         with pytest.raises(ValueError, match="negative time"):
             check_2to2_bound(W, H, cp, -0.5)
         with pytest.raises(ValueError, match="shift must be positive"):
@@ -588,37 +588,45 @@ class TestCertifyFormsNoDenseProducts:
 class TestPotentialDecompositionBuild:
     def test_split_mismatch_raises(self):
         g = path_graph(2)
-        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 1.0)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
         with pytest.raises(ValueError, match="W1"):
             PotentialDecomposition.build({"v0": 1.0, "v1": 0.0},
                                          {"v0": 0.5, "v1": 0.0},
                                          {"v0": 0.0, "v1": 0.0},
-                                         cp, Measure.from_rho(g))
+                                         cp, g)
 
     def test_norm_and_profile(self):
         g = path_graph(3)
-        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 1.0)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
         pd = PotentialDecomposition.build(
             {"v0": 3.0, "v1": 0.5, "v2": 0.0},
             {"v0": 3.0, "v1": 0.0, "v2": 0.0},
             {"v0": 0.0, "v1": 0.5, "v2": 0.0},
-            cp, Measure.from_rho(g), thresholds=(0.25, 1.0))
+            cp, g, thresholds=(0.25, 1.0))
         assert pd.w1_l2q_f1 == pytest.approx(3.0)
         assert pd.w2_profile[0.25] == 1.0
         assert pd.w2_profile[1.0] == 0.0
+
+    def test_measure_reweighted_by_f1(self):
+        # ||1||^2 in L^2(F1 rho) is the F1-reweighted measure of the host
+        g = path_graph(3, rho=2.0)
+        cp = ControlPair(np.full(g.n, 0.5), F2Family.constant(1.0), 1.0)
+        ones = {v: 1.0 for v in g.vertices}
+        pd = PotentialDecomposition.build(ones, ones, dict.fromkeys(ones, 0.0), cp, g)
+        assert pd.w1_l2q_f1 ** 2 == pytest.approx(3.0)
 
 
 def build_decomposition(g, W_map, threshold, cp):
     W1 = {v: (w if abs(w) > threshold else 0.0) for v, w in W_map.items()}
     W2 = {v: W_map[v] - W1[v] for v in W_map}
-    return PotentialDecomposition.build(W_map, W1, W2, cp, Measure.from_rho(g))
+    return PotentialDecomposition.build(W_map, W1, W2, cp, g)
 
 
 class TestCertify:
     def test_zero_potential_all_zero(self):
         g = path_graph(8)
         H = assemble_laplacian(g)
-        cp = ControlPair({v: 1.0 / g.rho[v] for v in g.vertices},
+        cp = ControlPair(1.0 / g.rho_vec,
                          F2Family.constant(1.0), 1.0)
         pd = build_decomposition(g, {v: 0.0 for v in g.vertices}, 0.1, cp)
         ex = build_exhaustion(g, "v0", [3, 7])
@@ -630,7 +638,7 @@ class TestCertify:
     def test_single_vertex_equality_case(self):
         g = make_graph(["x"], {"x": 1.0}, [])
         H = assemble_laplacian(g)
-        cp = ControlPair({"x": 1.0}, F2Family.constant(1.0), 1.0)
+        cp = ControlPair(np.ones(1), F2Family.constant(1.0), 1.0)
         pd = build_decomposition(g, {"x": 2.0}, 0.1, cp)
         ex = build_exhaustion(g, "x", [1])
         rep = certify_compactness(pd, H, cp, ex, a=1.0)
@@ -644,7 +652,7 @@ class TestCertify:
     def test_quantitative_flag_depends_on_shift(self):
         g = path_graph(6)
         H = assemble_laplacian(g)
-        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 1.0)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
         pd = build_decomposition(g, {v: 1.0 for v in g.vertices}, 0.1, cp)
         ex = build_exhaustion(g, "v0", [5])
         rep1 = certify_compactness(pd, H, cp, ex, a=1.0)
@@ -658,7 +666,7 @@ class TestCertify:
         n = 400
         g = path_graph(n)
         H = assemble_laplacian(g)
-        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 1.0)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
         W = {f"v{j}": 1.0 / (1.0 + j * j) for j in range(n)}
         pd = build_decomposition(g, W, 0.1, cp)
         ex = build_exhaustion(g, "v0", [50, 100, 200, 399])
@@ -672,7 +680,7 @@ class TestCertify:
         rng = np.random.default_rng(8)
         g = random_graph(15, rng)
         H = assemble_laplacian(g)
-        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 1.0)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
         W = {v: float(rng.standard_normal()) for v in g.vertices}
         pd = build_decomposition(g, W, 0.5, cp)
         ex = build_exhaustion(g, g.vertices[0], [2, 50])
@@ -683,7 +691,7 @@ class TestCertify:
     def test_truncation_tail_rows(self):
         g = path_graph(10)
         H = assemble_laplacian(g)
-        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.constant(1.0), 1.0)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
         W = {f"v{j}": 1.0 / (j + 2.0) for j in range(10)}
         pd = build_decomposition(g, W, 1.0, cp)  # all of W lands in W2
         ex = build_exhaustion(g, "v0", [3, 6, 9])
@@ -697,7 +705,7 @@ class TestCertify:
     def test_divergent_pair_hard_error(self):
         g = path_graph(4)
         H = assemble_laplacian(g)
-        cp = ControlPair({v: 1.0 for v in g.vertices}, F2Family.power(1.0, 3.0), 1.0)
+        cp = ControlPair(np.ones(g.n), F2Family.power(1.0, 3.0), 1.0)
         pd = build_decomposition(g, {v: 1.0 for v in g.vertices}, 0.1, cp)
         ex = build_exhaustion(g, "v0", [3])
         with pytest.raises(ValueError, match="integrable"):
@@ -711,13 +719,13 @@ def test_truncation_operator_norm_converges_exactly():
     g = random_graph(12, rng)
     W = {v: float(3.0 * rng.standard_normal()) for v in g.vertices}
     ex = build_exhaustion(g, g.vertices[0], [1, 2, 50])
-    m = Measure.from_rho(g)
     gaps = []
     base = int(np.ceil(max(abs(w) for w in W.values())))
     for n, level in enumerate(ex.levels, start=base):
         Wn = {v: (np.sign(W[v]) * min(n, abs(W[v])) if v in level else 0.0)
               for v in g.vertices}
         diff = EndomorphismField.scalar({v: W[v] - Wn[v] for v in g.vertices})
-        gaps.append(multiplication_operator(diff, g.vertices, m).norm_2to2())
+        op = multiplication_operator(diff, g.vertices, g.rho_vec)
+        gaps.append(np.linalg.norm(op.symmetrized(), 2))  # weighted 2->2 norm
     assert gaps[-1] == 0.0
     assert gaps[0] >= gaps[-1]

@@ -8,7 +8,6 @@ from heatcert.control import (
     F2Family,
     bakry_emery_factor,
     check_integrability,
-    combine_additive,
     fit_control,
 )
 from heatcert.graph import make_graph, path_graph
@@ -111,27 +110,24 @@ class TestIntegrability:
             total += half * float(np.sum(weights * vals))
         assert verdict.value == pytest.approx(total, abs=1e-7)
 
-    def test_table_verdict_is_heuristic(self):
-        samples = [(t, t ** -0.5 + 1.0) for t in (0.01, 0.05, 0.2, 1.0, 5.0)]
-        verdict = check_integrability(F2Family.tabulated(samples), q=1.0)
-        assert verdict.heuristic
-        assert verdict.convergent
-
-    def test_table_needs_three_small_samples(self):
-        with pytest.raises(ValueError):
-            check_integrability(F2Family.tabulated([(0.5, 1.0), (2.0, 1.0),
-                                                    (3.0, 1.0)]), q=1.0)
-
 
 class TestControlPairType:
     def test_q_above_one_forces_unit_f1(self):
         with pytest.raises(ValueError):
-            ControlPair({"a": 0.5}, F2Family.constant(1.0), q=2.0)
-        ControlPair({"a": 1.0}, F2Family.constant(1.0), q=2.0)
+            ControlPair(np.array([1.0, 0.5]), F2Family.constant(1.0), q=2.0)
+        ControlPair(np.array([1.0, 1.0]), F2Family.constant(1.0), q=2.0)
 
     def test_rejects_nonpositive_f1(self):
         with pytest.raises(ValueError):
-            ControlPair({"a": 0.0}, F2Family.constant(1.0), q=1.0)
+            ControlPair(np.array([1.0, 0.0]), F2Family.constant(1.0), q=1.0)
+        with pytest.raises(ValueError):
+            ControlPair(np.array([1.0, np.nan]), F2Family.constant(1.0), q=1.0)
+
+    def test_only_closed_form_families(self):
+        with pytest.raises(ValueError, match="unknown F2 family"):
+            F2Family("table")
+        verdict = check_integrability(F2Family.constant(1.0), q=1.0)
+        assert verdict.to_dict()["heuristic"] is False
 
 
 class TestFitControl:
@@ -140,7 +136,7 @@ class TestFitControl:
         g = make_graph(["x"], {"x": c}, [])
         k = kernel_from_semigroup(assemble_laplacian(g), (0.1, 1.0, 10.0))
         pair, cert = fit_control(k, "graph")
-        assert pair.F1["x"] == pytest.approx(1.0 / c)
+        assert pair.F1[0] == pytest.approx(1.0 / c)
         assert cert.ok
         assert cert.min_slack == pytest.approx(0.0, abs=1e-14)
 
@@ -166,33 +162,4 @@ class TestFitControl:
         g = path_graph(10, rho=2.0)
         k = kernel_from_semigroup(assemble_laplacian(g), DEFAULT_TIMES)
         pair, _ = fit_control(k, "power", q=2.0)
-        assert all(v == 1.0 for v in pair.F1.values())
-
-
-class TestCombineAdditive:
-    def test_zero_extra_term(self):
-        pair = combine_additive({"a": 2.0, "b": 3.0}, {1.0: 0.0, 2.0: 0.0})
-        assert pair.F2(1.0) == pytest.approx(1.0)
-
-    def test_unit_inf(self):
-        pair = combine_additive({"a": 1.0}, {1.0: 1.0})
-        assert pair.F2(1.0) == pytest.approx(2.0)
-
-    def test_hand_majorization(self):
-        pair = combine_additive({"a": 2.0, "b": 5.0}, {1.0: 4.0})
-        assert pair.F2(1.0) == pytest.approx(3.0)
-        assert 2.0 * 3.0 >= 2.0 + 4.0
-        assert 5.0 * 3.0 >= 5.0 + 4.0
-
-    def test_dominates_additive_bound_pointwise(self):
-        rng = np.random.default_rng(1)
-        f1 = {f"v{i}": float(rng.uniform(0.2, 4.0)) for i in range(10)}
-        f2 = {float(t): float(rng.uniform(0, 5)) for t in rng.uniform(0.01, 3, 6)}
-        pair = combine_additive(f1, f2)
-        for t, v in f2.items():
-            for x, f1x in f1.items():
-                assert f1x * pair.F2(t) >= f1x + v - 1e-10
-
-    def test_rejects_zero_infimum(self):
-        with pytest.raises(ValueError):
-            combine_additive({"a": 0.0}, {1.0: 1.0})
+        assert np.all(pair.F1 == 1.0)
