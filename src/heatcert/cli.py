@@ -44,7 +44,8 @@ EXIT_VIOLATION = 2
 def _parse_times(spec: str | None):
     if not spec:
         return DEFAULT_TIMES
-    return tuple(sorted(float(x) for x in spec.split(",")))
+    # a repeated time adds nothing, and a kernel file must not repeat one
+    return tuple(sorted({float(x) for x in spec.split(",")}))
 
 
 def _parse_exhaustion(spec: str):

@@ -71,8 +71,10 @@ def resolvent_via_laplace(H: OperatorMatrix, a: float, nodes: int = 320) -> np.n
     spectrum: O(nodes n) plus one O(n^3) reconstruction. Against `resolvent`
     it therefore tests the quadrature against 1 / (lambda + a) on the shared
     spectrum, not the eigendecomposition. Convergence is geometric in nodes
-    at a rate set by lambda_max / a; 320 nodes keep the relative error below
-    1e-6 for spectra reaching into the hundreds.
+    at a rate set by lambda_max / a. With 320 nodes the relative error on
+    one eigenvalue is 2.1e-10 at lambda / a = 50, 3.8e-5 at 100 and 1.5e-2
+    at 200, so it stays below 1e-6 only while lambda_max / a is below
+    about 75.
     """
     if a <= 0:
         raise ValueError("shift must be positive")
@@ -83,11 +85,15 @@ def resolvent_via_laplace(H: OperatorMatrix, a: float, nodes: int = 320) -> np.n
 
 
 def check_resolvent_laplace(H: OperatorMatrix, a: float, rtol: float = 1e-6) -> LedgerRow:
+    """Frobenius relative error of `resolvent_via_laplace` against
+    `resolvent`. The small eigenvalues dominate this ratio, so it can read
+    far below the error on the largest ones; lambda_max / a in the detail
+    says how far the quadrature was pushed."""
     direct = resolvent(H, a)
     quad = resolvent_via_laplace(H, a)
     rel = float(np.linalg.norm(quad - direct) / np.linalg.norm(direct))
     return LedgerRow("resolvent-laplace-crosscheck", rel, rtol,
-                     detail={"a": a})
+                     detail={"a": a, "lambda_max_over_a": float(H.eigh()[0][-1] / a)})
 
 
 def _scalar_values(W, vertices) -> np.ndarray:
@@ -332,7 +338,7 @@ def laplace_weight_integral(F2: F2Family, q: float, a: float,
                             time_scale: float = 1.0) -> float:
     """integral of e^{-a t} F2(time_scale * t)^{1/(2q)} dt, by the
     singularity-aware quadrature from the integrability checker."""
-    _, gamma = F2.effective_power()
+    gamma = F2.singular_exponent()
     if gamma / (2.0 * q) >= 1.0:
         raise ValueError("integral diverges at t = 0")
     return _quad_f2(lambda t: F2(time_scale * t), gamma, q, a)[0]

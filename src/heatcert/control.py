@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .heat import HeatKernel
 
@@ -39,7 +38,9 @@ class F2Family:
                  exponent (m + beta)/2 and constant C * 2^(2m+2beta) R^(m+beta)
     constant:    C
 
-    Every shape is closed-form, so `effective_power` always applies.
+    Every shape is closed-form, and `singular_exponent` gives the power of
+    its blow-up at t = 0: gamma for power, (m + beta)/2 for Bakry-Emery,
+    0 for constant.
     """
 
     kind: str
@@ -54,6 +55,9 @@ class F2Family:
             raise ValueError("C must be positive")
         if self.kind == "power" and self.gamma < 0:
             raise ValueError("gamma must be >= 0")
+        if self.kind == "bakry-emery":
+            bakry_emery_factor(self.params["m"], self.params["beta"],
+                               self.params["R"], 1.0)  # raises on bad m, beta, R
 
     @staticmethod
     def power(C: float, gamma: float) -> "F2Family":
@@ -68,14 +72,14 @@ class F2Family:
         return F2Family("bakry-emery", C=C,
                         params={"m": m, "beta": beta, "R": R})
 
-    def effective_power(self) -> tuple[float, float]:
-        """(C_eff, gamma_eff) such that F2(t) = C_eff (t^-gamma_eff + 1)."""
+    def singular_exponent(self) -> float:
+        """gamma such that F2(t) grows like t^-gamma as t -> 0; 0 when F2
+        does not depend on t."""
         if self.kind == "power":
-            return self.C, self.gamma
+            return self.gamma
         if self.kind == "constant":
-            return self.C, 0.0
-        m, beta, R = (self.params[k] for k in ("m", "beta", "R"))
-        return self.C * bakry_emery_factor(m, beta, R, 1.0), (m + beta) / 2.0
+            return 0.0
+        return (self.params["m"] + self.params["beta"]) / 2.0
 
     def __call__(self, t: float) -> float:
         if t <= 0:
@@ -121,28 +125,32 @@ class IntegrabilityVerdict:
 
 
 def _quad_f2(f2, gamma: float, q: float, a: float = 1.0) -> tuple[float, float]:
-    """integral of e^{-a t} f2(t)^{1/(2q)} dt on (0, inf), where f2 blows
-    up like t^-gamma at the origin.
+    """(value, error) of the integral of e^{-a t} f2(t)^{1/(2q)} dt on
+    (0, inf), where f2 blows up like t^-gamma at the origin.
 
-    Split at t = 1; on (0, 1] substitute t = u^{1/(1 - s)} with s = gamma/(2q)
-    so the endpoint power singularity is flattened out. Each piece is
-    integrated to QUAD_ABS_TOL.
+    gamma = 0 marks an f2 that does not depend on t (the constant family,
+    power with gamma = 0), and the integral is exactly f2^{1/(2q)} / a
+    with error 0. Otherwise split at t = 1; on (0, 1]
+    substitute t = u^{1/(1 - s)} with s = gamma/(2q) so the endpoint power
+    singularity is flattened out. Each piece is integrated to QUAD_ABS_TOL.
     """
+    if gamma == 0:
+        return f2(1.0) ** (1.0 / (2.0 * q)) / a, 0.0
+    # deferred: scipy.integrate pulls in scipy.optimize and adds about 0.2 s
+    # and 16 MB to every start-up, and only the singular families need it
+    from scipy import integrate
+
     s = gamma / (2.0 * q)
+    pexp = 1.0 / (1.0 - s)
 
     def integrand(t):
         return np.exp(-a * t) * f2(t) ** (1.0 / (2.0 * q))
 
-    if s > 0:
-        pexp = 1.0 / (1.0 - s)
+    def left(u):
+        # dt = pexp * u^(pexp - 1) du; t^-s * dt stays bounded
+        return integrand(u ** pexp) * pexp * u ** (pexp - 1.0)
 
-        def left(u):
-            # dt = pexp * u^(pexp - 1) du; t^-s * dt stays bounded
-            return integrand(u ** pexp) * pexp * u ** (pexp - 1.0)
-
-        v1, e1 = integrate.quad(left, 0.0, 1.0, epsabs=QUAD_ABS_TOL, limit=200)
-    else:
-        v1, e1 = integrate.quad(integrand, 0.0, 1.0, epsabs=QUAD_ABS_TOL, limit=200)
+    v1, e1 = integrate.quad(left, 0.0, 1.0, epsabs=QUAD_ABS_TOL, limit=200)
     v2, e2 = integrate.quad(integrand, 1.0, np.inf, epsabs=QUAD_ABS_TOL, limit=200)
     return v1 + v2, e1 + e2
 
@@ -155,7 +163,7 @@ def check_integrability(F2: F2Family, q: float, a: float = 1.0) -> Integrability
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    _, gamma = F2.effective_power()
+    gamma = F2.singular_exponent()
     if gamma / (2.0 * q) >= 1.0:
         return IntegrabilityVerdict(False, reason="endpoint exponent >= 1")
     value, err = _quad_f2(F2, gamma, q, a)

@@ -9,6 +9,7 @@ is built on these three ingredients.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass, field
@@ -137,7 +138,7 @@ def validate_graph(g: WeightedGraph) -> ValidationReport:
             kind = "nonpositive" if np.isfinite(g.rho_vec[i]) else "non-finite"
             report.violations.append(f"{kind} rho at {g.vertices[i]}")
         if not deg_ok[i]:
-            report.violations.append(f"infinite weighted degree at {g.vertices[i]}")
+            report.violations.append(f"non-finite weighted degree at {g.vertices[i]}")
     for e in np.flatnonzero(np.isnan(g.w) | (g.w < 0)):
         u, v = g.vertices[g.src[e]], g.vertices[g.dst[e]]
         kind = "NaN" if np.isnan(g.w[e]) else "negative"
@@ -210,18 +211,28 @@ def build_exhaustion(g: WeightedGraph, root: str, radii) -> Exhaustion:
 # file I/O and generators used by the CLI and the test-suite
 
 def load_graph(path) -> WeightedGraph:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise GraphFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+    # Loading makes a few containers per vertex and edge and no reference
+    # cycles, so the cyclic collector is paused meanwhile: on a 4,096-vertex
+    # lattice it would otherwise run some 50 times per file, at times over
+    # the whole heap, and reclaim nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        vertices = [v["id"] for v in doc["vertices"]]
-        rho = {v["id"]: v["rho"] for v in doc["vertices"]}
-        edges = [(e["u"], e["v"], e["b"]) for e in doc["edges"]]
-    except (KeyError, TypeError) as e:
-        raise GraphFormatError(f"{path}: missing field {e}")
-    return make_graph(vertices, rho, edges)
+        with open(path) as fh:
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise GraphFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+        try:
+            vertices = [v["id"] for v in doc["vertices"]]
+            rho = {v["id"]: v["rho"] for v in doc["vertices"]}
+            edges = [(e["u"], e["v"], e["b"]) for e in doc["edges"]]
+        except (KeyError, TypeError) as e:
+            raise GraphFormatError(f"{path}: missing field {e}")
+        return make_graph(vertices, rho, edges)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def dump_graph(g: WeightedGraph, path):

@@ -299,9 +299,30 @@ def dump_kernel(k: HeatKernel, path):
 
 
 def load_kernel(path) -> HeatKernel:
+    """Read a kernel file written by `dump_kernel`. Raises ValueError unless
+    rho is finite and positive, one per vertex; the times are finite, >= 0
+    and strictly increasing; and the kernels are finite, one n x n slice per
+    time for n vertices."""
     with open(path) as fh:
         doc = json.load(fh)
-    return HeatKernel(tuple(doc["times"]),
-                      np.array(doc["kernels"], dtype=float),
-                      tuple(doc["vertices"]),
-                      np.array(doc["rho"], dtype=float))
+    vertices = tuple(doc["vertices"])
+    rho = np.array(doc["rho"], dtype=float)
+    times = np.array(doc["times"], dtype=float)
+    kernels = np.array(doc["kernels"], dtype=float)
+    n = len(vertices)
+    if rho.shape != (n,):
+        raise ValueError(f"kernel file has {rho.size} rho values for {n} vertices")
+    bad = np.flatnonzero(~(np.isfinite(rho) & (rho > 0)))
+    if bad.size:
+        kind = "nonpositive" if np.isfinite(rho[bad[0]]) else "non-finite"
+        raise ValueError(f"kernel file has {kind} rho at {vertices[bad[0]]}")
+    if (times.ndim != 1 or not np.all(np.isfinite(times)) or np.any(times < 0)
+            or np.any(np.diff(times) <= 0)):
+        raise ValueError("kernel file times must be finite, >= 0 and strictly increasing")
+    if kernels.shape != (len(times), n, n):
+        raise ValueError(f"kernel file has kernels of shape {kernels.shape}, "
+                         f"expected {(len(times), n, n)}")
+    bad = np.flatnonzero(~np.all(np.isfinite(kernels), axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"kernel file has a non-finite entry at t = {times[bad[0]]}")
+    return HeatKernel(tuple(doc["times"]), kernels, vertices, rho)

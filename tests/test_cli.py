@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heatcert
 from heatcert import SCHEMA_VERSION
 from heatcert.bundle import HermitianBundle, UnitaryConnection, EndomorphismField, dump_bundle
 from heatcert.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, _parse_exhaustion, main
@@ -114,6 +119,44 @@ class TestHeat:
         t, x, y = rep["axioms"]["A2_worst"]
         assert t == 0.5 and {x, y} == {"v0", "v1"}
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("rho", [1.0, -1.0, 1.0], "nonpositive rho at v1"),
+        ("rho", [1.0, math.nan, 1.0], "non-finite rho at v1"),
+        ("rho", [1.0, 1.0], "2 rho values for 3 vertices"),
+        ("times", [0.5], "expected (1, 3, 3)"),
+        ("times", [1.0, 0.5], "strictly increasing"),
+        ("times", [0.5, 0.5], "strictly increasing"),
+        ("times", [-0.5, 1.0], "strictly increasing"),
+        ("times", [0.5, math.inf], "strictly increasing"),
+        ("vertices", ["v0", "v1"], "3 rho values for 2 vertices"),
+    ])
+    def test_verify_rejects_malformed_kernel_file(self, tmp_path, capsys,
+                                                  key, value, message):
+        k = kernel_from_semigroup(assemble_laplacian(path_graph(3)), (0.5, 1.0))
+        kpath = tmp_path / "k.json"
+        dump_kernel(k, kpath)
+        doc = json.loads(kpath.read_text())
+        doc[key] = value
+        kpath.write_text(json.dumps(doc))
+        assert main(["heat", "verify", "--kernel", str(kpath)]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+    def test_repeated_time_written_once(self, path_file, tmp_path):
+        kpath = tmp_path / "k.json"
+        assert main(["heat", "kernel", "--graph", path_file,
+                     "--times", "1.0,0.5,1.0", "--out", str(kpath)]) == EXIT_OK
+        assert load_kernel(kpath).times == (0.5, 1.0)
+        assert main(["heat", "verify", "--kernel", str(kpath)]) == EXIT_OK
+
+    def test_verify_rejects_non_finite_kernel_entry(self, tmp_path, capsys):
+        k = kernel_from_semigroup(assemble_laplacian(path_graph(3)), (0.5, 1.0))
+        kernels = k.kernels.copy()
+        kernels[1][2, 0] = math.nan
+        kpath = tmp_path / "k.json"
+        dump_kernel(type(k)(k.times, kernels, k.vertices, k.rho), kpath)
+        assert main(["heat", "verify", "--kernel", str(kpath)]) == EXIT_INPUT
+        assert "non-finite entry at t = 1.0" in capsys.readouterr().err
+
     def test_minimal_monotone(self, path_file, tmp_path):
         out = tmp_path / "rep.json"
         assert main(["heat", "minimal", "--graph", path_file,
@@ -213,6 +256,44 @@ class TestCompactCertify:
         rep = json.loads(out.read_text())
         assert rep["verdict"] == "hypotheses-verified"
         assert rep["pass"] is True
+
+
+# runs the CLI in a fresh interpreter and reports which of the heavy
+# SciPy subpackages it loaded on the way
+_PROBE = """
+import json, sys
+from heatcert.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": [m for m in ("scipy.integrate", "scipy.optimize")
+                                           if m in sys.modules]}))
+"""
+
+
+def run_fresh(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(heatcert.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestStartupImports:
+    def test_certify_leaves_quadpack_unloaded(self, path_file, tmp_path):
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps({f"v{j}": 1.0 / (1.0 + j) for j in range(12)}))
+        run = run_fresh(["compact", "certify", "--graph", path_file,
+                         "--potential", str(wpath), "--a", "2.0",
+                         "--levels", "root=v0,radii=5,11",
+                         "--out", str(tmp_path / "rep.json")])
+        assert run == {"code": EXIT_OK, "loaded": []}
+
+    def test_singular_family_loads_quadpack(self, tmp_path):
+        out = tmp_path / "rep.json"
+        run = run_fresh(["control", "check", "--family", "power", "--gamma", "1",
+                         "--q", "1", "--out", str(out)])
+        assert run["code"] == EXIT_OK and "scipy.integrate" in run["loaded"]
+        verdict = json.loads(out.read_text())["verdict"]
+        assert verdict["value"] == pytest.approx(2.1275595469928477, rel=1e-12)
+        assert verdict["error"] == pytest.approx(2.308399910992608e-11, rel=1e-6)
 
 
 class TestDemo:

@@ -95,6 +95,10 @@ class TestResolventLaplace:
         row = check_resolvent_laplace(H, 1.0)
         assert row.ok
         assert row.lhs < 1e-6
+        lam = H.eigh()[0]
+        assert row.detail["lambda_max_over_a"] == pytest.approx(lam[-1])
+        # far enough out that the per-eigenvalue error exceeds the Frobenius ratio
+        assert row.detail["lambda_max_over_a"] > 90
 
     def test_rejects_nonpositive_shift(self):
         H = assemble_laplacian(two_vertex())
@@ -221,6 +225,15 @@ class TestLaplaceWeightIntegral:
     def test_divergent_exponent_raises(self):
         with pytest.raises(ValueError):
             laplace_weight_integral(F2Family.power(1.0, 2.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize("fam, f2", [(F2Family.constant(3.0), 3.0),
+                                         (F2Family.power(3.0, 0.0), 6.0)])
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("time_scale", [1.0, 2.0])
+    def test_t_independent_family_is_exact(self, fam, f2, q, a, time_scale):
+        val = laplace_weight_integral(fam, q, a, time_scale=time_scale)
+        assert val == f2 ** (1.0 / (2.0 * q)) / a
 
 
 class TestTwoAlpha:

@@ -94,6 +94,27 @@ class TestIntegrability:
         assert not check_integrability(F2Family.bakry_emery(1.0, 3, 1.0, 1.0), 1.0).convergent
         assert not check_integrability(F2Family.bakry_emery(1.0, 7, 1.0, 1.0), 1.0).convergent
 
+    @pytest.mark.parametrize("fam, f2", [(F2Family.constant(3.0), 3.0),
+                                         (F2Family.power(3.0, 0.0), 6.0)])
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_t_independent_family_is_exact(self, fam, f2, q, a):
+        verdict = check_integrability(fam, q, a)
+        assert verdict.convergent
+        assert verdict.value == f2 ** (1.0 / (2.0 * q)) / a
+        assert verdict.error == 0.0
+
+    def test_singular_exponent(self):
+        assert F2Family.constant(2.0).singular_exponent() == 0.0
+        assert F2Family.power(2.0, 1.5).singular_exponent() == 1.5
+        assert F2Family.bakry_emery(2.0, 3, 1.0, 4.0).singular_exponent() == 2.0
+
+    def test_bakry_emery_rejects_bad_parameters(self):
+        with pytest.raises(ValueError, match="m must be"):
+            F2Family.bakry_emery(1.0, 0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="R > 0"):
+            F2Family.bakry_emery(1.0, 3, 1.0, -1.0)
+
     def test_bakry_emery_value_matches_direct_quadrature(self):
         fam = F2Family.bakry_emery(0.5, 2, 0.0, 1.0)
         verdict = check_integrability(fam, q=2.0)

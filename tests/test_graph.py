@@ -1,3 +1,4 @@
+import gc
 import math
 from collections import deque
 from fractions import Fraction
@@ -12,6 +13,8 @@ from heatcert.graph import (
     GraphFormatError,
     WeightedGraph,
     build_exhaustion,
+    dump_graph,
+    load_graph,
     lq_norm,
     make_graph,
     path_graph,
@@ -80,8 +83,8 @@ class TestValidate:
                        [("a", "b", math.nan), ("b", "c", -1.0), ("c", "d", 1.0)])
         (a, b), (c, d) = (tuple(pair) for pair in list(g.b)[:2])
         assert validate_graph(g).violations == [
-            "infinite weighted degree at a",
-            "infinite weighted degree at b",
+            "non-finite weighted degree at a",
+            "non-finite weighted degree at b",
             f"NaN edge weight on ({a},{b})",
             f"negative edge weight on ({c},{d})",
             "graph disconnected; unreachable e.g. ['b', 'c', 'd']",
@@ -190,6 +193,23 @@ def test_generators_produce_valid_graphs():
     assert validate_graph(path_graph(17)).ok
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_graph_leaves_collector_as_found(tmp_path, enabled):
+    good, bad = tmp_path / "g.json", tmp_path / "bad.json"
+    dump_graph(path_graph(5), good)
+    bad.write_text('{"vertices": [{"id": "a"}], "edges": []}')
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert load_graph(good).n == 5
+        assert gc.isenabled() == enabled
+        with pytest.raises(GraphFormatError):
+            load_graph(bad)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_violations_keep_their_order():
     # per vertex: rho, then degree; then negative weights in b order
     b = {frozenset({"a"}): 0.0, frozenset({"a", "b"}): math.inf,
@@ -198,9 +218,9 @@ def test_violations_keep_their_order():
     u, v = tuple(frozenset({"b", "c"}))
     assert validate_graph(g).violations == [
         "loop at a",
-        "infinite weighted degree at a",
+        "non-finite weighted degree at a",
         "nonpositive rho at b",
-        "infinite weighted degree at b",
+        "non-finite weighted degree at b",
         f"negative edge weight on ({u},{v})",
         "graph disconnected; unreachable e.g. ['c', 'd']",
     ]

@@ -295,6 +295,17 @@ class TestTabulatedStack:
         loaded.kernels[1, 0, 0] = 1.0
         assert loaded.kernels[1, 0, 0] == 1.0
 
+    def test_dump_load_round_trip(self, tmp_path):
+        from heatcert.heat import dump_kernel, load_kernel
+
+        g = random_graph(9, np.random.default_rng(4))
+        k = kernel_from_semigroup(assemble_laplacian(g), (0.0, 0.3, 2.0))
+        dump_kernel(k, tmp_path / "k.json")
+        loaded = load_kernel(tmp_path / "k.json")
+        assert loaded.times == k.times and loaded.vertices == k.vertices
+        assert np.array_equal(loaded.rho, k.rho)
+        assert np.array_equal(loaded.kernels, k.kernels)
+
     def test_host_tabulated_once(self):
         g = path_graph(10)
         times = (0.5, 1.0)
