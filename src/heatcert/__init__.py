@@ -13,10 +13,8 @@ from .graph import (
 )
 from .bundle import (
     EndomorphismField,
-    HermitianBundle,
     UnitaryConnection,
     decompose_potential,
-    endo_norm,
 )
 from .operators import (
     OperatorMatrix,

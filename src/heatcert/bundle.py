@@ -1,10 +1,17 @@
-"""Hermitian vector bundles over a vertex set.
+"""Vector bundles over a vertex set, in orthonormal fiber coordinates.
 
-Rank-d fibers with per-vertex Hermitian metrics, unitary edge connections
-(one matrix per directed edge) and endomorphism fields (matrix potentials).
-All spectral code downstream works in Euclidean fiber coordinates; a
-general fiber metric enters only through the unitarity check of the
-connection and the metric operator norm of `endo_norm`.
+Rank-d fibers, unitary edge connections (one matrix per directed edge) and
+endomorphism fields (matrix potentials). Every fiber is in orthonormal
+coordinates: a connection is unitary when phi^* phi = I, a potential is
+self-adjoint when it is Hermitian, and the fiber norm is the Euclidean
+2-norm.
+
+A bundle file may give a Hermitian positive-definite fiber metric g_x per
+vertex. Its connection must then be unitary, and its potentials
+self-adjoint, for that metric. `load_bundle` is the only code that reads the
+metric: with the Cholesky factors g_x = L_x L_x^* it moves every connection
+matrix to L_y^* phi(x, y) L_x^{-*} and every potential to
+L_x^* W(x) L_x^{-*}, once, and the metric plays no further part.
 """
 
 from __future__ import annotations
@@ -27,52 +34,22 @@ def _stack(matrices, rank: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HermitianBundle:
-    rank: int
-    fiber_metric: dict[str, np.ndarray]  # vertex -> d x d Hermitian PD
-
-    def __post_init__(self):
-        if not 1 <= self.rank <= MAX_RANK:
-            raise ValueError(f"rank must be in [1, {MAX_RANK}], got {self.rank}")
-        for v, gmat in self.fiber_metric.items():
-            gmat = np.asarray(gmat, dtype=complex)
-            if gmat.shape != (self.rank, self.rank):
-                raise ValueError(f"metric at {v} has shape {gmat.shape}")
-            if np.max(np.abs(gmat - gmat.conj().T)) > HERMITIAN_TOL:
-                raise ValueError(f"metric at {v} not Hermitian")
-            if np.min(np.linalg.eigvalsh(gmat)) <= 0:
-                raise ValueError(f"metric at {v} not positive definite")
-
-    @staticmethod
-    def trivial(vertices, rank: int = 1) -> "HermitianBundle":
-        eye = np.eye(rank, dtype=complex)
-        return HermitianBundle(rank, {v: eye for v in vertices})
-
-    def metric(self, v: str) -> np.ndarray:
-        return np.asarray(self.fiber_metric[v], dtype=complex)
-
-    def metrics(self, vertices) -> np.ndarray:
-        """The metrics at the given vertices, as one (len, rank, rank) array."""
-        return _stack([self.fiber_metric[v] for v in vertices], self.rank)
-
-
-@dataclass(frozen=True)
 class UnitaryConnection:
     """Per-directed-edge fiber maps phi[(x, y)]: fiber at x -> fiber at y.
 
     Both directions are stored; construction checks the inverse relation
-    phi[(y, x)] = phi[(x, y)]^{-1} and unitarity w.r.t. the fiber metrics.
+    phi[(y, x)] = phi[(x, y)]^{-1} and unitarity phi^* phi = I.
     """
 
     rank: int
     phi: dict[tuple[str, str], np.ndarray]
-    bundle: HermitianBundle | None = None
 
     def __post_init__(self):
-        # Shape and reverse-edge checks run per pair, in dict order; the two
-        # 2-norm checks then run batched over the pairs before the first
-        # failure, so the first offending pair raises what a per-pair loop
-        # checking shape, reverse, inverse, unitarity would.
+        # Shape, reverse-edge and finiteness checks run per pair, in dict
+        # order (the last batched); the two 2-norm checks then run batched
+        # over the pairs before the first failure, so the first offending
+        # pair raises what a per-pair loop checking shape, reverse,
+        # finiteness, inverse, unitarity would.
         d = self.rank
         pairs = list(self.phi)
         error = None
@@ -88,24 +65,21 @@ class UnitaryConnection:
                 break
         m = _stack([self.phi[(x, y)] for x, y in pairs], d)
         back = _stack([self.phi[(y, x)] for x, y in pairs], d)
+        finite = np.isfinite(m).all(axis=(1, 2)) & np.isfinite(back).all(axis=(1, 2))
+        for k in np.flatnonzero(~finite)[:1]:
+            x, y = pairs[k] if not np.isfinite(m[k]).all() else pairs[k][::-1]
+            error = f"phi({x},{y}) is not finite"
+            pairs, m, back = pairs[:k], m[:k], back[:k]
         inverse_bad = np.linalg.norm(back @ m - np.eye(d), 2, axis=(1, 2)) > UNITARY_TOL
-        # unitarity w.r.t. fiber metrics: phi^* gy phi = gx
-        gx = self._metrics([x for x, _ in pairs])
-        gy = self._metrics([y for _, y in pairs])
-        unitary_bad = np.linalg.norm(m.conj().swapaxes(1, 2) @ gy @ m - gx, 2,
+        unitary_bad = np.linalg.norm(m.conj().swapaxes(1, 2) @ m - np.eye(d), 2,
                                      axis=(1, 2)) > UNITARY_TOL
         for k in np.flatnonzero(inverse_bad | unitary_bad)[:1]:
             x, y = pairs[k]
             if inverse_bad[k]:
                 raise ValueError(f"phi({y},{x}) is not the inverse of phi({x},{y})")
-            raise ValueError(f"phi({x},{y}) not unitary w.r.t. fiber metrics")
+            raise ValueError(f"phi({x},{y}) not unitary")
         if error:
             raise ValueError(error)
-
-    def _metrics(self, vertices):
-        if self.bundle is None:
-            return np.eye(self.rank, dtype=complex)
-        return self.bundle.metrics(vertices)
 
     def get(self, x: str, y: str) -> np.ndarray:
         return np.asarray(self.phi[(x, y)], dtype=complex)
@@ -148,15 +122,21 @@ class EndomorphismField:
     nonnegative: bool = False
 
     def __post_init__(self):
+        # shapes per vertex, then each property batched over all vertices;
+        # every check names the first vertex that fails it
         for v, m in self.values.items():
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (self.rank, self.rank):
-                raise ValueError(f"W({v}) has shape {m.shape}")
-            if self.self_adjoint and np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-                raise ValueError(f"W({v}) flagged self-adjoint but is not")
-            if self.nonnegative:
-                if np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))) < -HERMITIAN_TOL:
-                    raise ValueError(f"W({v}) flagged nonnegative but is not")
+            if np.shape(m) != (self.rank, self.rank):
+                raise ValueError(f"W({v}) has shape {np.shape(m)}")
+        names = list(self.values)
+        m = self.stack(names)
+        _raise_first(names, ~np.isfinite(m).all(axis=(1, 2)), "is not finite")
+        adj = m.conj().swapaxes(1, 2)
+        if self.self_adjoint:
+            _raise_first(names, np.max(np.abs(m - adj), axis=(1, 2)) > HERMITIAN_TOL,
+                         "flagged self-adjoint but is not")
+        if self.nonnegative:
+            _raise_first(names, np.linalg.eigvalsh(0.5 * (m + adj))[:, 0] < -HERMITIAN_TOL,
+                         "flagged nonnegative but is not")
 
     @staticmethod
     def scalar(values: dict[str, float], **flags) -> "EndomorphismField":
@@ -167,12 +147,6 @@ class EndomorphismField:
         flags.setdefault("nonnegative", nn)
         return EndomorphismField(1, vals, **flags)
 
-    @staticmethod
-    def zero(vertices, rank: int = 1) -> "EndomorphismField":
-        z = np.zeros((rank, rank), dtype=complex)
-        return EndomorphismField(rank, {v: z for v in vertices},
-                                 self_adjoint=True, nonnegative=True)
-
     def get(self, v: str) -> np.ndarray:
         return np.asarray(self.values[v], dtype=complex)
 
@@ -180,53 +154,40 @@ class EndomorphismField:
         """W at the given vertices, as one (len, rank, rank) array."""
         return _stack([self.values[v] for v in vertices], self.rank)
 
-
-def endo_norm(W: EndomorphismField, bundle: HermitianBundle) -> dict[str, float]:
-    """x -> operator norm of W(x) w.r.t. the fiber metric.
-
-    Whitening by the metric Cholesky factor reduces to a Euclidean 2-norm.
-    """
-    if W.rank != bundle.rank:
-        raise ValueError("rank mismatch between field and bundle")
-    vertices = list(W.values)
-    Lh = np.linalg.cholesky(bundle.metrics(vertices)).conj().swapaxes(1, 2)
-    whitened = Lh @ W.stack(vertices) @ np.linalg.inv(Lh)
-    return dict(zip(vertices, np.linalg.norm(whitened, 2, axis=(1, 2)).tolist()))
+    def norms(self, vertices) -> np.ndarray:
+        """The fiber operator norms |W(x)| at the given vertices."""
+        return np.linalg.norm(self.stack(vertices), 2, axis=(1, 2))
 
 
-def decompose_potential(W: EndomorphismField, rule: str, bundle: HermitianBundle,
-                        *, threshold: float | None = None,
-                        support=None, explicit=None):
-    """Split W = W1 + W2 by threshold, support set, or explicit parts.
+def _raise_first(names, bad: np.ndarray, what: str):
+    if bad.any():
+        raise ValueError(f"W({names[int(np.argmax(bad))]}) {what}")
 
-    threshold: W1 carries vertices with |W(x)| > c, so sup |W2| <= c.
-    support:   W1 carries the given vertex subset.
-    explicit:  caller supplies (W1, W2); checked to recombine exactly.
-    """
+
+def decompose_potential(W: EndomorphismField, threshold: float):
+    """Split W = W1 + W2 by a threshold c: W1 carries the vertices with
+    |W(x)| > c, so sup |W2| <= c."""
     verts = list(W.values)
     zero = np.zeros((W.rank, W.rank), dtype=complex)
     flags = dict(self_adjoint=W.self_adjoint)
-    if rule == "threshold":
-        if threshold is None:
-            raise ValueError("threshold rule needs a cut value")
-        norms = endo_norm(W, bundle)
-        carrier = {v for v in verts if norms[v] > threshold}
-    elif rule == "support":
-        if support is None:
-            raise ValueError("support rule needs a vertex subset")
-        carrier = set(support)
-    elif rule == "explicit":
-        w1, w2 = explicit
-        for v in verts:
-            if np.max(np.abs(w1.get(v) + w2.get(v) - W.get(v))) > 1e-12:
-                raise ValueError(f"explicit split fails W1+W2=W at {v}")
-        return w1, w2
-    else:
-        raise ValueError(f"unknown split rule {rule!r}")
-    w1 = {v: (W.get(v) if v in carrier else zero) for v in verts}
+    carrier = W.norms(verts) > threshold
+    w1 = {v: (W.get(v) if c else zero) for v, c in zip(verts, carrier.tolist())}
     w2 = {v: (W.get(v) - w1[v]) for v in verts}
     return (EndomorphismField(W.rank, w1, **flags),
             EndomorphismField(W.rank, w2, **flags))
+
+
+def check_vertex_set(what: str, values, vertices):
+    """Raise unless `values` maps exactly the given vertices."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{what} must map vertex ids to values")
+    known = set(vertices)
+    for v in values:
+        if v not in known:
+            raise ValueError(f"{what} has a value at unknown vertex {v}")
+    for v in vertices:
+        if v not in values:
+            raise ValueError(f"{what} has no value at vertex {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,50 +197,87 @@ def _complex_matrix_to_json(m):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _complex_matrix_from_json(rows):
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _matrix(rows, rank: int, what: str) -> np.ndarray:
+    """One rank x rank matrix of a bundle file; `what` names it in errors."""
+    try:
+        m = np.array([[complex(re, im) for re, im in row] for row in rows])
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} is not a matrix of [re, im] pairs") from None
+    if m.shape != (rank, rank):
+        raise ValueError(f"{what} has shape {m.shape}, expected ({rank}, {rank})")
+    return m
 
 
-def load_bundle(path, vertices):
-    """Load (bundle, connection, potentials) from the JSON bundle format."""
+def _orthonormal_frames(metric, vertices, rank: int) -> dict:
+    """vertex -> (L_x^*, L_x^{-*}) for the Cholesky factor of g_x = L_x L_x^*.
+    L_x^* maps fiber coordinates to orthonormal ones."""
+    check_vertex_set("metric", metric, vertices)
+    frames = {}
+    for v in vertices:
+        gmat = _matrix(metric[v], rank, f"metric at {v}")
+        if not np.isfinite(gmat).all():
+            raise ValueError(f"metric at {v} is not finite")
+        if np.max(np.abs(gmat - gmat.conj().T)) > HERMITIAN_TOL:
+            raise ValueError(f"metric at {v} not Hermitian")
+        if np.min(np.linalg.eigvalsh(gmat)) <= 0:
+            raise ValueError(f"metric at {v} not positive definite")
+        lh = np.linalg.cholesky(gmat).conj().T
+        frames[v] = (lh, np.linalg.inv(lh))
+    return frames
+
+
+def load_bundle(path, g: WeightedGraph):
+    """Load (rank, connection, potentials) from the JSON bundle format,
+    checked against the graph g and in orthonormal fiber coordinates. A
+    file without a connection gets the trivial one."""
     with open(path) as fh:
         doc = json.load(fh)
     rank = int(doc["rank"])
-    metric_spec = doc.get("metric", "identity")
-    if metric_spec == "identity":
-        bundle = HermitianBundle.trivial(vertices, rank)
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be in [1, {MAX_RANK}], got {rank}")
+    if "connection" in doc:
+        phi = {}
+        for entry in doc["connection"]:
+            u, v = entry["u"], entry["v"]
+            if frozenset((u, v)) not in g.b:
+                raise ValueError(f"connection entry ({u},{v}) is not an edge of the graph")
+            m = _matrix(entry["phi"], rank, f"phi({u},{v})")
+            phi[(u, v)] = m
+            phi.setdefault((v, u), np.linalg.inv(m))
+        for pair in g.b:
+            u, v = tuple(pair)
+            if (u, v) not in phi:
+                raise ValueError(f"connection has no entry for edge ({u},{v})")
     else:
-        bundle = HermitianBundle(
-            rank, {v: _complex_matrix_from_json(metric_spec[v]) for v in vertices})
-    phi = {}
-    for entry in doc.get("connection", []):
-        m = _complex_matrix_from_json(entry["phi"])
-        phi[(entry["u"], entry["v"])] = m
-        phi.setdefault((entry["v"], entry["u"]), np.linalg.inv(m))
-    connection = UnitaryConnection(rank, phi, bundle=bundle) if phi else None
+        phi = UnitaryConnection.trivial(g, rank).phi
     potentials = {}
     for name, values in doc.get("potentials", {}).items():
-        potentials[name] = EndomorphismField(
-            rank, {v: _complex_matrix_from_json(values[v]) for v in values},
-            self_adjoint=True)
-    return bundle, connection, potentials
+        check_vertex_set(f"potential {name!r}", values, g.vertices)
+        potentials[name] = {v: _matrix(values[v], rank, f"potential {name!r} at {v}")
+                            for v in values}
+    metric = doc.get("metric", "identity")
+    if metric != "identity":
+        frames = _orthonormal_frames(metric, g.vertices, rank)
+        phi = {(x, y): frames[y][0] @ m @ frames[x][1] for (x, y), m in phi.items()}
+        potentials = {name: {v: frames[v][0] @ m @ frames[v][1] for v, m in values.items()}
+                      for name, values in potentials.items()}
+    fields = {}
+    for name, values in potentials.items():
+        try:
+            fields[name] = EndomorphismField(rank, values, self_adjoint=True)
+        except ValueError as e:
+            raise ValueError(f"potential {name!r}: {e}") from None
+    return rank, UnitaryConnection(rank, phi), fields
 
 
-def dump_bundle(path, bundle: HermitianBundle, connection=None, potentials=None):
-    doc = {"rank": bundle.rank, "metric": "identity"}
-    vertices = list(bundle.fiber_metric)
-    if np.any(bundle.metrics(vertices) != np.eye(bundle.rank)):
-        doc["metric"] = {v: _complex_matrix_to_json(bundle.metric(v)) for v in vertices}
+def dump_bundle(path, rank: int, connection=None, potentials=None):
+    """Write the JSON bundle format, with the identity metric."""
+    doc = {"rank": rank}
     if connection is not None:
-        seen = set()
-        entries = []
-        for (u, v) in sorted(connection.phi):
-            if (v, u) in seen:
-                continue
-            seen.add((u, v))
-            entries.append({"u": u, "v": v,
-                            "phi": _complex_matrix_to_json(connection.get(u, v))})
-        doc["connection"] = entries
+        # one entry per edge, the orientation with u < v
+        doc["connection"] = [{"u": u, "v": v,
+                              "phi": _complex_matrix_to_json(connection.get(u, v))}
+                             for u, v in sorted(connection.phi) if u < v]
     if potentials:
         doc["potentials"] = {
             name: {v: _complex_matrix_to_json(W.get(v)) for v in W.values}

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import SCHEMA_VERSION, __version__
-from .bundle import EndomorphismField, UnitaryConnection, decompose_potential, HermitianBundle, load_bundle
+from .bundle import (EndomorphismField, UnitaryConnection, check_vertex_set,
+                     decompose_potential, load_bundle)
 from .compactness import (
     PotentialDecomposition,
     certify_compactness,
@@ -157,11 +158,9 @@ def cmd_control_fit(args) -> int:
 
 def cmd_dominate_check(args) -> int:
     g = load_graph(args.graph)
-    bundle, connection, potentials = load_bundle(args.bundle, g.vertices)
-    if connection is None:
-        connection = UnitaryConnection.trivial(g, bundle.rank)
+    rank, connection, potentials = load_bundle(args.bundle, g)
     H_scal = assemble_laplacian(g)
-    H_cov = assemble_covariant(g, bundle.rank, connection)
+    H_cov = assemble_covariant(g, rank, connection)
     if args.potential:
         H_cov = add_potential(H_cov, potentials[args.potential])
     rng = np.random.default_rng(args.seed)
@@ -177,20 +176,19 @@ def cmd_dominate_check(args) -> int:
 def cmd_compact_certify(args) -> int:
     g = load_graph(args.graph)
     if args.bundle:
-        bundle, connection, potentials = load_bundle(args.bundle, g.vertices)
-        if connection is None:
-            connection = UnitaryConnection.trivial(g, bundle.rank)
-        H = assemble_covariant(g, bundle.rank, connection)
+        rank, connection, potentials = load_bundle(args.bundle, g)
+        H = assemble_covariant(g, rank, connection)
         W = potentials[args.potential]
     else:
-        bundle = HermitianBundle.trivial(g.vertices, 1)
         H = assemble_laplacian(g)
         with open(args.potential) as fh:
-            W = EndomorphismField.scalar(json.load(fh))
+            values = json.load(fh)
+        check_vertex_set("potential", values, g.vertices)
+        W = EndomorphismField.scalar(values)
     kind, _, value = args.decomp.partition(":")
     if kind != "threshold":
         raise ValueError("only threshold:<c> decompositions are supported here")
-    W1, W2 = decompose_potential(W, "threshold", bundle, threshold=float(value))
+    W1, W2 = decompose_potential(W, float(value))
     k = kernel_from_semigroup(assemble_laplacian(g), _parse_times(args.times))
     pair, cert = fit_control(k, "graph", args.q)
     root, radii = _parse_exhaustion(args.levels)
@@ -218,7 +216,6 @@ def build_coulomb_demo(n: int, kappa: float, theta: float):
 
 def cmd_demo_coulomb(args) -> int:
     g, connection, W = build_coulomb_demo(args.n, args.kappa, args.theta)
-    bundle = HermitianBundle.trivial(g.vertices, 1)
     rng = np.random.default_rng(args.seed)
     H_scal = assemble_laplacian(g)
     H_cov = assemble_covariant(g, 1, connection)
@@ -228,7 +225,7 @@ def cmd_demo_coulomb(args) -> int:
     axioms = verify_axioms(k, H_scal)
     rho_rep = verify_rho_bound(k)
     pair, cert = fit_control(k, "graph", 1.0)
-    W1, W2 = decompose_potential(W, "threshold", bundle, threshold=args.threshold)
+    W1, W2 = decompose_potential(W, args.threshold)
     hs_rows = check_hs_bound(W1, k, pair, t=0.5)
     ledger += hs_rows
     ledger.append(check_resolvent_laplace(H_scal, a=1.0))

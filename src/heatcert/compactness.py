@@ -97,9 +97,11 @@ def check_resolvent_laplace(H: OperatorMatrix, a: float, rtol: float = 1e-6) -> 
 
 
 def _scalar_values(W, vertices) -> np.ndarray:
-    """Vertex function |W| as a vector: scalar fields give |w(x)|, matrix
-    fields the fiber operator norm (Euclidean; orthonormal coordinates)."""
-    return np.linalg.norm(_blocks(W, vertices), 2, axis=(1, 2))
+    """Vertex function |W| as a vector: the fiber operator norm, which is
+    |w(x)| for a scalar map w."""
+    if not isinstance(W, EndomorphismField):
+        W = EndomorphismField.scalar(W)
+    return W.norms(vertices)
 
 
 def _blocks(W, vertices, rank: int = 1) -> np.ndarray:

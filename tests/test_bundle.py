@@ -5,14 +5,13 @@ import pytest
 
 from heatcert.bundle import (
     EndomorphismField,
-    HermitianBundle,
     UnitaryConnection,
     _complex_matrix_to_json,
     decompose_potential,
     dump_bundle,
-    endo_norm,
     load_bundle,
 )
+from heatcert.graph import path_graph
 
 
 def random_unitary(rng, d):
@@ -32,36 +31,31 @@ def power_iteration_norm(m, iters=2000):
     return float(np.sqrt(np.real(v.conj() @ a @ v)))
 
 
-class TestEndoNorm:
+class TestFiberNorms:
     def test_zero(self):
-        b = HermitianBundle.trivial(["x"], 2)
         W = EndomorphismField(2, {"x": np.zeros((2, 2))})
-        assert endo_norm(W, b)["x"] == 0.0
+        assert W.norms(["x"])[0] == 0.0
 
     def test_diagonal(self):
-        b = HermitianBundle.trivial(["x"], 2)
         W = EndomorphismField(2, {"x": np.diag([2.0, -3.0]).astype(complex)})
-        assert endo_norm(W, b)["x"] == pytest.approx(3.0)
+        assert W.norms(["x"])[0] == pytest.approx(3.0)
 
     def test_against_power_iteration(self):
         rng = np.random.default_rng(5)
-        b = HermitianBundle.trivial(["x"], 3)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         W = EndomorphismField(3, {"x": m})
-        assert endo_norm(W, b)["x"] == pytest.approx(power_iteration_norm(m), abs=1e-8)
+        assert W.norms(["x"])[0] == pytest.approx(power_iteration_norm(m), abs=1e-8)
 
     def test_triangle_inequality_pointwise(self):
         rng = np.random.default_rng(9)
-        b = HermitianBundle.trivial(["x", "y"], 2)
         for _ in range(20):
             m1 = {v: rng.standard_normal((2, 2)) for v in ("x", "y")}
             m2 = {v: rng.standard_normal((2, 2)) for v in ("x", "y")}
             w1 = EndomorphismField(2, m1)
             w2 = EndomorphismField(2, m2)
             ws = EndomorphismField(2, {v: m1[v] + m2[v] for v in m1})
-            n1, n2, ns = endo_norm(w1, b), endo_norm(w2, b), endo_norm(ws, b)
-            for v in ("x", "y"):
-                assert ns[v] <= n1[v] + n2[v] + 1e-12
+            n1, n2, ns = (w.norms(["x", "y"]) for w in (w1, w2, ws))
+            assert np.all(ns <= n1 + n2 + 1e-12)
 
 
 class TestConnection:
@@ -99,6 +93,10 @@ class TestConnection:
             ({**bad_inverse, **bad_unitary}, r"phi\(f,e\) is not the inverse of phi\(e,f\)"),
             ({**ok, ("x", "y"): u, **bad_inverse}, r"missing reverse edge \(y,x\)"),
             ({**ok, ("p", "q"): u, ("q", "p"): np.eye(3)}, r"phi\(q,p\) has shape \(3, 3\)"),
+            ({**ok, **bad_unitary, ("r", "s"): u, ("s", "r"): np.full((2, 2), np.nan)},
+             r"phi\(c,d\) not unitary"),
+            ({**ok, ("r", "s"): u, ("s", "r"): np.full((2, 2), np.nan), **bad_unitary},
+             r"phi\(s,r\) is not finite"),
         ]
         for phi, message in cases:
             with pytest.raises(ValueError, match=message):
@@ -107,59 +105,51 @@ class TestConnection:
 
 class TestDecompose:
     def test_zero_splits_to_zero(self):
-        b = HermitianBundle.trivial(["x"], 1)
-        W = EndomorphismField.zero(["x"], 1)
-        w1, w2 = decompose_potential(W, "threshold", b, threshold=0.5)
+        W = EndomorphismField.scalar({"x": 0.0})
+        w1, w2 = decompose_potential(W, 0.5)
         assert np.all(w1.get("x") == 0) and np.all(w2.get("x") == 0)
 
     def test_threshold_on_harmonic_sequence(self):
         names = [f"x{k}" for k in range(1, 8)]
-        b = HermitianBundle.trivial(names, 1)
         W = EndomorphismField.scalar({v: 1.0 / (i + 1) for i, v in enumerate(names)})
-        w1, w2 = decompose_potential(W, "threshold", b, threshold=1.0 / 3.0)
+        w1, w2 = decompose_potential(W, 1.0 / 3.0)
         supported = {v for v in names if abs(w1.get(v)[0, 0]) > 0}
         assert supported == {"x1", "x2"}
         w2_sup = max(abs(w2.get(v)[0, 0]) for v in names)
         assert w2_sup <= 1.0 / 3.0 + 1e-15
 
-    def test_support_split_full_set(self):
-        names = ["a", "b"]
-        b = HermitianBundle.trivial(names, 1)
-        W = EndomorphismField.scalar({"a": 2.0, "b": -1.0})
-        w1, w2 = decompose_potential(W, "support", b, support=names)
-        for v in names:
-            assert w1.get(v) == pytest.approx(W.get(v))
-            assert w2.get(v) == 0
-
-    def test_explicit_split_checked(self):
-        names = ["a"]
-        b = HermitianBundle.trivial(names, 1)
-        W = EndomorphismField.scalar({"a": 1.0})
-        bad = (EndomorphismField.scalar({"a": 0.9}),
-               EndomorphismField.scalar({"a": 0.2}))
-        with pytest.raises(ValueError, match="explicit"):
-            decompose_potential(W, "explicit", b, explicit=bad)
-
     def test_self_adjoint_flag_inherited(self):
         names = ["a", "b"]
-        b = HermitianBundle.trivial(names, 2)
         h = np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
         W = EndomorphismField(2, {v: h for v in names}, self_adjoint=True)
-        w1, w2 = decompose_potential(W, "threshold", b, threshold=1.0)
+        w1, w2 = decompose_potential(W, 1.0)
         assert w1.self_adjoint and w2.self_adjoint
 
 
-def test_bundle_file_round_trip_keeps_metrics(tmp_path):
+def test_metric_file_round_trip(tmp_path):
+    # load -> dump -> load: the dump is in orthonormal coordinates, with
+    # the identity metric, and loads back to the same connection and
+    # potentials
+    g = path_graph(2)
     metric = np.array([[4.0, 1j], [-1j, 1.0]])
-    doc = {"rank": 2, "metric": {
-        "x": _complex_matrix_to_json(metric),
-        "y": _complex_matrix_to_json(np.eye(2))}}
+    lam, q = np.linalg.eigh(metric)
+    # unitary from the metric at v0 to the identity at v1: phi^* phi = g_v0
+    phi = random_unitary(np.random.default_rng(3), 2) @ (q * np.sqrt(lam)) @ q.conj().T
+    doc = {"rank": 2,
+           "metric": {"v0": _complex_matrix_to_json(metric),
+                      "v1": _complex_matrix_to_json(np.eye(2))},
+           "connection": [{"u": "v0", "v": "v1", "phi": _complex_matrix_to_json(phi)}],
+           "potentials": {"w": {"v0": _complex_matrix_to_json(np.linalg.inv(metric)),
+                                "v1": _complex_matrix_to_json(np.diag([1.0, -2.0]))}}}
     first = tmp_path / "first.json"
     first.write_text(json.dumps(doc))
-    bundle, _, _ = load_bundle(first, ["x", "y"])
-    assert np.array_equal(bundle.metric("x"), metric)
+    rank, conn, pots = load_bundle(first, g)
     second = tmp_path / "second.json"
-    dump_bundle(second, bundle)
-    again, _, _ = load_bundle(second, ["x", "y"])
-    for v in ("x", "y"):
-        assert np.array_equal(again.metric(v), bundle.metric(v))
+    dump_bundle(second, rank, connection=conn, potentials=pots)
+    assert "metric" not in json.loads(second.read_text())
+    rank2, conn2, pots2 = load_bundle(second, g)
+    assert rank2 == 2
+    for pair in (("v0", "v1"), ("v1", "v0")):
+        np.testing.assert_allclose(conn2.get(*pair), conn.get(*pair), rtol=0, atol=1e-14)
+    for v in g.vertices:
+        assert np.array_equal(pots2["w"].get(v), pots["w"].get(v))

@@ -10,7 +10,7 @@ import pytest
 
 import heatcert
 from heatcert import SCHEMA_VERSION
-from heatcert.bundle import HermitianBundle, UnitaryConnection, EndomorphismField, dump_bundle
+from heatcert.bundle import UnitaryConnection, EndomorphismField, dump_bundle
 from heatcert.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, _parse_exhaustion, main
 from heatcert.graph import dump_graph, make_graph, path_graph, random_graph
 from heatcert.heat import dump_kernel, kernel_from_semigroup, load_kernel
@@ -197,11 +197,10 @@ class TestDominate:
         g = path_graph(6)
         gpath = tmp_path / "g.json"
         dump_graph(g, gpath)
-        bundle = HermitianBundle.trivial(g.vertices, 1)
         conn = UnitaryConnection.from_edge_phases(
             g, {(f"v{i}", f"v{i+1}"): 0.4 for i in range(5)})
         bpath = tmp_path / "b.json"
-        dump_bundle(bpath, bundle, connection=conn)
+        dump_bundle(bpath, 1, connection=conn)
         out = tmp_path / "rep.json"
         assert main(["dominate", "check", "--graph", str(gpath),
                      "--bundle", str(bpath), "--times", "0.1,1.0",
@@ -227,12 +226,11 @@ class TestDominate:
         conn = UnitaryConnection.from_edge_phases(
             g, {(f"v{i}", f"v{i+1}"): 0.4 for i in range(5)})
         V = EndomorphismField.scalar({f"v{j}": 1.0 / (1.0 + j) for j in range(6)})
-        dump_bundle(bpath, HermitianBundle.trivial(g.vertices, 1), connection=conn,
-                    potentials={"v": V})
+        dump_bundle(bpath, 1, connection=conn, potentials={"v": V})
         assert main(["dominate", "check", "--graph", str(gpath), "--bundle", str(bpath),
                      "--potential", "v", "--times", "0.1,1.0", "--a", "1,2",
                      "--trials", "5", "--seed", "3", "--out", str(out)]) == EXIT_OK
-        _, conn, pots = load_bundle(bpath, g.vertices)
+        _, conn, pots = load_bundle(bpath, g)
         H = assemble_covariant(g, 1, conn)
         Vop = multiplication_operator(pots["v"], g.vertices, H.rho)
         labelled = OperatorMatrix(H.matrix + Vop.matrix, H.vertices, 1, H.rho,
@@ -257,6 +255,208 @@ class TestCompactCertify:
         assert rep["verdict"] == "hypotheses-verified"
         assert rep["pass"] is True
 
+
+
+def _mjson(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+def _unitary(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
+
+
+def _run(argv, capsys):
+    """Exit code and stderr of one CLI call."""
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+class TestInputChecks:
+    """Bundle and potential files that do not fit the graph exit 1 with a
+    message naming the vertex or edge."""
+
+    @staticmethod
+    def bundle(**changes):
+        doc = {"rank": 1,
+               "connection": [{"u": f"v{i}", "v": f"v{i+1}", "phi": [[[1.0, 0.0]]]}
+                              for i in range(5)],
+               "potentials": {"w": {f"v{j}": [[[1.0 / (1 + j), 0.0]]] for j in range(6)}}}
+        doc.update(changes)
+        return doc
+
+    @pytest.mark.parametrize("case, message", [
+        ("potential-missing-vertex", "potential 'w' has no value at vertex v3"),
+        ("potential-unknown-vertex", "potential 'w' has a value at unknown vertex zz"),
+        ("potential-nan", "potential 'w': W(v2) is not finite"),
+        ("connection-missing-edge", "connection has no entry for edge (v"),
+        ("connection-non-edge", "connection entry (v0,v3) is not an edge"),
+        ("connection-nan", "phi(v1,v2) is not finite"),
+        ("connection-not-pairs", "phi(v1,v2) is not a matrix of [re, im] pairs"),
+        ("metric-missing-vertex", "metric has no value at vertex v4"),
+    ])
+    @pytest.mark.parametrize("command", ["dominate", "certify"])
+    def test_bundle_file(self, case, message, command, tmp_path, capsys):
+        g = path_graph(6)
+        gpath, bpath = tmp_path / "g.json", tmp_path / "b.json"
+        dump_graph(g, gpath)
+        doc = self.bundle()
+        w, conn = doc["potentials"]["w"], doc["connection"]
+        if case == "potential-missing-vertex":
+            del w["v3"]
+        elif case == "potential-unknown-vertex":
+            w["zz"] = [[[1.0, 0.0]]]
+        elif case == "potential-nan":
+            w["v2"] = [[[float("nan"), 0.0]]]
+        elif case == "connection-missing-edge":
+            del conn[2]
+        elif case == "connection-non-edge":
+            conn.append({"u": "v0", "v": "v3", "phi": [[[1.0, 0.0]]]})
+        elif case == "connection-nan":
+            conn[1]["phi"] = [[[float("nan"), 0.0]]]
+        elif case == "connection-not-pairs":
+            conn[1]["phi"] = [[1.0]]
+        elif case == "metric-missing-vertex":
+            doc["metric"] = {f"v{j}": [[[1.0, 0.0]]] for j in range(6) if j != 4}
+        bpath.write_text(json.dumps(doc))
+        argv = (["dominate", "check", "--potential", "w"] if command == "dominate"
+                else ["compact", "certify", "--potential", "w",
+                      "--levels", "root=v0,radii=2,5"])
+        code, err = _run([*argv, "--graph", str(gpath), "--bundle", str(bpath),
+                          "--out", str(tmp_path / "rep.json")], capsys)
+        assert code == EXIT_INPUT
+        assert message in err
+        if case == "connection-missing-edge":
+            assert "v2" in err and "v3" in err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda w: w.pop("v3"), "potential has no value at vertex v3"),
+        (lambda w: w.update(zz=1.0), "potential has a value at unknown vertex zz"),
+        (lambda w: w.update(v2=float("nan")), "W(v2) is not finite"),
+    ])
+    def test_scalar_potential_file(self, change, message, tmp_path, capsys):
+        gpath, wpath = tmp_path / "g.json", tmp_path / "w.json"
+        dump_graph(path_graph(6), gpath)
+        w = {f"v{j}": 1.0 / (1 + j) for j in range(6)}
+        change(w)
+        wpath.write_text(json.dumps(w))
+        code, err = _run(["compact", "certify", "--graph", str(gpath),
+                          "--potential", str(wpath), "--levels", "root=v0,radii=2,5",
+                          "--out", str(tmp_path / "rep.json")], capsys)
+        assert code == EXIT_INPUT
+        assert message in err
+
+
+class TestMetricBundles:
+    """A file with fiber metric g_x, connection S_y^{-1} U S_x and potentials
+    S_x^{-1} H_x S_x (S_x = g_x^{1/2}, the Hermitian square root) describes
+    the same operator as its twin with the identity metric, U and H_x, up to
+    the unitary change of fiber frames Q_x = L_x^* S_x^{-1} (g_x = L_x L_x^*).
+
+    Q_x = I for a diagonal metric, and then the two reports agree on every
+    value. For a full metric they agree on every frame-invariant value; the
+    Kato domination gaps are maxima over sampled sections (fiber basis
+    vectors and random sections), which Q moves, so there they must agree
+    on the verdict only."""
+
+    FRAME_DEPENDENT = ("kato-domination-semigroup", "kato-domination-resolvent")
+
+    @staticmethod
+    def twins(tmp_path, diagonal=False, seed=17, d=2):
+        rng = np.random.default_rng(seed)
+        g = random_graph(10, rng, p=0.3)
+        gpath = tmp_path / "g.json"
+        dump_graph(g, gpath)
+        S, metric = {}, {}
+        for v in g.vertices:
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            gx = a @ a.conj().T + 0.5 * np.eye(d)
+            if diagonal:
+                gx = np.diag(np.real(np.diagonal(gx)))
+            lam, q = np.linalg.eigh(gx)
+            S[v] = (q * np.sqrt(lam)) @ q.conj().T
+            metric[v] = _mjson(gx)
+        U = {tuple(sorted(pair)): _unitary(rng, d) for pair in g.b}
+        hops = dict(zip(g.vertices, range(g.n)))
+        H = {}
+        for v in g.vertices:
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            H[v] = (a @ a.conj().T) / (1.0 + hops[v]) ** 2
+        inv = np.linalg.inv
+        plain = {"rank": d,
+                 "connection": [{"u": u, "v": v, "phi": _mjson(m)} for (u, v), m in U.items()],
+                 "potentials": {"w": {v: _mjson(h) for v, h in H.items()}}}
+        curved = {"rank": d, "metric": metric,
+                  "connection": [{"u": u, "v": v, "phi": _mjson(inv(S[v]) @ m @ S[u])}
+                                 for (u, v), m in U.items()],
+                  "potentials": {"w": {v: _mjson(inv(S[v]) @ h @ S[v])
+                                       for v, h in H.items()}}}
+        paths = {}
+        for name, doc in (("plain", plain), ("curved", curved)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        return gpath, paths, dict(metric=metric, U=U, H=H, S=S)
+
+    @staticmethod
+    def assert_reports_match(a, b, where="report"):
+        if isinstance(a, dict):
+            assert a.keys() == b.keys(), where
+            for k in a:
+                TestMetricBundles.assert_reports_match(a[k], b[k], f"{where}.{k}")
+        elif isinstance(a, list):
+            assert len(a) == len(b), where
+            for i, (x, y) in enumerate(zip(a, b)):
+                TestMetricBundles.assert_reports_match(x, y, f"{where}[{i}]")
+        elif isinstance(a, float):
+            assert abs(a - b) <= 1e-12, (where, a, b)
+        else:
+            assert a == b, where
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["full", "diagonal"])
+    @pytest.mark.parametrize("command", [
+        ["dominate", "check", "--potential", "w"],
+        ["compact", "certify", "--potential", "w", "--a", "2", "--levels",
+         "root=v0,radii=1,2,9"],
+    ], ids=["dominate", "certify"])
+    def test_matches_identity_twin(self, command, diagonal, tmp_path):
+        gpath, paths, _ = self.twins(tmp_path, diagonal)
+        reports = {}
+        for name, bpath in paths.items():
+            out = tmp_path / f"{name}-rep.json"
+            assert main([*command, "--graph", str(gpath), "--bundle", str(bpath),
+                         "--seed", "5", "--out", str(out)]) == EXIT_OK
+            reports[name] = json.loads(out.read_text())
+        assert reports["curved"]["pass"] is True
+        if not diagonal and "ledger" in reports["plain"]:
+            for rep in reports.values():
+                rep["ledger"] = [{"name": r["name"], "pass": r["pass"]}
+                                 if r["name"] in self.FRAME_DEPENDENT else r
+                                 for r in rep["ledger"]]
+        self.assert_reports_match(reports["curved"], reports["plain"])
+
+    @pytest.mark.parametrize("fault, message", [
+        ("metric-not-pd", "not positive definite"),
+        ("connection-not-unitary", "not unitary"),
+        ("potential-not-self-adjoint", "flagged self-adjoint but is not"),
+    ])
+    def test_negative_fixtures(self, fault, message, tmp_path, capsys):
+        gpath, paths, parts = self.twins(tmp_path)
+        doc = json.loads(paths["curved"].read_text())
+        v0 = "v0"
+        if fault == "metric-not-pd":
+            doc["metric"][v0] = _mjson(np.diag([1.0, -1.0]))
+        elif fault == "connection-not-unitary":
+            # unitary in Euclidean coordinates, not for the metric
+            doc["connection"] = json.loads(paths["plain"].read_text())["connection"]
+        else:
+            doc["potentials"]["w"] = {v: _mjson(h) for v, h in parts["H"].items()}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, err = _run(["compact", "certify", "--graph", str(gpath), "--bundle", str(bad),
+                          "--potential", "w", "--levels", "root=v0,radii=1,9",
+                          "--out", str(tmp_path / "rep.json")], capsys)
+        assert code == EXIT_INPUT
+        assert message in err
 
 # runs the CLI in a fresh interpreter and reports which of the heavy
 # SciPy subpackages it loaded on the way

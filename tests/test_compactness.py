@@ -4,7 +4,6 @@ from scipy import special
 
 from heatcert.bundle import (
     EndomorphismField,
-    HermitianBundle,
     UnitaryConnection,
     decompose_potential,
 )
@@ -468,8 +467,7 @@ def rank2_certify_case(seed):
     g = random_graph(14, rng)
     Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
     W = random_field(g, 2, rng)
-    W1, W2 = decompose_potential(W, "threshold", HermitianBundle.trivial(g.vertices, 2),
-                                 threshold=1.0)
+    W1, W2 = decompose_potential(W, 1.0)
     cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
     pd = PotentialDecomposition.build(W, W1, W2, cp, g)
     return g, Hc, pd, cp, build_exhaustion(g, g.vertices[0], [1, 2, g.n])

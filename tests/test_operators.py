@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from heatcert.bundle import EndomorphismField, HermitianBundle, UnitaryConnection, endo_norm
+from heatcert.bundle import EndomorphismField, UnitaryConnection
 from heatcert.graph import make_graph, path_graph, random_graph
 from heatcert.operators import (
     add_potential,
@@ -172,7 +172,7 @@ class TestPotential:
     def test_zero_potential_is_identity_op(self):
         g = two_vertex()
         H = assemble_laplacian(g)
-        V = EndomorphismField.zero(g.vertices, 1)
+        V = EndomorphismField.scalar({v: 0.0 for v in g.vertices})
         H2 = add_potential(H, V)
         np.testing.assert_array_equal(H.matrix, H2.matrix)
 
@@ -221,12 +221,11 @@ class TestMultiplication:
         rng = np.random.default_rng(6)
         g = random_graph(10, rng)
         d = 3
-        bundle = HermitianBundle.trivial(g.vertices, d)
         vals = {v: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 for v in g.vertices}
         W = EndomorphismField(d, vals)
         op = multiplication_operator(W, g.vertices, g.rho_vec)
-        expected = max(endo_norm(W, bundle).values())
+        expected = max(W.norms(g.vertices))
         assert np.linalg.norm(op.symmetrized(), 2) == pytest.approx(expected, rel=1e-10)
 
 
