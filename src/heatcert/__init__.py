@@ -9,7 +9,6 @@ from .graph import (
     lq_norm,
     make_graph,
     validate_graph,
-    weak_vanishing_profile,
 )
 from .bundle import (
     EndomorphismField,

@@ -1,10 +1,12 @@
 """Vector bundles over a vertex set, in orthonormal fiber coordinates.
 
 Rank-d fibers, unitary edge connections (one matrix per directed edge) and
-endomorphism fields (matrix potentials). Every fiber is in orthonormal
-coordinates: a connection is unitary when phi^* phi = I, a potential is
-self-adjoint when it is Hermitian, and the fiber norm is the Euclidean
-2-norm.
+endomorphism fields (matrix potentials). A potential is one complex
+(n, d, d) stack in the order of a vertex tuple; vertex ids are mapped to
+stack positions once, where a file or a map is read. Every fiber is in
+orthonormal coordinates: a connection is unitary when phi^* phi = I, a
+potential is self-adjoint when it is Hermitian, and the fiber norm is the
+Euclidean 2-norm.
 
 A bundle file may give a Hermitian positive-definite fiber metric g_x per
 vertex. Its connection must then be unitary, and its potentials
@@ -17,6 +19,7 @@ L_x^* W(x) L_x^{-*}, once, and the metric plays no further part.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,69 +115,81 @@ class UnitaryConnection:
         return UnitaryConnection(1, phi)
 
 
-@dataclass(frozen=True)
 class EndomorphismField:
-    """Per-vertex d x d matrix potential, optionally flagged structured."""
+    """Per-vertex d x d matrix potential: one complex (n, d, d) stack `blocks`
+    in the order of the vertex tuple `vertices`. The constructor reads a map
+    vertex -> matrix once and keeps only the stack."""
 
-    rank: int
-    values: dict[str, np.ndarray]
-    self_adjoint: bool = False
-    nonnegative: bool = False
-
-    def __post_init__(self):
-        # shapes per vertex, then each property batched over all vertices;
-        # every check names the first vertex that fails it
-        for v, m in self.values.items():
-            if np.shape(m) != (self.rank, self.rank):
+    def __init__(self, rank: int, values: dict, self_adjoint: bool = False):
+        for v, m in values.items():
+            if np.shape(m) != (rank, rank):
                 raise ValueError(f"W({v}) has shape {np.shape(m)}")
-        names = list(self.values)
-        m = self.stack(names)
-        _raise_first(names, ~np.isfinite(m).all(axis=(1, 2)), "is not finite")
-        adj = m.conj().swapaxes(1, 2)
-        if self.self_adjoint:
-            _raise_first(names, np.max(np.abs(m - adj), axis=(1, 2)) > HERMITIAN_TOL,
-                         "flagged self-adjoint but is not")
-        if self.nonnegative:
-            _raise_first(names, np.linalg.eigvalsh(0.5 * (m + adj))[:, 0] < -HERMITIAN_TOL,
-                         "flagged nonnegative but is not")
+        self._set(rank, tuple(values), _stack(list(values.values()), rank), self_adjoint)
 
     @staticmethod
-    def scalar(values: dict[str, float], **flags) -> "EndomorphismField":
-        vals = {v: np.array([[complex(w)]]) for v, w in values.items()}
-        sa = all(abs(complex(w).imag) == 0 for w in values.values())
-        nn = sa and all(complex(w).real >= 0 for w in values.values())
-        flags.setdefault("self_adjoint", sa)
-        flags.setdefault("nonnegative", nn)
-        return EndomorphismField(1, vals, **flags)
+    def from_blocks(rank: int, vertices, blocks: np.ndarray,
+                    self_adjoint: bool = False) -> "EndomorphismField":
+        """The field of a stack already in the order of `vertices`."""
+        W = EndomorphismField.__new__(EndomorphismField)
+        W._set(rank, tuple(vertices), blocks, self_adjoint)
+        return W
 
-    def get(self, v: str) -> np.ndarray:
-        return np.asarray(self.values[v], dtype=complex)
+    def _set(self, rank, vertices, blocks, self_adjoint):
+        # each property batched over all vertices; every check names the
+        # first vertex that fails it
+        _raise_first(vertices, ~np.isfinite(blocks).all(axis=(1, 2)), "W({}) is not finite")
+        if self_adjoint:
+            _raise_first(vertices, _asymmetry(blocks) > HERMITIAN_TOL,
+                         "W({}) flagged self-adjoint but is not")
+        self.rank, self.vertices, self.blocks = rank, vertices, blocks
+        self.self_adjoint = self_adjoint
 
-    def stack(self, vertices) -> np.ndarray:
-        """W at the given vertices, as one (len, rank, rank) array."""
-        return _stack([self.values[v] for v in vertices], self.rank)
+    @staticmethod
+    def scalar(values: dict) -> "EndomorphismField":
+        """The rank-1 field of a map vertex -> finite real number, which is
+        self-adjoint."""
+        for v, w in values.items():
+            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                raise ValueError(f"W({v}) is not a real number")
+        return EndomorphismField.from_blocks(1, values, _stack(list(values.values()), 1),
+                                             self_adjoint=True)
 
-    def norms(self, vertices) -> np.ndarray:
-        """The fiber operator norms |W(x)| at the given vertices."""
-        return np.linalg.norm(self.stack(vertices), 2, axis=(1, 2))
+    def restrict(self, vertices) -> "EndomorphismField":
+        """W at the given vertices, in their order; W itself for its own."""
+        vertices = tuple(vertices)
+        if vertices == self.vertices:
+            return self
+        index = dict(zip(self.vertices, range(len(self.vertices))))
+        try:
+            pos = [index[v] for v in vertices]
+        except KeyError as e:
+            raise ValueError(f"W has no value at vertex {e.args[0]}") from None
+        return EndomorphismField.from_blocks(self.rank, vertices, self.blocks[pos],
+                                             self.self_adjoint)
+
+    def norms(self) -> np.ndarray:
+        """The fiber operator norms |W(x)|, in vertex order."""
+        return np.linalg.norm(self.blocks, 2, axis=(1, 2))
 
 
-def _raise_first(names, bad: np.ndarray, what: str):
+def _raise_first(names, bad: np.ndarray, message: str):
+    """Raise `message` naming the first of `names` where `bad` holds."""
     if bad.any():
-        raise ValueError(f"W({names[int(np.argmax(bad))]}) {what}")
+        raise ValueError(message.format(names[int(np.argmax(bad))]))
+
+
+def _asymmetry(blocks: np.ndarray) -> np.ndarray:
+    """max |m - m^*| of each matrix in a stack."""
+    return np.max(np.abs(blocks - blocks.conj().swapaxes(1, 2)), axis=(1, 2))
 
 
 def decompose_potential(W: EndomorphismField, threshold: float):
-    """Split W = W1 + W2 by a threshold c: W1 carries the vertices with
-    |W(x)| > c, so sup |W2| <= c."""
-    verts = list(W.values)
-    zero = np.zeros((W.rank, W.rank), dtype=complex)
-    flags = dict(self_adjoint=W.self_adjoint)
-    carrier = W.norms(verts) > threshold
-    w1 = {v: (W.get(v) if c else zero) for v, c in zip(verts, carrier.tolist())}
-    w2 = {v: (W.get(v) - w1[v]) for v in verts}
-    return (EndomorphismField(W.rank, w1, **flags),
-            EndomorphismField(W.rank, w2, **flags))
+    """Split W = W1 + W2 by a threshold c: W1 is W on its carrier
+    {|W(x)| > c} and 0 elsewhere, W2 = W - W1, so sup |W2| <= c. Both sums
+    are exact: W1 + W2 == W bit for bit."""
+    w1 = np.where((W.norms() > threshold)[:, None, None], W.blocks, 0)
+    return (EndomorphismField.from_blocks(W.rank, W.vertices, w1, W.self_adjoint),
+            EndomorphismField.from_blocks(W.rank, W.vertices, W.blocks - w1, W.self_adjoint))
 
 
 def check_vertex_set(what: str, values, vertices):
@@ -208,28 +223,26 @@ def _matrix(rows, rank: int, what: str) -> np.ndarray:
     return m
 
 
-def _orthonormal_frames(metric, vertices, rank: int) -> dict:
-    """vertex -> (L_x^*, L_x^{-*}) for the Cholesky factor of g_x = L_x L_x^*.
-    L_x^* maps fiber coordinates to orthonormal ones."""
+def _orthonormal_frames(metric, vertices, rank: int):
+    """(L^*, L^{-*}) as two (n, rank, rank) stacks in vertex order, for the
+    Cholesky factors of g_x = L_x L_x^*. L_x^* maps fiber coordinates to
+    orthonormal ones."""
     check_vertex_set("metric", metric, vertices)
-    frames = {}
-    for v in vertices:
-        gmat = _matrix(metric[v], rank, f"metric at {v}")
-        if not np.isfinite(gmat).all():
-            raise ValueError(f"metric at {v} is not finite")
-        if np.max(np.abs(gmat - gmat.conj().T)) > HERMITIAN_TOL:
-            raise ValueError(f"metric at {v} not Hermitian")
-        if np.min(np.linalg.eigvalsh(gmat)) <= 0:
-            raise ValueError(f"metric at {v} not positive definite")
-        lh = np.linalg.cholesky(gmat).conj().T
-        frames[v] = (lh, np.linalg.inv(lh))
-    return frames
+    gm = _stack([_matrix(metric[v], rank, f"metric at {v}") for v in vertices], rank)
+    # each property batched over all vertices, as for potentials
+    _raise_first(vertices, ~np.isfinite(gm).all(axis=(1, 2)), "metric at {} is not finite")
+    _raise_first(vertices, _asymmetry(gm) > HERMITIAN_TOL, "metric at {} not Hermitian")
+    _raise_first(vertices, np.linalg.eigvalsh(gm)[:, 0] <= 0,
+                 "metric at {} not positive definite")
+    lh = np.linalg.cholesky(gm).conj().swapaxes(1, 2)
+    return lh, np.linalg.inv(lh)
 
 
 def load_bundle(path, g: WeightedGraph):
     """Load (rank, connection, potentials) from the JSON bundle format,
     checked against the graph g and in orthonormal fiber coordinates. A
-    file without a connection gets the trivial one."""
+    file without a connection gets the trivial one. Each potential is one
+    stack in the graph's vertex order, whatever the order of its keys."""
     with open(path) as fh:
         doc = json.load(fh)
     rank = int(doc["rank"])
@@ -253,18 +266,20 @@ def load_bundle(path, g: WeightedGraph):
     potentials = {}
     for name, values in doc.get("potentials", {}).items():
         check_vertex_set(f"potential {name!r}", values, g.vertices)
-        potentials[name] = {v: _matrix(values[v], rank, f"potential {name!r} at {v}")
-                            for v in values}
+        potentials[name] = _stack([_matrix(values[v], rank, f"potential {name!r} at {v}")
+                                   for v in g.vertices], rank)
     metric = doc.get("metric", "identity")
     if metric != "identity":
-        frames = _orthonormal_frames(metric, g.vertices, rank)
-        phi = {(x, y): frames[y][0] @ m @ frames[x][1] for (x, y), m in phi.items()}
-        potentials = {name: {v: frames[v][0] @ m @ frames[v][1] for v, m in values.items()}
-                      for name, values in potentials.items()}
+        lh, lh_inv = _orthonormal_frames(metric, g.vertices, rank)
+        src = [g.index(x) for x, _ in phi]
+        dst = [g.index(y) for _, y in phi]
+        phi = dict(zip(phi, lh[dst] @ _stack(list(phi.values()), rank) @ lh_inv[src]))
+        potentials = {name: lh @ blocks @ lh_inv for name, blocks in potentials.items()}
     fields = {}
-    for name, values in potentials.items():
+    for name, blocks in potentials.items():
         try:
-            fields[name] = EndomorphismField(rank, values, self_adjoint=True)
+            fields[name] = EndomorphismField.from_blocks(rank, g.vertices, blocks,
+                                                         self_adjoint=True)
         except ValueError as e:
             raise ValueError(f"potential {name!r}: {e}") from None
     return rank, UnitaryConnection(rank, phi), fields
@@ -280,7 +295,7 @@ def dump_bundle(path, rank: int, connection=None, potentials=None):
                              for u, v in sorted(connection.phi) if u < v]
     if potentials:
         doc["potentials"] = {
-            name: {v: _complex_matrix_to_json(W.get(v)) for v in W.values}
+            name: dict(zip(W.vertices, map(_complex_matrix_to_json, W.blocks)))
             for name, W in potentials.items()}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

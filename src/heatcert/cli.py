@@ -184,7 +184,7 @@ def cmd_compact_certify(args) -> int:
         with open(args.potential) as fh:
             values = json.load(fh)
         check_vertex_set("potential", values, g.vertices)
-        W = EndomorphismField.scalar(values)
+        W = EndomorphismField.scalar({v: values[v] for v in g.vertices})
     kind, _, value = args.decomp.partition(":")
     if kind != "threshold":
         raise ValueError("only threshold:<c> decompositions are supported here")

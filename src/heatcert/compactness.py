@@ -19,7 +19,7 @@ from scipy import special
 
 from .bundle import EndomorphismField
 from .control import ControlPair, F2Family, _quad_f2, check_integrability
-from .graph import Exhaustion, WeightedGraph, lq_norm, weak_vanishing_profile
+from .graph import Exhaustion, WeightedGraph, lq_norm
 from .heat import HeatKernel
 from .operators import (
     OperatorMatrix,
@@ -96,19 +96,14 @@ def check_resolvent_laplace(H: OperatorMatrix, a: float, rtol: float = 1e-6) -> 
                      detail={"a": a, "lambda_max_over_a": float(H.eigh()[0][-1] / a)})
 
 
-def _scalar_values(W, vertices) -> np.ndarray:
-    """Vertex function |W| as a vector: the fiber operator norm, which is
-    |w(x)| for a scalar map w."""
-    if not isinstance(W, EndomorphismField):
+def _field(W, vertices, rank: int | None = None) -> EndomorphismField:
+    """W at the given vertices, in their order. The checks also take a map
+    vertex -> real number w, which is the rank-1 field w(x)."""
+    if isinstance(W, dict):
         W = EndomorphismField.scalar(W)
-    return W.norms(vertices)
-
-
-def _blocks(W, vertices, rank: int = 1) -> np.ndarray:
-    """W as an (n, rank, rank) stack; a scalar map w acts as w(x) Id."""
-    if isinstance(W, EndomorphismField):
-        return W.stack(vertices)
-    return np.array([W[v] for v in vertices], dtype=complex)[:, None, None] * np.eye(rank)
+    if rank is not None and W.rank != rank:
+        raise ValueError(f"potential of rank {W.rank} for an operator of rank {rank}")
+    return W.restrict(vertices)
 
 
 def check_hs_bound(W1, k: HeatKernel, cp: ControlPair, t: float) -> list[LedgerRow]:
@@ -119,7 +114,7 @@ def check_hs_bound(W1, k: HeatKernel, cp: ControlPair, t: float) -> list[LedgerR
     p2t = k.at(2 * t)
     pt = k.at(t)
     rho = k.rho
-    w = _scalar_values(W1, k.vertices)
+    w = _field(W1, k.vertices, 1).norms()
     # direct: matrix of W P_t acting on coordinate vectors
     mat = w[:, None] * (np.real(pt) * rho[None, :])
     hs_direct_sq = float(np.linalg.norm(_symmetrize(mat, rho), "fro")) ** 2
@@ -141,9 +136,9 @@ def check_2to2_bound(W, H: OperatorMatrix, cp: ControlPair, t: float) -> LedgerR
     """
     if cp.q <= 1:
         raise ValueError("the 2->2 semigroup route is the q > 1 path")
-    lhs = float(singular_values(H, _blocks(W, H.vertices, H.rank), _semigroup_g(H, t))[0])
-    w = _scalar_values(W, H.vertices)
-    rhs = cp.F2(t) ** (1.0 / (2.0 * cp.q)) * lq_norm(w, 2 * cp.q, H.rho)
+    W = _field(W, H.vertices, H.rank)
+    lhs = float(singular_values(H, W.blocks, _semigroup_g(H, t))[0])
+    rhs = cp.F2(t) ** (1.0 / (2.0 * cp.q)) * lq_norm(W.norms(), 2 * cp.q, H.rho)
     return LedgerRow("step2-semigroup-norm-bound", lhs, rhs,
                      tol=1e-10 * max(1.0, rhs), detail={"t": t, "q": cp.q})
 
@@ -156,9 +151,10 @@ def check_resolvent_bound(W, H: OperatorMatrix, cp: ControlPair, a: float) -> Le
     """
     if cp.q <= 1:
         raise ValueError("the resolvent norm route is the q > 1 path")
-    lhs = float(singular_values(H, _blocks(W, H.vertices, H.rank), _resolvent_g(a))[0])
+    W = _field(W, H.vertices, H.rank)
+    lhs = float(singular_values(H, W.blocks, _resolvent_g(a))[0])
     quad = laplace_weight_integral(cp.F2, cp.q, a)
-    rhs = lq_norm(_scalar_values(W, H.vertices), 2 * cp.q, H.rho) * quad
+    rhs = lq_norm(W.norms(), 2 * cp.q, H.rho) * quad
     return LedgerRow("step3-resolvent-norm-bound", lhs, rhs,
                      tol=1e-10 * max(1.0, rhs),
                      detail={"a": a, "q": cp.q, "quadrature_integral": quad})
@@ -287,30 +283,25 @@ def _block_norms(block: np.ndarray, n: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PotentialDecomposition:
-    """W = W1 + W2 with the membership certificates the bounds need:
-    the F1-weighted L^{2q} norm of |W1| and the weak-vanishing profile of
-    |W2| (finite level-set measures at every threshold)."""
+    """W = W1 + W2 as fields over the host's vertices, in its order, with
+    the membership certificate the bounds need: the F1-weighted L^{2q}
+    norm of |W1|."""
 
-    W: EndomorphismField | dict
-    W1: EndomorphismField | dict
-    W2: EndomorphismField | dict
+    W: EndomorphismField
+    W1: EndomorphismField
+    W2: EndomorphismField
     q: float
     w1_l2q_f1: float
-    w2_profile: dict[float, float]
 
     @staticmethod
-    def build(W, W1, W2, cp: ControlPair, g: WeightedGraph,
-              thresholds=(1.0, 0.1, 0.01)) -> "PotentialDecomposition":
-        vertices = g.vertices
-        w1v = _scalar_values(W1, vertices)
-        w2v = _scalar_values(W2, vertices)
-        bad = np.max(np.abs(_blocks(W, vertices) - _blocks(W1, vertices)
-                            - _blocks(W2, vertices)), axis=(1, 2)) > 1e-12
+    def build(W, W1, W2, cp: ControlPair, g: WeightedGraph) -> "PotentialDecomposition":
+        W = _field(W, g.vertices)
+        W1, W2 = (_field(X, g.vertices, W.rank) for X in (W1, W2))
+        bad = np.max(np.abs(W.blocks - W1.blocks - W2.blocks), axis=(1, 2)) > 1e-12
         if bad.any():
-            raise ValueError(f"W1 + W2 != W at {vertices[int(np.argmax(bad))]}")
-        norm = lq_norm(w1v, 2 * cp.q, cp.F1 * g.rho_vec)
-        profile = weak_vanishing_profile(w2v, g.rho_vec, thresholds)
-        return PotentialDecomposition(W, W1, W2, cp.q, norm, profile)
+            raise ValueError(f"W1 + W2 != W at {g.vertices[int(np.argmax(bad))]}")
+        norm = lq_norm(W1.norms(), 2 * cp.q, cp.F1 * g.rho_vec)
+        return PotentialDecomposition(W, W1, W2, cp.q, norm)
 
 
 @dataclass
@@ -377,11 +368,11 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
     g = _resolvent_g(a)
     for lv in ex.levels:
         Hn = dirichlet_restriction(H, lv)
-        sv = singular_values(Hn, _blocks(pd.W, Hn.vertices, Hn.rank), g)
+        sv = singular_values(Hn, _field(pd.W, Hn.vertices, Hn.rank).blocks, g)
         singular[Hn.dim] = [float(x) for x in sv]
         dims.append(Hn.dim)
         top_lists.append(sv[:k_top])
-        sigma1 = float(singular_values(Hn, _blocks(pd.W1, Hn.vertices, Hn.rank), g)[0])
+        sigma1 = float(singular_values(Hn, _field(pd.W1, Hn.vertices, Hn.rank).blocks, g)[0])
         row = LedgerRow(bound_name, sigma1, rhs, tol=1e-10,
                         detail={"level_dim": Hn.dim, "a": a,
                                 "quadrature_integral": quad_value,
@@ -393,7 +384,7 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
         if quantitative and not row.ok and verdict_fail is None:
             verdict_fail = bound_name
     # truncation surrogate: the tail of W2 below 1/n has sup norm <= 1/n
-    w2v = _scalar_values(pd.W2, H.vertices)
+    w2v = _field(pd.W2, H.vertices).norms()
     for n in range(1, len(ex.levels) + 1):
         tail = w2v[w2v < 1.0 / n]
         sup_tail = float(tail.max()) if tail.size else 0.0

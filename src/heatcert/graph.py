@@ -166,21 +166,6 @@ def lq_norm(f: np.ndarray, q: float, weights: np.ndarray) -> float:
     return float(np.sum(f ** q * weights) ** (1.0 / q))
 
 
-def weak_vanishing_profile(f: np.ndarray, weights: np.ndarray,
-                           thresholds) -> dict[float, float]:
-    """Weight of the level sets {|f| >= c} for each threshold c.
-
-    Finite values for every c are the finite-truncation proxy for the
-    potential class that vanishes weakly at infinity.
-    """
-    out = {}
-    for c in thresholds:
-        if not c > 0:
-            raise ValueError("thresholds must be positive")
-        out[c] = float(np.sum(weights[np.abs(f) >= c]))
-    return out
-
-
 def build_exhaustion(g: WeightedGraph, root: str, radii) -> Exhaustion:
     """Exhaustion by hop-count balls around root with increasing radii.
 

@@ -163,7 +163,7 @@ def multiplication_operator(W: EndomorphismField, vertices, rho: np.ndarray
     """Block-diagonal matrix f(x) -> W(x) f(x)."""
     d, n = W.rank, len(vertices)
     m = np.zeros((n, d, n, d), dtype=complex)
-    m[np.arange(n), :, np.arange(n), :] = W.stack(vertices)
+    m[np.arange(n), :, np.arange(n), :] = W.restrict(vertices).blocks
     return OperatorMatrix(m.reshape(n * d, n * d), tuple(vertices), d, rho, "multiplication")
 
 

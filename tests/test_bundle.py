@@ -34,17 +34,17 @@ def power_iteration_norm(m, iters=2000):
 class TestFiberNorms:
     def test_zero(self):
         W = EndomorphismField(2, {"x": np.zeros((2, 2))})
-        assert W.norms(["x"])[0] == 0.0
+        assert W.norms()[0] == 0.0
 
     def test_diagonal(self):
         W = EndomorphismField(2, {"x": np.diag([2.0, -3.0]).astype(complex)})
-        assert W.norms(["x"])[0] == pytest.approx(3.0)
+        assert W.norms()[0] == pytest.approx(3.0)
 
     def test_against_power_iteration(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         W = EndomorphismField(3, {"x": m})
-        assert W.norms(["x"])[0] == pytest.approx(power_iteration_norm(m), abs=1e-8)
+        assert W.norms()[0] == pytest.approx(power_iteration_norm(m), abs=1e-8)
 
     def test_triangle_inequality_pointwise(self):
         rng = np.random.default_rng(9)
@@ -54,7 +54,7 @@ class TestFiberNorms:
             w1 = EndomorphismField(2, m1)
             w2 = EndomorphismField(2, m2)
             ws = EndomorphismField(2, {v: m1[v] + m2[v] for v in m1})
-            n1, n2, ns = (w.norms(["x", "y"]) for w in (w1, w2, ws))
+            n1, n2, ns = (w.norms() for w in (w1, w2, ws))
             assert np.all(ns <= n1 + n2 + 1e-12)
 
 
@@ -107,16 +107,15 @@ class TestDecompose:
     def test_zero_splits_to_zero(self):
         W = EndomorphismField.scalar({"x": 0.0})
         w1, w2 = decompose_potential(W, 0.5)
-        assert np.all(w1.get("x") == 0) and np.all(w2.get("x") == 0)
+        assert np.all(w1.blocks == 0) and np.all(w2.blocks == 0)
 
     def test_threshold_on_harmonic_sequence(self):
         names = [f"x{k}" for k in range(1, 8)]
         W = EndomorphismField.scalar({v: 1.0 / (i + 1) for i, v in enumerate(names)})
         w1, w2 = decompose_potential(W, 1.0 / 3.0)
-        supported = {v for v in names if abs(w1.get(v)[0, 0]) > 0}
+        supported = {v for v, w in zip(w1.vertices, w1.blocks[:, 0, 0]) if abs(w) > 0}
         assert supported == {"x1", "x2"}
-        w2_sup = max(abs(w2.get(v)[0, 0]) for v in names)
-        assert w2_sup <= 1.0 / 3.0 + 1e-15
+        assert max(w2.norms()) <= 1.0 / 3.0 + 1e-15
 
     def test_self_adjoint_flag_inherited(self):
         names = ["a", "b"]
@@ -124,6 +123,55 @@ class TestDecompose:
         W = EndomorphismField(2, {v: h for v in names}, self_adjoint=True)
         w1, w2 = decompose_potential(W, 1.0)
         assert w1.self_adjoint and w2.self_adjoint
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_split_is_exact_and_keeps_the_carrier_blocks(self, d):
+        rng = np.random.default_rng(20 + d)
+        names = [f"x{k}" for k in range(40)]
+        vals = {}
+        for k, v in enumerate(names):
+            z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            vals[v] = (z + z.conj().T) / (1.0 + k)  # norms straddle the threshold
+        vals["x7"] = np.zeros((d, d))
+        W = EndomorphismField(d, vals, self_adjoint=True)
+        w1, w2 = decompose_potential(W, 0.5)
+        assert w1.vertices == w2.vertices == W.vertices == tuple(names)
+        assert np.array_equal(w1.blocks + w2.blocks, W.blocks)
+        carrier = W.norms() > 0.5
+        assert 0 < carrier.sum() < len(names)
+        assert np.array_equal(w1.blocks[carrier], W.blocks[carrier])
+        assert np.all(w1.blocks[~carrier] == 0)
+        assert np.all(w2.blocks[carrier] == 0)
+
+
+class TestFieldStack:
+    def test_stack_in_mapping_order(self):
+        vals = {"b": np.array([[2.0]]), "a": np.array([[1.0]]), "c": np.array([[3.0]])}
+        W = EndomorphismField(1, vals)
+        assert W.vertices == ("b", "a", "c")
+        assert W.blocks.shape == (3, 1, 1) and W.blocks.dtype == complex
+        assert W.blocks[:, 0, 0].tolist() == [2.0, 1.0, 3.0]
+        assert not any(isinstance(x, dict) for x in vars(W).values())
+
+    def test_restrict_reorders_and_selects(self):
+        W = EndomorphismField.scalar({"a": 1.0, "b": 2.0, "c": 3.0})
+        assert W.restrict(("a", "b", "c")) is W
+        sub = W.restrict(["c", "a"])
+        assert sub.vertices == ("c", "a")
+        assert sub.blocks[:, 0, 0].tolist() == [3.0, 1.0]
+        with pytest.raises(ValueError, match="no value at vertex zz"):
+            W.restrict(["a", "zz"])
+
+    @pytest.mark.parametrize("value", [1j, np.complex128(2.0)])
+    def test_scalar_refuses_complex_numbers(self, value):
+        # the JSON values that are not real numbers are in test_cli
+        with pytest.raises(ValueError, match=r"W\(v1\) is not a real number"):
+            EndomorphismField.scalar({"v0": 1.0, "v1": value})
+
+    def test_scalar_is_self_adjoint(self):
+        W = EndomorphismField.scalar({"v0": -1.0, "v1": np.float64(2.5), "v2": 3})
+        assert W.self_adjoint and W.rank == 1
+        assert W.blocks[:, 0, 0].tolist() == [-1.0, 2.5, 3.0]
 
 
 def test_metric_file_round_trip(tmp_path):
@@ -151,5 +199,5 @@ def test_metric_file_round_trip(tmp_path):
     assert rank2 == 2
     for pair in (("v0", "v1"), ("v1", "v0")):
         np.testing.assert_allclose(conn2.get(*pair), conn.get(*pair), rtol=0, atol=1e-14)
-    for v in g.vertices:
-        assert np.array_equal(pots2["w"].get(v), pots["w"].get(v))
+    assert pots2["w"].vertices == pots["w"].vertices == g.vertices
+    assert np.array_equal(pots2["w"].blocks, pots["w"].blocks)

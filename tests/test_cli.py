@@ -333,6 +333,11 @@ class TestInputChecks:
         (lambda w: w.pop("v3"), "potential has no value at vertex v3"),
         (lambda w: w.update(zz=1.0), "potential has a value at unknown vertex zz"),
         (lambda w: w.update(v2=float("nan")), "W(v2) is not finite"),
+        (lambda w: w.update(v0=[1]), "W(v0) is not a real number"),
+        (lambda w: w.update(v0=None), "W(v0) is not a real number"),
+        (lambda w: w.update(v4="1+2j"), "W(v4) is not a real number"),
+        (lambda w: w.update(v4="0.5"), "W(v4) is not a real number"),
+        (lambda w: w.update(v2=True), "W(v2) is not a real number"),
     ])
     def test_scalar_potential_file(self, change, message, tmp_path, capsys):
         gpath, wpath = tmp_path / "g.json", tmp_path / "w.json"
@@ -457,6 +462,60 @@ class TestMetricBundles:
                           "--out", str(tmp_path / "rep.json")], capsys)
         assert code == EXIT_INPUT
         assert message in err
+
+class TestVertexOrder:
+    """Vertex ids become stack positions where a file is read: a bundle or
+    scalar potential file whose keys come in reverse order gives a
+    byte-identical report."""
+
+    @staticmethod
+    def reverse(doc):
+        doc = dict(doc, connection=doc["connection"][::-1],
+                   potentials={name: dict(reversed(w.items()))
+                               for name, w in doc["potentials"].items()})
+        if "metric" in doc:
+            doc["metric"] = dict(reversed(doc["metric"].items()))
+        return doc
+
+    @staticmethod
+    def reports(argv, paths, flag, tmp_path):
+        out = []
+        for k, path in enumerate(paths):
+            rep = tmp_path / f"rep{k}.json"
+            out.append((main([*argv, flag, str(path), "--out", str(rep)]), rep.read_bytes()))
+        return out
+
+    @pytest.mark.parametrize("twin", ["plain", "curved"])
+    @pytest.mark.parametrize("command", [
+        ["dominate", "check", "--potential", "w"],
+        ["compact", "certify", "--potential", "w", "--a", "2", "--levels",
+         "root=v0,radii=1,2,9"],
+    ], ids=["dominate", "certify"])
+    def test_bundle_file(self, command, twin, tmp_path):
+        gpath, paths, _ = TestMetricBundles.twins(tmp_path)
+        forward = paths[twin]
+        backward = tmp_path / "backward.json"
+        backward.write_text(json.dumps(self.reverse(json.loads(forward.read_text()))))
+        assert forward.read_text() != backward.read_text()
+        a, b = self.reports([*command, "--graph", str(gpath), "--seed", "5"],
+                            (forward, backward), "--bundle", tmp_path)
+        assert a[0] == EXIT_OK and a == b
+
+    def test_scalar_potential_file(self, tmp_path):
+        rng = np.random.default_rng(31)
+        g = random_graph(12, rng, p=0.3)
+        gpath = tmp_path / "g.json"
+        dump_graph(g, gpath)
+        w = {v: float(rng.standard_normal()) / (1 + k * k) for k, v in enumerate(g.vertices)}
+        paths = (tmp_path / "forward.json", tmp_path / "backward.json")
+        paths[0].write_text(json.dumps(w))
+        paths[1].write_text(json.dumps(dict(reversed(w.items()))))
+        a, b = self.reports(["compact", "certify", "--graph", str(gpath), "--a", "2",
+                             "--levels", f"root={g.vertices[0]},radii=1,2,11"],
+                            paths, "--potential", tmp_path)
+        assert a[0] in (EXIT_OK, EXIT_VIOLATION) and a == b
+        assert json.loads(a[1])["levels"][-1] == g.n
+
 
 # runs the CLI in a fresh interpreter and reports which of the heavy
 # SciPy subpackages it loaded on the way

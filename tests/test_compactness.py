@@ -497,7 +497,7 @@ class TestSingularValuesFromEigenbasis:
             for support in (None, half):
                 W = random_field(g, rank, rng, support)
                 for a in (0.5, 2.0):
-                    fast = singular_values(Hn, W.stack(Hn.vertices),
+                    fast = singular_values(Hn, W.restrict(Hn.vertices).blocks,
                                            lambda lam: 1.0 / (lam + a))
                     assert_sv_close(fast, dense_singular_values(
                         W, Hn, lambda H: resolvent(H, a)))
@@ -511,7 +511,7 @@ class TestSingularValuesFromEigenbasis:
         # the support is where the blocks are not exactly zero, at any scale
         for g, Hn, rng in self.hosts(rank):
             W = random_field(g, rank, rng)
-            tiny = singular_values(Hn, 1e-30 * W.stack(Hn.vertices),
+            tiny = singular_values(Hn, 1e-30 * W.restrict(Hn.vertices).blocks,
                                    lambda lam: 1.0 / (lam + 1.0))
             ref = dense_singular_values(W, Hn, lambda H: resolvent(H, 1.0))
             assert np.all(tiny > 0)
@@ -561,7 +561,7 @@ class TestSingularValuesFromEigenbasis:
     def test_certify_matches_dense_route(self):
         g, Hc, pd, cp, ex = rank2_certify_case(45)
         W, W1 = pd.W, pd.W1
-        assert 0 < sum(np.any(W1.get(v) != 0) for v in g.vertices) < g.n
+        assert 0 < np.any(W1.blocks != 0, axis=(1, 2)).sum() < g.n
         rep = certify_compactness(pd, Hc, cp, ex, a=2.0)
         rows = [r for r in rep.bounds if r.name == "step1-resolvent-hs-bound"]
         assert len(rows) == len(ex.levels)
@@ -606,17 +606,27 @@ class TestPotentialDecompositionBuild:
                                          {"v0": 0.0, "v1": 0.0},
                                          cp, g)
 
-    def test_norm_and_profile(self):
+    def test_w1_norm(self):
         g = path_graph(3)
         cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
         pd = PotentialDecomposition.build(
             {"v0": 3.0, "v1": 0.5, "v2": 0.0},
             {"v0": 3.0, "v1": 0.0, "v2": 0.0},
             {"v0": 0.0, "v1": 0.5, "v2": 0.0},
-            cp, g, thresholds=(0.25, 1.0))
+            cp, g)
         assert pd.w1_l2q_f1 == pytest.approx(3.0)
-        assert pd.w2_profile[0.25] == 1.0
-        assert pd.w2_profile[1.0] == 0.0
+
+    def test_rank_mismatch_raises(self):
+        g, Hc, pd, cp, ex = rank2_certify_case(47)
+        scalar = {v: 1.0 for v in g.vertices}
+        with pytest.raises(ValueError, match="rank 1 for an operator of rank 2"):
+            check_resolvent_bound(scalar, Hc, ControlPair(cp.F1, cp.F2, 2.0), 1.0)
+        with pytest.raises(ValueError, match="rank 1 for an operator of rank 2"):
+            PotentialDecomposition.build(pd.W, scalar, pd.W2, cp, g)
+        scalar_pd = PotentialDecomposition.build(scalar, scalar, dict.fromkeys(scalar, 0.0),
+                                                 cp, g)
+        with pytest.raises(ValueError, match="rank 1 for an operator of rank 2"):
+            certify_compactness(scalar_pd, Hc, cp, ex, a=2.0)
 
     def test_measure_reweighted_by_f1(self):
         # ||1||^2 in L^2(F1 rho) is the F1-reweighted measure of the host

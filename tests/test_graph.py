@@ -20,7 +20,6 @@ from heatcert.graph import (
     path_graph,
     random_graph,
     validate_graph,
-    weak_vanishing_profile,
 )
 
 
@@ -127,31 +126,6 @@ class TestLqNorm:
         small = np.array(base)
         large = small * 2 + 1
         assert lq_norm(small, q, m) <= lq_norm(large, q, m) + 1e-12
-
-
-class TestWeakVanishing:
-    def test_zero_function(self):
-        m = np.array([1.0, 2.0])
-        prof = weak_vanishing_profile(np.zeros(2), m, [0.5, 1.0])
-        assert prof == {0.5: 0.0, 1.0: 0.0}
-
-    def test_harmonic_level_set(self):
-        f = 1.0 / np.arange(1, 11)
-        prof = weak_vanishing_profile(f, np.ones(10), [1.0 / 3.0])
-        assert prof[1.0 / 3.0] == 3.0  # x1, x2, x3
-
-    def test_full_set(self):
-        prof = weak_vanishing_profile(np.ones(10), np.ones(10), [0.5])
-        assert prof[0.5] == 10.0
-
-    def test_antitone_in_threshold(self):
-        rng = np.random.default_rng(3)
-        f = rng.standard_normal(30)
-        m = rng.uniform(0.1, 2, size=30)
-        cs = [0.1, 0.5, 1.0, 2.0]
-        prof = weak_vanishing_profile(f, m, cs)
-        for c1, c2 in zip(cs, cs[1:]):
-            assert prof[c1] >= prof[c2]
 
 
 class TestExhaustion:

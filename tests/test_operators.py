@@ -225,7 +225,7 @@ class TestMultiplication:
                 for v in g.vertices}
         W = EndomorphismField(d, vals)
         op = multiplication_operator(W, g.vertices, g.rho_vec)
-        expected = max(W.norms(g.vertices))
+        expected = max(W.norms())
         assert np.linalg.norm(op.symmetrized(), 2) == pytest.approx(expected, rel=1e-10)
 
 
