@@ -97,11 +97,10 @@ class UnitaryConnection:
     def trivial(g: WeightedGraph, rank: int = 1) -> "UnitaryConnection":
         eye = np.eye(rank, dtype=complex)
         phi = {}
-        for pair in g.b:
-            if len(pair) == 2:
-                u, v = tuple(pair)
-                phi[(u, v)] = eye
-                phi[(v, u)] = eye
+        for i, j in zip(g.src.tolist(), g.dst.tolist()):
+            if i != j:
+                u, v = g.vertices[i], g.vertices[j]
+                phi[(u, v)] = phi[(v, u)] = eye
         return UnitaryConnection(rank, phi)
 
     @staticmethod
@@ -257,8 +256,8 @@ def load_bundle(path, g: WeightedGraph):
             m = _matrix(entry["phi"], rank, f"phi({u},{v})")
             phi[(u, v)] = m
             phi.setdefault((v, u), np.linalg.inv(m))
-        for pair in g.b:
-            u, v = tuple(pair)
+        for i, j in zip(g.src.tolist(), g.dst.tolist()):
+            u, v = g.vertices[i], g.vertices[j]
             if (u, v) not in phi:
                 raise ValueError(f"connection has no entry for edge ({u},{v})")
     else:

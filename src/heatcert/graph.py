@@ -32,8 +32,8 @@ class WeightedGraph:
 
     `vertices`, `rho` and `b` are the constructor and file-format fields.
     Everything else reads the integer form derived from them once: edge
-    arrays `src`, `dst` (vertex indices; a loop pair has src == dst) and `w`
-    in `b` order, the vertex weight vector `rho_vec` and the weighted degree
+    arrays `src` <= `dst` (vertex indices, so each edge is oriented by
+    vertex order; a loop pair has src == dst) and `w` in `b` order, the vertex weight vector `rho_vec` and the weighted degree
     vector `deg` in vertex order, and the CSR adjacency `adj` of the edges
     with w > ADJACENCY_EPS.
     """
@@ -51,8 +51,9 @@ class WeightedGraph:
     def __post_init__(self):
         index = {v: i for i, v in enumerate(self.vertices)}
         pairs = [tuple(pair) for pair in self.b]
-        src = np.array([index[p[0]] for p in pairs], dtype=np.intp)
-        dst = np.array([index[p[-1]] for p in pairs], dtype=np.intp)
+        first = np.array([index[p[0]] for p in pairs], dtype=np.intp)
+        last = np.array([index[p[-1]] for p in pairs], dtype=np.intp)
+        src, dst = np.minimum(first, last), np.maximum(first, last)
         w = np.array(list(self.b.values()), dtype=float)
         n = len(self.vertices)
         rho_vec = np.array([self.rho.get(v, 0.0) for v in self.vertices], dtype=float)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import special
 
 from heatcert.bundle import (
     EndomorphismField,
@@ -22,10 +21,11 @@ from heatcert.compactness import (
     resolvent_via_laplace,
     sup_kernel_on,
 )
-from heatcert.control import ControlPair, F2Family, fit_control
+from heatcert.control import ControlPair, F2Family, fit_control, laplace_rule
 from heatcert.graph import build_exhaustion, make_graph, path_graph, random_graph
 from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup
 from heatcert.operators import (
+    OperatorMatrix,
     _symmetrize,
     add_potential,
     assemble_covariant,
@@ -93,10 +93,10 @@ class TestResolventLaplace:
         H = assemble_laplacian(g)
         row = check_resolvent_laplace(H, 1.0)
         assert row.ok
-        assert row.lhs < 1e-6
+        # the residual bounds the error on every eigenvalue, the largest too
+        assert row.lhs < 1e-12
         lam = H.eigh()[0]
         assert row.detail["lambda_max_over_a"] == pytest.approx(lam[-1])
-        # far enough out that the per-eigenvalue error exceeds the Frobenius ratio
         assert row.detail["lambda_max_over_a"] > 90
 
     def test_rejects_nonpositive_shift(self):
@@ -380,11 +380,9 @@ class TestFastPathsAgainstReferences:
         g = random_graph(12, rng)
         Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
         a = 1.5
-        s_nodes, weights = special.roots_laguerre(320)
         explicit = np.zeros((Hc.dim, Hc.dim), dtype=complex)
-        for s, w in zip(s_nodes, weights):
-            explicit += w * semigroup(Hc, s / a)
-        explicit /= a
+        for t, w in zip(*laplace_rule(a)):
+            explicit += w * semigroup(Hc, t)
         fast = resolvent_via_laplace(Hc, a)
         rel = np.linalg.norm(fast - explicit) / np.linalg.norm(explicit)
         assert rel <= 1e-12
@@ -419,14 +417,19 @@ class TestFastPathsAgainstReferences:
         semi = next(r for r in rows if r.name == "kato-domination-semigroup")
         assert not semi.ok
 
-    def test_too_few_nodes_fail_the_crosscheck(self):
+    def test_stale_eigendecomposition_fails_the_crosscheck(self):
+        # the cached spectrum is that of the same graph with one edge weight
+        # doubled, so the quadrature resolvent inverts the wrong matrix
         rng = np.random.default_rng(24)
-        H = assemble_laplacian(random_graph(20, rng))
-        a = 0.05
-        assert H.eigh()[0][-1] / a > 100
-        direct = resolvent(H, a)
-        quad = resolvent_via_laplace(H, a, nodes=8)
-        assert np.linalg.norm(quad - direct) / np.linalg.norm(direct) > 1e-6
+        g = random_graph(20, rng)
+        (pair, w), *rest = g.b.items()
+        other = make_graph(g.vertices, g.rho, [(*sorted(pair), 2.0 * w)]
+                           + [(*sorted(p), b) for p, b in rest])
+        H = assemble_laplacian(g)
+        stale = OperatorMatrix(H.matrix, H.vertices, H.rank, H.rho, H.kind,
+                               {"eigh": assemble_laplacian(other).eigh()})
+        assert check_resolvent_laplace(H, 1.0).ok
+        assert not check_resolvent_laplace(stale, 1.0).ok
 
     def test_non_psd_operator_rejected(self):
         g = path_graph(4)
@@ -708,20 +711,6 @@ class TestCertify:
         rep = certify_compactness(pd, H, cp, ex, a=2.0)
         for sv in rep.singular_values.values():
             assert all(a >= b >= 0 for a, b in zip(sv, sv[1:]))
-
-    def test_truncation_tail_rows(self):
-        g = path_graph(10)
-        H = assemble_laplacian(g)
-        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
-        W = {f"v{j}": 1.0 / (j + 2.0) for j in range(10)}
-        pd = build_decomposition(g, W, 1.0, cp)  # all of W lands in W2
-        ex = build_exhaustion(g, "v0", [3, 6, 9])
-        rep = certify_compactness(pd, H, cp, ex, a=2.0)
-        tails = [r for r in rep.bounds if r.name == "step7-truncation-tail"]
-        assert len(tails) == 3
-        assert all(r.ok for r in tails)
-        sups = [r.lhs for r in tails]
-        assert sups == sorted(sups, reverse=True)
 
     def test_divergent_pair_hard_error(self):
         g = path_graph(4)

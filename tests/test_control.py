@@ -9,6 +9,7 @@ from heatcert.control import (
     bakry_emery_factor,
     check_integrability,
     fit_control,
+    laplace_rule,
 )
 from heatcert.graph import make_graph, path_graph
 from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup
@@ -130,6 +131,55 @@ class TestIntegrability:
             vals = np.exp(-t) * np.array([fam(ti) for ti in t]) ** 0.25
             total += half * float(np.sum(weights * vals))
         assert verdict.value == pytest.approx(total, abs=1e-7)
+
+
+class TestLaplaceRule:
+    @pytest.mark.parametrize("s", [0.0, 0.5, 0.875, 0.95])
+    @pytest.mark.parametrize("a", [0.05, 1.0, 40.0])
+    def test_weights_integrate_the_weight_function(self, s, a):
+        # g = 1: the integral of e^{-a t} t^{-s} is Gamma(1 - s) a^{s-1}
+        t, w = laplace_rule(a, s)
+        assert np.all(t >= 0) and np.all(w > 0)
+        exact = math.gamma(1.0 - s) * a ** (s - 1.0)
+        assert abs(float(np.sum(w)) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("a", [0.05, 1.0, 40.0])
+    def test_resolvent_per_eigenvalue_up_to_1e9(self, a):
+        # g = e^{-lambda t}: the integral is 1 / (lambda + a)
+        t, w = laplace_rule(a)
+        lam = a * np.concatenate([[0.0], np.logspace(-4, 9, 261)])
+        g = np.exp(-np.outer(lam, t)) @ w
+        assert np.max(np.abs(g * (lam + a) - 1.0)) <= 1e-10
+
+    # (F2, q, a, value) with values to 17 digits from 25-digit references
+    REFERENCES = [
+        (F2Family.power(1.0, 1.0), 1.0, 1.0, 2.1275595469928476),
+        (F2Family.power(1.0, 7.0), 4.0, 1.0, 7.6812537615668815),
+        (F2Family.power(1.0, 1.9), 1.0, 1.0, 19.806644074550242),
+        (F2Family.power(3.0, 6.0), 4.0, 0.05, 26.410058067920738),
+        (F2Family.power(1.0, 8.0), 5.0, 40.0, 2.1952324301128902),
+        (F2Family.bakry_emery(1.0, 2, 1.0, 1.0), 1.0, 1.0, 29.061726988263211),
+    ]
+
+    @pytest.mark.parametrize("fam, q, a, ref", REFERENCES)
+    def test_integrability_against_references(self, fam, q, a, ref):
+        verdict = check_integrability(fam, q, a)
+        assert verdict.convergent
+        deviation = abs(verdict.value - ref)
+        assert deviation <= 1e-12 * ref
+        assert verdict.error >= deviation
+
+    def test_bounded_factor_against_closed_forms(self):
+        # F2 = C (t^-gamma + 1) and C (F_{m,beta,R}(sqrt t) + 1), gamma = 1.5
+        power, be = F2Family.power(2.0, 1.5), F2Family.bakry_emery(0.5, 2, 1.0, 3.0)
+        for t in (1e-6, 0.5, 3.0):
+            f_power = 2.0 * (t ** -1.5 + 1.0)
+            f_be = 0.5 * (bakry_emery_factor(2, 1.0, 3.0, math.sqrt(t)) + 1.0)
+            assert power(t) == pytest.approx(f_power, rel=1e-14)
+            assert be(t) == pytest.approx(f_be, rel=1e-14)
+            assert power.bounded(t) == pytest.approx(t ** 1.5 * f_power, rel=1e-14)
+            assert be.bounded(t) == pytest.approx(t ** 1.5 * f_be, rel=1e-14)
+        assert F2Family.constant(3.0).bounded(0.5) == F2Family.constant(3.0)(0.5) == 3.0
 
 
 class TestControlPairType:
