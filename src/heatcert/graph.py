@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_array
 
 # Edge weights below this are ignored for adjacency (x ~ y) but kept in sums,
 # so connectivity does not flap on float dust.
@@ -34,8 +33,9 @@ class WeightedGraph:
     Everything else reads the integer form derived from them once: edge
     arrays `src` <= `dst` (vertex indices, so each edge is oriented by
     vertex order; a loop pair has src == dst) and `w` in `b` order, the vertex weight vector `rho_vec` and the weighted degree
-    vector `deg` in vertex order, and the CSR adjacency `adj` of the edges
-    with w > ADJACENCY_EPS.
+    vector `deg` in vertex order, and the neighbour index arrays of the
+    edges with w > ADJACENCY_EPS: the neighbours of vertex i are
+    `nbr[nbr_ptr[i]:nbr_ptr[i + 1]]`.
     """
 
     vertices: tuple[str, ...]
@@ -46,7 +46,8 @@ class WeightedGraph:
     w: np.ndarray = field(init=False, repr=False, compare=False)
     rho_vec: np.ndarray = field(init=False, repr=False, compare=False)
     deg: np.ndarray = field(init=False, repr=False, compare=False)
-    adj: csr_array = field(init=False, repr=False, compare=False)
+    nbr_ptr: np.ndarray = field(init=False, repr=False, compare=False)
+    nbr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = {v: i for i, v in enumerate(self.vertices)}
@@ -66,9 +67,11 @@ class WeightedGraph:
         near = w > ADJACENCY_EPS
         rows = np.concatenate([src[near], dst[near]])
         cols = np.concatenate([dst[near], src[near]])
-        adj = csr_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        nbr = cols[np.argsort(rows, kind="stable")]
+        nbr_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         for name, value in (("_index", index), ("src", src), ("dst", dst), ("w", w),
-                            ("rho_vec", rho_vec), ("deg", deg), ("adj", adj)):
+                            ("rho_vec", rho_vec), ("deg", deg), ("nbr_ptr", nbr_ptr),
+                            ("nbr", nbr)):
             object.__setattr__(self, name, value)
 
     @property
@@ -154,7 +157,24 @@ def validate_graph(g: WeightedGraph) -> ValidationReport:
 
 def _hops(g: WeightedGraph, root: int) -> np.ndarray:
     """Hop count from vertex index root to every vertex; inf if unreachable."""
-    return csgraph.shortest_path(g.adj, unweighted=True, indices=root)
+    # a breadth-first search over Python lists: one numpy round per level
+    # would cost more than the whole search on a long path
+    ptr, nbr = g.nbr_ptr.tolist(), g.nbr.tolist()
+    hops = [-1] * g.n
+    hops[root] = 0
+    frontier, level = [root], 0
+    while frontier:
+        level += 1
+        reached = []
+        for x in frontier:
+            for y in nbr[ptr[x]:ptr[x + 1]]:
+                if hops[y] < 0:
+                    hops[y] = level
+                    reached.append(y)
+        frontier = reached
+    out = np.array(hops, dtype=float)
+    out[out < 0] = np.inf
+    return out
 
 
 def lq_norm(f: np.ndarray, q: float, weights: np.ndarray) -> float:
@@ -174,13 +194,12 @@ def build_exhaustion(g: WeightedGraph, root: str, radii) -> Exhaustion:
     """
     if root not in g.rho:
         raise ValueError(f"unknown root {root}")
-    report = validate_graph(g)
-    if any("disconnected" in v for v in report.violations):
+    hops = _hops(g, g.index(root))
+    if np.isinf(hops).any():
         raise ValueError("cannot exhaust a disconnected host")
     radii = list(radii)
     if sorted(radii) != radii or len(set(radii)) != len(radii):
         raise ValueError("radii must be strictly increasing")
-    hops = _hops(g, g.index(root))
     names = np.array(g.vertices, dtype=object)
     levels = []
     for r in radii:

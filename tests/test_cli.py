@@ -537,14 +537,13 @@ class TestVertexOrder:
         assert json.loads(a[1])["levels"][-1] == g.n
 
 
-# runs the CLI in a fresh interpreter and reports which of the heavy
-# SciPy subpackages it loaded on the way
+# runs the CLI in a fresh interpreter and reports every SciPy module it
+# loaded on the way
 _PROBE = """
 import json, sys
 from heatcert.cli import main
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": [
-    m for m in ("scipy.integrate", "scipy.optimize", "scipy.special") if m in sys.modules]}))
+print(json.dumps({"code": code, "loaded": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
@@ -574,6 +573,30 @@ class TestStartupImports:
         assert verdict["value"] == pytest.approx(2.1275595469928477, rel=1e-12)
         run = run_fresh(["control", "check", "--family", "bakry-emery", "--m", "2",
                          "--beta", "1", "--q", "1", "--out", str(out)])
+        assert run == {"code": EXIT_OK, "loaded": []}
+
+    @pytest.mark.parametrize("argv", [
+        "graph validate --graph {graph}",
+        "heat kernel --graph {graph} --times 0.5,1.0 --out {out}",
+        "heat verify --graph {graph} --exhaustion root=v0,radii=3,11 --out {out}",
+        "heat minimal --graph {graph} --exhaustion root=v0,radii=3,6,11 --times 0.5,1.0",
+        "control fit --kernel {kernel} --family graph --out {out}",
+        "dominate check --graph {graph} --bundle {bundle} --times 0.1,1.0 --a 1,2 --trials 5",
+        "compact certify --graph {graph} --bundle {bundle} --potential w --a 2"
+        " --levels root=v0,radii=5,11 --out {out}",
+        "demo coulomb-lattice --n 30 --out {out}",
+    ], ids=lambda argv: " ".join(argv.split()[:2]) + (" bundle" if "bundle" in argv else ""))
+    def test_subcommand_loads_no_scipy(self, argv, path_file, tmp_path):
+        g = path_graph(12)
+        kernel, bundle = tmp_path / "k.json", tmp_path / "b.json"
+        dump_kernel(kernel_from_semigroup(assemble_laplacian(g), (0.5, 1.0)), kernel)
+        conn = UnitaryConnection.from_edge_phases(
+            g, {(f"v{i}", f"v{i + 1}"): 0.4 for i in range(11)})
+        W = EndomorphismField.scalar({f"v{j}": 1.0 / (1.0 + j * j) for j in range(12)})
+        dump_bundle(bundle, 1, connection=conn, potentials={"w": W})
+        paths = {"graph": path_file, "kernel": kernel, "bundle": bundle,
+                 "out": tmp_path / "rep.json"}
+        run = run_fresh([arg.format(**paths) for arg in argv.split()])
         assert run == {"code": EXIT_OK, "loaded": []}
 
 

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatcert import graph
 from heatcert.graph import (
     ADJACENCY_EPS,
     GraphFormatError,
     WeightedGraph,
+    _hops,
     build_exhaustion,
     dump_graph,
     load_graph,
@@ -241,15 +243,90 @@ def reference_balls(g, root, radii):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_exhaustion_balls_match_reference_bfs(seed):
-    # sparse random hosts with some sub-eps chords, which must not shorten hops
+    # sparse random hosts with some sub-eps, NaN and negative chords, which
+    # must not shorten hops
     rng = np.random.default_rng(seed)
     g = random_graph(40, rng, p=0.04)
     edges = [(*tuple(pair), w) for pair, w in g.b.items()]
-    for _ in range(15):
+    chords = {}
+    for k in range(15):
         u, v = rng.choice(g.vertices, size=2, replace=False)
         if frozenset((u, v)) not in g.b:
-            edges.append((u, v, 1e-16))
-    g = make_graph(g.vertices, g.rho, edges)
+            chords.setdefault(frozenset((u, v)), (u, v, (1e-16, math.nan, -1.0)[k % 3]))
+    g = make_graph(g.vertices, g.rho, edges + list(chords.values()))
     root = str(rng.choice(g.vertices))
     radii = [0, 1, 2, 3, 5, 8, 13, 40]
     assert list(build_exhaustion(g, root, radii).levels) == reference_balls(g, root, radii)
+
+
+def reference_hops(g, root):
+    """Hop counts from root by a breadth-first search over g.b, in vertex order."""
+    hops = {root: 0}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for pair, w in g.b.items():
+            if x in pair and w > ADJACENCY_EPS:
+                for y in pair - {x}:
+                    if y not in hops:
+                        hops[y] = hops[x] + 1
+                        queue.append(y)
+    return [float(hops.get(v, math.inf)) for v in g.vertices]
+
+
+def random_host(seed):
+    """Sparse seeded host with sub-eps, NaN and negative edges among the good ones."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    names = [f"v{i}" for i in range(n)]
+    weights = (0.5, 1.0, 2.0, ADJACENCY_EPS, 1e-16, 0.0, math.nan, -1.0)
+    edges = {}
+    for _ in range(int(rng.integers(0, 2 * n))):
+        u, v = rng.choice(n, size=2, replace=False)
+        edges[frozenset((names[u], names[v]))] = weights[rng.integers(len(weights))]
+    rho = {v: 1.0 for v in names}
+    return make_graph(names, rho, [(*sorted(pair), w) for pair, w in edges.items()])
+
+
+HOP_HOSTS = {
+    "single-vertex": lambda: make_graph(["x"], {"x": 1.0}, []),
+    "isolated-vertices": lambda: make_graph(
+        list("abcde"), {v: 1.0 for v in "abcde"}, [("a", "b", 1.0), ("b", "d", 1.0)]),
+    "disconnected": lambda: make_graph(
+        [f"v{i}" for i in range(8)], {f"v{i}": 1.0 for i in range(8)},
+        [(f"v{i}", f"v{i + 1}", 1.0) for i in (0, 1, 2, 4, 5, 6)]),
+    "bad-weight-bridges": lambda: make_graph(
+        list("abcdef"), {v: 1.0 for v in "abcdef"},
+        [("a", "b", 1.0), ("b", "c", ADJACENCY_EPS), ("c", "d", 1.0),
+         ("d", "e", math.nan), ("e", "f", -2.0), ("a", "f", 1e-14)]),
+    **{f"random-{seed}": (lambda seed=seed: random_host(seed)) for seed in range(8)},
+}
+
+
+@pytest.mark.parametrize("host", HOP_HOSTS)
+def test_hops_match_reference_bfs(host):
+    g = HOP_HOSTS[host]()
+    for root in range(g.n):
+        hops = _hops(g, root)
+        assert hops.dtype == float and hops.shape == (g.n,)
+        assert hops.tolist() == reference_hops(g, g.vertices[root])
+    # edges that are not adjacency still count in the weighted degree
+    deg = [sum((w for pair, w in g.b.items() if v in pair), 0.0) for v in g.vertices]
+    np.testing.assert_array_equal(g.deg, deg)
+
+
+def test_build_exhaustion_searches_once(monkeypatch):
+    calls = []
+
+    def counted(g, root):
+        calls.append(root)
+        return _hops(g, root)
+
+    monkeypatch.setattr(graph, "_hops", counted)
+    g = path_graph(9)
+    assert [len(lv) for lv in build_exhaustion(g, "v4", [1, 2, 4]).levels] == [3, 5, 9]
+    assert calls == [4]
+    cut = make_graph(list("abc"), {v: 1.0 for v in "abc"}, [("b", "c", 1.0)])
+    with pytest.raises(ValueError, match="cannot exhaust a disconnected host"):
+        build_exhaustion(cut, "b", [2, 1])
+    assert calls == [4, 1]
