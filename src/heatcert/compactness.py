@@ -23,12 +23,12 @@ from .graph import Exhaustion, WeightedGraph, lq_norm
 from .heat import HeatKernel
 from .operators import (
     OperatorMatrix,
-    _resolvent_g,
     _semigroup_g,
     _symmetrize,
     dirichlet_restriction,
     require_psd,
     resolvent,
+    resolvent_singular_values,
     semigroup_matrix,
     singular_values,
     spectral_function,
@@ -150,7 +150,7 @@ def check_resolvent_bound(W, H: OperatorMatrix, cp: ControlPair, a: float) -> Le
     if cp.q <= 1:
         raise ValueError("the resolvent norm route is the q > 1 path")
     W = _field(W, H.vertices, H.rank)
-    lhs = float(singular_values(H, W.blocks, _resolvent_g(a))[0])
+    lhs = float(resolvent_singular_values(H, [W.blocks], a)[0][0])
     quad = laplace_weight_integral(cp.F2, cp.q, a)
     rhs = lq_norm(W.norms(), 2 * cp.q, H.rho) * quad
     return LedgerRow("step3-resolvent-norm-bound", lhs, rhs,
@@ -306,7 +306,7 @@ class PotentialDecomposition:
 class CompactnessReport:
     a: float
     levels: list[int]                       # scalar dimension per level
-    # all sigma of W R per level: cached eigenbasis over supp W, zero-padded
+    # all sigma of W R per level: one solve over supp W, zero-padded
     singular_values: dict[int, list[float]]
     top_k: int
     drift: dict[str, float]                 # per transition: max top-k drift
@@ -340,10 +340,11 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
                         k_top: int = 5) -> CompactnessReport:
     """Per exhaustion level: singular values of W (H|_level + a)^{-1},
     the resolvent operator-norm bound with its quadrature constant, and
-    level-to-level drift of the top singular values. The sigma of W R and
-    W1 R come from the level's cached eigenbasis
-    (`operators.singular_values`): an SVD of W U (Lambda + a)^{-1} over the
-    support of W, padded with zeros."""
+    level-to-level drift of the top singular values. H is checked PSD once
+    (`dirichlet_restriction`); no level is diagonalised. The sigma of W R
+    and W1 R come from one solve per level
+    (`operators.resolvent_singular_values`): an SVD of (A + a)^{-1} W* over
+    the support of each, padded with zeros."""
     verdict_fail = None
     integrability = check_integrability(cp.F2, cp.q)
     if not integrability.convergent:
@@ -363,14 +364,14 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
         bound_name = "step3-resolvent-norm-bound"
         quantitative = a >= 1
     rhs = pd.w1_l2q_f1 * quad_value
-    g = _resolvent_g(a)
     for lv in ex.levels:
         Hn = dirichlet_restriction(H, lv)
-        sv = singular_values(Hn, _field(pd.W, Hn.vertices, Hn.rank).blocks, g)
+        sv, sv1 = resolvent_singular_values(
+            Hn, [_field(X, Hn.vertices, Hn.rank).blocks for X in (pd.W, pd.W1)], a)
         singular[Hn.dim] = [float(x) for x in sv]
         dims.append(Hn.dim)
         top_lists.append(sv[:k_top])
-        sigma1 = float(singular_values(Hn, _field(pd.W1, Hn.vertices, Hn.rank).blocks, g)[0])
+        sigma1 = float(sv1[0])
         row = LedgerRow(bound_name, sigma1, rhs, tol=1e-10,
                         detail={"level_dim": Hn.dim, "a": a,
                                 "quadrature_integral": quad_value,

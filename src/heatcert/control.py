@@ -131,18 +131,23 @@ def laplace_rule(a: float, s: float = 0.0, gamma: float = 0.0
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t_k and weights w_k with sum_k w_k g(t_k) ~ integral of
     e^{-a t} t^{-s} g(t) dt on (0, inf), for 0 <= s < 1 and g bounded,
-    continuous on [0, inf) (for s near 1 the first nodes underflow to 0) and
-    smooth in log t, such as e^{-lambda t} or (C (1 + t^gamma))^{1/(2q)}.
+    continuous on (0, inf) and smooth in log t, such as e^{-lambda t} or
+    (C (1 + t^gamma))^{1/(2q)}. Every node is a normal float: t_k >= 2 tiny.
 
     The trapezoid rule in v = (1 - s) log(a t), where the integrand is
     e^{v - a t} g(t) a^{s-1} / (1 - s) and decays like e^v to the left and
     doubly exponentially to the right, so the rule converges geometrically
     in 1/h (Trefethen & Weideman, SIAM Rev. 56, 2014). v runs over
-    [-46, 4.6 (1 - s)] with step h = 0.18 (1 - s) / max(1, gamma): a power
+    [v_0, 4.6 (1 - s)] with step h = 0.18 (1 - s) / max(1, gamma): a power
     t^gamma inside g narrows its strip of analyticity in v by that factor.
+    v_0 is -46, or where t = 2 tiny if that is larger (s near 1); the part
+    left of v_0 weighs at most e^{v_0} a^{s-1} sup|g| / (1 - s).
     """
     h = 0.18 * (1.0 - s) / max(1.0, gamma)
-    v = np.arange(-46.0, 4.6 * (1.0 - s), h)
+    # t = 2 tiny keeps the first node clear of t = 0 and of subnormal t,
+    # with room for the rounding of exp below
+    v0 = max(-46.0, (1.0 - s) * (np.log(2.0 * np.finfo(float).tiny) + np.log(a)))
+    v = np.arange(v0, 4.6 * (1.0 - s), h)
     t = np.exp(v / (1.0 - s)) / a
     return t, h * np.exp(v - a * t) * a ** (s - 1.0) / (1.0 - s)
 

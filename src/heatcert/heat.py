@@ -69,7 +69,8 @@ def kernel_from_semigroup(H: OperatorMatrix, times) -> HeatKernel:
     key = ("kernel", times)
     if key in H._cache:
         return H._cache[key]
-    # guards first: t < 0 and a non-PSD H raise before any work
+    # guards first: t < 0 raises before any work, a non-PSD H right after
+    # the eigendecomposition the stack needs anyway
     gs = [_semigroup_g(H, t) if t else None for t in times]
     rho = H.rho
     lam, u = H.eigh()

@@ -49,12 +49,17 @@ class OperatorMatrix:
         """A = D^{1/2} M D^{-1/2}, Hermitian and unitarily equivalent to M."""
         return _symmetrize(self.matrix, self.measure_weights())
 
+    def hermitian(self) -> np.ndarray:
+        """The symmetrized matrix with its round-off asymmetry averaged out."""
+        a = self.symmetrized()
+        a += a.conj().T
+        a *= 0.5
+        return a
+
     def eigh(self):
         """Eigendecomposition of the symmetrized matrix, cached."""
         if "eigh" not in self._cache:
-            a = self.symmetrized()
-            a = 0.5 * (a + a.conj().T)
-            self._cache["eigh"] = np.linalg.eigh(a)
+            self._cache["eigh"] = np.linalg.eigh(self.hermitian())
         return self._cache["eigh"]
 
     def check_self_adjoint(self) -> float:
@@ -67,7 +72,25 @@ class OperatorMatrix:
 
 
 def require_psd(op: OperatorMatrix):
-    """Raise unless lambda_min >= -PSD_TOL, so that e^{-tH} contracts."""
+    """Raise unless lambda_min >= -PSD_TOL, so that e^{-tH} contracts.
+
+    A cached eigendecomposition decides by its lambda_min. Without one, a
+    Cholesky factorisation of A + PSD_TOL I (A the symmetrized matrix) that
+    succeeds proves the bound and is recorded in the cache as "psd"; one
+    that fails leaves the verdict, and the lambda_min of the message, to
+    `eigh`."""
+    if "eigh" not in op._cache:
+        if op._cache.get("psd"):
+            return
+        a = op.hermitian()
+        a.flat[::op.dim + 1] += PSD_TOL
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            op._cache["psd"] = True
+            return
     lam = op.lambda_min()
     if lam < -PSD_TOL:
         raise ValueError(f"{op.kind} operator not PSD: lambda_min = {lam}")
@@ -76,7 +99,9 @@ def require_psd(op: OperatorMatrix):
 def _symmetrize(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """D^{1/2} M D^{-1/2} for D = diag(weights)."""
     s = np.sqrt(weights)
-    return (s[:, None] * mat) / s[None, :]
+    out = s[:, None] * mat
+    out /= s[None, :]
+    return out
 
 
 def _oriented_edges(g: WeightedGraph, rank: int, connection):
@@ -182,22 +207,25 @@ def dirichlet_restriction(H: OperatorMatrix, subset) -> OperatorMatrix:
     """Principal submatrix on the subset (fiber blocks included), with rho
     sliced to it. Diagonal degree terms are retained, which is what makes
     the restriction a Dirichlet (killing) boundary condition. A subset
-    holding every vertex of H gives H's own matrix and shares its cached
-    eigendecomposition."""
+    holding every vertex of H gives H's own matrix and shares its cache.
+
+    The PSD check runs on H, once per operator since its verdict is cached.
+    The level's symmetrized matrix is a principal submatrix of H's, so by
+    Cauchy interlacing its lambda_min is no smaller than H's: the level
+    starts with "psd" in its cache and needs no check of its own."""
     keep = set(subset)
     pos = [i for i, v in enumerate(H.vertices) if v in keep]
     if not pos:
         raise ValueError("empty Dirichlet subset")
+    require_psd(H)
     subset = [H.vertices[i] for i in pos]
     d = H.rank
     if len(pos) == len(H.vertices):
         sub, cache = H.matrix, H._cache
     else:
         idx = [i * d + k for i in pos for k in range(d)]
-        sub, cache = H.matrix[np.ix_(idx, idx)], {}
-    op = OperatorMatrix(sub, tuple(subset), d, H.rho[pos], "dirichlet-restriction", cache)
-    require_psd(op)
-    return op
+        sub, cache = H.matrix[np.ix_(idx, idx)], {"psd": True}
+    return OperatorMatrix(sub, tuple(subset), d, H.rho[pos], "dirichlet-restriction", cache)
 
 
 def spectral_function(H: OperatorMatrix, g) -> np.ndarray:
@@ -213,7 +241,9 @@ def spectral_function(H: OperatorMatrix, g) -> np.ndarray:
 def singular_values(H: OperatorMatrix, W: np.ndarray, g) -> np.ndarray:
     """Singular values of W g(H) on the weighted L^2 space, W an (n, rank, rank)
     stack: W commutes with the per-vertex D, so they are those of W U g(Lambda)
-    over the support of W (blocks not exactly zero), padded with zeros to H.dim."""
+    over the support of W (blocks not exactly zero), padded with zeros to H.dim.
+    It serves functions of H that need the eigenbasis, such as the semigroup;
+    the resolvent has `resolvent_singular_values`."""
     lam, u = H.eigh()
     support = np.any(W != 0, axis=(1, 2))
     rows = (W[support] @ u.reshape(len(W), H.rank, -1)[support]).reshape(-1, H.dim)
@@ -221,6 +251,41 @@ def singular_values(H: OperatorMatrix, W: np.ndarray, g) -> np.ndarray:
     if rows.size:
         sv[:rows.shape[0]] = np.linalg.svd(rows * g(lam), compute_uv=False)
     return sv
+
+
+def resolvent_singular_values(H: OperatorMatrix, Ws, a: float) -> list[np.ndarray]:
+    """Singular values of W (H + a)^{-1} on the weighted L^2 space, one array
+    per (n, rank, rank) stack W in Ws, each padded with zeros to H.dim; H PSD,
+    a > 0.
+
+    W commutes with the per-vertex D, so they are those of W (A + a)^{-1}
+    for A the symmetrized matrix. Its rows vanish off the support S of W
+    (blocks not exactly zero), and its adjoint is (A + a)^{-1} B, where B
+    holds, for each x in S, the block W(x)* in the rows of x and in rank
+    columns of its own. One
+    `np.linalg.solve` serves the columns of every stack, and each stack's
+    |S| rank columns get one SVD."""
+    if a <= 0:
+        raise ValueError("resolvent shift must be positive")
+    require_psd(H)
+    n, d = len(H.vertices), H.rank
+    supports = [np.flatnonzero(np.any(W != 0, axis=(1, 2))) for W in Ws]
+    rhs = np.zeros((n, d, sum(s.size for s in supports), d), dtype=complex)
+    start = 0
+    for W, s in zip(Ws, supports):
+        rhs[s, :, start + np.arange(s.size), :] = W[s].conj().swapaxes(1, 2)
+        start += s.size
+    shifted = H.hermitian()
+    shifted.flat[::H.dim + 1] += a
+    sol = np.linalg.solve(shifted, rhs.reshape(H.dim, -1))
+    out, start = [], 0
+    for s in supports:
+        sv = np.zeros(H.dim)
+        sv[:d * s.size] = np.linalg.svd(sol[:, d * start:d * (start + s.size)],
+                                        compute_uv=False)
+        out.append(sv)
+        start += s.size
+    return out
 
 
 def _resolvent_g(a: float):
@@ -234,6 +299,7 @@ def _semigroup_g(H: OperatorMatrix, t: float):
     """lambda -> e^{-t max(lambda, 0)}, the spectral function of e^{-tH}."""
     if t < 0:
         raise ValueError("negative time")
+    H.eigh()  # the semigroup needs it anyway, and require_psd then reads it
     require_psd(H)
     return lambda lam: np.exp(-t * np.clip(lam, 0.0, None))
 

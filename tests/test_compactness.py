@@ -26,6 +26,7 @@ from heatcert.graph import build_exhaustion, make_graph, path_graph, random_grap
 from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup
 from heatcert.operators import (
     OperatorMatrix,
+    _resolvent_g,
     _symmetrize,
     add_potential,
     assemble_covariant,
@@ -33,6 +34,7 @@ from heatcert.operators import (
     dirichlet_restriction,
     multiplication_operator,
     resolvent,
+    resolvent_singular_values,
     semigroup_matrix as semigroup,
     singular_values,
 )
@@ -577,8 +579,62 @@ class TestSingularValuesFromEigenbasis:
             assert abs(row.lhs - ref1) <= 1e-12 * max(1.0, ref1)
 
 
+class TestResolventSingularValuesBySolve:
+    """operators.resolvent_singular_values, one solve for several stacks,
+    against the eigen route singular_values(Hn, W, _resolvent_g(a)) at
+    1e-12 max(1, sigma_1)."""
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_matches_eigen_route(self, rank):
+        for g, Hn, rng in TestSingularValuesFromEigenbasis.hosts(rank):
+            half = [v for v in Hn.vertices if rng.random() < 0.5] or [Hn.vertices[0]]
+            stacks = [random_field(g, rank, rng, support).restrict(Hn.vertices).blocks
+                      for support in (None, half, ())]
+            for a in (0.5, 2.0):
+                fast = resolvent_singular_values(Hn, stacks, a)
+                assert len(fast) == len(stacks)
+                for W, sv in zip(stacks, fast):
+                    assert_sv_close(sv, singular_values(Hn, W, _resolvent_g(a)))
+                    # rank |S| positive values, then exact zeros
+                    r = rank * int(np.any(W != 0, axis=(1, 2)).sum())
+                    assert np.all(sv[:r] > 0) and np.all(sv[r:] == 0.0)
+                assert fast[2].tolist() == [0.0] * Hn.dim
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_tiny_potential_keeps_its_support(self, rank):
+        for g, Hn, rng in TestSingularValuesFromEigenbasis.hosts(rank):
+            W = random_field(g, rank, rng).restrict(Hn.vertices).blocks
+            tiny, = resolvent_singular_values(Hn, [1e-30 * W], 1.0)
+            assert np.all(tiny > 0)
+            assert_sv_close(1e30 * tiny, singular_values(Hn, W, _resolvent_g(1.0)))
+
+    def test_decaying_rho_path(self):
+        # rho_j = (1 + j)^-2 stretches the spectrum: lambda_max / a ~ 1.5e5
+        n = 200
+        g = path_graph(n, rho=[(1.0 + j) ** -2 for j in range(n)])
+        H = assemble_laplacian(g)
+        W = EndomorphismField.scalar({v: 1.0 / (1 + j * j) for j, v in enumerate(g.vertices)})
+        level = build_exhaustion(g, "v0", [49]).levels[0]
+        for Hn in (H, dirichlet_restriction(H, level)):
+            blocks = W.restrict(Hn.vertices).blocks
+            ref = singular_values(Hn, blocks, _resolvent_g(1.0))
+            fast, = resolvent_singular_values(Hn, [blocks], 1.0)
+            assert_sv_close(fast, ref)
+        assert H.eigh()[0][-1] > 1.4e5
+
+    def test_guards(self):
+        g = path_graph(4)
+        H = assemble_laplacian(g)
+        W = np.ones((g.n, 1, 1), dtype=complex)
+        with pytest.raises(ValueError, match="shift must be positive"):
+            resolvent_singular_values(H, [W], 0.0)
+        shifted = add_potential(H, EndomorphismField.scalar({v: -1.0 for v in g.vertices}))
+        with pytest.raises(ValueError, match="not PSD"):
+            resolvent_singular_values(shifted, [W], 1.0)
+
+
 class TestCertifyFormsNoDenseProducts:
-    def test_no_resolvent_no_multiplication_one_eigh_per_level(self, monkeypatch):
+    def test_no_resolvent_no_multiplication_one_solve_per_level(self, monkeypatch):
         from heatcert import compactness, operators
 
         g, Hc, pd, cp, ex = rank2_certify_case(46)
@@ -591,12 +647,20 @@ class TestCertifyFormsNoDenseProducts:
                     fn = getattr(mod, name)
                     monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=fn, **k:
                                         calls.append(_n) or _f(*a, **k))
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+        for name in ("eigh", "cholesky", "solve"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=fn:
+                                calls.append(_n) or _f(*a))
         rep = certify_compactness(pd, Hc, cp, ex, a=2.0)
         assert rep.levels == [2 * s for s in sizes]
-        # the host level shares the eigendecomposition assembly cached
-        assert calls == ["eigh"] * (len(sizes) - 1)
+        # assembly proved the host PSD, so no level is checked or diagonalised
+        assert calls == ["solve"] * len(sizes)
+
+    def test_non_psd_operator_rejected(self):
+        g, Hc, pd, cp, ex = rank2_certify_case(47)
+        V = EndomorphismField(2, {v: -np.eye(2) for v in g.vertices}, self_adjoint=True)
+        with pytest.raises(ValueError, match="not PSD: lambda_min = "):
+            certify_compactness(pd, add_potential(Hc, V), cp, ex, a=2.0)
 
 
 class TestPotentialDecompositionBuild:

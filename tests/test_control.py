@@ -143,6 +143,15 @@ class TestLaplaceRule:
         exact = math.gamma(1.0 - s) * a ** (s - 1.0)
         assert abs(float(np.sum(w)) - exact) <= 1e-12 * exact
 
+    @pytest.mark.parametrize("s", [0.0, 0.5, 0.875, 0.95])
+    @pytest.mark.parametrize("a", [0.05, 1.0, 40.0])
+    @pytest.mark.parametrize("gamma", [0.0, 1.9])
+    def test_no_node_is_zero_or_subnormal(self, s, a, gamma):
+        # for s near 1 a start at v = -46 put nodes at t = 0 and subnormal t
+        t, w = laplace_rule(a, s, gamma)
+        assert np.all(t >= np.finfo(float).tiny)
+        assert np.all(np.isfinite(w)) and np.all(w > 0)
+
     @pytest.mark.parametrize("a", [0.05, 1.0, 40.0])
     def test_resolvent_per_eigenvalue_up_to_1e9(self, a):
         # g = e^{-lambda t}: the integral is 1 / (lambda + a)

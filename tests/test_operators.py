@@ -11,6 +11,7 @@ from heatcert.operators import (
     dirichlet_restriction,
     multiplication_operator,
     quadratic_form,
+    require_psd,
     resolvent,
 )
 
@@ -268,6 +269,65 @@ class TestDirichlet:
         H = assemble_laplacian(path_graph(3))
         with pytest.raises(ValueError):
             dirichlet_restriction(H, [])
+
+
+class TestRequirePsd:
+    """A successful Cholesky factorisation of A + PSD_TOL I is cached as the
+    PSD verdict; a failed one falls back to the eigh lambda_min."""
+
+    @staticmethod
+    def negative_shift(seed):
+        g = random_graph(12, np.random.default_rng(seed))
+        H = assemble_laplacian(g)
+        return add_potential(H, EndomorphismField.scalar({v: -0.5 for v in g.vertices}))
+
+    @pytest.mark.parametrize("seed", [90, 91])
+    def test_negative_potential_reports_lambda_min(self, seed):
+        op = self.negative_shift(seed)
+        with pytest.raises(ValueError, match="sum operator not PSD: lambda_min = ") as err:
+            require_psd(op)
+        reported = float(str(err.value).rsplit("= ", 1)[1])
+        assert reported == pytest.approx(np.linalg.eigvalsh(op.hermitian())[0],
+                                         rel=1e-12, abs=1e-14)
+        assert reported < -0.4 and "psd" not in op._cache
+
+    def test_cholesky_verdict_is_cached_without_eigh(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "cholesky"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, _n=name, _f=fn:
+                                calls.append(_n) or _f(a))
+        g = random_graph(12, np.random.default_rng(92))
+        H = assemble_laplacian(g)
+        assert calls == ["cholesky"] and H._cache == {"psd": True}
+        require_psd(H)
+        level = dirichlet_restriction(H, g.vertices[:5])
+        require_psd(level)
+        assert calls == ["cholesky"] and level._cache == {"psd": True}
+
+    def test_failed_cholesky_falls_back_to_eigh(self, monkeypatch):
+        def refuse(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        g = random_graph(12, np.random.default_rng(93))
+        H = assemble_laplacian(g)
+        assert "eigh" in H._cache and "psd" not in H._cache
+        assert H.lambda_min() >= -1e-10
+        with pytest.raises(ValueError, match="not PSD"):
+            require_psd(self.negative_shift(93))
+
+    def test_cached_eigh_decides(self):
+        op = self.negative_shift(94)
+        op.eigh()
+        op._cache["psd"] = True  # a stale verdict does not outvote the spectrum
+        with pytest.raises(ValueError, match="not PSD"):
+            require_psd(op)
+
+    def test_non_psd_host_has_no_dirichlet_level(self):
+        op = self.negative_shift(95)
+        with pytest.raises(ValueError, match="not PSD"):
+            dirichlet_restriction(op, op.vertices[:3])
 
 
 def test_resolvent_two_vertex_analytic():
