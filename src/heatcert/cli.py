@@ -219,11 +219,11 @@ def cmd_demo_coulomb(args) -> int:
     rng = np.random.default_rng(args.seed)
     H_scal = assemble_laplacian(g)
     H_cov = assemble_covariant(g, 1, connection)
+    times = _parse_times(args.times)
     # domination first, so that its dense semigroups and the workspace of
     # the covariant eigh come and go before the kernel stack is built
     dom_rows = check_domination(H_cov, H_scal, times=(0.1, 1.0),
                                 a_values=(1.0,), trials=5, rng=rng)
-    times = _parse_times(args.times)
     k = kernel_from_semigroup(H_scal, times)
     axioms = verify_axioms(k, H_scal)
     rho_rep = verify_rho_bound(k)

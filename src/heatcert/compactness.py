@@ -26,7 +26,6 @@ from .operators import (
     _semigroup_g,
     _symmetrize,
     dirichlet_restriction,
-    require_psd,
     resolvent,
     resolvent_singular_values,
     semigroup_matrix,
@@ -69,13 +68,12 @@ def resolvent_via_laplace(H: OperatorMatrix, a: float) -> np.ndarray:
     The quadrature sum of semigroups is one function of H, g(lambda) =
     sum_k w_k e^{-t_k max(lambda, 0)}, evaluated on the cached spectrum:
     O(282 n) plus one O(n^3) reconstruction. Per eigenvalue,
-    |g(lambda) (lambda + a) - 1| reads 2e-15 for lambda / a up to 1e4, 8e-15
-    at 1e6, 1e-12 at 1e8 and 1e-11 at 1e9, where the left end e^-46 of the
-    rule, times lambda / a, starts to show.
+    |g(lambda) (lambda + a) - 1| reads 2e-15 for lambda / a up to 1e9: the
+    first node carries the rule's left tail, whose loss, e^-46 times
+    lambda / a, read 1e-11 at 1e9.
     """
     if a <= 0:
         raise ValueError("shift must be positive")
-    require_psd(H)
     t, w = laplace_rule(a)
     return spectral_function(H, lambda lam: np.exp(-np.outer(np.clip(lam, 0.0, None), t)) @ w)
 
@@ -135,7 +133,7 @@ def check_2to2_bound(W, H: OperatorMatrix, cp: ControlPair, t: float) -> LedgerR
     if cp.q <= 1:
         raise ValueError("the 2->2 semigroup route is the q > 1 path")
     W = _field(W, H.vertices, H.rank)
-    lhs = float(singular_values(H, W.blocks, _semigroup_g(H, t))[0])
+    lhs = float(singular_values(H, W.blocks, _semigroup_g(t))[0])
     rhs = cp.F2(t) ** (1.0 / (2.0 * cp.q)) * lq_norm(W.norms(), 2 * cp.q, H.rho)
     return LedgerRow("step2-semigroup-norm-bound", lhs, rhs,
                      tol=1e-10 * max(1.0, rhs), detail={"t": t, "q": cp.q})
@@ -342,9 +340,9 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
     the resolvent operator-norm bound with its quadrature constant, and
     level-to-level drift of the top singular values. H is checked PSD once
     (`dirichlet_restriction`); no level is diagonalised. The sigma of W R
-    and W1 R come from one solve per level
-    (`operators.resolvent_singular_values`): an SVD of (A + a)^{-1} W* over
-    the support of each, padded with zeros."""
+    and W1 R come from one solve per level over the union of their
+    supports (`operators.resolvent_singular_values`): an SVD of
+    (A + a)^{-1} W* over the support of each, padded with zeros."""
     verdict_fail = None
     integrability = check_integrability(cp.F2, cp.q)
     if not integrability.convergent:

@@ -24,6 +24,7 @@ from .operators import (
     _semigroup_g,
     assemble_laplacian,
     dirichlet_restriction,
+    require_psd,
     semigroup_matrix,
 )
 
@@ -71,9 +72,10 @@ def kernel_from_semigroup(H: OperatorMatrix, times) -> HeatKernel:
         return H._cache[key]
     # guards first: t < 0 raises before any work, a non-PSD H right after
     # the eigendecomposition the stack needs anyway
-    gs = [_semigroup_g(H, t) if t else None for t in times]
+    gs = [_semigroup_g(t) if t else None for t in times]
     rho = H.rho
     lam, u = H.eigh()
+    require_psd(H)
     phi = u / np.sqrt(rho)[:, None]
     phi_h = phi.conj().T
     stack = np.empty((len(times), H.dim, H.dim))

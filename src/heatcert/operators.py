@@ -78,7 +78,9 @@ def require_psd(op: OperatorMatrix):
     Cholesky factorisation of A + PSD_TOL I (A the symmetrized matrix) that
     succeeds proves the bound and is recorded in the cache as "psd"; one
     that fails leaves the verdict, and the lambda_min of the message, to
-    `eigh`."""
+    `eigh`. The consumers of spectral work call it, not assembly: those
+    that diagonalise H call it after `eigh`, so each operator pays for one
+    of the two factorisations."""
     if "eigh" not in op._cache:
         if op._cache.get("psd"):
             return
@@ -137,9 +139,7 @@ def _assemble(g: WeightedGraph, rank: int, connection, kind: str) -> OperatorMat
 
 def assemble_laplacian(g: WeightedGraph) -> OperatorMatrix:
     """H[x,x] = deg(x)/rho(x), H[x,y] = -b(x,y)/rho(x); PSD, constants in kernel."""
-    op = _assemble(g, 1, None, "scalar-laplacian")
-    require_psd(op)
-    return op
+    return _assemble(g, 1, None, "scalar-laplacian")
 
 
 def _form(g: WeightedGraph, rank: int, connection, f1: np.ndarray,
@@ -173,7 +173,6 @@ def assemble_covariant(g: WeightedGraph, rank: int,
     op = _assemble(g, rank, connection, "covariant")
     if op.check_self_adjoint() > WEIGHTED_HERMITIAN_TOL:
         raise ValueError("covariant assembly lost self-adjointness; phi not unitary?")
-    require_psd(op)
     return op
 
 
@@ -231,8 +230,9 @@ def dirichlet_restriction(H: OperatorMatrix, subset) -> OperatorMatrix:
 def spectral_function(H: OperatorMatrix, g) -> np.ndarray:
     """g(H) acting on coordinate vectors: D^{-1/2} U g(Lambda) U* D^{1/2}
     from the cached eigendecomposition; g maps the eigenvalue array to the
-    diagonal of g(Lambda)."""
+    diagonal of g(Lambda). H must be PSD."""
     lam, u = H.eigh()
+    require_psd(H)
     s = np.sqrt(H.measure_weights())
     core = (u * g(lam)) @ u.conj().T
     return (core / s[:, None]) * s[None, :]
@@ -243,8 +243,9 @@ def singular_values(H: OperatorMatrix, W: np.ndarray, g) -> np.ndarray:
     stack: W commutes with the per-vertex D, so they are those of W U g(Lambda)
     over the support of W (blocks not exactly zero), padded with zeros to H.dim.
     It serves functions of H that need the eigenbasis, such as the semigroup;
-    the resolvent has `resolvent_singular_values`."""
+    the resolvent has `resolvent_singular_values`. H must be PSD."""
     lam, u = H.eigh()
+    require_psd(H)
     support = np.any(W != 0, axis=(1, 2))
     rows = (W[support] @ u.reshape(len(W), H.rank, -1)[support]).reshape(-1, H.dim)
     sv = np.zeros(H.dim)
@@ -260,31 +261,35 @@ def resolvent_singular_values(H: OperatorMatrix, Ws, a: float) -> list[np.ndarra
 
     W commutes with the per-vertex D, so they are those of W (A + a)^{-1}
     for A the symmetrized matrix. Its rows vanish off the support S of W
-    (blocks not exactly zero), and its adjoint is (A + a)^{-1} B, where B
-    holds, for each x in S, the block W(x)* in the rows of x and in rank
-    columns of its own. One
-    `np.linalg.solve` serves the columns of every stack, and each stack's
-    |S| rank columns get one SVD."""
+    (blocks not exactly zero), and its adjoint is (A + a)^{-1} B with B the
+    blocks W(x)* at the rows of x in S. One `np.linalg.solve` gives the
+    columns (A + a)^{-1} e_x of every x in the union of the supports; a
+    stack takes those of its S, times W(x)*, and one SVD. The solve keeps
+    the dtype of H, and a scalar operator with a real potential stays real
+    through the SVD."""
     if a <= 0:
         raise ValueError("resolvent shift must be positive")
     require_psd(H)
     n, d = len(H.vertices), H.rank
-    supports = [np.flatnonzero(np.any(W != 0, axis=(1, 2))) for W in Ws]
-    rhs = np.zeros((n, d, sum(s.size for s in supports), d), dtype=complex)
-    start = 0
-    for W, s in zip(Ws, supports):
-        rhs[s, :, start + np.arange(s.size), :] = W[s].conj().swapaxes(1, 2)
-        start += s.size
+    supports = [np.any(W != 0, axis=(1, 2)) for W in Ws]
+    cols = np.flatnonzero(np.logical_or.reduce(supports, initial=False))
+    rhs = np.zeros((n, d, cols.size, d), dtype=H.matrix.dtype)
+    rhs[cols, :, np.arange(cols.size), :] = np.eye(d)
     shifted = H.hermitian()
     shifted.flat[::H.dim + 1] += a
-    sol = np.linalg.solve(shifted, rhs.reshape(H.dim, -1))
-    out, start = [], 0
-    for s in supports:
+    sol = np.linalg.solve(shifted, rhs.reshape(H.dim, -1)).reshape(H.dim, cols.size, d)
+    out = []
+    for W, support in zip(Ws, supports):
+        own = support[cols]
+        blocks = W[cols[own]]
+        if np.isrealobj(sol) and not np.any(blocks.imag):
+            blocks = blocks.real  # a real potential of a scalar operator: a real SVD
+        # column block x of the adjoint: sol[:, x] W(x)*
+        adjoint = sol[:, own].transpose(1, 0, 2) @ blocks.conj().swapaxes(1, 2)
+        adjoint = adjoint.transpose(1, 0, 2).reshape(H.dim, -1)
         sv = np.zeros(H.dim)
-        sv[:d * s.size] = np.linalg.svd(sol[:, d * start:d * (start + s.size)],
-                                        compute_uv=False)
+        sv[:adjoint.shape[1]] = np.linalg.svd(adjoint, compute_uv=False)
         out.append(sv)
-        start += s.size
     return out
 
 
@@ -295,12 +300,10 @@ def _resolvent_g(a: float):
     return lambda lam: 1.0 / (lam + a)
 
 
-def _semigroup_g(H: OperatorMatrix, t: float):
+def _semigroup_g(t: float):
     """lambda -> e^{-t max(lambda, 0)}, the spectral function of e^{-tH}."""
     if t < 0:
         raise ValueError("negative time")
-    H.eigh()  # the semigroup needs it anyway, and require_psd then reads it
-    require_psd(H)
     return lambda lam: np.exp(-t * np.clip(lam, 0.0, None))
 
 
@@ -313,4 +316,4 @@ def semigroup_matrix(H: OperatorMatrix, t: float) -> np.ndarray:
     """e^{-tH} acting on coordinate vectors; t >= 0, H PSD."""
     if t == 0:
         return np.eye(H.dim, dtype=H.matrix.dtype)
-    return spectral_function(H, _semigroup_g(H, t))
+    return spectral_function(H, _semigroup_g(t))

@@ -623,6 +623,16 @@ class TestDemo:
               "--out", str(out)])
         assert json.loads(out.read_text())["seed"] == 42
 
+    def test_bad_times_fail_before_any_spectral_work(self, tmp_path, monkeypatch):
+        from heatcert import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "check_domination", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a))
+        code = main(["demo", "coulomb-lattice", "--n", "30", "--times", "0.5,x",
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == EXIT_INPUT and calls == []
+
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -622,6 +622,37 @@ class TestResolventSingularValuesBySolve:
             assert_sv_close(fast, ref)
         assert H.eigh()[0][-1] > 1.4e5
 
+    def test_scalar_operator_solves_in_real_arithmetic(self, monkeypatch):
+        dtypes = []
+        for name in ("solve", "svd"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=fn, **k: dtypes.append(
+                tuple(x.dtype for x in a)) or _f(*a, **k))
+        for rank in (1, 2):
+            g, Hn, rng = next(TestSingularValuesFromEigenbasis.hosts(rank))
+            resolvent_singular_values(Hn, [random_field(g, rank, rng).blocks], 1.0)
+        real, cplx = np.dtype(float), np.dtype(complex)
+        assert dtypes == [(real, real), (real,), (cplx, cplx), (cplx,)]
+        # a complex scalar potential keeps the solve real and its SVD complex
+        g, Hn, rng = next(TestSingularValuesFromEigenbasis.hosts(1))
+        W = 1j * random_field(g, 1, rng).blocks
+        dtypes.clear()
+        sv, = resolvent_singular_values(Hn, [W], 1.0)
+        assert dtypes == [(real, real), (cplx,)]
+        assert_sv_close(sv, singular_values(Hn, W, _resolvent_g(1.0)))
+
+    def test_certify_with_an_overlapping_split(self):
+        # W1 = W / 2 everywhere is not W on part of its support
+        g, Hc, pd, cp, ex = rank2_certify_case(48)
+        half = EndomorphismField.from_blocks(2, g.vertices, 0.5 * pd.W.blocks, True)
+        split = PotentialDecomposition.build(pd.W, half, half, cp, g)
+        rep = certify_compactness(split, Hc, cp, ex, a=2.0)
+        for lv, row in zip(ex.levels, rep.bounds):
+            Hn = dirichlet_restriction(Hc, lv)
+            ref = dense_singular_values(half, Hn, lambda H: resolvent(H, 2.0))[0]
+            assert abs(row.lhs - ref) <= 1e-12 * max(1.0, ref)
+            assert row.lhs == pytest.approx(rep.singular_values[Hn.dim][0] / 2, rel=1e-12)
+
     def test_guards(self):
         g = path_graph(4)
         H = assemble_laplacian(g)
@@ -647,14 +678,19 @@ class TestCertifyFormsNoDenseProducts:
                     fn = getattr(mod, name)
                     monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=fn, **k:
                                         calls.append(_n) or _f(*a, **k))
+        widths = []
         for name in ("eigh", "cholesky", "solve"):
             fn = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=fn:
-                                calls.append(_n) or _f(*a))
+                                calls.append(_n) or widths.append(a[-1].shape) or _f(*a))
         rep = certify_compactness(pd, Hc, cp, ex, a=2.0)
         assert rep.levels == [2 * s for s in sizes]
-        # assembly proved the host PSD, so no level is checked or diagonalised
-        assert calls == ["solve"] * len(sizes)
+        # one Cholesky proves the host PSD; no level is checked or diagonalised
+        assert calls == ["cholesky"] + ["solve"] * len(sizes)
+        # W1 is W on part of its support, so W's columns serve both
+        supp = dict(zip(g.vertices, np.any(pd.W.blocks != 0, axis=(1, 2))))
+        assert widths[1:] == [(2 * s, 2 * sum(supp[v] for v in lv))
+                              for s, lv in zip(sizes, ex.levels)]
 
     def test_non_psd_operator_rejected(self):
         g, Hc, pd, cp, ex = rank2_certify_case(47)

@@ -134,7 +134,7 @@ class TestIntegrability:
 
 
 class TestLaplaceRule:
-    @pytest.mark.parametrize("s", [0.0, 0.5, 0.875, 0.95])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 0.875, 0.95, 0.99, 0.995])
     @pytest.mark.parametrize("a", [0.05, 1.0, 40.0])
     def test_weights_integrate_the_weight_function(self, s, a):
         # g = 1: the integral of e^{-a t} t^{-s} is Gamma(1 - s) a^{s-1}
@@ -143,7 +143,7 @@ class TestLaplaceRule:
         exact = math.gamma(1.0 - s) * a ** (s - 1.0)
         assert abs(float(np.sum(w)) - exact) <= 1e-12 * exact
 
-    @pytest.mark.parametrize("s", [0.0, 0.5, 0.875, 0.95])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 0.875, 0.95, 0.995])
     @pytest.mark.parametrize("a", [0.05, 1.0, 40.0])
     @pytest.mark.parametrize("gamma", [0.0, 1.9])
     def test_no_node_is_zero_or_subnormal(self, s, a, gamma):
@@ -160,6 +160,15 @@ class TestLaplaceRule:
         g = np.exp(-np.outer(lam, t)) @ w
         assert np.max(np.abs(g * (lam + a) - 1.0)) <= 1e-10
 
+    @pytest.mark.parametrize("a", [0.05, 1.0, 40.0])
+    def test_left_tail_kept_for_large_lambda(self, a):
+        # the rule's nodes left of v = -46 weigh e^-46 / a, which against
+        # 1 / (lambda + a) showed as 1e-11 at lambda / a = 1e9
+        t, w = laplace_rule(a)
+        lam = a * np.logspace(6, 9, 31)
+        g = np.exp(-np.outer(lam, t)) @ w
+        assert np.max(np.abs(g * (lam + a) - 1.0)) <= 1e-14
+
     # (F2, q, a, value) with values to 17 digits from 25-digit references
     REFERENCES = [
         (F2Family.power(1.0, 1.0), 1.0, 1.0, 2.1275595469928476),
@@ -168,6 +177,12 @@ class TestLaplaceRule:
         (F2Family.power(3.0, 6.0), 4.0, 0.05, 26.410058067920738),
         (F2Family.power(1.0, 8.0), 5.0, 40.0, 2.1952324301128902),
         (F2Family.bakry_emery(1.0, 2, 1.0, 1.0), 1.0, 1.0, 29.061726988263211),
+        # s = 0.995: the first node sits at t = 2 tiny, and about 3 % of
+        # the integral lies to its left
+        (F2Family.power(1.0, 1.99), 1.0, 1.0, 199.76336677264968),
+        (F2Family.power(1.0, 1.99), 1.0, 0.05, 219.58126235686595),
+        (F2Family.power(1.0, 1.99), 1.0, 40.0, 195.78341517337732),
+        (F2Family.power(1.0, 3.98), 2.0, 1.0, 199.61916585774389),
     ]
 
     @pytest.mark.parametrize("fam, q, a, ref", REFERENCES)

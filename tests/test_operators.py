@@ -3,6 +3,7 @@ import pytest
 
 from heatcert.bundle import EndomorphismField, UnitaryConnection
 from heatcert.graph import make_graph, path_graph, random_graph
+from heatcert.heat import kernel_from_semigroup
 from heatcert.operators import (
     add_potential,
     assemble_covariant,
@@ -13,6 +14,7 @@ from heatcert.operators import (
     quadratic_form,
     require_psd,
     resolvent,
+    semigroup_matrix,
 )
 
 
@@ -273,13 +275,23 @@ class TestDirichlet:
 
 class TestRequirePsd:
     """A successful Cholesky factorisation of A + PSD_TOL I is cached as the
-    PSD verdict; a failed one falls back to the eigh lambda_min."""
+    PSD verdict; a failed one falls back to the eigh lambda_min. Assembly
+    checks nothing: the consumers of spectral work do."""
 
     @staticmethod
     def negative_shift(seed):
         g = random_graph(12, np.random.default_rng(seed))
         H = assemble_laplacian(g)
         return add_potential(H, EndomorphismField.scalar({v: -0.5 for v in g.vertices}))
+
+    @staticmethod
+    def count_factorisations(monkeypatch):
+        calls = []
+        for name in ("eigh", "cholesky"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, _n=name, _f=fn:
+                                calls.append(_n) or _f(a))
+        return calls
 
     @pytest.mark.parametrize("seed", [90, 91])
     def test_negative_potential_reports_lambda_min(self, seed):
@@ -292,18 +304,27 @@ class TestRequirePsd:
         assert reported < -0.4 and "psd" not in op._cache
 
     def test_cholesky_verdict_is_cached_without_eigh(self, monkeypatch):
-        calls = []
-        for name in ("eigh", "cholesky"):
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda a, _n=name, _f=fn:
-                                calls.append(_n) or _f(a))
+        calls = self.count_factorisations(monkeypatch)
         g = random_graph(12, np.random.default_rng(92))
         H = assemble_laplacian(g)
+        assert calls == [] and H._cache == {}
+        require_psd(H)
         assert calls == ["cholesky"] and H._cache == {"psd": True}
         require_psd(H)
         level = dirichlet_restriction(H, g.vertices[:5])
         require_psd(level)
         assert calls == ["cholesky"] and level._cache == {"psd": True}
+
+    def test_diagonalising_consumers_make_no_cholesky(self, monkeypatch):
+        # each checks PSD from the eigh it needs anyway
+        calls = self.count_factorisations(monkeypatch)
+        g = random_graph(12, np.random.default_rng(96))
+        for H in (assemble_laplacian(g),
+                  assemble_covariant(g, 2, random_connection(g, 2, np.random.default_rng(97)))):
+            resolvent(H, 1.0)
+            semigroup_matrix(H, 0.5)
+        kernel_from_semigroup(assemble_laplacian(g), (0.0, 0.5, 1.0))
+        assert calls == ["eigh"] * 3
 
     def test_failed_cholesky_falls_back_to_eigh(self, monkeypatch):
         def refuse(a):
@@ -312,10 +333,20 @@ class TestRequirePsd:
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         g = random_graph(12, np.random.default_rng(93))
         H = assemble_laplacian(g)
+        require_psd(H)
         assert "eigh" in H._cache and "psd" not in H._cache
         assert H.lambda_min() >= -1e-10
         with pytest.raises(ValueError, match="not PSD"):
             require_psd(self.negative_shift(93))
+
+    @pytest.mark.parametrize("consumer", [
+        lambda H: resolvent(H, 1.0),
+        lambda H: semigroup_matrix(H, 0.5),
+        lambda H: kernel_from_semigroup(H, (0.0, 0.5)),
+    ])
+    def test_spectral_consumers_reject_a_non_psd_operator(self, consumer):
+        with pytest.raises(ValueError, match="sum operator not PSD"):
+            consumer(self.negative_shift(98))
 
     def test_cached_eigh_decides(self):
         op = self.negative_shift(94)
