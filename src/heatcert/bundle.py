@@ -248,14 +248,20 @@ def load_bundle(path, g: WeightedGraph):
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be in [1, {MAX_RANK}], got {rank}")
     if "connection" in doc:
-        phi = {}
+        # a reverse orientation the file does not give is the inverse of
+        # the first matrix given for its edge, all inverted in one batch
+        phi, reverse = {}, {}
         for entry in doc["connection"]:
             u, v = entry["u"], entry["v"]
             if frozenset((u, v)) not in g.b:
                 raise ValueError(f"connection entry ({u},{v}) is not an edge of the graph")
             m = _matrix(entry["phi"], rank, f"phi({u},{v})")
             phi[(u, v)] = m
-            phi.setdefault((v, u), np.linalg.inv(m))
+            reverse.pop((u, v), None)
+            if (v, u) not in phi:
+                phi[(v, u)] = reverse[(v, u)] = m
+        if reverse:
+            phi.update(zip(reverse, np.linalg.inv(_stack(list(reverse.values()), rank))))
         for i, j in zip(g.src.tolist(), g.dst.tolist()):
             u, v = g.vertices[i], g.vertices[j]
             if (u, v) not in phi:

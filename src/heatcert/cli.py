@@ -189,8 +189,10 @@ def cmd_compact_certify(args) -> int:
     if kind != "threshold":
         raise ValueError("only threshold:<c> decompositions are supported here")
     W1, W2 = decompose_potential(W, float(value))
-    k = kernel_from_semigroup(assemble_laplacian(g), _parse_times(args.times))
-    pair, cert = fit_control(k, "graph", args.q)
+    # the scalar Laplacian, its eigenbasis and its kernel stack only serve
+    # the fit, and are gone before certification runs
+    pair, cert = fit_control(kernel_from_semigroup(assemble_laplacian(g), _parse_times(args.times)),
+                             "graph", args.q)
     root, radii = _parse_exhaustion(args.levels)
     ex = build_exhaustion(g, root, radii)
     pd = PotentialDecomposition.build(W, W1, W2, pair, g)
@@ -214,12 +216,15 @@ def build_coulomb_demo(n: int, kappa: float, theta: float):
     return g, connection, W
 
 
-def cmd_demo_coulomb(args) -> int:
-    g, connection, W = build_coulomb_demo(args.n, args.kappa, args.theta)
-    rng = np.random.default_rng(args.seed)
+def _demo_scalar_checks(g, H_cov, W1, times, rng):
+    """The demo's checks on the scalar Laplacian S of the host: Kato
+    domination of S by H_cov, then the kernel axioms, the rho bound, the
+    graph control pair and the HS bound for W1 from S's kernel stack, and
+    the Laplace crosscheck. Returns (axioms, rho bound, pair, certificate,
+    ledger), the ledger holding the HS, crosscheck and domination rows. S,
+    its eigenbasis and its kernel stack go out of scope on return, before
+    certification runs."""
     H_scal = assemble_laplacian(g)
-    H_cov = assemble_covariant(g, 1, connection)
-    times = _parse_times(args.times)
     # domination first, so that its dense semigroups and the workspace of
     # the covariant eigh come and go before the kernel stack is built
     dom_rows = check_domination(H_cov, H_scal, times=(0.1, 1.0),
@@ -228,10 +233,18 @@ def cmd_demo_coulomb(args) -> int:
     axioms = verify_axioms(k, H_scal)
     rho_rep = verify_rho_bound(k)
     pair, cert = fit_control(k, "graph", 1.0)
-    W1, W2 = decompose_potential(W, args.threshold)
     ledger = check_hs_bound(W1, k, pair, t=0.5)
     ledger.append(check_resolvent_laplace(H_scal, a=1.0))
-    ledger += dom_rows
+    return axioms, rho_rep, pair, cert, ledger + dom_rows
+
+
+def cmd_demo_coulomb(args) -> int:
+    g, connection, W = build_coulomb_demo(args.n, args.kappa, args.theta)
+    H_cov = assemble_covariant(g, 1, connection)
+    times = _parse_times(args.times)
+    W1, W2 = decompose_potential(W, args.threshold)
+    axioms, rho_rep, pair, cert, ledger = _demo_scalar_checks(
+        g, H_cov, W1, times, np.random.default_rng(args.seed))
     radii = [args.n // 4, args.n // 2, 3 * args.n // 4, args.n - 1]
     ex = build_exhaustion(g, "v0", radii)
     pd = PotentialDecomposition.build(W, W1, W2, pair, g)

@@ -23,14 +23,14 @@ from .graph import Exhaustion, WeightedGraph, lq_norm
 from .heat import HeatKernel
 from .operators import (
     OperatorMatrix,
+    _resolvent_g,
     _semigroup_g,
     _symmetrize,
     dirichlet_restriction,
-    resolvent,
     resolvent_singular_values,
-    semigroup_matrix,
     singular_values,
     spectral_function,
+    spectral_rows,
 )
 
 HS_IDENTITY_RTOL = 1e-8
@@ -238,9 +238,13 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     (ii) |(T + a)^{-1} f(x)| <= ((S + a)^{-1} |f|)(x)  pointwise,
 
     plus the spectral consequence lambda_min(T) >= lambda_min(S).
-    Sections tested, as one block: every fiber-coordinate basis section and
-    `trials` random complex sections; worst_at is the first largest gap.
-    """
+    Sections tested: every fiber-coordinate basis section and `trials`
+    random complex sections; worst_at is the first largest gap.
+
+    The covariant g(T) is read one vertex row block at a time
+    (`operators.spectral_rows`), and each section keeps a running maximum
+    of its gap over the blocks: besides the scalar g(S), which is whole,
+    U, U* and one row block of g(T) are live, never the whole of g(T)."""
     if H_cov.vertices != H_scal.vertices:
         raise ValueError("operators live over different vertex sets")
     if H_scal.rank != 1:
@@ -251,16 +255,24 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
                         for _ in range(trials)], dtype=complex).reshape(trials, n * d).T
     abs_randoms = _block_norms(randoms, n, d)
     rows = []
-    for name, key, params, op in (("kato-domination-semigroup", "t", times, semigroup_matrix),
-                                  ("kato-domination-resolvent", "a", a_values, resolvent)):
+    for name, key, params, g_of in (("kato-domination-semigroup", "t", times, _semigroup_g),
+                                    ("kato-domination-resolvent", "a", a_values, _resolvent_g)):
         worst, worst_at = -np.inf, None
         for p in params:
-            op_cov, op_scal = op(H_cov, p), np.real(op(H_scal, p))
-            # basis section j is the indicator of vertex j // d, so its
-            # images are column j of op_cov and column j // d of op_scal
-            lhs = _block_norms(np.hstack([op_cov, op_cov @ randoms]), n, d)
-            rhs = np.hstack([np.repeat(op_scal, d, axis=1), op_scal @ abs_randoms])
-            gaps = np.max(lhs - rhs, axis=0)
+            g = g_of(p)
+            blocks = spectral_rows(H_cov, g)
+            op_scal = np.real(spectral_function(H_scal, g))
+            rhs_randoms = op_scal @ abs_randoms
+            # gaps of the basis sections, then of the random ones
+            gaps = np.full(n * d + trials, -np.inf)
+            for vs, block in blocks:
+                # basis section j is the indicator of vertex j // d, so its
+                # images are column j of g(T) and column j // d of g(S)
+                nb = vs.stop - vs.start
+                basis = _block_norms(block, nb, d) - np.repeat(op_scal[vs], d, axis=1)
+                random = _block_norms(block @ randoms, nb, d) - rhs_randoms[vs]
+                np.maximum(gaps, np.concatenate([np.max(basis, axis=0),
+                                                 np.max(random, axis=0)]), out=gaps)
             si = int(np.argmax(gaps))
             if gaps[si] > worst:
                 worst, worst_at = float(gaps[si]), {key: p, "section": si}
@@ -327,7 +339,9 @@ def laplace_weight_integral(F2: F2Family, q: float, a: float,
                             time_scale: float = 1.0) -> float:
     """integral of e^{-a t} F2(time_scale * t)^{1/(2q)} dt, by the
     quadrature of the integrability checker after substituting
-    u = time_scale * t."""
+    u = time_scale * t; a > 0."""
+    if a <= 0:
+        raise ValueError("resolvent shift must be positive")
     if F2.singular_exponent() / (2.0 * q) >= 1.0:
         raise ValueError("integral diverges at t = 0")
     return _quad_f2(F2, q, a / time_scale)[0] / time_scale

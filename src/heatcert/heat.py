@@ -72,7 +72,7 @@ def kernel_from_semigroup(H: OperatorMatrix, times) -> HeatKernel:
         return H._cache[key]
     # guards first: t < 0 raises before any work, a non-PSD H right after
     # the eigendecomposition the stack needs anyway
-    gs = [_semigroup_g(t) if t else None for t in times]
+    gs = [_semigroup_g(t) for t in times]
     rho = H.rho
     lam, u = H.eigh()
     require_psd(H)

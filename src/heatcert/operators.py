@@ -23,6 +23,8 @@ from .graph import WeightedGraph, validate_graph
 
 WEIGHTED_HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
+# dense bytes of one row block of g(H) in `spectral_rows`
+ROW_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -227,15 +229,46 @@ def dirichlet_restriction(H: OperatorMatrix, subset) -> OperatorMatrix:
     return OperatorMatrix(sub, tuple(subset), d, H.rho[pos], "dirichlet-restriction", cache)
 
 
-def spectral_function(H: OperatorMatrix, g) -> np.ndarray:
-    """g(H) acting on coordinate vectors: D^{-1/2} U g(Lambda) U* D^{1/2}
-    from the cached eigendecomposition; g maps the eigenvalue array to the
-    diagonal of g(Lambda). H must be PSD."""
+def spectral_rows(H: OperatorMatrix, g, block_vertices: int | None = None):
+    """g(H) acting on coordinate vectors, one vertex row block at a time:
+    an iterator of (vertex slice, rows of g(H) at those vertices' fiber
+    indices), each block D^{-1/2} (U g(Lambda))[rows] U* D^{1/2} from the
+    cached eigendecomposition. g maps the eigenvalue array to the diagonal
+    of g(Lambda); g None is the identity (`_semigroup_g(0)`), given exactly
+    and with no spectral work. H must be PSD.
+
+    A block holds `block_vertices` vertices, by default as many as fit in
+    ROW_BLOCK_BYTES (at least one); the last block may hold fewer. The
+    eigendecomposition, the PSD check and U* are made when it is called, U*
+    once per call; while the blocks are read U, U* and one row block are
+    live, never the whole of g(H) unless it is one block."""
+    n, d = len(H.vertices), H.rank
+    step = block_vertices or max(1, ROW_BLOCK_BYTES // (d * H.dim * H.matrix.itemsize))
+    spans = [slice(v, min(v + step, n)) for v in range(0, n, step)]
+    if g is None:
+        return ((vs, np.eye((vs.stop - vs.start) * d, H.dim, vs.start * d,
+                            dtype=H.matrix.dtype)) for vs in spans)
     lam, u = H.eigh()
     require_psd(H)
-    s = np.sqrt(H.measure_weights())
-    core = (u * g(lam)) @ u.conj().T
-    return (core / s[:, None]) * s[None, :]
+    glam, uh, s = g(lam), u.conj().T, np.sqrt(H.measure_weights())
+
+    def blocks():
+        for vs in spans:
+            rows = slice(vs.start * d, vs.stop * d)
+            out = (u[rows] * glam) @ uh
+            out /= s[rows, None]
+            out *= s[None, :]
+            yield vs, out
+
+    return blocks()
+
+
+def spectral_function(H: OperatorMatrix, g) -> np.ndarray:
+    """g(H) acting on coordinate vectors, the one-block case of
+    `spectral_rows`: D^{-1/2} U g(Lambda) U* D^{1/2} from the cached
+    eigendecomposition; g None is the identity. H must be PSD."""
+    ((_, out),) = spectral_rows(H, g, len(H.vertices))
+    return out
 
 
 def singular_values(H: OperatorMatrix, W: np.ndarray, g) -> np.ndarray:
@@ -243,14 +276,16 @@ def singular_values(H: OperatorMatrix, W: np.ndarray, g) -> np.ndarray:
     stack: W commutes with the per-vertex D, so they are those of W U g(Lambda)
     over the support of W (blocks not exactly zero), padded with zeros to H.dim.
     It serves functions of H that need the eigenbasis, such as the semigroup;
-    the resolvent has `resolvent_singular_values`. H must be PSD."""
+    the resolvent has `resolvent_singular_values`. g None is the identity.
+    H must be PSD."""
     lam, u = H.eigh()
     require_psd(H)
     support = np.any(W != 0, axis=(1, 2))
     rows = (W[support] @ u.reshape(len(W), H.rank, -1)[support]).reshape(-1, H.dim)
     sv = np.zeros(H.dim)
     if rows.size:
-        sv[:rows.shape[0]] = np.linalg.svd(rows * g(lam), compute_uv=False)
+        sv[:rows.shape[0]] = np.linalg.svd(rows if g is None else rows * g(lam),
+                                           compute_uv=False)
     return sv
 
 
@@ -264,9 +299,11 @@ def resolvent_singular_values(H: OperatorMatrix, Ws, a: float) -> list[np.ndarra
     (blocks not exactly zero), and its adjoint is (A + a)^{-1} B with B the
     blocks W(x)* at the rows of x in S. One `np.linalg.solve` gives the
     columns (A + a)^{-1} e_x of every x in the union of the supports; a
-    stack takes those of its S, times W(x)*, and one SVD. The solve keeps
-    the dtype of H, and a scalar operator with a real potential stays real
-    through the SVD."""
+    stack takes those of its S (the solution itself, uncopied, when S is
+    the union), times W(x)*, and one SVD. The shifted matrix and the unit
+    columns are released once solved, so past the solve the solution and
+    one stack's adjoint are live. The solve keeps the dtype of H, and a
+    scalar operator with a real potential stays real through the SVD."""
     if a <= 0:
         raise ValueError("resolvent shift must be positive")
     require_psd(H)
@@ -278,6 +315,7 @@ def resolvent_singular_values(H: OperatorMatrix, Ws, a: float) -> list[np.ndarra
     shifted = H.hermitian()
     shifted.flat[::H.dim + 1] += a
     sol = np.linalg.solve(shifted, rhs.reshape(H.dim, -1)).reshape(H.dim, cols.size, d)
+    del shifted, rhs
     out = []
     for W, support in zip(Ws, supports):
         own = support[cols]
@@ -285,7 +323,8 @@ def resolvent_singular_values(H: OperatorMatrix, Ws, a: float) -> list[np.ndarra
         if np.isrealobj(sol) and not np.any(blocks.imag):
             blocks = blocks.real  # a real potential of a scalar operator: a real SVD
         # column block x of the adjoint: sol[:, x] W(x)*
-        adjoint = sol[:, own].transpose(1, 0, 2) @ blocks.conj().swapaxes(1, 2)
+        own_sol = sol if own.all() else sol[:, own]
+        adjoint = own_sol.transpose(1, 0, 2) @ blocks.conj().swapaxes(1, 2)
         adjoint = adjoint.transpose(1, 0, 2).reshape(H.dim, -1)
         sv = np.zeros(H.dim)
         sv[:adjoint.shape[1]] = np.linalg.svd(adjoint, compute_uv=False)
@@ -301,9 +340,12 @@ def _resolvent_g(a: float):
 
 
 def _semigroup_g(t: float):
-    """lambda -> e^{-t max(lambda, 0)}, the spectral function of e^{-tH}."""
+    """lambda -> e^{-t max(lambda, 0)}, the spectral function of e^{-tH};
+    None at t = 0, where e^{-0H} is the identity and is applied exactly."""
     if t < 0:
         raise ValueError("negative time")
+    if t == 0:
+        return None
     return lambda lam: np.exp(-t * np.clip(lam, 0.0, None))
 
 
@@ -313,7 +355,6 @@ def resolvent(H: OperatorMatrix, a: float) -> np.ndarray:
 
 
 def semigroup_matrix(H: OperatorMatrix, t: float) -> np.ndarray:
-    """e^{-tH} acting on coordinate vectors; t >= 0, H PSD."""
-    if t == 0:
-        return np.eye(H.dim, dtype=H.matrix.dtype)
+    """e^{-tH} acting on coordinate vectors; t >= 0, H PSD. At t = 0 it is
+    the identity, exactly."""
     return spectral_function(H, _semigroup_g(t))

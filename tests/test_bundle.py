@@ -201,3 +201,26 @@ def test_metric_file_round_trip(tmp_path):
         np.testing.assert_allclose(conn2.get(*pair), conn.get(*pair), rtol=0, atol=1e-14)
     assert pots2["w"].vertices == pots["w"].vertices == g.vertices
     assert np.array_equal(pots2["w"].blocks, pots["w"].blocks)
+
+
+def test_connection_orientations_match_per_entry_loop(tmp_path):
+    # a reverse orientation the file omits is the inverse of the forward
+    # matrix; one the file gives, before or after the forward one, is kept
+    # as given. Reference: the per-entry loop, inverting each matrix alone.
+    g = path_graph(6)
+    rng = np.random.default_rng(7)
+    entries = []
+    for i in range(5):
+        u, v, m = f"v{i}", f"v{i+1}", random_unitary(rng, 2)
+        given = [(u, v, m), (v, u, m.conj().T)][:1 + (i in (1, 3))]
+        entries += given[::-1] if i == 3 else given
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"rank": 2, "connection": [
+        {"u": u, "v": v, "phi": _complex_matrix_to_json(m)} for u, v, m in entries]}))
+    _, conn, _ = load_bundle(path, g)
+    ref = {}
+    for u, v, m in entries:
+        ref[(u, v)] = m
+        ref.setdefault((v, u), np.linalg.inv(m))
+    assert list(conn.phi) == list(ref)
+    assert all(np.array_equal(conn.phi[key], m) for key, m in ref.items())

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,47 @@ class TestCompactCertify:
         rep = json.loads(out.read_text())
         assert rep["verdict"] == "hypotheses-verified"
         assert rep["pass"] is True
+
+    @pytest.mark.parametrize("a", ["0", "-1"])
+    def test_non_positive_shift_is_an_input_error(self, a, path_file, tmp_path, capsys):
+        wpath = tmp_path / "w.json"
+        wpath.write_text(json.dumps({f"v{j}": 1.0 / (1.0 + j * j) for j in range(12)}))
+        code, err = _run(["compact", "certify", "--graph", path_file, "--potential", str(wpath),
+                          "--a", a, "--levels", "root=v0,radii=5,11",
+                          "--out", str(tmp_path / "rep.json")], capsys)
+        assert code == EXIT_INPUT
+        assert "resolvent shift must be positive" in err
+
+    @pytest.mark.parametrize("command", ["certify", "demo"])
+    def test_kernel_stack_released_before_certification(self, command, path_file,
+                                                        tmp_path, monkeypatch):
+        # the scalar kernel stack only serves the control fit (and, in the
+        # demo, the scalar checks); certification must not keep it alive
+        from heatcert import cli
+
+        kernels, alive = [], []
+        fit, certify = cli.fit_control, cli.certify_compactness
+
+        def recording_fit(k, *args):
+            kernels.append(weakref.ref(k))
+            return fit(k, *args)
+
+        def checking_certify(*args, **kwargs):
+            alive.append([ref() is not None for ref in kernels])
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit_control", recording_fit)
+        monkeypatch.setattr(cli, "certify_compactness", checking_certify)
+        out = tmp_path / "rep.json"
+        if command == "certify":
+            wpath = tmp_path / "w.json"
+            wpath.write_text(json.dumps({f"v{j}": 1.0 / (1.0 + j * j) for j in range(12)}))
+            argv = ["compact", "certify", "--graph", path_file, "--potential", str(wpath),
+                    "--a", "2.0", "--levels", "root=v0,radii=5,11"]
+        else:
+            argv = ["demo", "coulomb-lattice", "--n", "30"]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert alive == [[False]]
 
 
 

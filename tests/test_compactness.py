@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,7 @@ from heatcert.operators import (
     resolvent_singular_values,
     semigroup_matrix as semigroup,
     singular_values,
+    spectral_rows,
 )
 
 
@@ -351,6 +354,23 @@ class TestDomination:
         with pytest.raises(ValueError):
             check_domination(H2c, H1, (1.0,), (1.0,), 1, np.random.default_rng(0))
 
+    def test_domination_never_holds_a_whole_covariant_operator(self):
+        # both eigendecompositions cached: besides the small scalar g(S), a
+        # call allocates U* and row blocks of g(T), never a whole g(T) and
+        # a copy of it
+        rng = np.random.default_rng(25)
+        g = random_graph(200, rng)
+        Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
+        H = assemble_laplacian(g)
+        Hc.eigh(), H.eigh()
+        tracemalloc.start()
+        try:
+            check_domination(Hc, H, (0.1, 1.0), (1.0,), 5, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * Hc.dim ** 2 * 16
+
 
 def fiber_norms(f, d):
     return np.sqrt(np.sum(np.abs(f.reshape(-1, d)) ** 2, axis=1))
@@ -389,15 +409,20 @@ class TestFastPathsAgainstReferences:
         rel = np.linalg.norm(fast - explicit) / np.linalg.norm(explicit)
         assert rel <= 1e-12
 
-    @pytest.mark.parametrize("rank", [2, 1])
-    def test_block_domination_matches_section_loop(self, rank):
+    @pytest.mark.parametrize("rank, n", [(2, 10), (1, 10), (2, 200), (1, 400)],
+                             ids=["2", "1", "2-row-blocks", "1-row-blocks"])
+    def test_block_domination_matches_section_loop(self, rank, n):
         # rank 1 uses the trivial connection, T = S: many sections tie at a
-        # gap of exactly 0, so the first worst section must be kept
+        # gap of exactly 0, so the first worst section must be kept. The
+        # larger hosts span several row blocks of g(T), the last one short.
         rng = np.random.default_rng(22)
-        g = random_graph(10, rng)
+        g = random_graph(n, rng)
         conn = random_connection(g, 2, rng) if rank == 2 else UnitaryConnection.trivial(g, 1)
         Hc = assemble_covariant(g, rank, conn)
         H = assemble_laplacian(g)
+        sizes = [vs.stop - vs.start for vs, _ in spectral_rows(Hc, None)]
+        if n > 10:
+            assert len(sizes) > 2 and sizes[-1] < sizes[0]
         times, a_values, trials = (0.05, 0.5, 2.0), (0.5, 3.0), 7
         rows = check_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
         ref = reference_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))

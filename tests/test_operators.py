@@ -5,6 +5,7 @@ from heatcert.bundle import EndomorphismField, UnitaryConnection
 from heatcert.graph import make_graph, path_graph, random_graph
 from heatcert.heat import kernel_from_semigroup
 from heatcert.operators import (
+    _semigroup_g,
     add_potential,
     assemble_covariant,
     assemble_laplacian,
@@ -15,6 +16,8 @@ from heatcert.operators import (
     require_psd,
     resolvent,
     semigroup_matrix,
+    spectral_function,
+    spectral_rows,
 )
 
 
@@ -343,6 +346,7 @@ class TestRequirePsd:
         lambda H: resolvent(H, 1.0),
         lambda H: semigroup_matrix(H, 0.5),
         lambda H: kernel_from_semigroup(H, (0.0, 0.5)),
+        lambda H: spectral_rows(H, _semigroup_g(0.5)),  # on the call, before any block
     ])
     def test_spectral_consumers_reject_a_non_psd_operator(self, consumer):
         with pytest.raises(ValueError, match="sum operator not PSD"):
@@ -359,6 +363,26 @@ class TestRequirePsd:
         op = self.negative_shift(95)
         with pytest.raises(ValueError, match="not PSD"):
             dirichlet_restriction(op, op.vertices[:3])
+
+
+class TestSpectralRows:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_blocks_tile_spectral_function(self, d):
+        rng = np.random.default_rng(96)
+        g = random_graph(150, rng)
+        H = assemble_covariant(g, d, random_connection(g, d, rng))
+        for g_of in (_semigroup_g(0.5), lambda lam: 1.0 / (lam + 2.0)):
+            spans, blocks = zip(*spectral_rows(H, g_of, 40))
+            assert [(vs.start, vs.stop) for vs in spans] == [(0, 40), (40, 80),
+                                                             (80, 120), (120, 150)]
+            whole = spectral_function(H, g_of)
+            assert np.max(np.abs(np.vstack(blocks) - whole)) <= 1e-14 * np.max(np.abs(whole))
+        # e^{-0H} is the identity exactly, with no spectral work
+        fresh = assemble_covariant(g, d, random_connection(g, d, rng))
+        eye = np.eye(H.dim, dtype=complex)
+        assert np.array_equal(np.vstack([b for _, b in spectral_rows(fresh, None, 40)]), eye)
+        assert np.array_equal(semigroup_matrix(fresh, 0.0), eye)
+        assert fresh._cache == {}
 
 
 def test_resolvent_two_vertex_analytic():
