@@ -56,4 +56,4 @@ from .compactness import (
 )
 
 __version__ = "0.1.0"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2

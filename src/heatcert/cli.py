@@ -223,12 +223,14 @@ def _demo_scalar_checks(g, H_cov, W1, times, rng):
     the Laplace crosscheck. Returns (axioms, rho bound, pair, certificate,
     ledger), the ledger holding the HS, crosscheck and domination rows. S,
     its eigenbasis and its kernel stack go out of scope on return, before
-    certification runs."""
+    certification runs; H_cov keeps only the PSD verdict of its
+    eigendecomposition, which is all that certification reads of it."""
     H_scal = assemble_laplacian(g)
-    # domination first, so that its dense semigroups and the workspace of
-    # the covariant eigh come and go before the kernel stack is built
+    # domination first, so that its dense semigroups and the covariant
+    # eigenbasis come and go before the kernel stack is built
     dom_rows = check_domination(H_cov, H_scal, times=(0.1, 1.0),
                                 a_values=(1.0,), trials=5, rng=rng)
+    H_cov.release_eigh()
     k = kernel_from_semigroup(H_scal, times)
     axioms = verify_axioms(k, H_scal)
     rho_rep = verify_rho_bound(k)

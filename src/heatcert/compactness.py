@@ -133,7 +133,7 @@ def check_2to2_bound(W, H: OperatorMatrix, cp: ControlPair, t: float) -> LedgerR
     if cp.q <= 1:
         raise ValueError("the 2->2 semigroup route is the q > 1 path")
     W = _field(W, H.vertices, H.rank)
-    lhs = float(singular_values(H, W.blocks, _semigroup_g(t))[0])
+    lhs = float(singular_values(H, W.blocks, _semigroup_g(t), 1)[0])
     rhs = cp.F2(t) ** (1.0 / (2.0 * cp.q)) * lq_norm(W.norms(), 2 * cp.q, H.rho)
     return LedgerRow("step2-semigroup-norm-bound", lhs, rhs,
                      tol=1e-10 * max(1.0, rhs), detail={"t": t, "q": cp.q})
@@ -148,7 +148,8 @@ def check_resolvent_bound(W, H: OperatorMatrix, cp: ControlPair, a: float) -> Le
     if cp.q <= 1:
         raise ValueError("the resolvent norm route is the q > 1 path")
     W = _field(W, H.vertices, H.rank)
-    lhs = float(resolvent_singular_values(H, [W.blocks], a)[0][0])
+    (top, _, _), = resolvent_singular_values(H, [W.blocks], a, [1])
+    lhs = float(top[0])
     quad = laplace_weight_integral(cp.F2, cp.q, a)
     rhs = lq_norm(W.norms(), 2 * cp.q, H.rho) * quad
     return LedgerRow("step3-resolvent-norm-bound", lhs, rhs,
@@ -316,8 +317,10 @@ class PotentialDecomposition:
 class CompactnessReport:
     a: float
     levels: list[int]                       # scalar dimension per level
-    # all sigma of W R per level: one solve over supp W, zero-padded
+    # per level: the top min(top_k, dim) sigma of W R, zero past supp W
     singular_values: dict[int, list[float]]
+    hs_norms: dict[int, float]              # per level: ||W R||_HS
+    support_columns: dict[int, int]         # per level: |supp W| rank
     top_k: int
     drift: dict[str, float]                 # per transition: max top-k drift
     bounds: list[LedgerRow]
@@ -328,6 +331,8 @@ class CompactnessReport:
             "a": self.a,
             "levels": self.levels,
             "singular_values": {str(k): v for k, v in self.singular_values.items()},
+            "hs_norms": {str(k): v for k, v in self.hs_norms.items()},
+            "support_columns": {str(k): v for k, v in self.support_columns.items()},
             "top_k": self.top_k,
             "drift": self.drift,
             "bounds": [r.to_dict() for r in self.bounds],
@@ -350,19 +355,25 @@ def laplace_weight_integral(F2: F2Family, q: float, a: float,
 def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
                         cp: ControlPair, ex: Exhaustion, a: float,
                         k_top: int = 5) -> CompactnessReport:
-    """Per exhaustion level: singular values of W (H|_level + a)^{-1},
-    the resolvent operator-norm bound with its quadrature constant, and
-    level-to-level drift of the top singular values. H is checked PSD once
-    (`dirichlet_restriction`); no level is diagonalised. The sigma of W R
-    and W1 R come from one solve per level over the union of their
-    supports (`operators.resolvent_singular_values`): an SVD of
-    (A + a)^{-1} W* over the support of each, padded with zeros."""
+    """Per exhaustion level: the top k_top singular values of
+    W (H|_level + a)^{-1}, its HS norm and support columns, the resolvent
+    operator-norm bound with its quadrature constant, and level-to-level
+    drift of the top singular values. H is checked PSD once
+    (`dirichlet_restriction`); no level is diagonalised. The numbers of
+    W R, and sigma_1 of W1 R, come from one solve per level over the union
+    of their supports (`operators.resolvent_singular_values`): block
+    subspace iteration on (A + a)^{-1} W* over the support of each, with
+    no dense SVD. k_top must be at least 1."""
+    if k_top < 1:
+        raise ValueError(f"k_top must be at least 1, got {k_top}")
     verdict_fail = None
     integrability = check_integrability(cp.F2, cp.q)
     if not integrability.convergent:
         raise ValueError(f"control pair not integrable: {integrability.reason}")
     bounds: list[LedgerRow] = []
     singular: dict[int, list[float]] = {}
+    hs_norms: dict[int, float] = {}
+    support_columns: dict[int, int] = {}
     dims: list[int] = []
     top_lists: list[np.ndarray] = []
     # the quantitative resolvent bound: q = 1 uses the HS route with
@@ -378,11 +389,14 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
     rhs = pd.w1_l2q_f1 * quad_value
     for lv in ex.levels:
         Hn = dirichlet_restriction(H, lv)
-        sv, sv1 = resolvent_singular_values(
-            Hn, [_field(X, Hn.vertices, Hn.rank).blocks for X in (pd.W, pd.W1)], a)
+        (sv, hs, columns), (sv1, _, _) = resolvent_singular_values(
+            Hn, [_field(X, Hn.vertices, Hn.rank).blocks for X in (pd.W, pd.W1)], a,
+            [k_top, 1])
         singular[Hn.dim] = [float(x) for x in sv]
+        hs_norms[Hn.dim] = hs
+        support_columns[Hn.dim] = columns
         dims.append(Hn.dim)
-        top_lists.append(sv[:k_top])
+        top_lists.append(sv)
         sigma1 = float(sv1[0])
         row = LedgerRow(bound_name, sigma1, rhs, tol=1e-10,
                         detail={"level_dim": Hn.dim, "a": a,
@@ -397,7 +411,8 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
     drift = {}
     for i, (sa, sb) in enumerate(zip(top_lists, top_lists[1:])):
         m = min(len(sa), len(sb))
-        drift[f"{dims[i]}->{dims[i+1]}"] = float(np.max(np.abs(sb[:m] - sa[:m]))) if m else 0.0
+        drift[f"{dims[i]}->{dims[i+1]}"] = float(np.max(np.abs(sb[:m] - sa[:m])))
     verdict = "hypotheses-verified" if verdict_fail is None else f"hypothesis-failed:{verdict_fail}"
-    return CompactnessReport(a, dims, singular, k_top, drift, bounds, verdict)
+    return CompactnessReport(a, dims, singular, hs_norms, support_columns, k_top, drift,
+                             bounds, verdict)
 

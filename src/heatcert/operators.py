@@ -25,6 +25,12 @@ WEIGHTED_HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 # dense bytes of one row block of g(H) in `spectral_rows`
 ROW_BLOCK_BYTES = 1 << 20
+# `_top_singular_values`: block columns past the k values it returns, the
+# sweep cap past which the dense SVD decides, and the stopping rule (every
+# top-k Ritz residual ||X*X z - sigma^2 z|| at most this times sigma_1^2)
+SUBSPACE_GUARD = 4
+SUBSPACE_SWEEPS = 50
+SUBSPACE_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,15 @@ class OperatorMatrix:
         if "eigh" not in self._cache:
             self._cache["eigh"] = np.linalg.eigh(self.hermitian())
         return self._cache["eigh"]
+
+    def release_eigh(self):
+        """Free the cached eigendecomposition and keep its PSD verdict:
+        `require_psd` decides first (and raises for a non-PSD operator),
+        then the cache holds "psd" alone, so later checks need no
+        factorisation."""
+        require_psd(self)
+        self._cache.pop("eigh", None)
+        self._cache["psd"] = True
 
     def check_self_adjoint(self) -> float:
         """Largest entry of |A - A*|; zero when M is weighted-self-adjoint."""
@@ -271,39 +286,94 @@ def spectral_function(H: OperatorMatrix, g) -> np.ndarray:
     return out
 
 
-def singular_values(H: OperatorMatrix, W: np.ndarray, g) -> np.ndarray:
-    """Singular values of W g(H) on the weighted L^2 space, W an (n, rank, rank)
-    stack: W commutes with the per-vertex D, so they are those of W U g(Lambda)
-    over the support of W (blocks not exactly zero), padded with zeros to H.dim.
-    It serves functions of H that need the eigenbasis, such as the semigroup;
-    the resolvent has `resolvent_singular_values`. g None is the identity.
+def _top_singular_values(x: np.ndarray, k: int) -> np.ndarray:
+    """The min(k, N) largest singular values of the N x m matrix x (m <= N),
+    descending and zero past the m-th, by block subspace iteration on
+    M = x*x with Rayleigh-Ritz (Golub & Van Loan, Matrix Computations,
+    4th ed., 8.2 and 10.4).
+
+    x is overwritten. Its real and imaginary parts below the smallest normal
+    float in magnitude are set to zero first, which keeps subnormal operands
+    out of the products; by Weyl this moves each sigma by at most
+    sqrt(2 N m) tiny. The block V has p = k + SUBSPACE_GUARD orthonormal
+    columns, started from a fixed seed, so a repeated call gives the same
+    bits, and it is real for a real x.
+
+    A sweep forms Y = x V and the SVD of Y: its sigma are the Ritz values of
+    x on span V, and its right vectors W turn V into the Ritz vectors V W.
+    Then x* Y W = M V W gives the residual ||M z - sigma^2 z|| of each Ritz
+    pair and, shifted by sigma_p^2 / 2 and orthonormalised, the next block:
+    the shift centres [0, sigma_p^2], which holds the unwanted part of the
+    spectrum of M, on zero, so each sweep damps it more than M alone. The
+    iteration stops when the top-k residuals are at most SUBSPACE_RTOL
+    sigma_1^2. When m <= p the block spans every column and the first
+    Rayleigh-Ritz step, the SVD of x, is exact; after SUBSPACE_SWEEPS sweeps
+    the dense SVD of x decides."""
+    tiny = np.finfo(float).tiny
+    for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
+        part[np.abs(part) < tiny] = 0.0
+    out = np.zeros(min(k, x.shape[0]))
+    m, p = x.shape[1], k + SUBSPACE_GUARD
+    if m <= p:
+        top = np.linalg.svd(x, compute_uv=False)[:k]
+        out[:top.size] = top
+        return out
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((m, p))
+    if np.iscomplexobj(x):
+        v = v + 1j * rng.standard_normal((m, p))
+    v = np.linalg.qr(v)[0]
+    for _ in range(SUBSPACE_SWEEPS):
+        y = x @ v
+        _, s, wh = np.linalg.svd(y, full_matrices=False)
+        w = wh.conj().T
+        v = v @ w
+        z = (x.T @ (y @ w).conj()).conj()  # M V W, without a copy of x*
+        residual = np.linalg.norm(z[:, :k] - v[:, :k] * s[:k] ** 2, axis=0)
+        if np.all(residual <= SUBSPACE_RTOL * s[0] ** 2):
+            out[:] = s[:k]
+            return out
+        z -= (s[-1] ** 2 / 2) * v
+        v = np.linalg.qr(z)[0]
+    out[:] = np.linalg.svd(x, compute_uv=False)[:k]
+    return out
+
+
+def singular_values(H: OperatorMatrix, W: np.ndarray, g, k: int) -> np.ndarray:
+    """The top min(k, H.dim) singular values of W g(H) on the weighted L^2
+    space, W an (n, rank, rank) stack, zero past the support of W (blocks
+    not exactly zero): W commutes with the per-vertex D, so they are those
+    of W U g(Lambda) over that support, by `_top_singular_values`. It serves
+    functions of H that need the eigenbasis, such as the semigroup; the
+    resolvent has `resolvent_singular_values`. g None is the identity.
     H must be PSD."""
     lam, u = H.eigh()
     require_psd(H)
     support = np.any(W != 0, axis=(1, 2))
     rows = (W[support] @ u.reshape(len(W), H.rank, -1)[support]).reshape(-1, H.dim)
-    sv = np.zeros(H.dim)
-    if rows.size:
-        sv[:rows.shape[0]] = np.linalg.svd(rows if g is None else rows * g(lam),
-                                           compute_uv=False)
-    return sv
+    return _top_singular_values((rows if g is None else rows * g(lam)).conj().T, k)
 
 
-def resolvent_singular_values(H: OperatorMatrix, Ws, a: float) -> list[np.ndarray]:
-    """Singular values of W (H + a)^{-1} on the weighted L^2 space, one array
-    per (n, rank, rank) stack W in Ws, each padded with zeros to H.dim; H PSD,
-    a > 0.
+def resolvent_singular_values(H: OperatorMatrix, Ws, a: float,
+                              ks) -> list[tuple[np.ndarray, float, int]]:
+    """Per (n, rank, rank) stack W in Ws, with its count k in ks, a triple
+    for W (H + a)^{-1} on the weighted L^2 space: its top min(k, H.dim)
+    singular values, zero past the support; its Hilbert-Schmidt norm; and
+    its support columns |S| rank, the most singular values it can have that
+    are not zero. H PSD, a > 0.
 
-    W commutes with the per-vertex D, so they are those of W (A + a)^{-1}
-    for A the symmetrized matrix. Its rows vanish off the support S of W
-    (blocks not exactly zero), and its adjoint is (A + a)^{-1} B with B the
-    blocks W(x)* at the rows of x in S. One `np.linalg.solve` gives the
-    columns (A + a)^{-1} e_x of every x in the union of the supports; a
-    stack takes those of its S (the solution itself, uncopied, when S is
-    the union), times W(x)*, and one SVD. The shifted matrix and the unit
-    columns are released once solved, so past the solve the solution and
-    one stack's adjoint are live. The solve keeps the dtype of H, and a
-    scalar operator with a real potential stays real through the SVD."""
+    W commutes with the per-vertex D, so these are the numbers of
+    W (A + a)^{-1} for A the symmetrized matrix. Its rows vanish off the
+    support S of W (blocks not exactly zero), and its adjoint is
+    X = (A + a)^{-1} B with B the blocks W(x)* at the rows of x in S. One
+    `np.linalg.solve` gives the columns (A + a)^{-1} e_x of every x in the
+    union of the supports; a stack takes those of its S (the solution
+    itself, uncopied, when S is the union), times W(x)*. The HS norm is the
+    Frobenius norm of X, and the top k come from `_top_singular_values`: no
+    dense SVD unless its sweep cap is reached. The shifted matrix and the
+    unit columns are released once solved, so past the solve the solution
+    and one stack's adjoint are live. The solve keeps the dtype of H, and a
+    scalar operator with a real potential stays real throughout."""
     if a <= 0:
         raise ValueError("resolvent shift must be positive")
     require_psd(H)
@@ -317,18 +387,17 @@ def resolvent_singular_values(H: OperatorMatrix, Ws, a: float) -> list[np.ndarra
     sol = np.linalg.solve(shifted, rhs.reshape(H.dim, -1)).reshape(H.dim, cols.size, d)
     del shifted, rhs
     out = []
-    for W, support in zip(Ws, supports):
+    for W, support, k in zip(Ws, supports, ks):
         own = support[cols]
         blocks = W[cols[own]]
         if np.isrealobj(sol) and not np.any(blocks.imag):
-            blocks = blocks.real  # a real potential of a scalar operator: a real SVD
+            blocks = blocks.real  # a real potential of a scalar operator stays real
         # column block x of the adjoint: sol[:, x] W(x)*
         own_sol = sol if own.all() else sol[:, own]
         adjoint = own_sol.transpose(1, 0, 2) @ blocks.conj().swapaxes(1, 2)
         adjoint = adjoint.transpose(1, 0, 2).reshape(H.dim, -1)
-        sv = np.zeros(H.dim)
-        sv[:adjoint.shape[1]] = np.linalg.svd(adjoint, compute_uv=False)
-        out.append(sv)
+        hs = float(np.linalg.norm(adjoint))
+        out.append((_top_singular_values(adjoint, k), hs, adjoint.shape[1]))
     return out
 
 

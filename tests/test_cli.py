@@ -287,6 +287,24 @@ class TestCompactCertify:
         assert "resolvent shift must be positive" in err
 
     @pytest.mark.parametrize("command", ["certify", "demo"])
+    @pytest.mark.parametrize("topk", ["0", "-3"])
+    def test_topk_below_one_is_an_input_error(self, command, topk, path_file, tmp_path,
+                                              capsys):
+        # --topk 0 would make every drift 0.0, and --topk -3 slice sv[:-3]
+        out = tmp_path / "rep.json"
+        if command == "certify":
+            wpath = tmp_path / "w.json"
+            wpath.write_text(json.dumps({f"v{j}": 1.0 / (1.0 + j * j) for j in range(12)}))
+            argv = ["compact", "certify", "--graph", path_file, "--potential", str(wpath),
+                    "--a", "2.0", "--levels", "root=v0,radii=5,11"]
+        else:
+            argv = ["demo", "coulomb-lattice", "--n", "30"]
+        code, err = _run([*argv, "--topk", topk, "--out", str(out)], capsys)
+        assert code == EXIT_INPUT
+        assert f"k_top must be at least 1, got {topk}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["certify", "demo"])
     def test_kernel_stack_released_before_certification(self, command, path_file,
                                                         tmp_path, monkeypatch):
         # the scalar kernel stack only serves the control fit (and, in the
@@ -650,6 +668,16 @@ class TestDemo:
         rep = json.loads(out.read_text())
         assert rep["pass"] is True
         assert rep["compactness"]["verdict"] == "hypotheses-verified"
+        # per level: the top 5 sigma, the HS norm and the support columns;
+        # W = 1 / (1 + j^2) has no zero, so its support is the whole level
+        comp = rep["compactness"]
+        dims = [str(d) for d in comp["levels"]]
+        assert list(comp["singular_values"]) == list(comp["hs_norms"]) == dims
+        for d in dims:
+            sv = comp["singular_values"][d]
+            assert len(sv) == 5 and sv == sorted(sv, reverse=True)
+            assert comp["support_columns"][d] == int(d)
+            assert sv[0] < comp["hs_norms"][d] <= math.sqrt(int(d)) * sv[0]
 
     def test_reports_byte_identical_for_same_seed(self, tmp_path):
         out1 = tmp_path / "r1.json"
@@ -664,6 +692,28 @@ class TestDemo:
         main(["demo", "coulomb-lattice", "--n", "30", "--seed", "42",
               "--out", str(out)])
         assert json.loads(out.read_text())["seed"] == 42
+
+    def test_certification_runs_no_factorisation(self, tmp_path, monkeypatch):
+        # the covariant eigenbasis is released after domination, its PSD
+        # verdict kept: certification neither diagonalises nor factorises
+        from heatcert import cli
+
+        caches, calls = [], []
+        certify = cli.certify_compactness
+
+        def checking_certify(pd, H, *args, **kwargs):
+            caches.append(dict(H._cache))
+            for name in ("eigh", "cholesky"):
+                fn = getattr(np.linalg, name)
+                monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=fn, **k:
+                                    calls.append(_n) or _f(*a, **k))
+            return certify(pd, H, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "certify_compactness", checking_certify)
+        assert main(["demo", "coulomb-lattice", "--n", "30",
+                     "--out", str(tmp_path / "rep.json")]) == EXIT_OK
+        assert caches == [{"psd": True}]
+        assert calls == []
 
     def test_bad_times_fail_before_any_spectral_work(self, tmp_path, monkeypatch):
         from heatcert import cli

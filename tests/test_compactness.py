@@ -1,8 +1,10 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from heatcert import operators
 from heatcert.bundle import (
     EndomorphismField,
     UnitaryConnection,
@@ -23,6 +25,7 @@ from heatcert.compactness import (
     resolvent_via_laplace,
     sup_kernel_on,
 )
+from heatcert.cli import build_coulomb_demo
 from heatcert.control import ControlPair, F2Family, fit_control, laplace_rule
 from heatcert.graph import build_exhaustion, make_graph, path_graph, random_graph
 from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup
@@ -485,9 +488,19 @@ def random_field(g, d, rng, support=None):
     return EndomorphismField(d, vals, self_adjoint=True)
 
 
-def assert_sv_close(fast, ref):
-    assert len(fast) == len(ref)
-    assert np.max(np.abs(np.asarray(fast) - ref)) <= 1e-12 * max(1.0, ref[0])
+def dense_resolvent_sv(blocks, Hn, a):
+    """The dense route for W (Hn + a)^{-1}, W an (n, rank, rank) stack over
+    the vertices of Hn."""
+    W = EndomorphismField.from_blocks(Hn.rank, Hn.vertices, blocks)
+    return dense_singular_values(W, Hn, lambda H: resolvent(H, a))
+
+
+def assert_sv_close(fast, ref, k):
+    """fast is the top min(k, len(ref)) of every singular value ref from a
+    dense np.linalg.svd, to 1e-12 max(1, sigma_1)."""
+    assert len(fast) == min(k, len(ref))
+    err = np.max(np.abs(np.asarray(fast) - ref[:len(fast)]), initial=0.0)
+    assert err <= 1e-12 * max(1.0, ref[0])
 
 
 def rank2_certify_case(seed):
@@ -526,33 +539,35 @@ class TestSingularValuesFromEigenbasis:
             half = [v for v in Hn.vertices if rng.random() < 0.5] or [Hn.vertices[0]]
             for support in (None, half):
                 W = random_field(g, rank, rng, support)
+                # |S| rank positive values, then exact zeros
+                r = rank * sum(1 for v in Hn.vertices
+                               if support is None or v in support)
                 for a in (0.5, 2.0):
-                    fast = singular_values(Hn, W.restrict(Hn.vertices).blocks,
-                                           lambda lam: 1.0 / (lam + a))
-                    assert_sv_close(fast, dense_singular_values(
-                        W, Hn, lambda H: resolvent(H, a)))
-                    # exactly |S| rank positive values, then exact zeros
-                    r = rank * sum(1 for v in Hn.vertices
-                                   if support is None or v in support)
-                    assert np.all(fast[:r] > 0) and np.all(fast[r:] == 0.0)
+                    ref = dense_singular_values(W, Hn, lambda H: resolvent(H, a))
+                    for k in (1, 5, Hn.dim):
+                        fast = singular_values(Hn, W.restrict(Hn.vertices).blocks,
+                                               lambda lam: 1.0 / (lam + a), k)
+                        assert_sv_close(fast, ref, k)
+                        assert np.all(fast[:r] > 0) and np.all(fast[r:] == 0.0)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_tiny_potential_keeps_its_support(self, rank):
         # the support is where the blocks are not exactly zero, at any scale
         for g, Hn, rng in self.hosts(rank):
             W = random_field(g, rank, rng)
-            tiny = singular_values(Hn, 1e-30 * W.restrict(Hn.vertices).blocks,
-                                   lambda lam: 1.0 / (lam + 1.0))
             ref = dense_singular_values(W, Hn, lambda H: resolvent(H, 1.0))
-            assert np.all(tiny > 0)
-            assert_sv_close(1e30 * tiny, ref)
+            for k in (5, Hn.dim):
+                tiny = singular_values(Hn, 1e-30 * W.restrict(Hn.vertices).blocks,
+                                       lambda lam: 1.0 / (lam + 1.0), k)
+                assert np.all(tiny > 0)
+                assert_sv_close(1e30 * tiny, ref, k)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_zero_potential_is_exactly_zero(self, rank):
         for g, Hn, rng in self.hosts(rank):
             zero = np.zeros((len(Hn.vertices), rank, rank), dtype=complex)
-            sv = singular_values(Hn, zero, lambda lam: 1.0 / (lam + 1.0))
-            assert sv.tolist() == [0.0] * Hn.dim
+            sv = singular_values(Hn, zero, lambda lam: 1.0 / (lam + 1.0), 5)
+            assert sv.tolist() == [0.0] * min(5, Hn.dim)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_q_above_one_rows_match_dense_route(self, rank):
@@ -595,10 +610,13 @@ class TestSingularValuesFromEigenbasis:
         rep = certify_compactness(pd, Hc, cp, ex, a=2.0)
         rows = [r for r in rep.bounds if r.name == "step1-resolvent-hs-bound"]
         assert len(rows) == len(ex.levels)
+        supp = dict(zip(g.vertices, np.any(W.blocks != 0, axis=(1, 2))))
         for lv, row in zip(ex.levels, rows):
             Hn = dirichlet_restriction(Hc, lv)
             ref = dense_singular_values(W, Hn, lambda H: resolvent(H, 2.0))
-            assert_sv_close(rep.singular_values[Hn.dim], ref)
+            assert_sv_close(rep.singular_values[Hn.dim], ref, rep.top_k)
+            assert abs(rep.hs_norms[Hn.dim] - np.sqrt(np.sum(ref ** 2))) <= 1e-12
+            assert rep.support_columns[Hn.dim] == 2 * sum(supp[v] for v in lv)
             ref1 = dense_singular_values(W1, Hn, lambda H: resolvent(H, 2.0))[0]
             assert row.detail["level_dim"] == Hn.dim
             assert abs(row.lhs - ref1) <= 1e-12 * max(1.0, ref1)
@@ -616,22 +634,31 @@ class TestResolventSingularValuesBySolve:
             stacks = [random_field(g, rank, rng, support).restrict(Hn.vertices).blocks
                       for support in (None, half, ())]
             for a in (0.5, 2.0):
-                fast = resolvent_singular_values(Hn, stacks, a)
-                assert len(fast) == len(stacks)
-                for W, sv in zip(stacks, fast):
-                    assert_sv_close(sv, singular_values(Hn, W, _resolvent_g(a)))
-                    # rank |S| positive values, then exact zeros
-                    r = rank * int(np.any(W != 0, axis=(1, 2)).sum())
-                    assert np.all(sv[:r] > 0) and np.all(sv[r:] == 0.0)
-                assert fast[2].tolist() == [0.0] * Hn.dim
+                for k in (1, 5, Hn.dim):
+                    ks = [k, 1, k]
+                    fast = resolvent_singular_values(Hn, stacks, a, ks)
+                    assert len(fast) == len(stacks)
+                    for W, kw, (sv, hs, columns) in zip(stacks, ks, fast):
+                        ref = dense_resolvent_sv(W, Hn, a)
+                        assert_sv_close(sv, ref, kw)
+                        assert_sv_close(sv, singular_values(Hn, W, _resolvent_g(a), kw), kw)
+                        assert abs(hs - np.sqrt(np.sum(ref ** 2))) <= 1e-12 * max(1.0, hs)
+                        # rank |S| positive values, then exact zeros
+                        r = rank * int(np.any(W != 0, axis=(1, 2)).sum())
+                        assert columns == r
+                        assert np.all(sv[:r] > 0) and np.all(sv[r:] == 0.0)
+                    assert fast[2][0].tolist() == [0.0] * min(k, Hn.dim)
+                    assert fast[2][1:] == (0.0, 0)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_tiny_potential_keeps_its_support(self, rank):
         for g, Hn, rng in TestSingularValuesFromEigenbasis.hosts(rank):
             W = random_field(g, rank, rng).restrict(Hn.vertices).blocks
-            tiny, = resolvent_singular_values(Hn, [1e-30 * W], 1.0)
-            assert np.all(tiny > 0)
-            assert_sv_close(1e30 * tiny, singular_values(Hn, W, _resolvent_g(1.0)))
+            ref = dense_resolvent_sv(W, Hn, 1.0)
+            for k in (5, Hn.dim):
+                (tiny, _, _), = resolvent_singular_values(Hn, [1e-30 * W], 1.0, [k])
+                assert np.all(tiny > 0)
+                assert_sv_close(1e30 * tiny, ref, k)
 
     def test_decaying_rho_path(self):
         # rho_j = (1 + j)^-2 stretches the spectrum: lambda_max / a ~ 1.5e5
@@ -642,29 +669,32 @@ class TestResolventSingularValuesBySolve:
         level = build_exhaustion(g, "v0", [49]).levels[0]
         for Hn in (H, dirichlet_restriction(H, level)):
             blocks = W.restrict(Hn.vertices).blocks
-            ref = singular_values(Hn, blocks, _resolvent_g(1.0))
-            fast, = resolvent_singular_values(Hn, [blocks], 1.0)
-            assert_sv_close(fast, ref)
+            (fast, _, _), = resolvent_singular_values(Hn, [blocks], 1.0, [5])
+            assert_sv_close(fast, dense_resolvent_sv(blocks, Hn, 1.0), 5)
         assert H.eigh()[0][-1] > 1.4e5
 
     def test_scalar_operator_solves_in_real_arithmetic(self, monkeypatch):
-        dtypes = []
-        for name in ("solve", "svd"):
+        calls = []
+        for name in ("solve", "svd", "qr"):
             fn = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda *a, _f=fn, **k: dtypes.append(
-                tuple(x.dtype for x in a)) or _f(*a, **k))
-        for rank in (1, 2):
-            g, Hn, rng = next(TestSingularValuesFromEigenbasis.hosts(rank))
-            resolvent_singular_values(Hn, [random_field(g, rank, rng).blocks], 1.0)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=fn, **k: calls.append(
+                (_n, tuple(x.dtype for x in a))) or _f(*a, **k))
         real, cplx = np.dtype(float), np.dtype(complex)
-        assert dtypes == [(real, real), (real,), (cplx, cplx), (cplx,)]
-        # a complex scalar potential keeps the solve real and its SVD complex
+        for rank, dtype in ((1, real), (2, cplx)):
+            g, Hn, rng = next(TestSingularValuesFromEigenbasis.hosts(rank))
+            calls.clear()
+            # k = 1 iterates on a block of 5 of the 9 rank columns
+            resolvent_singular_values(Hn, [random_field(g, rank, rng).blocks], 1.0, [1])
+            assert [n for n, _ in calls[:3]] == ["solve", "qr", "svd"]
+            assert {dt for _, dts in calls for dt in dts} == {dtype}
+        # a complex scalar potential keeps the solve real and its iteration complex
         g, Hn, rng = next(TestSingularValuesFromEigenbasis.hosts(1))
         W = 1j * random_field(g, 1, rng).blocks
-        dtypes.clear()
-        sv, = resolvent_singular_values(Hn, [W], 1.0)
-        assert dtypes == [(real, real), (cplx,)]
-        assert_sv_close(sv, singular_values(Hn, W, _resolvent_g(1.0)))
+        calls.clear()
+        (sv, _, _), = resolvent_singular_values(Hn, [W], 1.0, [1])
+        assert calls[0] == ("solve", (real, real)) and calls[1][0] == "qr"
+        assert {dt for _, dts in calls[1:] for dt in dts} == {cplx}
+        assert_sv_close(sv, dense_resolvent_sv(W, Hn, 1.0), 1)
 
     def test_certify_with_an_overlapping_split(self):
         # W1 = W / 2 everywhere is not W on part of its support
@@ -683,10 +713,107 @@ class TestResolventSingularValuesBySolve:
         H = assemble_laplacian(g)
         W = np.ones((g.n, 1, 1), dtype=complex)
         with pytest.raises(ValueError, match="shift must be positive"):
-            resolvent_singular_values(H, [W], 0.0)
+            resolvent_singular_values(H, [W], 0.0, [1])
         shifted = add_potential(H, EndomorphismField.scalar({v: -1.0 for v in g.vertices}))
         with pytest.raises(ValueError, match="not PSD"):
-            resolvent_singular_values(shifted, [W], 1.0)
+            resolvent_singular_values(shifted, [W], 1.0, [1])
+
+
+def svd_widths(monkeypatch):
+    """Record the column count of every np.linalg.svd call."""
+    widths = []
+    fn = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **k: widths.append(a.shape[1])
+                        or fn(a, *args, **k))
+    return widths
+
+
+class TestTopSingularValues:
+    """The block subspace iteration behind both routes on hard and edge
+    cases, against a dense np.linalg.svd at 1e-12 max(1, sigma_1)."""
+
+    def test_degenerate_sigma_on_a_cycle(self, monkeypatch):
+        # constant W on a cycle: sigma_j = w / (lambda_j + a) with
+        # lambda_j = 2 - 2 cos(2 pi j / n), a pair for every j but 0 and n/2;
+        # k = 2, 4, 6, 8 split a pair
+        n = 24
+        ids = [f"c{j}" for j in range(n)]
+        g = make_graph(ids, dict.fromkeys(ids, 1.0),
+                       [(ids[j], ids[(j + 1) % n], 1.0) for j in range(n)])
+        H = assemble_laplacian(g)
+        W = np.full((n, 1, 1), 1.5)
+        refs = {a: dense_resolvent_sv(W, H, a) for a in (0.5, 1.0)}
+        widths = svd_widths(monkeypatch)
+        for a, ref in refs.items():
+            assert ref[1] - ref[2] < 1e-12 and ref[3] - ref[4] < 1e-12
+            for k in range(1, 9):
+                (sv, _, _), = resolvent_singular_values(H, [W], a, [k])
+                assert_sv_close(sv, ref, k)
+        # each converged: no SVD saw all n columns
+        assert max(widths) < n
+
+    def test_support_narrower_than_the_block(self, monkeypatch):
+        # two vertices of a rank-2 host give 4 columns, fewer than k + 4:
+        # the first Rayleigh-Ritz step is the exact SVD, and no QR runs
+        rng = np.random.default_rng(60)
+        g = random_graph(16, rng)
+        Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
+        W = random_field(g, 2, rng, g.vertices[3:5]).blocks
+        qrs = []
+        fn = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qrs.append(a) or fn(*a, **k))
+        ref = dense_resolvent_sv(W, Hc, 1.0)
+        for k in (1, 4, 5, 7):
+            (sv, hs, columns), = resolvent_singular_values(Hc, [W], 1.0, [k])
+            assert_sv_close(sv, ref, k)
+            assert columns == 4 and np.all(sv[:4] > 0) and np.all(sv[4:] == 0.0)
+            assert_sv_close(singular_values(Hc, W, _resolvent_g(1.0), k), ref, k)
+        assert qrs == []
+
+    def test_large_diameter_path_with_subnormal_resolvent_entries(self):
+        # the demo host at n = 800: (A + a)^{-1} decays like e^{-0.96 |i-j|},
+        # so its entries past distance ~740 are subnormal
+        g, connection, W = build_coulomb_demo(800, 1.0, 0.3)
+        H = assemble_covariant(g, 1, connection)
+        shifted = H.hermitian()
+        shifted.flat[::H.dim + 1] += 1.0
+        adjoint = np.linalg.solve(shifted, np.diag(W.blocks[:, 0, 0]).astype(complex))
+        tiny = np.finfo(float).tiny
+        assert np.count_nonzero((adjoint.real != 0) & (np.abs(adjoint.real) < tiny)) > 1000
+        (sv, hs, columns), = resolvent_singular_values(H, [W.blocks], 1.0, [5])
+        ref = dense_resolvent_sv(W.blocks, H, 1.0)
+        assert_sv_close(sv, ref, 5)
+        assert abs(hs - np.sqrt(np.sum(ref ** 2))) <= 1e-12 and columns == 800
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_sweep_cap_ends_in_the_dense_svd(self, rank, monkeypatch):
+        monkeypatch.setattr(operators, "SUBSPACE_SWEEPS", 1)
+        widths = svd_widths(monkeypatch)
+        capped = 0
+        for g, Hn, rng in TestSingularValuesFromEigenbasis.hosts(rank):
+            W = random_field(g, rank, rng).restrict(Hn.vertices).blocks
+            ref = dense_resolvent_sv(W, Hn, 1.0)
+            for k in (1, 5):
+                widths.clear()
+                (sv, _, _), = resolvent_singular_values(Hn, [W], 1.0, [k])
+                assert_sv_close(sv, ref, k)
+                assert_sv_close(singular_values(Hn, W, _resolvent_g(1.0), k), ref, k)
+                # past the block, one sweep is not enough: the last SVD sees
+                # every column
+                if Hn.dim > k + operators.SUBSPACE_GUARD:
+                    assert widths[-1] == Hn.dim
+                    capped += 1
+        assert capped > 0
+
+    def test_repeated_calls_give_identical_bytes(self):
+        g, Hc, pd, cp, ex = rank2_certify_case(49)
+        W = pd.W.blocks
+        assert Hc.dim > 5 + operators.SUBSPACE_GUARD  # the iteration runs
+        first, second = (resolvent_singular_values(Hc, [W], 2.0, [5])[0] for _ in range(2))
+        assert first[0].tobytes() == second[0].tobytes() and first[1:] == second[1:]
+        reports = [json.dumps(certify_compactness(pd, Hc, cp, ex, a=2.0).to_dict(),
+                              sort_keys=True) for _ in range(2)]
+        assert reports[0] == reports[1]
 
 
 class TestCertifyFormsNoDenseProducts:
