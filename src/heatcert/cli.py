@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -42,11 +43,42 @@ EXIT_INPUT = 1
 EXIT_VIOLATION = 2
 
 
-def _parse_times(spec: str | None):
-    if not spec:
+def _finite(text: str) -> float:
+    """The value of a number flag; NaN and infinities are refused."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
+def _finite_list(text: str) -> tuple[float, ...]:
+    """Comma-separated finite numbers, in the order given."""
+    return tuple(map(_finite, text.split(",")))
+
+
+def _times(text: str) -> tuple[float, ...]:
+    if not text:
         return DEFAULT_TIMES
     # a repeated time adds nothing, and a kernel file must not repeat one
-    return tuple(sorted({float(x) for x in spec.split(",")}))
+    return tuple(sorted(set(_finite_list(text))))
+
+
+def _threshold(text: str) -> float:
+    """threshold:<c> -> c"""
+    kind, _, value = text.partition(":")
+    if kind != "threshold":
+        raise argparse.ArgumentTypeError("only threshold:<c> decompositions are supported here")
+    return _finite(value)
+
+
+def _count(text: str) -> int:
+    """The value of a count flag, an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a count >= 0: {text!r}")
+    return int(text)
 
 
 def _parse_exhaustion(spec: str):
@@ -78,7 +110,7 @@ def cmd_graph_validate(args) -> int:
 def cmd_heat_kernel(args) -> int:
     g = load_graph(args.graph)
     H = assemble_laplacian(g)
-    k = kernel_from_semigroup(H, _parse_times(args.times))
+    k = kernel_from_semigroup(H, args.times)
     dump_kernel(k, args.out or "kernel.json")
     return EXIT_OK
 
@@ -99,7 +131,7 @@ def cmd_heat_verify(args) -> int:
         raise ValueError("heat verify needs --graph or --kernel")
     g = load_graph(args.graph)
     H = assemble_laplacian(g)
-    k = kernel_from_semigroup(H, _parse_times(args.times))
+    k = kernel_from_semigroup(H, args.times)
     axioms = verify_axioms(k, H)
     rho_bound = verify_rho_bound(k)
     report = {"command": "heat verify", "axioms": axioms.to_dict(),
@@ -108,7 +140,7 @@ def cmd_heat_verify(args) -> int:
     if args.exhaustion:
         root, radii = _parse_exhaustion(args.exhaustion)
         ex = build_exhaustion(g, root, radii)
-        mk = minimal_kernel(g, ex, _parse_times(args.times), H=H)
+        mk = minimal_kernel(g, ex, args.times, H=H)
         report["minimal_kernel"] = mk.to_dict()
         ok = ok and mk.monotone_ok
     report["pass"] = ok
@@ -120,7 +152,7 @@ def cmd_heat_minimal(args) -> int:
     g = load_graph(args.graph)
     root, radii = _parse_exhaustion(args.exhaustion)
     ex = build_exhaustion(g, root, radii)
-    mk = minimal_kernel(g, ex, _parse_times(args.times))
+    mk = minimal_kernel(g, ex, args.times)
     _emit({"command": "heat minimal", **mk.to_dict(), "pass": mk.monotone_ok},
           args.out, args.seed)
     return EXIT_OK if mk.monotone_ok else EXIT_VIOLATION
@@ -164,9 +196,7 @@ def cmd_dominate_check(args) -> int:
     if args.potential:
         H_cov = add_potential(H_cov, potentials[args.potential])
     rng = np.random.default_rng(args.seed)
-    times = _parse_times(args.times)
-    a_grid = tuple(float(x) for x in args.a.split(","))
-    rows = check_domination(H_cov, H_scal, times, a_grid, args.trials, rng)
+    rows = check_domination(H_cov, H_scal, args.times, args.a, args.trials, rng)
     ok = all(r.ok for r in rows)
     _emit({"command": "dominate check", "ledger": [r.to_dict() for r in rows],
            "pass": ok}, args.out, args.seed)
@@ -185,13 +215,10 @@ def cmd_compact_certify(args) -> int:
             values = json.load(fh)
         check_vertex_set("potential", values, g.vertices)
         W = EndomorphismField.scalar({v: values[v] for v in g.vertices})
-    kind, _, value = args.decomp.partition(":")
-    if kind != "threshold":
-        raise ValueError("only threshold:<c> decompositions are supported here")
-    W1, W2 = decompose_potential(W, float(value))
+    W1, W2 = decompose_potential(W, args.threshold)
     # the scalar Laplacian, its eigenbasis and its kernel stack only serve
     # the fit, and are gone before certification runs
-    pair, cert = fit_control(kernel_from_semigroup(assemble_laplacian(g), _parse_times(args.times)),
+    pair, cert = fit_control(kernel_from_semigroup(assemble_laplacian(g), args.times),
                              "graph", args.q)
     root, radii = _parse_exhaustion(args.levels)
     ex = build_exhaustion(g, root, radii)
@@ -243,10 +270,9 @@ def _demo_scalar_checks(g, H_cov, W1, times, rng):
 def cmd_demo_coulomb(args) -> int:
     g, connection, W = build_coulomb_demo(args.n, args.kappa, args.theta)
     H_cov = assemble_covariant(g, 1, connection)
-    times = _parse_times(args.times)
     W1, W2 = decompose_potential(W, args.threshold)
     axioms, rho_rep, pair, cert, ledger = _demo_scalar_checks(
-        g, H_cov, W1, times, np.random.default_rng(args.seed))
+        g, H_cov, W1, args.times, np.random.default_rng(args.seed))
     radii = [args.n // 4, args.n // 2, 3 * args.n // 4, args.n - 1]
     ex = build_exhaustion(g, "v0", radii)
     pd = PotentialDecomposition.build(W, W1, W2, pair, g)
@@ -278,15 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
                    version=f"heatcert {__version__} (report schema v{SCHEMA_VERSION})")
     sub = p.add_subparsers(dest="group", required=True)
 
-    def common(sp):
+    def common(sp, times=True):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--times", default=None)
+        if times:
+            sp.add_argument("--times", type=_times, default=DEFAULT_TIMES)
 
     graph = sub.add_parser("graph").add_subparsers(dest="action", required=True)
     sp = graph.add_parser("validate")
     sp.add_argument("--graph", required=True)
-    common(sp)
+    common(sp, times=False)
     sp.set_defaults(func=cmd_graph_validate)
 
     heat = sub.add_parser("heat").add_subparsers(dest="action", required=True)
@@ -309,19 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
     control = sub.add_parser("control").add_subparsers(dest="action", required=True)
     sp = control.add_parser("check")
     sp.add_argument("--family", default="power")
-    sp.add_argument("--C", type=float, default=1.0)
-    sp.add_argument("--gamma", type=float, default=0.0)
+    sp.add_argument("--C", type=_finite, default=1.0)
+    sp.add_argument("--gamma", type=_finite, default=0.0)
     sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--R", type=float, default=1.0)
-    sp.add_argument("--q", type=float, default=1.0)
-    common(sp)
+    sp.add_argument("--beta", type=_finite, default=0.0)
+    sp.add_argument("--R", type=_finite, default=1.0)
+    sp.add_argument("--q", type=_finite, default=1.0)
+    common(sp, times=False)
     sp.set_defaults(func=cmd_control_check)
     sp = control.add_parser("fit")
     sp.add_argument("--kernel", required=True)
     sp.add_argument("--family", default="graph", choices=("graph", "power"))
-    sp.add_argument("--q", type=float, default=1.0)
-    common(sp)
+    sp.add_argument("--q", type=_finite, default=1.0)
+    common(sp, times=False)
     sp.set_defaults(func=cmd_control_fit)
 
     dom = sub.add_parser("dominate").add_subparsers(dest="action", required=True)
@@ -329,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", required=True)
     sp.add_argument("--bundle", required=True)
     sp.add_argument("--potential", default=None)
-    sp.add_argument("--a", default="0.5,1,2,4")
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--a", type=_finite_list, default="0.5,1,2,4")
+    sp.add_argument("--trials", type=_count, default=20)
     common(sp)
     sp.set_defaults(func=cmd_dominate_check)
 
@@ -339,9 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--graph", required=True)
     sp.add_argument("--bundle", default=None)
     sp.add_argument("--potential", required=True)
-    sp.add_argument("--decomp", default="threshold:0.1")
-    sp.add_argument("--q", type=float, default=1.0)
-    sp.add_argument("--a", type=float, default=1.0)
+    sp.add_argument("--decomp", dest="threshold", metavar="DECOMP", type=_threshold,
+                    default="threshold:0.1")
+    sp.add_argument("--q", type=_finite, default=1.0)
+    sp.add_argument("--a", type=_finite, default=1.0)
     sp.add_argument("--levels", required=True)
     sp.add_argument("--topk", type=int, default=5)
     common(sp)
@@ -350,12 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo").add_subparsers(dest="action", required=True)
     sp = demo.add_parser("coulomb-lattice")
     sp.add_argument("--n", type=int, default=200)
-    sp.add_argument("--kappa", type=float, default=1.0)
-    sp.add_argument("--theta", type=float, default=0.3)
-    sp.add_argument("--threshold", type=float, default=0.1)
-    sp.add_argument("--a", type=float, default=1.0)
+    sp.add_argument("--kappa", type=_finite, default=1.0)
+    sp.add_argument("--theta", type=_finite, default=0.3)
+    sp.add_argument("--threshold", type=_finite, default=0.1)
+    sp.add_argument("--a", type=_finite, default=1.0)
     sp.add_argument("--topk", type=int, default=5)
-    sp.add_argument("--drift-tol", type=float, default=1e-3)
+    sp.add_argument("--drift-tol", type=_finite, default=1e-3)
     common(sp)
     sp.set_defaults(func=cmd_demo_coulomb)
 
@@ -363,8 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 0 after --help and --version and 2 on a usage
+        # error, which is an input error here: 2 means a bound failed
+        if not e.code:
+            raise
+        return EXIT_INPUT
     try:
         return args.func(args)
     except (GraphFormatError, FileNotFoundError, KeyError, ValueError, json.JSONDecodeError) as e:

@@ -358,7 +358,9 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
     """Per exhaustion level: the top k_top singular values of
     W (H|_level + a)^{-1}, its HS norm and support columns, the resolvent
     operator-norm bound with its quadrature constant, and level-to-level
-    drift of the top singular values. H is checked PSD once
+    drift of the top singular values. Each level is an array of vertex
+    positions in H's order (`graph.Exhaustion`): W and W1 are put in that
+    order once, and a level slices them. H is checked PSD once
     (`dirichlet_restriction`); no level is diagonalised. The numbers of
     W R, and sigma_1 of W1 R, come from one solve per level over the union
     of their supports (`operators.resolvent_singular_values`): block
@@ -387,11 +389,11 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
         bound_name = "step3-resolvent-norm-bound"
         quantitative = a >= 1
     rhs = pd.w1_l2q_f1 * quad_value
+    W, W1 = (_field(X, H.vertices, H.rank).blocks for X in (pd.W, pd.W1))
     for lv in ex.levels:
         Hn = dirichlet_restriction(H, lv)
         (sv, hs, columns), (sv1, _, _) = resolvent_singular_values(
-            Hn, [_field(X, Hn.vertices, Hn.rank).blocks for X in (pd.W, pd.W1)], a,
-            [k_top, 1])
+            Hn, [W[lv], W1[lv]], a, [k_top, 1])
         singular[Hn.dim] = [float(x) for x in sv]
         hs_norms[Hn.dim] = hs
         support_columns[Hn.dim] = columns

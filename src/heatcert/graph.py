@@ -109,16 +109,33 @@ def make_graph(vertices, rho, edges) -> WeightedGraph:
     return WeightedGraph(vertices, {v: float(rho[v]) for v in vertices}, b)
 
 
-@dataclass(frozen=True)
-class Exhaustion:
-    """Strictly increasing finite vertex subsets, covering the host."""
+def _positions(pos, n: int | None = None) -> np.ndarray:
+    """pos as a read-only np.intp array; raises unless it is 1-D, integer,
+    strictly ascending, nonnegative and, for n given, below n."""
+    pos = np.asarray(pos)
+    if (pos.ndim != 1 or pos.dtype.kind not in "iu" or np.any(pos < 0)
+            or np.any(pos[1:] <= pos[:-1]) or (n is not None and np.any(pos >= n))):
+        raise ValueError("a level must hold strictly ascending vertex positions"
+                         + ("" if n is None else f" in [0, {n})"))
+    pos = pos.astype(np.intp)
+    pos.flags.writeable = False
+    return pos
 
-    levels: tuple[frozenset, ...]
+
+@dataclass(frozen=True, eq=False)
+class Exhaustion:
+    """Strictly nested finite vertex subsets of a host. A level is an
+    ascending, read-only np.intp array of vertex positions in the host's
+    vertex order, so a consumer slices with it."""
+
+    levels: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        for a, bset in zip(self.levels, self.levels[1:]):
-            if not a < bset:
-                raise ValueError("exhaustion levels must strictly increase")
+        levels = tuple(map(_positions, self.levels))
+        for a, b in zip(levels, levels[1:]):
+            if a.size >= b.size or not np.isin(a, b).all():
+                raise ValueError("exhaustion levels must be strictly nested")
+        object.__setattr__(self, "levels", levels)
 
 
 @dataclass
@@ -188,7 +205,8 @@ def lq_norm(f: np.ndarray, q: float, weights: np.ndarray) -> float:
 
 
 def build_exhaustion(g: WeightedGraph, root: str, radii) -> Exhaustion:
-    """Exhaustion by hop-count balls around root with increasing radii.
+    """Exhaustion by hop-count balls around the vertex id root with
+    increasing radii, each ball the positions of its vertices in g's order.
 
     Truncates once the full host is covered (further radii add nothing).
     """
@@ -200,14 +218,14 @@ def build_exhaustion(g: WeightedGraph, root: str, radii) -> Exhaustion:
     radii = list(radii)
     if sorted(radii) != radii or len(set(radii)) != len(radii):
         raise ValueError("radii must be strictly increasing")
-    names = np.array(g.vertices, dtype=object)
     levels = []
     for r in radii:
-        ball = frozenset(names[hops <= max(r, 0)])  # a ball always holds its root
-        if levels and ball == levels[-1]:
+        ball = np.flatnonzero(hops <= max(r, 0))  # a ball always holds its root
+        # balls grow with the radius, so one of the same size is the same ball
+        if levels and ball.size == levels[-1].size:
             break
         levels.append(ball)
-        if len(ball) == g.n:
+        if ball.size == g.n:
             break
     return Exhaustion(tuple(levels))
 

@@ -221,7 +221,7 @@ def verify_rho_bound(k: HeatKernel) -> RhoBoundReport:
 
 @dataclass
 class MinimalKernelReport:
-    levels: list[list[str]]
+    levels: list[np.ndarray]       # the exhaustion's vertex position arrays
     kernels: list[HeatKernel]
     monotone_ok: bool
     worst_decrease: float          # most negative increment (should be ~0)
@@ -241,7 +241,8 @@ def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times, *,
                    H: OperatorMatrix | None = None) -> MinimalKernelReport:
     """Dirichlet kernels along the exhaustion; monotone increasing toward
     the minimal kernel, with per-level sup increments as the convergence
-    diagnostic.
+    diagnostic. Each level is an array of vertex positions in g's order
+    (`graph.Exhaustion`), and the report keeps those arrays.
 
     H is the host Laplacian `assemble_laplacian(g)` when the caller has
     already built it (its cached spectrum then serves a level that is the
@@ -253,30 +254,23 @@ def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times, *,
     the moving boundary have roughly constant magnitude at every stage and
     would mask the pointwise convergence the diagnostic is meant to show.
     """
-    host = set(g.vertices)
     for lv in ex.levels:
-        if not lv <= host:
+        if lv.size and lv[-1] >= g.n:
             raise ValueError("exhaustion level not contained in host")
     if H is None:
         H = assemble_laplacian(g)
     elif H.kind != "scalar-laplacian" or H.vertices != g.vertices:
         raise ValueError("host operator is not the scalar Laplacian of the graph")
-    kernels = []
-    levels = []
-    for lv in ex.levels:
-        Hn = dirichlet_restriction(H, lv)
-        kernels.append(kernel_from_semigroup(Hn, times))
-        levels.append(list(Hn.vertices))
-    window = kernels[0].vertices
+    levels = list(ex.levels)
+    kernels = [kernel_from_semigroup(dirichlet_restriction(H, lv), times) for lv in levels]
+    window = levels[0]
     monotone = True
     worst = 0.0
     sup_inc = []
-    for ka, kb in zip(kernels, kernels[1:]):
-        index_a = {v: i for i, v in enumerate(ka.vertices)}
-        index_b = {v: i for i, v in enumerate(kb.vertices)}
-        pos = [index_b[v] for v in ka.vertices]
-        win_a = [index_a[v] for v in window]
-        win_b = [index_b[v] for v in window]
+    for lv_a, lv_b, ka, kb in zip(levels, levels[1:], kernels, kernels[1:]):
+        # where level a, and the window, sit inside the nested levels
+        pos = np.searchsorted(lv_b, lv_a)
+        win_a, win_b = np.searchsorted(lv_a, window), np.searchsorted(lv_b, window)
         inc_per_t = {}
         for ti, mat_a, mat_b in zip(ka.times, ka.kernels, kb.kernels):
             diff = np.real(mat_b[np.ix_(pos, pos)] - mat_a)

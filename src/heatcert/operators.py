@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import EndomorphismField, UnitaryConnection
-from .graph import WeightedGraph, validate_graph
+from .graph import WeightedGraph, _positions, validate_graph
 
 WEIGHTED_HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -219,29 +219,29 @@ def add_potential(H: OperatorMatrix, V: EndomorphismField) -> OperatorMatrix:
     return OperatorMatrix(H.matrix + Vop.matrix, H.vertices, H.rank, H.rho, "sum")
 
 
-def dirichlet_restriction(H: OperatorMatrix, subset) -> OperatorMatrix:
-    """Principal submatrix on the subset (fiber blocks included), with rho
-    sliced to it. Diagonal degree terms are retained, which is what makes
-    the restriction a Dirichlet (killing) boundary condition. A subset
-    holding every vertex of H gives H's own matrix and shares its cache.
+def dirichlet_restriction(H: OperatorMatrix, pos) -> OperatorMatrix:
+    """Principal submatrix at the vertex positions pos (fiber blocks
+    included), with rho sliced to it. pos holds strictly ascending indices
+    into H's vertices, such as an exhaustion level. Diagonal degree terms
+    are retained, which is what makes the restriction a Dirichlet (killing)
+    boundary condition. A pos holding every vertex of H gives H's own
+    matrix and shares its cache.
 
     The PSD check runs on H, once per operator since its verdict is cached.
     The level's symmetrized matrix is a principal submatrix of H's, so by
     Cauchy interlacing its lambda_min is no smaller than H's: the level
     starts with "psd" in its cache and needs no check of its own."""
-    keep = set(subset)
-    pos = [i for i, v in enumerate(H.vertices) if v in keep]
-    if not pos:
+    if np.size(pos) == 0:
         raise ValueError("empty Dirichlet subset")
+    pos, d = _positions(pos, len(H.vertices)), H.rank
     require_psd(H)
-    subset = [H.vertices[i] for i in pos]
-    d = H.rank
-    if len(pos) == len(H.vertices):
+    if pos.size == len(H.vertices):
         sub, cache = H.matrix, H._cache
     else:
-        idx = [i * d + k for i in pos for k in range(d)]
+        idx = (pos[:, None] * d + np.arange(d)).ravel()
         sub, cache = H.matrix[np.ix_(idx, idx)], {"psd": True}
-    return OperatorMatrix(sub, tuple(subset), d, H.rho[pos], "dirichlet-restriction", cache)
+    vertices = tuple(map(H.vertices.__getitem__, pos.tolist()))
+    return OperatorMatrix(sub, vertices, d, H.rho[pos], "dirichlet-restriction", cache)
 
 
 def spectral_rows(H: OperatorMatrix, g, block_vertices: int | None = None):

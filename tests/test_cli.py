@@ -726,6 +726,62 @@ class TestDemo:
         assert code == EXIT_INPUT and calls == []
 
 
+class TestFlagValues:
+    """Usage errors and numbers that are not finite exit 1 before any work,
+    with a message that names the flag; exit 2 means a bound failed."""
+
+    @staticmethod
+    def files(tmp_path):
+        g = path_graph(12)
+        kernel, bundle = tmp_path / "k.json", tmp_path / "b.json"
+        dump_graph(g, tmp_path / "g.json")
+        dump_kernel(kernel_from_semigroup(assemble_laplacian(g), (0.5, 1.0)), kernel)
+        W = EndomorphismField.scalar({f"v{j}": 1.0 / (1.0 + j * j) for j in range(12)})
+        dump_bundle(bundle, 1, connection=UnitaryConnection.trivial(g, 1),
+                    potentials={"w": W})
+        return {"graph": tmp_path / "g.json", "kernel": kernel, "bundle": bundle,
+                "out": tmp_path / "rep.json"}
+
+    CERTIFY = ("compact certify --graph {graph} --bundle {bundle} --potential w"
+               " --levels root=v0,radii=5,11 --out {out}")
+    DOMINATE = "dominate check --graph {graph} --bundle {bundle} --out {out}"
+
+    @pytest.mark.parametrize("argv", [
+        CERTIFY + " --a inf",
+        CERTIFY + " --a nan",
+        CERTIFY + " --q nan",
+        CERTIFY + " --decomp threshold:nan",
+        "heat verify --graph {graph} --out {out} --times 0.5,nan,1",
+        "heat verify --graph {graph} --out {out} --times nan",
+        DOMINATE + " --a nan",
+        DOMINATE + " --a 1,inf",
+        DOMINATE + " --trials -1",
+        "demo coulomb-lattice --n 30 --out {out} --threshold nan",
+        "control check --out {out} --C nan",
+        "control check --out {out} --q nan",
+        CERTIFY + " --topk abc",
+        CERTIFY + " --bogus 1",
+        # --times is an option only where a time grid is read
+        "graph validate --graph {graph} --out {out} --times 0.5",
+        "control check --out {out} --times 0.5",
+        "control fit --kernel {kernel} --out {out} --times 0.5",
+    ], ids=lambda argv: " ".join(argv.split()[:2] + argv.split()[-2:]))
+    def test_rejected_with_exit_1(self, argv, tmp_path, capsys):
+        # the flag under test and its value end each command line, and the
+        # last line of stderr, after argparse's usage, names the flag
+        paths = self.files(tmp_path)
+        code, err = _run([arg.format(**paths) for arg in argv.split()], capsys)
+        assert code == EXIT_INPUT
+        assert argv.split()[-2] in err.splitlines()[-1]
+        assert not paths["out"].exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compact", "certify", "--help"])
+        assert exc.value.code == 0
+        assert "--levels" in capsys.readouterr().out
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

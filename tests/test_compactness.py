@@ -610,13 +610,13 @@ class TestSingularValuesFromEigenbasis:
         rep = certify_compactness(pd, Hc, cp, ex, a=2.0)
         rows = [r for r in rep.bounds if r.name == "step1-resolvent-hs-bound"]
         assert len(rows) == len(ex.levels)
-        supp = dict(zip(g.vertices, np.any(W.blocks != 0, axis=(1, 2))))
+        supp = np.any(W.blocks != 0, axis=(1, 2))
         for lv, row in zip(ex.levels, rows):
             Hn = dirichlet_restriction(Hc, lv)
             ref = dense_singular_values(W, Hn, lambda H: resolvent(H, 2.0))
             assert_sv_close(rep.singular_values[Hn.dim], ref, rep.top_k)
             assert abs(rep.hs_norms[Hn.dim] - np.sqrt(np.sum(ref ** 2))) <= 1e-12
-            assert rep.support_columns[Hn.dim] == 2 * sum(supp[v] for v in lv)
+            assert rep.support_columns[Hn.dim] == 2 * supp[lv].sum()
             ref1 = dense_singular_values(W1, Hn, lambda H: resolvent(H, 2.0))[0]
             assert row.detail["level_dim"] == Hn.dim
             assert abs(row.lhs - ref1) <= 1e-12 * max(1.0, ref1)
@@ -840,8 +840,8 @@ class TestCertifyFormsNoDenseProducts:
         # one Cholesky proves the host PSD; no level is checked or diagonalised
         assert calls == ["cholesky"] + ["solve"] * len(sizes)
         # W1 is W on part of its support, so W's columns serve both
-        supp = dict(zip(g.vertices, np.any(pd.W.blocks != 0, axis=(1, 2))))
-        assert widths[1:] == [(2 * s, 2 * sum(supp[v] for v in lv))
+        supp = np.any(pd.W.blocks != 0, axis=(1, 2))
+        assert widths[1:] == [(2 * s, 2 * supp[lv].sum())
                               for s, lv in zip(sizes, ex.levels)]
 
     def test_non_psd_operator_rejected(self):
@@ -984,6 +984,7 @@ def test_truncation_operator_norm_converges_exactly():
     gaps = []
     base = int(np.ceil(max(abs(w) for w in W.values())))
     for n, level in enumerate(ex.levels, start=base):
+        level = {g.vertices[i] for i in level}
         Wn = {v: (np.sign(W[v]) * min(n, abs(W[v])) if v in level else 0.0)
               for v in g.vertices}
         diff = EndomorphismField.scalar({v: W[v] - Wn[v] for v in g.vertices})

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from heatcert import graph
 from heatcert.graph import (
     ADJACENCY_EPS,
+    Exhaustion,
     GraphFormatError,
     WeightedGraph,
     _hops,
@@ -130,11 +131,16 @@ class TestLqNorm:
         assert lq_norm(small, q, m) <= lq_norm(large, q, m) + 1e-12
 
 
+def names(g, level):
+    """The vertex ids at a level's positions."""
+    return frozenset(g.vertices[i] for i in level)
+
+
 class TestExhaustion:
     def test_single_vertex(self):
         g = make_graph(["x"], {"x": 1.0}, [])
         ex = build_exhaustion(g, "x", [1, 2, 3])
-        assert ex.levels == (frozenset({"x"}),)
+        assert [names(g, lv) for lv in ex.levels] == [frozenset({"x"})]
 
     def test_path_ball_sizes(self):
         g = path_graph(7)
@@ -154,12 +160,31 @@ class TestExhaustion:
         g = random_graph(30, rng)
         ex = build_exhaustion(g, g.vertices[0], [1, 2, 3, 4, 10])
         for a, b in zip(ex.levels, ex.levels[1:]):
-            assert a < b
+            assert names(g, a) < names(g, b)
 
     def test_rejects_disconnected(self):
         g = make_graph(["a", "b"], {"a": 1, "b": 1}, [])
         with pytest.raises(ValueError):
             build_exhaustion(g, "a", [1, 2])
+
+    def test_levels_are_read_only_position_arrays(self):
+        ex = build_exhaustion(path_graph(7), "v3", [1, 2])
+        assert [lv.tolist() for lv in ex.levels] == [[2, 3, 4], [1, 2, 3, 4, 5]]
+        for lv in ex.levels:
+            assert lv.dtype == np.intp and not lv.flags.writeable
+
+    @pytest.mark.parametrize("levels, message", [
+        (([1, 0],), "strictly ascending"),
+        (([0, 1, 1],), "strictly ascending"),
+        (([0.0, 1.0],), "strictly ascending"),
+        (([-1, 0],), "strictly ascending"),
+        (([[0, 1]],), "strictly ascending"),
+        (([0, 1], [0, 2, 3]), "strictly nested"),
+        (([0, 1], [0, 1]), "strictly nested"),
+    ], ids=["unsorted", "duplicated", "float", "negative", "2-d", "not-nested", "equal"])
+    def test_rejects_malformed_levels(self, levels, message):
+        with pytest.raises(ValueError, match=message):
+            Exhaustion(tuple(np.array(lv) for lv in levels))
 
 
 def test_generators_produce_valid_graphs():
@@ -211,7 +236,7 @@ def test_sub_eps_bridge_counts_in_degree_only(bridge, connected):
     rep = validate_graph(g)
     if connected:
         assert rep.ok
-        assert build_exhaustion(g, "a", [1, 2]).levels[-1] == frozenset(g.vertices)
+        assert names(g, build_exhaustion(g, "a", [1, 2]).levels[-1]) == frozenset(g.vertices)
     else:
         assert rep.violations == ["graph disconnected; unreachable e.g. ['c']"]
         with pytest.raises(ValueError, match="disconnected"):
@@ -256,7 +281,8 @@ def test_exhaustion_balls_match_reference_bfs(seed):
     g = make_graph(g.vertices, g.rho, edges + list(chords.values()))
     root = str(rng.choice(g.vertices))
     radii = [0, 1, 2, 3, 5, 8, 13, 40]
-    assert list(build_exhaustion(g, root, radii).levels) == reference_balls(g, root, radii)
+    levels = build_exhaustion(g, root, radii).levels
+    assert [names(g, lv) for lv in levels] == reference_balls(g, root, radii)
 
 
 def reference_hops(g, root):

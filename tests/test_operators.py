@@ -239,13 +239,13 @@ class TestDirichlet:
     def test_full_set_is_identity_restriction(self):
         g = path_graph(4)
         H = assemble_laplacian(g)
-        Hs = dirichlet_restriction(H, g.vertices)
+        Hs = dirichlet_restriction(H, np.arange(g.n))
         np.testing.assert_array_equal(H.matrix, Hs.matrix)
 
     def test_middle_vertex_keeps_degree(self):
         g = path_graph(3)
         H = assemble_laplacian(g)
-        Hs = dirichlet_restriction(H, ["v1"])
+        Hs = dirichlet_restriction(H, [g.index("v1")])
         assert Hs.matrix.shape == (1, 1)
         assert Hs.matrix[0, 0] == pytest.approx(2.0)
 
@@ -256,7 +256,7 @@ class TestDirichlet:
         lam_full = H.lambda_min()
         for _ in range(20):
             size = int(rng.integers(1, g.n))
-            subset = list(rng.choice(g.vertices, size=size, replace=False))
+            subset = np.sort(rng.choice(g.n, size=size, replace=False))
             Hs = dirichlet_restriction(H, subset)
             assert Hs.lambda_min() >= lam_full - 1e-10
 
@@ -264,16 +264,24 @@ class TestDirichlet:
         rng = np.random.default_rng(8)
         g = random_graph(20, rng)
         H = assemble_laplacian(g)
-        s2 = list(rng.choice(g.vertices, size=15, replace=False))
+        s2 = rng.choice(g.n, size=15, replace=False)
         s1 = s2[:7]
-        l1 = dirichlet_restriction(H, s1).lambda_min()
-        l2 = dirichlet_restriction(H, s2).lambda_min()
+        l1 = dirichlet_restriction(H, np.sort(s1)).lambda_min()
+        l2 = dirichlet_restriction(H, np.sort(s2)).lambda_min()
         assert l1 >= l2 - 1e-10
 
     def test_rejects_empty(self):
         H = assemble_laplacian(path_graph(3))
         with pytest.raises(ValueError):
             dirichlet_restriction(H, [])
+
+    @pytest.mark.parametrize("pos", [[0, 3], [-1, 0], [2, 1], [1, 1], [0.0, 1.0]],
+                             ids=["out-of-range", "negative", "unsorted", "duplicated",
+                                  "float"])
+    def test_rejects_malformed_positions(self, pos):
+        H = assemble_laplacian(path_graph(3))
+        with pytest.raises(ValueError, match="strictly ascending vertex positions in"):
+            dirichlet_restriction(H, pos)
 
 
 class TestRequirePsd:
@@ -314,7 +322,7 @@ class TestRequirePsd:
         require_psd(H)
         assert calls == ["cholesky"] and H._cache == {"psd": True}
         require_psd(H)
-        level = dirichlet_restriction(H, g.vertices[:5])
+        level = dirichlet_restriction(H, np.arange(5))
         require_psd(level)
         assert calls == ["cholesky"] and level._cache == {"psd": True}
 
@@ -362,7 +370,7 @@ class TestRequirePsd:
     def test_non_psd_host_has_no_dirichlet_level(self):
         op = self.negative_shift(95)
         with pytest.raises(ValueError, match="not PSD"):
-            dirichlet_restriction(op, op.vertices[:3])
+            dirichlet_restriction(op, np.arange(3))
 
 
 class TestSpectralRows:
