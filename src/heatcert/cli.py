@@ -188,13 +188,23 @@ def cmd_control_fit(args) -> int:
     return EXIT_OK if cert.ok else EXIT_VIOLATION
 
 
+def _bundle_potential(potentials: dict, name: str):
+    """The bundle's potential of that name; an unknown name is an input
+    error that lists the bundle's names."""
+    if name not in potentials:
+        raise ValueError(f"--potential {name!r} is not in the bundle; "
+                         f"it has {sorted(potentials)}")
+    return potentials[name]
+
+
 def cmd_dominate_check(args) -> int:
     g = load_graph(args.graph)
     rank, connection, potentials = load_bundle(args.bundle, g)
+    V = _bundle_potential(potentials, args.potential) if args.potential else None
     H_scal = assemble_laplacian(g)
     H_cov = assemble_covariant(g, rank, connection)
-    if args.potential:
-        H_cov = add_potential(H_cov, potentials[args.potential])
+    if V is not None:
+        H_cov = add_potential(H_cov, V)
     rng = np.random.default_rng(args.seed)
     rows = check_domination(H_cov, H_scal, args.times, args.a, args.trials, rng)
     ok = all(r.ok for r in rows)
@@ -207,8 +217,8 @@ def cmd_compact_certify(args) -> int:
     g = load_graph(args.graph)
     if args.bundle:
         rank, connection, potentials = load_bundle(args.bundle, g)
+        W = _bundle_potential(potentials, args.potential)
         H = assemble_covariant(g, rank, connection)
-        W = potentials[args.potential]
     else:
         H = assemble_laplacian(g)
         with open(args.potential) as fh:
@@ -222,7 +232,7 @@ def cmd_compact_certify(args) -> int:
                              "graph", args.q)
     root, radii = _parse_exhaustion(args.levels)
     ex = build_exhaustion(g, root, radii)
-    pd = PotentialDecomposition.build(W, W1, W2, pair, g)
+    pd = PotentialDecomposition.build(W, W1, W2, g)
     report = certify_compactness(pd, H, pair, ex, args.a, args.topk)
     ok = report.verdict == "hypotheses-verified" and cert.ok
     _emit({"command": "compact certify", "control_certificate": cert.to_dict(),
@@ -268,6 +278,9 @@ def _demo_scalar_checks(g, H_cov, W1, times, rng):
 
 
 def cmd_demo_coulomb(args) -> int:
+    # the four exhaustion radii n/4, n/2, 3n/4, n - 1 are distinct from n = 5
+    if args.n < 5:
+        raise ValueError(f"--n must be at least 5, got {args.n}")
     g, connection, W = build_coulomb_demo(args.n, args.kappa, args.theta)
     H_cov = assemble_covariant(g, 1, connection)
     W1, W2 = decompose_potential(W, args.threshold)
@@ -275,7 +288,7 @@ def cmd_demo_coulomb(args) -> int:
         g, H_cov, W1, args.times, np.random.default_rng(args.seed))
     radii = [args.n // 4, args.n // 2, 3 * args.n // 4, args.n - 1]
     ex = build_exhaustion(g, "v0", radii)
-    pd = PotentialDecomposition.build(W, W1, W2, pair, g)
+    pd = PotentialDecomposition.build(W, W1, W2, g)
     report = certify_compactness(pd, H_cov, pair, ex, a=args.a, k_top=args.topk)
     transitions = list(report.drift)  # insertion order = level order
     drift_last = report.drift[transitions[-1]] if transitions else 0.0

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import EndomorphismField
-from .control import ControlPair, F2Family, _quad_f2, check_integrability, laplace_rule
+from .control import ControlPair, F2Family, _quad_f2, laplace_rule
 from .graph import Exhaustion, WeightedGraph, lq_norm
 from .heat import HeatKernel
 from .operators import (
@@ -140,7 +140,8 @@ def check_2to2_bound(W, H: OperatorMatrix, cp: ControlPair, t: float) -> LedgerR
 
 
 def check_resolvent_bound(W, H: OperatorMatrix, cp: ControlPair, a: float) -> LedgerRow:
-    """Resolvent operator-norm bound on the q > 1 route:
+    """Resolvent operator-norm bound on the q > 1 route, the row that
+    `certify_compactness` asserts per level (`_resolvent_row`):
 
         sigma_1(W (H + a)^{-1}) <= ||W||_{mu, 2q} * integral of
         e^{-a t} F2(t)^{1/(2q)} dt  (quadrature value).
@@ -148,12 +149,9 @@ def check_resolvent_bound(W, H: OperatorMatrix, cp: ControlPair, a: float) -> Le
     if cp.q <= 1:
         raise ValueError("the resolvent norm route is the q > 1 path")
     W = _field(W, H.vertices, H.rank)
+    name, rhs, quad = _resolvent_row(W.norms(), H.rho, cp, a)
     (top, _, _), = resolvent_singular_values(H, [W.blocks], a, [1])
-    lhs = float(top[0])
-    quad = laplace_weight_integral(cp.F2, cp.q, a)
-    rhs = lq_norm(W.norms(), 2 * cp.q, H.rho) * quad
-    return LedgerRow("step3-resolvent-norm-bound", lhs, rhs,
-                     tol=1e-10 * max(1.0, rhs),
+    return LedgerRow(name, float(top[0]), rhs, tol=1e-10 * max(1.0, rhs),
                      detail={"a": a, "q": cp.q, "quadrature_integral": quad})
 
 
@@ -292,25 +290,22 @@ def _block_norms(block: np.ndarray, n: int, d: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PotentialDecomposition:
-    """W = W1 + W2 as fields over the host's vertices, in its order, with
-    the membership certificate the bounds need: the F1-weighted L^{2q}
-    norm of |W1|."""
+    """W = W1 + W2 as fields over the host's vertices, in its order. The
+    resolvent row takes the norm of W1 from the control pair that
+    `certify_compactness` is given."""
 
     W: EndomorphismField
     W1: EndomorphismField
     W2: EndomorphismField
-    q: float
-    w1_l2q_f1: float
 
     @staticmethod
-    def build(W, W1, W2, cp: ControlPair, g: WeightedGraph) -> "PotentialDecomposition":
+    def build(W, W1, W2, g: WeightedGraph) -> "PotentialDecomposition":
         W = _field(W, g.vertices)
         W1, W2 = (_field(X, g.vertices, W.rank) for X in (W1, W2))
         bad = np.max(np.abs(W.blocks - W1.blocks - W2.blocks), axis=(1, 2)) > 1e-12
         if bad.any():
             raise ValueError(f"W1 + W2 != W at {g.vertices[int(np.argmax(bad))]}")
-        norm = lq_norm(W1.norms(), 2 * cp.q, cp.F1 * g.rho_vec)
-        return PotentialDecomposition(W, W1, W2, cp.q, norm)
+        return PotentialDecomposition(W, W1, W2)
 
 
 @dataclass
@@ -344,12 +339,31 @@ def laplace_weight_integral(F2: F2Family, q: float, a: float,
                             time_scale: float = 1.0) -> float:
     """integral of e^{-a t} F2(time_scale * t)^{1/(2q)} dt, by the
     quadrature of the integrability checker after substituting
-    u = time_scale * t; a > 0."""
+    u = time_scale * t; a > 0, and the endpoint exponent gamma / (2q) of
+    F2 below 1."""
     if a <= 0:
         raise ValueError("resolvent shift must be positive")
     if F2.singular_exponent() / (2.0 * q) >= 1.0:
-        raise ValueError("integral diverges at t = 0")
+        raise ValueError("control pair not integrable: endpoint exponent >= 1")
     return _quad_f2(F2, q, a / time_scale)[0] / time_scale
+
+
+def _resolvent_row(w: np.ndarray, rho: np.ndarray, cp: ControlPair,
+                   a: float) -> tuple[str, float, float]:
+    """(name, rhs, quadrature integral) of the resolvent row for a potential
+    of fiber norms w over vertex weights rho, at any shift a > 0.
+
+    Minkowski gives sigma_1(W R) <= integral of e^{-a t} ||W e^{-tH}|| dt,
+    Kato bounds ||W e^{-tH}|| by || |W| e^{-tS} ||, and the control pair
+    bounds that by F2(2t)^{1/2} ||W||_{L^2(F1 rho)} on the HS route (q = 1)
+    or by F2(t)^{1/(2q)} ||W||_{L^{2q}(rho)} on the 2->2 route (q > 1, where
+    F1 = 1)."""
+    if cp.q == 1:
+        name, time_scale = "step1-resolvent-hs-bound", 2.0
+    else:
+        name, time_scale = "step3-resolvent-norm-bound", 1.0
+    quad = laplace_weight_integral(cp.F2, cp.q, a, time_scale)
+    return name, lq_norm(w, 2 * cp.q, cp.F1 * rho) * quad, quad
 
 
 def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
@@ -357,39 +371,27 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
                         k_top: int = 5) -> CompactnessReport:
     """Per exhaustion level: the top k_top singular values of
     W (H|_level + a)^{-1}, its HS norm and support columns, the resolvent
-    operator-norm bound with its quadrature constant, and level-to-level
-    drift of the top singular values. Each level is an array of vertex
-    positions in H's order (`graph.Exhaustion`): W and W1 are put in that
-    order once, and a level slices them. H is checked PSD once
-    (`dirichlet_restriction`); no level is diagonalised. The numbers of
-    W R, and sigma_1 of W1 R, come from one solve per level over the union
-    of their supports (`operators.resolvent_singular_values`): block
-    subspace iteration on (A + a)^{-1} W* over the support of each, with
-    no dense SVD. k_top must be at least 1."""
+    row for W1 (`_resolvent_row`, with the norm of W1 from cp), and
+    level-to-level drift of the top singular values. The row is asserted
+    at every level for every a > 0; drift is reported, not asserted. Each
+    level is an array of vertex positions in H's order
+    (`graph.Exhaustion`): W and W1 are put in that order once, and a level
+    slices them. H is checked PSD once (`dirichlet_restriction`); no level
+    is diagonalised. The numbers of W R, and sigma_1 of W1 R, come from one
+    solve per level over the union of their supports
+    (`operators.resolvent_singular_values`). k_top must be at least 1."""
     if k_top < 1:
         raise ValueError(f"k_top must be at least 1, got {k_top}")
     verdict_fail = None
-    integrability = check_integrability(cp.F2, cp.q)
-    if not integrability.convergent:
-        raise ValueError(f"control pair not integrable: {integrability.reason}")
     bounds: list[LedgerRow] = []
     singular: dict[int, list[float]] = {}
     hs_norms: dict[int, float] = {}
     support_columns: dict[int, int] = {}
     dims: list[int] = []
     top_lists: list[np.ndarray] = []
-    # the quantitative resolvent bound: q = 1 uses the HS route with
-    # F2(2t) (stated for a >= 2), q > 1 the 2->2 route with F2(t) (a >= 1)
-    if cp.q == 1:
-        quad_value = laplace_weight_integral(cp.F2, cp.q, a, time_scale=2.0)
-        bound_name = "step1-resolvent-hs-bound"
-        quantitative = a >= 2
-    else:
-        quad_value = laplace_weight_integral(cp.F2, cp.q, a, time_scale=1.0)
-        bound_name = "step3-resolvent-norm-bound"
-        quantitative = a >= 1
-    rhs = pd.w1_l2q_f1 * quad_value
-    W, W1 = (_field(X, H.vertices, H.rank).blocks for X in (pd.W, pd.W1))
+    W, W1 = (_field(X, H.vertices, H.rank) for X in (pd.W, pd.W1))
+    bound_name, rhs, quad_value = _resolvent_row(W1.norms(), H.rho, cp, a)
+    W, W1 = W.blocks, W1.blocks
     for lv in ex.levels:
         Hn = dirichlet_restriction(H, lv)
         (sv, hs, columns), (sv1, _, _) = resolvent_singular_values(
@@ -399,16 +401,10 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
         support_columns[Hn.dim] = columns
         dims.append(Hn.dim)
         top_lists.append(sv)
-        sigma1 = float(sv1[0])
-        row = LedgerRow(bound_name, sigma1, rhs, tol=1e-10,
-                        detail={"level_dim": Hn.dim, "a": a,
-                                "quadrature_integral": quad_value,
-                                "quantitative": quantitative})
-        if not quantitative:
-            row.detail["note"] = ("bound stated by the resolvent route only for "
-                                  "larger shifts; row is informational here")
-        bounds.append(row)
-        if quantitative and not row.ok and verdict_fail is None:
+        bounds.append(LedgerRow(bound_name, float(sv1[0]), rhs, tol=1e-10,
+                                detail={"level_dim": Hn.dim, "a": a,
+                                        "quadrature_integral": quad_value}))
+        if not bounds[-1].ok and verdict_fail is None:
             verdict_fail = bound_name
     drift = {}
     for i, (sa, sb) in enumerate(zip(top_lists, top_lists[1:])):
@@ -417,4 +413,3 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
     verdict = "hypotheses-verified" if verdict_fail is None else f"hypothesis-failed:{verdict_fail}"
     return CompactnessReport(a, dims, singular, hs_norms, support_columns, k_top, drift,
                              bounds, verdict)
-

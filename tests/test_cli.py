@@ -304,6 +304,42 @@ class TestCompactCertify:
         assert f"k_top must be at least 1, got {topk}" in err
         assert not out.exists()
 
+    @staticmethod
+    def path30_argv(tmp_path):
+        # a 30-vertex path, W = 1/(1 + j^2), at the default shift a = 1
+        gpath, wpath = tmp_path / "g.json", tmp_path / "w.json"
+        dump_graph(path_graph(30), gpath)
+        wpath.write_text(json.dumps({f"v{j}": 1.0 / (1.0 + j * j) for j in range(30)}))
+        return ["compact", "certify", "--graph", str(gpath), "--potential", str(wpath),
+                "--levels", "root=v0,radii=9,19,29", "--out", str(tmp_path / "rep.json")]
+
+    def test_resolvent_row_asserted_at_default_shift(self, tmp_path):
+        argv = self.path30_argv(tmp_path)
+        assert main(argv) == EXIT_OK
+        rep = json.loads((tmp_path / "rep.json").read_text())
+        assert rep["a"] == 1.0
+        rows = [r for r in rep["bounds"] if r["name"] == "step1-resolvent-hs-bound"]
+        assert len(rows) == 3 and all(r["pass"] for r in rows)
+        assert not any("quantitative" in r or "note" in r for r in rep["bounds"])
+
+    def test_understated_control_pair_fails_at_default_shift(self, tmp_path, monkeypatch):
+        # a pair with F2 = 1e-6 understates p(t, x, x) rho(x) <= 1; the
+        # resolvent row must fail with it at a = 1
+        from heatcert import cli
+        from heatcert.control import ControlPair, F2Family
+
+        fit = cli.fit_control
+
+        def understated_fit(k, *args):
+            pair, cert = fit(k, *args)
+            return ControlPair(pair.F1, F2Family.constant(1e-6), pair.q), cert
+
+        monkeypatch.setattr(cli, "fit_control", understated_fit)
+        assert main(self.path30_argv(tmp_path)) == EXIT_VIOLATION
+        rep = json.loads((tmp_path / "rep.json").read_text())
+        assert rep["verdict"] == "hypothesis-failed:step1-resolvent-hs-bound"
+        assert rep["control_certificate"]["pass"] is True
+
     @pytest.mark.parametrize("command", ["certify", "demo"])
     def test_kernel_stack_released_before_certification(self, command, path_file,
                                                         tmp_path, monkeypatch):
@@ -408,6 +444,24 @@ class TestInputChecks:
         assert message in err
         if case == "connection-missing-edge":
             assert "v2" in err and "v3" in err
+
+    @pytest.mark.parametrize("command", ["dominate", "certify"])
+    def test_unknown_bundle_potential(self, command, tmp_path, capsys, monkeypatch):
+        from heatcert import cli
+
+        calls = []
+        for name in ("assemble_laplacian", "assemble_covariant"):
+            monkeypatch.setattr(cli, name, lambda *a, _n=name: calls.append(_n))
+        gpath, bpath = tmp_path / "g.json", tmp_path / "b.json"
+        dump_graph(path_graph(6), gpath)
+        bpath.write_text(json.dumps(self.bundle()))
+        argv = (["dominate", "check"] if command == "dominate"
+                else ["compact", "certify", "--levels", "root=v0,radii=2,5"])
+        code, err = _run([*argv, "--potential", "nope", "--graph", str(gpath),
+                          "--bundle", str(bpath), "--out", str(tmp_path / "rep.json")], capsys)
+        assert code == EXIT_INPUT
+        assert "--potential 'nope' is not in the bundle; it has ['w']" in err
+        assert calls == []
 
     @pytest.mark.parametrize("change, message", [
         (lambda w: w.pop("v3"), "potential has no value at vertex v3"),
@@ -714,6 +768,22 @@ class TestDemo:
                      "--out", str(tmp_path / "rep.json")]) == EXIT_OK
         assert caches == [{"psd": True}]
         assert calls == []
+
+    @pytest.mark.parametrize("n", ["-3", "0", "3", "4"])
+    def test_n_below_five_is_an_input_error(self, n, tmp_path, capsys):
+        # the four exhaustion radii coincide below n = 5
+        out = tmp_path / "rep.json"
+        code, err = _run(["demo", "coulomb-lattice", "--n", n, "--out", str(out)], capsys)
+        assert code == EXIT_INPUT
+        assert f"--n must be at least 5, got {n}" in err
+        assert not out.exists()
+
+    def test_n_five_is_accepted(self, tmp_path, capsys):
+        # the run completes; its last-level drift may exceed --drift-tol
+        out = tmp_path / "rep.json"
+        code, err = _run(["demo", "coulomb-lattice", "--n", "5", "--out", str(out)], capsys)
+        assert code in (EXIT_OK, EXIT_VIOLATION) and err == ""
+        assert json.loads(out.read_text())["compactness"]["levels"] == [2, 3, 4, 5]
 
     def test_bad_times_fail_before_any_spectral_work(self, tmp_path, monkeypatch):
         from heatcert import cli

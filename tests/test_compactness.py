@@ -512,7 +512,7 @@ def rank2_certify_case(seed):
     W = random_field(g, 2, rng)
     W1, W2 = decompose_potential(W, 1.0)
     cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
-    pd = PotentialDecomposition.build(W, W1, W2, cp, g)
+    pd = PotentialDecomposition.build(W, W1, W2, g)
     return g, Hc, pd, cp, build_exhaustion(g, g.vertices[0], [1, 2, g.n])
 
 
@@ -700,7 +700,7 @@ class TestResolventSingularValuesBySolve:
         # W1 = W / 2 everywhere is not W on part of its support
         g, Hc, pd, cp, ex = rank2_certify_case(48)
         half = EndomorphismField.from_blocks(2, g.vertices, 0.5 * pd.W.blocks, True)
-        split = PotentialDecomposition.build(pd.W, half, half, cp, g)
+        split = PotentialDecomposition.build(pd.W, half, half, g)
         rep = certify_compactness(split, Hc, cp, ex, a=2.0)
         for lv, row in zip(ex.levels, rep.bounds):
             Hn = dirichlet_restriction(Hc, lv)
@@ -854,12 +854,21 @@ class TestCertifyFormsNoDenseProducts:
 class TestPotentialDecompositionBuild:
     def test_split_mismatch_raises(self):
         g = path_graph(2)
-        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
         with pytest.raises(ValueError, match="W1"):
             PotentialDecomposition.build({"v0": 1.0, "v1": 0.0},
                                          {"v0": 0.5, "v1": 0.0},
                                          {"v0": 0.0, "v1": 0.0},
-                                         cp, g)
+                                         g)
+
+    @staticmethod
+    def row_rhs(pd, g, cp):
+        # at a = 1 the quadrature of F2 = 1 is exactly 1, so the resolvent
+        # row's rhs is the F1-weighted norm of W1
+        ex = build_exhaustion(g, g.vertices[0], [g.n])
+        rep = certify_compactness(pd, assemble_laplacian(g), cp, ex, a=1.0)
+        (row,) = rep.bounds
+        assert row.detail["quadrature_integral"] == 1.0
+        return row.rhs
 
     def test_w1_norm(self):
         g = path_graph(3)
@@ -868,8 +877,8 @@ class TestPotentialDecompositionBuild:
             {"v0": 3.0, "v1": 0.5, "v2": 0.0},
             {"v0": 3.0, "v1": 0.0, "v2": 0.0},
             {"v0": 0.0, "v1": 0.5, "v2": 0.0},
-            cp, g)
-        assert pd.w1_l2q_f1 == pytest.approx(3.0)
+            g)
+        assert self.row_rhs(pd, g, cp) == pytest.approx(3.0)
 
     def test_rank_mismatch_raises(self):
         g, Hc, pd, cp, ex = rank2_certify_case(47)
@@ -877,9 +886,8 @@ class TestPotentialDecompositionBuild:
         with pytest.raises(ValueError, match="rank 1 for an operator of rank 2"):
             check_resolvent_bound(scalar, Hc, ControlPair(cp.F1, cp.F2, 2.0), 1.0)
         with pytest.raises(ValueError, match="rank 1 for an operator of rank 2"):
-            PotentialDecomposition.build(pd.W, scalar, pd.W2, cp, g)
-        scalar_pd = PotentialDecomposition.build(scalar, scalar, dict.fromkeys(scalar, 0.0),
-                                                 cp, g)
+            PotentialDecomposition.build(pd.W, scalar, pd.W2, g)
+        scalar_pd = PotentialDecomposition.build(scalar, scalar, dict.fromkeys(scalar, 0.0), g)
         with pytest.raises(ValueError, match="rank 1 for an operator of rank 2"):
             certify_compactness(scalar_pd, Hc, cp, ex, a=2.0)
 
@@ -888,14 +896,14 @@ class TestPotentialDecompositionBuild:
         g = path_graph(3, rho=2.0)
         cp = ControlPair(np.full(g.n, 0.5), F2Family.constant(1.0), 1.0)
         ones = {v: 1.0 for v in g.vertices}
-        pd = PotentialDecomposition.build(ones, ones, dict.fromkeys(ones, 0.0), cp, g)
-        assert pd.w1_l2q_f1 ** 2 == pytest.approx(3.0)
+        pd = PotentialDecomposition.build(ones, ones, dict.fromkeys(ones, 0.0), g)
+        assert self.row_rhs(pd, g, cp) ** 2 == pytest.approx(3.0)
 
 
 def build_decomposition(g, W_map, threshold, cp):
     W1 = {v: (w if abs(w) > threshold else 0.0) for v, w in W_map.items()}
     W2 = {v: W_map[v] - W1[v] for v in W_map}
-    return PotentialDecomposition.build(W_map, W1, W2, cp, g)
+    return PotentialDecomposition.build(W_map, W1, W2, g)
 
 
 class TestCertify:
@@ -925,18 +933,42 @@ class TestCertify:
         assert row.rhs == pytest.approx(2.0, abs=1e-8)
         assert row.ok
 
-    def test_quantitative_flag_depends_on_shift(self):
-        g = path_graph(6)
+    def test_understated_control_pair_fails_at_unit_shift(self):
+        # F2 = 1e-6 understates p(t, x, x) rho(x) <= 1 on the path, so the
+        # resolvent row fails at a = 1; no shift exempts a level from it
+        n = 30
+        g = path_graph(n)
         H = assemble_laplacian(g)
-        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
-        pd = build_decomposition(g, {v: 1.0 for v in g.vertices}, 0.1, cp)
-        ex = build_exhaustion(g, "v0", [5])
-        rep1 = certify_compactness(pd, H, cp, ex, a=1.0)
-        rep2 = certify_compactness(pd, H, cp, ex, a=2.0)
-        row1 = next(r for r in rep1.bounds if "resolvent" in r.name)
-        row2 = next(r for r in rep2.bounds if "resolvent" in r.name)
-        assert not row1.detail["quantitative"]
-        assert row2.detail["quantitative"] and row2.ok
+        cp = ControlPair(1.0 / g.rho_vec, F2Family.constant(1e-6), 1.0)
+        pd = build_decomposition(g, {f"v{j}": 1.0 / (1.0 + j * j) for j in range(n)},
+                                 0.1, cp)
+        ex = build_exhaustion(g, "v0", [9, 19, 29])
+        rep = certify_compactness(pd, H, cp, ex, a=1.0)
+        assert rep.verdict == "hypothesis-failed:step1-resolvent-hs-bound"
+        assert [r.ok for r in rep.bounds] == [False] * 3
+        assert all(set(r.to_dict()) == {"name", "lhs", "rhs", "slack", "pass", "level_dim",
+                                        "a", "quadrature_integral"} for r in rep.bounds)
+        # the true graph pair F2 = 1 verifies the same case at the same shift
+        graph_cp = ControlPair(cp.F1, F2Family.constant(1.0), 1.0)
+        assert certify_compactness(pd, H, graph_cp, ex, a=1.0).verdict == "hypotheses-verified"
+
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    def test_row_matches_check_resolvent_bound_on_the_host(self, q):
+        rng = np.random.default_rng(10)
+        g = random_graph(15, rng)
+        H = assemble_laplacian(g)
+        cp = ControlPair(np.ones(g.n), F2Family.power(2.0, 1.0), q)
+        W = {v: float(rng.standard_normal()) for v in g.vertices}
+        pd = build_decomposition(g, W, 0.5, cp)
+        ex = build_exhaustion(g, g.vertices[0], [1, g.n])
+        for a in (0.1, 1.0):
+            host = certify_compactness(pd, H, cp, ex, a=a).bounds[-1]
+            ref = check_resolvent_bound(pd.W1, H, cp, a)
+            assert host.detail["level_dim"] == g.n
+            assert host.name == ref.name == "step3-resolvent-norm-bound"
+            assert abs(host.lhs - ref.lhs) <= 1e-12 * max(1.0, ref.lhs)
+            assert abs(host.rhs - ref.rhs) <= 1e-12 * max(1.0, ref.rhs)
+            assert host.detail["quadrature_integral"] == ref.detail["quadrature_integral"]
 
     def test_path_stabilization(self):
         n = 400
