@@ -8,7 +8,8 @@ operator and read-only; a complex kernel (nontrivial connection) is
 refused rather than truncated to its real part. The four kernel axioms
 (Chapman-Kolmogorov, symmetry, sub-Markov row mass, strong continuity at
 t = 0) are verified, never assumed, and the minimal kernel is approached
-through Dirichlet restrictions along an exhaustion.
+through Dirichlet restrictions along an exhaustion, streamed by time with
+no stack per level.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from .graph import Exhaustion, WeightedGraph
 from .operators import (
     OperatorMatrix,
+    _flush_subnormals,
     _semigroup_g,
     assemble_laplacian,
     dirichlet_restriction,
@@ -58,41 +60,61 @@ class HeatKernel:
         return np.stack([np.real(np.diagonal(k)) for k in self.kernels])
 
 
+def _grid(times) -> tuple[float, ...]:
+    """A time grid as the sorted floats that key a cached stack."""
+    return tuple(sorted(float(t) for t in times))
+
+
+def _eigenbasis(H: OperatorMatrix):
+    """(Lambda, Phi, Phi*) with Phi = D^{-1/2} U from the cached
+    eigendecomposition of H, after the PSD check."""
+    lam, u = H.eigh()
+    require_psd(H)
+    phi = u / np.sqrt(H.rho)[:, None]
+    return lam, phi, phi.conj().T
+
+
+def _kernel_slice(lam, phi, phi_h, rho, g, out: np.ndarray) -> np.ndarray:
+    """p(t) = Phi g(Lambda) Phi* written into out (n x n) and returned, for
+    g = `_semigroup_g(t)`; g None gives p(0) = diag(1/rho) exactly. The one
+    product per time of every kernel stack and of `minimal_kernel`."""
+    if g is None:
+        # p(0, x, y) = delta_{xy} / rho(y), the kernel of the identity
+        out.fill(0.0)
+        np.fill_diagonal(out, 1.0 / rho)
+    elif np.isrealobj(phi):
+        np.matmul(_flush_subnormals(phi * g(lam)), phi_h, out=out)
+    else:
+        p = np.matmul(_flush_subnormals(phi * g(lam)), phi_h)
+        if np.max(np.abs(p.imag)) > KERNEL_IMAG_TOL * np.max(np.abs(p)):
+            raise ValueError("heat kernel is not real; the connection is not trivial")
+        out[...] = p.real
+    return out
+
+
 def kernel_from_semigroup(H: OperatorMatrix, times) -> HeatKernel:
     """Kernel stack p(t) = Phi e^{-t Lambda} Phi*, Phi = D^{-1/2} U, from the
-    cached eigendecomposition of the scalar operator H, one product per time
-    written into a read-only (n_times, n, n) array; p(0) is exactly
+    cached eigendecomposition of the scalar operator H, one `_kernel_slice`
+    per time written into a read-only (n_times, n, n) array; p(0) is exactly
     diag(1/rho). The stack is cached on H per time grid, and a kernel with
-    an imaginary part above round-off (a nontrivial connection) is refused."""
+    an imaginary part above round-off (a nontrivial connection) is refused.
+    `minimal_kernel` forms the same slices one time at a time, with no stack
+    of its own."""
     if H.rank != 1:
         raise ValueError("heat kernels are scalar; trivialize first")
-    times = tuple(sorted(float(t) for t in times))
+    times = _grid(times)
     key = ("kernel", times)
     if key in H._cache:
         return H._cache[key]
     # guards first: t < 0 raises before any work, a non-PSD H right after
     # the eigendecomposition the stack needs anyway
     gs = [_semigroup_g(t) for t in times]
-    rho = H.rho
-    lam, u = H.eigh()
-    require_psd(H)
-    phi = u / np.sqrt(rho)[:, None]
-    phi_h = phi.conj().T
+    basis = _eigenbasis(H)
     stack = np.empty((len(times), H.dim, H.dim))
     for out, g in zip(stack, gs):
-        if g is None:
-            # p(0, x, y) = delta_{xy} / rho(y), the kernel of the identity
-            out.fill(0.0)
-            np.fill_diagonal(out, 1.0 / rho)
-        elif np.isrealobj(phi):
-            np.matmul(phi * g(lam), phi_h, out=out)
-        else:
-            p = (phi * g(lam)) @ phi_h
-            if np.max(np.abs(p.imag)) > KERNEL_IMAG_TOL * np.max(np.abs(p)):
-                raise ValueError("heat kernel is not real; the connection is not trivial")
-            out[...] = p.real
+        _kernel_slice(*basis, H.rho, g, out)
     stack.flags.writeable = False
-    k = HeatKernel(times, stack, H.vertices, rho)
+    k = HeatKernel(times, stack, H.vertices, H.rho)
     H._cache[key] = k
     return k
 
@@ -221,11 +243,24 @@ def verify_rho_bound(k: HeatKernel) -> RhoBoundReport:
 
 @dataclass
 class MinimalKernelReport:
+    """The monotonicity verdict and sup increments of `minimal_kernel`.
+    Holds no kernel: `kernels`, the per-level reference stacks, tabulates
+    every level again on each access."""
+
     levels: list[np.ndarray]       # the exhaustion's vertex position arrays
-    kernels: list[HeatKernel]
+    host: OperatorMatrix = field(repr=False)
+    times: tuple[float, ...]
     monotone_ok: bool
     worst_decrease: float          # most negative increment (should be ~0)
     sup_increments: list[dict]     # per transition: {t: sup increment}
+
+    @property
+    def kernels(self) -> list[HeatKernel]:
+        """One stack per level, `kernel_from_semigroup` of its Dirichlet
+        restriction; a level that is the whole host reads (or fills) the
+        host's cached stack."""
+        return [kernel_from_semigroup(dirichlet_restriction(self.host, lv), self.times)
+                for lv in self.levels]
 
     def to_dict(self) -> dict:
         return {
@@ -248,6 +283,13 @@ def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times, *,
     already built it (its cached spectrum then serves a level that is the
     whole host); by default it is assembled here.
 
+    The levels are streamed by time: for each t, every level's p(t) comes
+    from its eigenbasis by `_kernel_slice`, the same product as its stack
+    from `kernel_from_semigroup` would hold, and each pair of consecutive
+    levels is compared before the next t. So one slice per level is live
+    and no stack is built; a level that is the whole host reads H's cached
+    stack for this grid when there is one, as in `heat verify`.
+
     Monotonicity is asserted on the full common index set of each pair of
     consecutive levels. The sup increments are measured on the first
     level's vertices — a fixed observation window — because increments near
@@ -262,26 +304,38 @@ def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times, *,
     elif H.kind != "scalar-laplacian" or H.vertices != g.vertices:
         raise ValueError("host operator is not the scalar Laplacian of the graph")
     levels = list(ex.levels)
-    kernels = [kernel_from_semigroup(dirichlet_restriction(H, lv), times) for lv in levels]
+    times = _grid(times)
+    gs = [_semigroup_g(t) for t in times]
+    host_stack = H._cache.get(("kernel", times))
+    # per level (stack, basis, buffer): the host's cached stack, or the
+    # eigenbasis with rho and one slice buffer; each level operator, with
+    # its U, is dropped once its basis is formed
+    sources = []
+    for lv in levels:
+        op = dirichlet_restriction(H, lv)
+        if host_stack is not None and op.dim == H.dim:
+            sources.append((host_stack.kernels, None, None))
+        else:
+            sources.append((None, (*_eigenbasis(op), op.rho), np.empty((op.dim, op.dim))))
     window = levels[0]
+    # where level a, and the window, sit inside the nested levels
+    pairs = [(np.searchsorted(lv_b, lv_a), np.searchsorted(lv_a, window),
+              np.searchsorted(lv_b, window)) for lv_a, lv_b in zip(levels, levels[1:])]
     monotone = True
     worst = 0.0
-    sup_inc = []
-    for lv_a, lv_b, ka, kb in zip(levels, levels[1:], kernels, kernels[1:]):
-        # where level a, and the window, sit inside the nested levels
-        pos = np.searchsorted(lv_b, lv_a)
-        win_a, win_b = np.searchsorted(lv_a, window), np.searchsorted(lv_b, window)
-        inc_per_t = {}
-        for ti, mat_a, mat_b in zip(ka.times, ka.kernels, kb.kernels):
+    sup_inc = [{} for _ in pairs]
+    for i, (ti, gt) in enumerate(zip(times, gs)):
+        mats = [_kernel_slice(*basis, gt, buf) if stack is None else stack[i]
+                for stack, basis, buf in sources]
+        for (pos, win_a, win_b), mat_a, mat_b, inc in zip(pairs, mats, mats[1:], sup_inc):
             diff = np.real(mat_b[np.ix_(pos, pos)] - mat_a)
             worst = min(worst, float(np.min(diff)))
             if np.min(diff) < -A3_TOL:
                 monotone = False
             win_diff = np.real(mat_b[np.ix_(win_b, win_b)]
                                - mat_a[np.ix_(win_a, win_a)])
-            inc_per_t[ti] = float(np.max(win_diff))
-        sup_inc.append(inc_per_t)
-    return MinimalKernelReport(levels, kernels, monotone, worst, sup_inc)
+            inc[ti] = float(np.max(win_diff))
+    return MinimalKernelReport(levels, H, times, monotone, worst, sup_inc)
 
 
 def dump_kernel(k: HeatKernel, path):

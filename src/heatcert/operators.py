@@ -31,6 +31,10 @@ ROW_BLOCK_BYTES = 1 << 20
 SUBSPACE_GUARD = 4
 SUBSPACE_SWEEPS = 50
 SUBSPACE_RTOL = 1e-13
+# `_top_singular_values`: up to this many columns the dense SVD is cheaper
+# than the iteration (on the bundle-certify adjoints it wins at 160 columns
+# and loses at 380 to an iteration that converges)
+SVD_DENSE_COLUMNS = 200
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,21 @@ def require_psd(op: OperatorMatrix):
     lam = op.lambda_min()
     if lam < -PSD_TOL:
         raise ValueError(f"{op.kind} operator not PSD: lambda_min = {lam}")
+
+
+def _flush_subnormals(x: np.ndarray) -> np.ndarray:
+    """Zero, in place, each real and imaginary part of x below the smallest
+    normal float in magnitude, and return x; a complex x must be C- or
+    F-contiguous. A product operand with subnormal entries slows the GEMM
+    several times over. The flush moves an entry of a product x B by at
+    most tiny times the l1 norm of a column of B (n tiny for B = U*), and
+    each singular value of an N x m matrix x by at most sqrt(2 N m) tiny
+    (Weyl)."""
+    tiny = np.finfo(float).tiny
+    # both parts in one pass, as float64 over x's memory in its own order
+    parts = (x.T if x.flags.f_contiguous else x).view(np.float64)
+    parts[(parts > -tiny) & (parts < tiny)] = 0.0
+    return x
 
 
 def _symmetrize(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -270,7 +289,7 @@ def spectral_rows(H: OperatorMatrix, g, block_vertices: int | None = None):
     def blocks():
         for vs in spans:
             rows = slice(vs.start * d, vs.stop * d)
-            out = (u[rows] * glam) @ uh
+            out = np.matmul(_flush_subnormals(u[rows] * glam), uh)
             out /= s[rows, None]
             out *= s[None, :]
             yield vs, out
@@ -292,12 +311,11 @@ def _top_singular_values(x: np.ndarray, k: int) -> np.ndarray:
     M = x*x with Rayleigh-Ritz (Golub & Van Loan, Matrix Computations,
     4th ed., 8.2 and 10.4).
 
-    x is overwritten. Its real and imaginary parts below the smallest normal
-    float in magnitude are set to zero first, which keeps subnormal operands
-    out of the products; by Weyl this moves each sigma by at most
-    sqrt(2 N m) tiny. The block V has p = k + SUBSPACE_GUARD orthonormal
-    columns, started from a fixed seed, so a repeated call gives the same
-    bits, and it is real for a real x.
+    x is overwritten: `_flush_subnormals` keeps subnormal operands out of
+    the products, which moves each sigma by at most sqrt(2 N m) tiny. The
+    block V has p = k + SUBSPACE_GUARD orthonormal columns, started from a
+    fixed seed, so a repeated call gives the same bits, and it is real for
+    a real x.
 
     A sweep forms Y = x V and the SVD of Y: its sigma are the Ritz values of
     x on span V, and its right vectors W turn V into the Ritz vectors V W.
@@ -306,15 +324,13 @@ def _top_singular_values(x: np.ndarray, k: int) -> np.ndarray:
     the shift centres [0, sigma_p^2], which holds the unwanted part of the
     spectrum of M, on zero, so each sweep damps it more than M alone. The
     iteration stops when the top-k residuals are at most SUBSPACE_RTOL
-    sigma_1^2. When m <= p the block spans every column and the first
-    Rayleigh-Ritz step, the SVD of x, is exact; after SUBSPACE_SWEEPS sweeps
-    the dense SVD of x decides."""
-    tiny = np.finfo(float).tiny
-    for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
-        part[np.abs(part) < tiny] = 0.0
+    sigma_1^2. The dense SVD of x decides instead when m <= p, where the
+    block would span every column, or m <= SVD_DENSE_COLUMNS, where it is
+    the cheaper of the two; and after SUBSPACE_SWEEPS sweeps."""
+    _flush_subnormals(x)
     out = np.zeros(min(k, x.shape[0]))
     m, p = x.shape[1], k + SUBSPACE_GUARD
-    if m <= p:
+    if m <= max(p, SVD_DENSE_COLUMNS):
         top = np.linalg.svd(x, compute_uv=False)[:k]
         out[:top.size] = top
         return out

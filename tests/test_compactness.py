@@ -534,21 +534,24 @@ class TestSingularValuesFromEigenbasis:
                 yield g, Hn, rng
 
     @pytest.mark.parametrize("rank", [1, 2])
-    def test_matches_dense_route(self, rank):
-        for g, Hn, rng in self.hosts(rank):
-            half = [v for v in Hn.vertices if rng.random() < 0.5] or [Hn.vertices[0]]
-            for support in (None, half):
-                W = random_field(g, rank, rng, support)
-                # |S| rank positive values, then exact zeros
-                r = rank * sum(1 for v in Hn.vertices
-                               if support is None or v in support)
-                for a in (0.5, 2.0):
-                    ref = dense_singular_values(W, Hn, lambda H: resolvent(H, a))
-                    for k in (1, 5, Hn.dim):
-                        fast = singular_values(Hn, W.restrict(Hn.vertices).blocks,
-                                               lambda lam: 1.0 / (lam + a), k)
-                        assert_sv_close(fast, ref, k)
-                        assert np.all(fast[:r] > 0) and np.all(fast[r:] == 0.0)
+    def test_matches_dense_route(self, rank, monkeypatch):
+        # at 0 every host here, narrower than the default, iterates
+        for dense_columns in (0, operators.SVD_DENSE_COLUMNS):
+            monkeypatch.setattr(operators, "SVD_DENSE_COLUMNS", dense_columns)
+            for g, Hn, rng in self.hosts(rank):
+                half = [v for v in Hn.vertices if rng.random() < 0.5] or [Hn.vertices[0]]
+                for support in (None, half):
+                    W = random_field(g, rank, rng, support)
+                    # |S| rank positive values, then exact zeros
+                    r = rank * sum(1 for v in Hn.vertices
+                                   if support is None or v in support)
+                    for a in (0.5, 2.0):
+                        ref = dense_singular_values(W, Hn, lambda H: resolvent(H, a))
+                        for k in (1, 5, Hn.dim):
+                            fast = singular_values(Hn, W.restrict(Hn.vertices).blocks,
+                                                   lambda lam: 1.0 / (lam + a), k)
+                            assert_sv_close(fast, ref, k)
+                            assert np.all(fast[:r] > 0) and np.all(fast[r:] == 0.0)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_tiny_potential_keeps_its_support(self, rank):
@@ -628,27 +631,30 @@ class TestResolventSingularValuesBySolve:
     1e-12 max(1, sigma_1)."""
 
     @pytest.mark.parametrize("rank", [1, 2])
-    def test_matches_eigen_route(self, rank):
-        for g, Hn, rng in TestSingularValuesFromEigenbasis.hosts(rank):
-            half = [v for v in Hn.vertices if rng.random() < 0.5] or [Hn.vertices[0]]
-            stacks = [random_field(g, rank, rng, support).restrict(Hn.vertices).blocks
-                      for support in (None, half, ())]
-            for a in (0.5, 2.0):
-                for k in (1, 5, Hn.dim):
-                    ks = [k, 1, k]
-                    fast = resolvent_singular_values(Hn, stacks, a, ks)
-                    assert len(fast) == len(stacks)
-                    for W, kw, (sv, hs, columns) in zip(stacks, ks, fast):
-                        ref = dense_resolvent_sv(W, Hn, a)
-                        assert_sv_close(sv, ref, kw)
-                        assert_sv_close(sv, singular_values(Hn, W, _resolvent_g(a), kw), kw)
-                        assert abs(hs - np.sqrt(np.sum(ref ** 2))) <= 1e-12 * max(1.0, hs)
-                        # rank |S| positive values, then exact zeros
-                        r = rank * int(np.any(W != 0, axis=(1, 2)).sum())
-                        assert columns == r
-                        assert np.all(sv[:r] > 0) and np.all(sv[r:] == 0.0)
-                    assert fast[2][0].tolist() == [0.0] * min(k, Hn.dim)
-                    assert fast[2][1:] == (0.0, 0)
+    def test_matches_eigen_route(self, rank, monkeypatch):
+        # at 0 every host here, narrower than the default, iterates
+        for dense_columns in (0, operators.SVD_DENSE_COLUMNS):
+            monkeypatch.setattr(operators, "SVD_DENSE_COLUMNS", dense_columns)
+            for g, Hn, rng in TestSingularValuesFromEigenbasis.hosts(rank):
+                half = [v for v in Hn.vertices if rng.random() < 0.5] or [Hn.vertices[0]]
+                stacks = [random_field(g, rank, rng, support).restrict(Hn.vertices).blocks
+                          for support in (None, half, ())]
+                for a in (0.5, 2.0):
+                    for k in (1, 5, Hn.dim):
+                        ks = [k, 1, k]
+                        fast = resolvent_singular_values(Hn, stacks, a, ks)
+                        assert len(fast) == len(stacks)
+                        for W, kw, (sv, hs, columns) in zip(stacks, ks, fast):
+                            ref = dense_resolvent_sv(W, Hn, a)
+                            assert_sv_close(sv, ref, kw)
+                            assert_sv_close(sv, singular_values(Hn, W, _resolvent_g(a), kw), kw)
+                            assert abs(hs - np.sqrt(np.sum(ref ** 2))) <= 1e-12 * max(1.0, hs)
+                            # rank |S| positive values, then exact zeros
+                            r = rank * int(np.any(W != 0, axis=(1, 2)).sum())
+                            assert columns == r
+                            assert np.all(sv[:r] > 0) and np.all(sv[r:] == 0.0)
+                        assert fast[2][0].tolist() == [0.0] * min(k, Hn.dim)
+                        assert fast[2][1:] == (0.0, 0)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_tiny_potential_keeps_its_support(self, rank):
@@ -674,6 +680,7 @@ class TestResolventSingularValuesBySolve:
         assert H.eigh()[0][-1] > 1.4e5
 
     def test_scalar_operator_solves_in_real_arithmetic(self, monkeypatch):
+        monkeypatch.setattr(operators, "SVD_DENSE_COLUMNS", 0)
         calls = []
         for name in ("solve", "svd", "qr"):
             fn = getattr(np.linalg, name)
@@ -728,9 +735,29 @@ def svd_widths(monkeypatch):
     return widths
 
 
+def test_dense_svd_up_to_the_crossover(monkeypatch):
+    # at most SVD_DENSE_COLUMNS columns the dense SVD decides and no QR runs
+    qrs = []
+    fn = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qrs.append(a) or fn(*a, **k))
+    rng = np.random.default_rng(61)
+    for m in (operators.SVD_DENSE_COLUMNS, operators.SVD_DENSE_COLUMNS + 1):
+        x = rng.standard_normal((m + 20, m)) / np.arange(1, m + 1)
+        ref = np.linalg.svd(x, compute_uv=False)[:5]
+        qrs.clear()
+        assert_sv_close(operators._top_singular_values(x, 5), ref, 5)
+        assert bool(qrs) == (m > operators.SVD_DENSE_COLUMNS)
+
+
 class TestTopSingularValues:
     """The block subspace iteration behind both routes on hard and edge
-    cases, against a dense np.linalg.svd at 1e-12 max(1, sigma_1)."""
+    cases, against a dense np.linalg.svd at 1e-12 max(1, sigma_1). Every
+    host here is narrower than SVD_DENSE_COLUMNS, so it is set to 0 for the
+    iteration to run."""
+
+    @pytest.fixture(autouse=True)
+    def iterate(self, monkeypatch):
+        monkeypatch.setattr(operators, "SVD_DENSE_COLUMNS", 0)
 
     def test_degenerate_sigma_on_a_cycle(self, monkeypatch):
         # constant W on a cycle: sigma_j = w / (lambda_j + a) with

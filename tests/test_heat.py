@@ -5,6 +5,7 @@ import pytest
 
 from heatcert.graph import build_exhaustion, make_graph, path_graph, random_graph
 from heatcert.heat import (
+    A3_TOL,
     DEFAULT_TIMES,
     HeatKernel,
     kernel_from_semigroup,
@@ -193,6 +194,101 @@ class TestMinimalKernel:
             minimal_kernel(g, ex, (1.0,))
 
 
+def unit_lattice(side: int):
+    """side x side grid with unit rho and b; its Laplacian spectrum fills
+    [0, 8), so e^{-100 lambda} is subnormal for lambda in (7.08, 7.45)."""
+    ids = [f"v{i}_{j}" for i in range(side) for j in range(side)]
+    edges = [(f"v{i}_{j}", f"v{i + di}_{j + dj}", 1.0)
+             for i in range(side) for j in range(side)
+             for di, dj in ((1, 0), (0, 1)) if i + di < side and j + dj < side]
+    return make_graph(ids, dict.fromkeys(ids, 1.0), edges)
+
+
+def reference_minimal(levels, kernels):
+    """(monotone_ok, worst_decrease, sup_increments) from per-level stacks,
+    level pair by level pair."""
+    window = levels[0]
+    monotone, worst, sup_inc = True, 0.0, []
+    for lv_a, lv_b, ka, kb in zip(levels, levels[1:], kernels, kernels[1:]):
+        pos = np.searchsorted(lv_b, lv_a)
+        win_a, win_b = np.searchsorted(lv_a, window), np.searchsorted(lv_b, window)
+        inc = {}
+        for ti, mat_a, mat_b in zip(ka.times, ka.kernels, kb.kernels):
+            diff = mat_b[np.ix_(pos, pos)] - mat_a
+            worst = min(worst, float(np.min(diff)))
+            monotone &= bool(np.min(diff) >= -A3_TOL)
+            inc[ti] = float(np.max(mat_b[np.ix_(win_b, win_b)] - mat_a[np.ix_(win_a, win_a)]))
+        sup_inc.append(inc)
+    return monotone, worst, sup_inc
+
+
+class TestStreamedLevels:
+    """minimal_kernel forms each level's p(t) one time at a time; the
+    per-level stacks of `MinimalKernelReport.kernels` are the reference."""
+
+    @pytest.mark.parametrize("host_cached", [False, True])
+    @pytest.mark.parametrize("host", ["path", "random"])
+    def test_report_equals_per_level_stacks(self, host, host_cached):
+        if host == "path":
+            g, radii = path_graph(30), [2, 5, 30]
+        else:
+            g, radii = random_graph(40, np.random.default_rng(80)), [1, 2, 40]
+        ex = build_exhaustion(g, g.vertices[0], radii)
+        assert ex.levels[-1].size == g.n and len({lv.size for lv in ex.levels}) == 3
+        H = assemble_laplacian(g)
+        cached = kernel_from_semigroup(H, DEFAULT_TIMES) if host_cached else None
+        rep = minimal_kernel(g, ex, DEFAULT_TIMES, H=H)
+        kernels = rep.kernels
+        if host_cached:
+            assert kernels[-1] is cached
+        monotone, worst, sup_inc = reference_minimal(ex.levels, kernels)
+        assert rep.monotone_ok == monotone
+        assert rep.worst_decrease == worst
+        assert rep.sup_increments == sup_inc
+
+    def test_peak_below_one_level_stack(self):
+        import tracemalloc
+
+        g = unit_lattice(20)
+        ex = build_exhaustion(g, "v0_0", [5, 10, 20, 38])
+        assert ex.levels[-1].size == g.n
+        tracemalloc.start()
+        try:
+            minimal_kernel(g, ex, DEFAULT_TIMES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(DEFAULT_TIMES) * g.n ** 2 * 8
+
+
+def test_spectral_products_see_no_subnormal_operand(monkeypatch):
+    from heatcert import operators
+    from heatcert.bundle import UnitaryConnection
+    from heatcert.operators import assemble_covariant, spectral_function
+
+    g = unit_lattice(20)
+    H = assemble_laplacian(g)
+    lam = H.eigh()[0]
+    assert np.any((lam > 7.1) & (lam < 7.4))
+    operands = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: operands.extend(a) or matmul(*a, **k))
+    ex = build_exhaustion(g, "v0_0", [10, 38])
+    minimal_kernel(g, ex, (1.0, 100.0))
+    kernel_from_semigroup(H, (1.0, 100.0))
+    Hc = assemble_covariant(g, 1, UnitaryConnection.trivial(g))
+    for op in (H, Hc):
+        spectral_function(op, operators._semigroup_g(100.0))
+    tiny = np.finfo(float).tiny
+
+    def subnormal(x):
+        return any(np.any((part != 0) & (np.abs(part) < tiny)) for part in (x.real, x.imag))
+
+    # one product per level and time, per stack time and per row block
+    assert len(operands) >= 2 * 8
+    assert not any(subnormal(x) for x in operands)
+
+
 def test_rho_bound_random_sweep():
     rng = np.random.default_rng(6)
     for _ in range(5):
@@ -335,8 +431,13 @@ class TestTabulatedStack:
                        "--exhaustion", f"root={root},radii=1,2,{g.n}",
                        "--times", "0.5,1.0", "--out", str(tmp_path / "r.json")])
         assert rc == 0
-        assert sizes.count(g.n) == 1
-        assert len(sizes) == len(build_exhaustion(g, root, [1, 2, g.n]).levels)
+        # the levels are streamed by time: the host's stack is the only one
+        assert sizes == [g.n]
+        sizes.clear()
+        rc = cli.main(["heat", "minimal", "--graph", str(tmp_path / "g.json"),
+                       "--exhaustion", f"root={root},radii=1,2,{g.n}",
+                       "--times", "0.5,1.0", "--out", str(tmp_path / "m.json")])
+        assert rc == 0 and sizes == []
 
     def test_continuity_probe_subtracts_identity(self, monkeypatch):
         from heatcert import heat

@@ -5,6 +5,7 @@ from heatcert.bundle import EndomorphismField, UnitaryConnection
 from heatcert.graph import make_graph, path_graph, random_graph
 from heatcert.heat import kernel_from_semigroup
 from heatcert.operators import (
+    _flush_subnormals,
     _semigroup_g,
     add_potential,
     assemble_covariant,
@@ -391,6 +392,29 @@ class TestSpectralRows:
         assert np.array_equal(np.vstack([b for _, b in spectral_rows(fresh, None, 40)]), eye)
         assert np.array_equal(semigroup_matrix(fresh, 0.0), eye)
         assert fresh._cache == {}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_flush_subnormals_in_place(layout, dtype):
+    # each part below tiny in magnitude becomes 0, the rest keeps its bits
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(float).tiny
+    scale = np.where(rng.random((2, 6, 8)) < 0.3, 1e-310, 1.0)
+    base = rng.standard_normal((6, 8)) * scale[0]
+    if dtype is complex:
+        base = base + 1j * rng.standard_normal((6, 8)) * scale[1]
+    x = {"C": base.copy(), "F": np.asfortranarray(base), "strided": base.copy()[::2, ::3]}[layout]
+    if layout == "strided" and dtype is complex:
+        with pytest.raises(ValueError):
+            _flush_subnormals(x)
+        return
+    ref = x.copy()
+    for part in (ref.real, ref.imag) if dtype is complex else (ref,):
+        assert np.any((part != 0) & (np.abs(part) < tiny))
+        part[np.abs(part) < tiny] = 0.0
+    assert _flush_subnormals(x) is x
+    assert np.array_equal(x, ref)
 
 
 def test_resolvent_two_vertex_analytic():
