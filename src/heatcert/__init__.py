@@ -39,6 +39,7 @@ from .control import (
     bakry_emery_factor,
     check_integrability,
     fit_control,
+    graph_pair,
 )
 from .compactness import (
     CompactnessReport,
@@ -56,4 +57,4 @@ from .compactness import (
 )
 
 __version__ = "0.1.0"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3

@@ -25,7 +25,7 @@ from .compactness import (
     check_hs_bound,
     check_resolvent_laplace,
 )
-from .control import F2Family, check_integrability, fit_control
+from .control import F2Family, check_integrability, fit_control, graph_certificate, graph_pair
 from .graph import GraphFormatError, build_exhaustion, load_graph, path_graph, validate_graph
 from .heat import (
     DEFAULT_TIMES,
@@ -118,7 +118,10 @@ def cmd_heat_kernel(args) -> int:
 def cmd_heat_verify(args) -> int:
     if args.kernel:
         # verify a stored kernel file; no generating operator, so the
-        # continuity probe is skipped
+        # continuity probe is skipped, and no Dirichlet level can be formed
+        if args.exhaustion:
+            raise ValueError("--exhaustion needs --graph: a kernel file has no "
+                             "operator to restrict to the levels")
         k = load_kernel(args.kernel)
         axioms = verify_axioms(k)
         rho_bound = verify_rho_bound(k)
@@ -127,8 +130,6 @@ def cmd_heat_verify(args) -> int:
                "rho_bound": rho_bound.to_dict(), "pass": ok},
               args.out, args.seed)
         return EXIT_OK if ok else EXIT_VIOLATION
-    if not args.graph:
-        raise ValueError("heat verify needs --graph or --kernel")
     g = load_graph(args.graph)
     H = assemble_laplacian(g)
     k = kernel_from_semigroup(H, args.times)
@@ -226,16 +227,16 @@ def cmd_compact_certify(args) -> int:
         check_vertex_set("potential", values, g.vertices)
         W = EndomorphismField.scalar({v: values[v] for v in g.vertices})
     W1, W2 = decompose_potential(W, args.threshold)
-    # the scalar Laplacian, its eigenbasis and its kernel stack only serve
-    # the fit, and are gone before certification runs
-    pair, cert = fit_control(kernel_from_semigroup(assemble_laplacian(g), args.times),
-                             "graph", args.q)
+    # the pair rests on the graph checks that assembling H ran and, with a
+    # bundle, on its unitary connection; it needs no kernel
+    pair = graph_pair(g.rho_vec, args.q)
     root, radii = _parse_exhaustion(args.levels)
     ex = build_exhaustion(g, root, radii)
     pd = PotentialDecomposition.build(W, W1, W2, g)
     report = certify_compactness(pd, H, pair, ex, args.a, args.topk)
-    ok = report.verdict == "hypotheses-verified" and cert.ok
-    _emit({"command": "compact certify", "control_certificate": cert.to_dict(),
+    ok = report.verdict == "hypotheses-verified"
+    _emit({"command": "compact certify",
+           "control_certificate": graph_certificate(connection=bool(args.bundle)),
            **report.to_dict(), "pass": ok}, args.out, args.seed)
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -253,15 +254,15 @@ def build_coulomb_demo(n: int, kappa: float, theta: float):
     return g, connection, W
 
 
-def _demo_scalar_checks(g, H_cov, W1, times, rng):
+def _demo_scalar_checks(g, H_cov, W1, pair, times, rng):
     """The demo's checks on the scalar Laplacian S of the host: Kato
-    domination of S by H_cov, then the kernel axioms, the rho bound, the
-    graph control pair and the HS bound for W1 from S's kernel stack, and
-    the Laplace crosscheck. Returns (axioms, rho bound, pair, certificate,
-    ledger), the ledger holding the HS, crosscheck and domination rows. S,
-    its eigenbasis and its kernel stack go out of scope on return, before
-    certification runs; H_cov keeps only the PSD verdict of its
-    eigendecomposition, which is all that certification reads of it."""
+    domination of S by H_cov, then the kernel axioms, the rho bound and the
+    HS bound for W1 under the graph pair from S's kernel stack, and the
+    Laplace crosscheck. Returns (axioms, rho bound, ledger), the ledger
+    holding the HS, crosscheck and domination rows. S, its eigenbasis and
+    its kernel stack go out of scope on return, before certification runs;
+    H_cov keeps only the PSD verdict of its eigendecomposition, which is
+    all that certification reads of it."""
     H_scal = assemble_laplacian(g)
     # domination first, so that its dense semigroups and the covariant
     # eigenbasis come and go before the kernel stack is built
@@ -271,10 +272,9 @@ def _demo_scalar_checks(g, H_cov, W1, times, rng):
     k = kernel_from_semigroup(H_scal, times)
     axioms = verify_axioms(k, H_scal)
     rho_rep = verify_rho_bound(k)
-    pair, cert = fit_control(k, "graph", 1.0)
     ledger = check_hs_bound(W1, k, pair, t=0.5)
     ledger.append(check_resolvent_laplace(H_scal, a=1.0))
-    return axioms, rho_rep, pair, cert, ledger + dom_rows
+    return axioms, rho_rep, ledger + dom_rows
 
 
 def cmd_demo_coulomb(args) -> int:
@@ -284,15 +284,16 @@ def cmd_demo_coulomb(args) -> int:
     g, connection, W = build_coulomb_demo(args.n, args.kappa, args.theta)
     H_cov = assemble_covariant(g, 1, connection)
     W1, W2 = decompose_potential(W, args.threshold)
-    axioms, rho_rep, pair, cert, ledger = _demo_scalar_checks(
-        g, H_cov, W1, args.times, np.random.default_rng(args.seed))
+    pair = graph_pair(g.rho_vec)
+    axioms, rho_rep, ledger = _demo_scalar_checks(
+        g, H_cov, W1, pair, args.times, np.random.default_rng(args.seed))
     radii = [args.n // 4, args.n // 2, 3 * args.n // 4, args.n - 1]
     ex = build_exhaustion(g, "v0", radii)
     pd = PotentialDecomposition.build(W, W1, W2, g)
     report = certify_compactness(pd, H_cov, pair, ex, a=args.a, k_top=args.topk)
     transitions = list(report.drift)  # insertion order = level order
     drift_last = report.drift[transitions[-1]] if transitions else 0.0
-    ok = (axioms.ok and rho_rep.ok and cert.ok
+    ok = (axioms.ok and rho_rep.ok
           and all(r.ok for r in ledger)
           and report.verdict == "hypotheses-verified"
           and drift_last < args.drift_tol)
@@ -302,7 +303,7 @@ def cmd_demo_coulomb(args) -> int:
                    "threshold": args.threshold, "a": args.a},
         "axioms": axioms.to_dict(),
         "rho_bound": rho_rep.to_dict(),
-        "control_certificate": cert.to_dict(),
+        "control_certificate": graph_certificate(connection=True),
         "ledger": [r.to_dict() for r in ledger],
         "compactness": report.to_dict(),
         "last_level_drift": drift_last,
@@ -335,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_heat_kernel)
     sp = heat.add_parser("verify")
-    sp.add_argument("--graph", default=None)
-    sp.add_argument("--kernel", default=None)
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph")
+    source.add_argument("--kernel")
     sp.add_argument("--exhaustion", default=None)
     common(sp)
     sp.set_defaults(func=cmd_heat_verify)
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=_finite, default=1.0)
     sp.add_argument("--levels", required=True)
     sp.add_argument("--topk", type=int, default=5)
-    common(sp)
+    common(sp, times=False)
     sp.set_defaults(func=cmd_compact_certify)
 
     demo = sub.add_parser("demo").add_subparsers(dest="action", required=True)

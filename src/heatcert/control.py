@@ -210,7 +210,9 @@ class FitCertificate:
 
 
 def fit_control(k: HeatKernel, family: str, q: float = 1.0) -> tuple[ControlPair, FitCertificate]:
-    """Dominate the kernel diagonal by F1(x) F2(t).
+    """Dominate the kernel diagonal by F1(x) F2(t), for a kernel read from a
+    file (`control fit`); a kernel heatcert tabulated itself satisfies the
+    graph bound by construction, so its pair comes from `graph_pair`.
 
     family = "graph":  F1 = 1/rho, F2 = 1. Must certify on every valid
     kernel; a violation here means the universal bound failed upstream.
@@ -251,10 +253,34 @@ def fit_control(k: HeatKernel, family: str, q: float = 1.0) -> tuple[ControlPair
         min_slack = min(min_slack, float(np.min(slack)))
         for j in np.nonzero(slack < -1e-12)[0]:
             violations.append((float(t), k.vertices[j], float(-slack[j])))
-    cert = FitCertificate(float(min_slack), violations, gamma_info)
+    return _control_pair(f1, f2, q), FitCertificate(float(min_slack), violations, gamma_info)
+
+
+def _control_pair(f1: np.ndarray, f2: F2Family, q: float) -> ControlPair:
+    """The pair (F1, F2, q) for a bound p(t, x, x) <= F1(x) F2(t). The q > 1
+    shape requires F1 = 1, so there F2 is rescaled by the sup of F1."""
     if q > 1:
-        # the q > 1 shape requires F1 = 1; rescale F2 by the sup of F1
         scale = float(np.max(f1))
         f2 = F2Family(f2.kind, C=f2.C * scale, gamma=f2.gamma, params=f2.params)
         f1 = np.ones_like(f1)
-    return ControlPair(f1, f2, q), cert
+    return ControlPair(f1, f2, q)
+
+
+def graph_pair(rho: np.ndarray, q: float = 1.0) -> ControlPair:
+    """The graph control pair of the theorem: F1 = 1/rho and F2 = 1 when
+    q = 1, F1 = 1 and F2 = sup 1/rho when q > 1. rho(x) p(t, x, x) <= 1
+    whenever H >= 0, which b >= 0 and rho > 0 (graph validation) give, and
+    Kato domination carries it to a unitary connection; so no kernel is
+    needed. Equals the pair of `fit_control(k, "graph", q)`."""
+    return _control_pair(1.0 / np.asarray(rho, dtype=float), F2Family.constant(1.0), q)
+
+
+def graph_certificate(connection: bool) -> dict:
+    """The `control_certificate` block of a report whose pair comes from
+    `graph_pair`: derived from the theorem rather than fitted, so it names
+    the validated inputs it rests on instead of a slack, and always passes.
+    A covariant operator (connection=True) also rests on a unitary phi."""
+    rests_on = ["graph validation: b >= 0, rho > 0, finite degrees"]
+    if connection:
+        rests_on.append("connection check: phi unitary")
+    return {"derived": True, "pair": "graph", "rests_on": rests_on, "pass": True}

@@ -351,12 +351,17 @@ def dump_kernel(k: HeatKernel, path):
 
 def load_kernel(path) -> HeatKernel:
     """Read a kernel file written by `dump_kernel`. Raises ValueError unless
-    rho is finite and positive, one per vertex; the times are finite, >= 0
-    and strictly increasing; and the kernels are finite, one n x n slice per
-    time for n vertices."""
+    the vertex ids are distinct; rho is finite and positive, one per vertex;
+    the times are finite, >= 0 and strictly increasing; and the kernels are
+    finite, one n x n slice per time for n vertices."""
     with open(path) as fh:
         doc = json.load(fh)
     vertices = tuple(doc["vertices"])
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            raise ValueError(f"kernel file repeats vertex id {v}")
+        seen.add(v)
     rho = np.array(doc["rho"], dtype=float)
     times = np.array(doc["times"], dtype=float)
     kernels = np.array(doc["kernels"], dtype=float)

@@ -150,6 +150,7 @@ class TestHeat:
         ("times", [-0.5, 1.0], "strictly increasing"),
         ("times", [0.5, math.inf], "strictly increasing"),
         ("vertices", ["v0", "v1"], "3 rho values for 2 vertices"),
+        ("vertices", ["v0", "v0", "v2"], "kernel file repeats vertex id v0"),
     ])
     def test_verify_rejects_malformed_kernel_file(self, tmp_path, capsys,
                                                   key, value, message):
@@ -161,6 +162,37 @@ class TestHeat:
         kpath.write_text(json.dumps(doc))
         assert main(["heat", "verify", "--kernel", str(kpath)]) == EXIT_INPUT
         assert message in capsys.readouterr().err
+        assert main(["control", "fit", "--kernel", str(kpath)]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
+    def test_verify_refuses_exhaustion_with_kernel(self, path_file, tmp_path, capsys):
+        # a kernel file has no operator to restrict to the levels, so the
+        # monotonicity check cannot run and must not be skipped silently
+        kpath, out = tmp_path / "k.json", tmp_path / "rep.json"
+        assert main(["heat", "kernel", "--graph", path_file, "--times", "0.5,1.0",
+                     "--out", str(kpath)]) == EXIT_OK
+        code, err = _run(["heat", "verify", "--kernel", str(kpath),
+                          "--exhaustion", "root=v0,radii=2,5", "--out", str(out)], capsys)
+        assert code == EXIT_INPUT
+        assert "--exhaustion needs --graph" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sources, message", [
+        (["--graph", "missing.json", "--kernel", "{kernel}"],
+         "argument --kernel: not allowed with argument --graph"),
+        ([], "one of the arguments --graph --kernel is required"),
+    ], ids=["both", "neither"])
+    def test_verify_takes_exactly_one_source(self, sources, message, path_file, tmp_path,
+                                             capsys):
+        # --graph next to --kernel was ignored, even when it named no file
+        kpath, out = tmp_path / "k.json", tmp_path / "rep.json"
+        assert main(["heat", "kernel", "--graph", path_file, "--times", "0.5,1.0",
+                     "--out", str(kpath)]) == EXIT_OK
+        argv = [arg.format(kernel=kpath) for arg in sources]
+        code, err = _run(["heat", "verify", *argv, "--out", str(out)], capsys)
+        assert code == EXIT_INPUT
+        assert message in err
+        assert not out.exists()
 
     def test_repeated_time_written_once(self, path_file, tmp_path):
         kpath = tmp_path / "k.json"
@@ -271,7 +303,7 @@ class TestCompactCertify:
         assert main(["compact", "certify", "--graph", path_file,
                      "--potential", str(wpath), "--decomp", "threshold:0.1",
                      "--a", "2.0", "--levels", "root=v0,radii=5,11",
-                     "--times", "0.25,0.5,1.0", "--out", str(out)]) == EXIT_OK
+                     "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["verdict"] == "hypotheses-verified"
         assert rep["pass"] is True
@@ -328,47 +360,71 @@ class TestCompactCertify:
         from heatcert import cli
         from heatcert.control import ControlPair, F2Family
 
-        fit = cli.fit_control
+        pair_of = cli.graph_pair
 
-        def understated_fit(k, *args):
-            pair, cert = fit(k, *args)
-            return ControlPair(pair.F1, F2Family.constant(1e-6), pair.q), cert
+        def understated_pair(rho, *args):
+            pair = pair_of(rho, *args)
+            return ControlPair(pair.F1, F2Family.constant(1e-6), pair.q)
 
-        monkeypatch.setattr(cli, "fit_control", understated_fit)
+        monkeypatch.setattr(cli, "graph_pair", understated_pair)
         assert main(self.path30_argv(tmp_path)) == EXIT_VIOLATION
         rep = json.loads((tmp_path / "rep.json").read_text())
         assert rep["verdict"] == "hypothesis-failed:step1-resolvent-hs-bound"
         assert rep["control_certificate"]["pass"] is True
 
-    @pytest.mark.parametrize("command", ["certify", "demo"])
-    def test_kernel_stack_released_before_certification(self, command, path_file,
-                                                        tmp_path, monkeypatch):
-        # the scalar kernel stack only serves the control fit (and, in the
-        # demo, the scalar checks); certification must not keep it alive
+    @pytest.mark.parametrize("source", ["scalar", "bundle"])
+    def test_certify_builds_no_eigenbasis_and_no_kernel(self, source, tmp_path,
+                                                        monkeypatch):
+        # the graph pair comes from the theorem, so certify neither
+        # diagonalises an operator nor tabulates a heat kernel
+        from heatcert import heat
+
+        argv = self.path30_argv(tmp_path)
+        if source == "bundle":
+            g = path_graph(30)
+            conn = UnitaryConnection.from_edge_phases(
+                g, {(f"v{i}", f"v{i+1}"): 0.4 for i in range(29)})
+            W = EndomorphismField.scalar({f"v{j}": 1.0 / (1.0 + j * j) for j in range(30)})
+            bpath = tmp_path / "b.json"
+            dump_bundle(bpath, 1, connection=conn, potentials={"w": W})
+            at = argv.index("--potential")
+            argv[at:at + 2] = ["--bundle", str(bpath), "--potential", "w"]
+        calls = []
+        eigh, kernel = np.linalg.eigh, heat.HeatKernel
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
+        monkeypatch.setattr(heat, "HeatKernel",
+                            lambda *a, **k: calls.append("HeatKernel") or kernel(*a, **k))
+        assert main(argv) == EXIT_OK
+        assert calls == []
+        rep = json.loads((tmp_path / "rep.json").read_text())
+        premises = ["graph validation: b >= 0, rho > 0, finite degrees"]
+        if source == "bundle":
+            premises.append("connection check: phi unitary")
+        assert rep["control_certificate"] == {"derived": True, "pair": "graph",
+                                              "rests_on": premises, "pass": True}
+
+    def test_kernel_stack_released_before_certification(self, tmp_path, monkeypatch):
+        # the demo's scalar kernel stack serves its scalar checks only;
+        # certification must not keep it alive
         from heatcert import cli
 
         kernels, alive = [], []
-        fit, certify = cli.fit_control, cli.certify_compactness
+        tabulate, certify = cli.kernel_from_semigroup, cli.certify_compactness
 
-        def recording_fit(k, *args):
+        def recording_tabulate(*args):
+            k = tabulate(*args)
             kernels.append(weakref.ref(k))
-            return fit(k, *args)
+            return k
 
         def checking_certify(*args, **kwargs):
             alive.append([ref() is not None for ref in kernels])
             return certify(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "fit_control", recording_fit)
+        monkeypatch.setattr(cli, "kernel_from_semigroup", recording_tabulate)
         monkeypatch.setattr(cli, "certify_compactness", checking_certify)
-        out = tmp_path / "rep.json"
-        if command == "certify":
-            wpath = tmp_path / "w.json"
-            wpath.write_text(json.dumps({f"v{j}": 1.0 / (1.0 + j * j) for j in range(12)}))
-            argv = ["compact", "certify", "--graph", path_file, "--potential", str(wpath),
-                    "--a", "2.0", "--levels", "root=v0,radii=5,11"]
-        else:
-            argv = ["demo", "coulomb-lattice", "--n", "30"]
-        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        assert main(["demo", "coulomb-lattice", "--n", "30",
+                     "--out", str(tmp_path / "rep.json")]) == EXIT_OK
         assert alive == [[False]]
 
 
@@ -462,6 +518,24 @@ class TestInputChecks:
         assert code == EXIT_INPUT
         assert "--potential 'nope' is not in the bundle; it has ['w']" in err
         assert calls == []
+
+    @pytest.mark.parametrize("source", ["scalar", "bundle"])
+    def test_negative_edge_weight(self, source, tmp_path, capsys):
+        # the graph control pair rests on b >= 0: certify refuses the graph
+        gpath, wpath, bpath = tmp_path / "g.json", tmp_path / "w.json", tmp_path / "b.json"
+        dump_graph(make_graph([f"v{j}" for j in range(6)], {f"v{j}": 1.0 for j in range(6)},
+                              [(f"v{i}", f"v{i+1}", -0.5 if i == 2 else 1.0)
+                               for i in range(5)]), gpath)
+        wpath.write_text(json.dumps({f"v{j}": 1.0 / (1 + j) for j in range(6)}))
+        bpath.write_text(json.dumps(self.bundle()))
+        potential = ["--potential", str(wpath)] if source == "scalar" else [
+            "--bundle", str(bpath), "--potential", "w"]
+        out = tmp_path / "rep.json"
+        code, err = _run(["compact", "certify", "--graph", str(gpath), *potential,
+                          "--levels", "root=v0,radii=2,5", "--out", str(out)], capsys)
+        assert code == EXIT_INPUT
+        assert "negative edge weight on (v2,v3)" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("change, message", [
         (lambda w: w.pop("v3"), "potential has no value at vertex v3"),
@@ -835,6 +909,7 @@ class TestFlagValues:
         "graph validate --graph {graph} --out {out} --times 0.5",
         "control check --out {out} --times 0.5",
         "control fit --kernel {kernel} --out {out} --times 0.5",
+        CERTIFY + " --times 0.5",
     ], ids=lambda argv: " ".join(argv.split()[:2] + argv.split()[-2:]))
     def test_rejected_with_exit_1(self, argv, tmp_path, capsys):
         # the flag under test and its value end each command line, and the

@@ -9,9 +9,10 @@ from heatcert.control import (
     bakry_emery_factor,
     check_integrability,
     fit_control,
+    graph_pair,
     laplace_rule,
 )
-from heatcert.graph import make_graph, path_graph
+from heatcert.graph import make_graph, path_graph, random_graph
 from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup
 from heatcert.operators import assemble_laplacian
 
@@ -258,3 +259,27 @@ class TestFitControl:
         k = kernel_from_semigroup(assemble_laplacian(g), DEFAULT_TIMES)
         pair, _ = fit_control(k, "power", q=2.0)
         assert np.all(pair.F1 == 1.0)
+
+
+class TestGraphPair:
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_the_graph_fit(self, seed, q):
+        # the theorem's pair is the one the fit finds on the graph's kernel,
+        # to the bit; the fit's certificate holds
+        g = random_graph(int(np.random.default_rng(seed).integers(5, 40)),
+                         np.random.default_rng(seed))
+        fitted, cert = fit_control(kernel_from_semigroup(assemble_laplacian(g), DEFAULT_TIMES),
+                                   "graph", q)
+        derived = graph_pair(g.rho_vec, q)
+        assert cert.ok
+        assert np.array_equal(derived.F1, fitted.F1)
+        assert derived.F1.dtype == fitted.F1.dtype
+        assert (derived.F2.kind, derived.F2.C, derived.q) == (fitted.F2.kind, fitted.F2.C,
+                                                             fitted.q)
+
+    def test_q_above_one_moves_sup_of_f1_into_f2(self):
+        pair = graph_pair(np.array([0.5, 2.0, 4.0]), q=2.0)
+        assert np.all(pair.F1 == 1.0)
+        assert (pair.F2.kind, pair.F2.C) == ("constant", 2.0)
+        assert pair.F2(0.1) == pair.F2(10.0) == 2.0
