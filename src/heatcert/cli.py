@@ -254,10 +254,11 @@ def build_coulomb_demo(n: int, kappa: float, theta: float):
     return g, connection, W
 
 
-def _demo_scalar_checks(g, H_cov, W1, pair, times, rng):
+def _demo_scalar_checks(g, H_cov, W1, pair, rng):
     """The demo's checks on the scalar Laplacian S of the host: Kato
     domination of S by H_cov, then the kernel axioms, the rho bound and the
-    HS bound for W1 under the graph pair from S's kernel stack, and the
+    HS bound for W1 under the graph pair from S's kernel stack on
+    DEFAULT_TIMES (which holds the HS row's t = 0.5 and 2t = 1), and the
     Laplace crosscheck. Returns (axioms, rho bound, ledger), the ledger
     holding the HS, crosscheck and domination rows. S, its eigenbasis and
     its kernel stack go out of scope on return, before certification runs;
@@ -269,7 +270,7 @@ def _demo_scalar_checks(g, H_cov, W1, pair, times, rng):
     dom_rows = check_domination(H_cov, H_scal, times=(0.1, 1.0),
                                 a_values=(1.0,), trials=5, rng=rng)
     H_cov.release_eigh()
-    k = kernel_from_semigroup(H_scal, times)
+    k = kernel_from_semigroup(H_scal, DEFAULT_TIMES)
     axioms = verify_axioms(k, H_scal)
     rho_rep = verify_rho_bound(k)
     ledger = check_hs_bound(W1, k, pair, t=0.5)
@@ -286,7 +287,7 @@ def cmd_demo_coulomb(args) -> int:
     W1, W2 = decompose_potential(W, args.threshold)
     pair = graph_pair(g.rho_vec)
     axioms, rho_rep, ledger = _demo_scalar_checks(
-        g, H_cov, W1, pair, args.times, np.random.default_rng(args.seed))
+        g, H_cov, W1, pair, np.random.default_rng(args.seed))
     radii = [args.n // 4, args.n // 2, 3 * args.n // 4, args.n - 1]
     ex = build_exhaustion(g, "v0", radii)
     pd = PotentialDecomposition.build(W, W1, W2, g)
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=_finite, default=1.0)
     sp.add_argument("--topk", type=int, default=5)
     sp.add_argument("--drift-tol", type=_finite, default=1e-3)
-    common(sp)
+    common(sp, times=False)
     sp.set_defaults(func=cmd_demo_coulomb)
 
     return p

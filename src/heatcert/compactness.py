@@ -25,12 +25,12 @@ from .operators import (
     OperatorMatrix,
     _resolvent_g,
     _semigroup_g,
+    _spectral_rows,
     _symmetrize,
     dirichlet_restriction,
     resolvent_singular_values,
     singular_values,
     spectral_function,
-    spectral_rows,
 )
 
 HS_IDENTITY_RTOL = 1e-8
@@ -241,7 +241,7 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     random complex sections; worst_at is the first largest gap.
 
     The covariant g(T) is read one vertex row block at a time
-    (`operators.spectral_rows`), and each section keeps a running maximum
+    (`operators._spectral_rows`), and each section keeps a running maximum
     of its gap over the blocks: besides the scalar g(S), which is whole,
     U, U* and one row block of g(T) are live, never the whole of g(T)."""
     if H_cov.vertices != H_scal.vertices:
@@ -253,13 +253,14 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     randoms = np.array([rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d)
                         for _ in range(trials)], dtype=complex).reshape(trials, n * d).T
     abs_randoms = _block_norms(randoms, n, d)
+    cov_rows = _spectral_rows(H_cov)
     rows = []
     for name, key, params, g_of in (("kato-domination-semigroup", "t", times, _semigroup_g),
                                     ("kato-domination-resolvent", "a", a_values, _resolvent_g)):
         worst, worst_at = -np.inf, None
         for p in params:
             g = g_of(p)
-            blocks = spectral_rows(H_cov, g)
+            blocks = cov_rows(g)
             op_scal = np.real(spectral_function(H_scal, g))
             rhs_randoms = op_scal @ abs_randoms
             # gaps of the basis sections, then of the random ones

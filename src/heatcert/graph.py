@@ -93,9 +93,11 @@ def make_graph(vertices, rho, edges) -> WeightedGraph:
     and unknown endpoints.
     """
     vertices = tuple(vertices)
-    seen = set(vertices)
-    if len(seen) != len(vertices):
-        raise GraphFormatError("duplicate vertex ids")
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            raise GraphFormatError(f"duplicate vertex id {v}")
+        seen.add(v)
     b: dict[frozenset, float] = {}
     for u, v, w in edges:
         if u not in seen or v not in seen:
@@ -252,6 +254,12 @@ def load_graph(path) -> WeightedGraph:
             edges = [(e["u"], e["v"], e["b"]) for e in doc["edges"]]
         except (KeyError, TypeError) as e:
             raise GraphFormatError(f"{path}: missing field {e}")
+        for v, r in rho.items():
+            if isinstance(r, bool) or not isinstance(r, (int, float)):
+                raise GraphFormatError(f"{path}: rho({v}) is not a number")
+        for u, v, w in edges:
+            if isinstance(w, bool) or not isinstance(w, (int, float)):
+                raise GraphFormatError(f"{path}: b({u},{v}) is not a number")
         return make_graph(vertices, rho, edges)
     finally:
         if enabled:

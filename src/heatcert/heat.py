@@ -1,15 +1,15 @@
 """Heat semigroups and minimal heat kernels on weighted graphs.
 
 Kernel convention: e^{-tH} f(x) = sum_y p(t, x, y) f(y) rho(y), so
-p(t, x, y) = [e^{-tH}]_{x, y} / rho(y) = [Phi e^{-t Lambda} Phi*]_{x, y}
-with Phi = D^{-1/2} U from the operator's cached eigendecomposition. A
-kernel stack is tabulated once per operator and time grid, cached on the
-operator and read-only; a complex kernel (nontrivial connection) is
-refused rather than truncated to its real part. The four kernel axioms
-(Chapman-Kolmogorov, symmetry, sub-Markov row mass, strong continuity at
-t = 0) are verified, never assumed, and the minimal kernel is approached
-through Dirichlet restrictions along an exhaustion, streamed by time with
-no stack per level.
+p(t, x, y) = [e^{-tH} D^{-1}]_{x, y}, the kernel scaling of
+`operators._spectral_rows`; this module forms no eigenbasis product of
+its own. A kernel stack is tabulated once per operator and time grid,
+cached on the operator and read-only; a complex kernel (nontrivial
+connection) is refused rather than truncated to its real part. The four
+kernel axioms (Chapman-Kolmogorov, symmetry, sub-Markov row mass, strong
+continuity at t = 0) are verified, never assumed, and the minimal kernel
+is approached through Dirichlet restrictions along an exhaustion,
+streamed by time with no stack per level.
 """
 
 from __future__ import annotations
@@ -22,11 +22,10 @@ import numpy as np
 from .graph import Exhaustion, WeightedGraph
 from .operators import (
     OperatorMatrix,
-    _flush_subnormals,
     _semigroup_g,
+    _spectral_rows,
     assemble_laplacian,
     dirichlet_restriction,
-    require_psd,
     semigroup_matrix,
 )
 
@@ -65,41 +64,13 @@ def _grid(times) -> tuple[float, ...]:
     return tuple(sorted(float(t) for t in times))
 
 
-def _eigenbasis(H: OperatorMatrix):
-    """(Lambda, Phi, Phi*) with Phi = D^{-1/2} U from the cached
-    eigendecomposition of H, after the PSD check."""
-    lam, u = H.eigh()
-    require_psd(H)
-    phi = u / np.sqrt(H.rho)[:, None]
-    return lam, phi, phi.conj().T
-
-
-def _kernel_slice(lam, phi, phi_h, rho, g, out: np.ndarray) -> np.ndarray:
-    """p(t) = Phi g(Lambda) Phi* written into out (n x n) and returned, for
-    g = `_semigroup_g(t)`; g None gives p(0) = diag(1/rho) exactly. The one
-    product per time of every kernel stack and of `minimal_kernel`."""
-    if g is None:
-        # p(0, x, y) = delta_{xy} / rho(y), the kernel of the identity
-        out.fill(0.0)
-        np.fill_diagonal(out, 1.0 / rho)
-    elif np.isrealobj(phi):
-        np.matmul(_flush_subnormals(phi * g(lam)), phi_h, out=out)
-    else:
-        p = np.matmul(_flush_subnormals(phi * g(lam)), phi_h)
-        if np.max(np.abs(p.imag)) > KERNEL_IMAG_TOL * np.max(np.abs(p)):
-            raise ValueError("heat kernel is not real; the connection is not trivial")
-        out[...] = p.real
-    return out
-
-
 def kernel_from_semigroup(H: OperatorMatrix, times) -> HeatKernel:
-    """Kernel stack p(t) = Phi e^{-t Lambda} Phi*, Phi = D^{-1/2} U, from the
-    cached eigendecomposition of the scalar operator H, one `_kernel_slice`
-    per time written into a read-only (n_times, n, n) array; p(0) is exactly
-    diag(1/rho). The stack is cached on H per time grid, and a kernel with
-    an imaginary part above round-off (a nontrivial connection) is refused.
-    `minimal_kernel` forms the same slices one time at a time, with no stack
-    of its own."""
+    """Kernel stack p(t) = e^{-tH} D^{-1} of the scalar operator H, one
+    `operators._spectral_rows` kernel block per time written into a
+    read-only (n_times, n, n) array; p(0) is exactly diag(1/rho). The stack
+    is cached on H per time grid, and a kernel with an imaginary part above
+    round-off (a nontrivial connection) is refused. `minimal_kernel` forms
+    the same slices one time at a time, with no stack of its own."""
     if H.rank != 1:
         raise ValueError("heat kernels are scalar; trivialize first")
     times = _grid(times)
@@ -109,10 +80,13 @@ def kernel_from_semigroup(H: OperatorMatrix, times) -> HeatKernel:
     # guards first: t < 0 raises before any work, a non-PSD H right after
     # the eigendecomposition the stack needs anyway
     gs = [_semigroup_g(t) for t in times]
-    basis = _eigenbasis(H)
-    stack = np.empty((len(times), H.dim, H.dim))
+    rows = _spectral_rows(H, kernel=True)
+    stack = np.empty((len(times), H.dim, H.dim), H.matrix.dtype)
     for out, g in zip(stack, gs):
-        _kernel_slice(*basis, H.rho, g, out)
+        ((_, p),) = rows(g, out=out)
+        if np.iscomplexobj(p) and np.max(np.abs(p.imag)) > KERNEL_IMAG_TOL * np.max(np.abs(p)):
+            raise ValueError("heat kernel is not real; the connection is not trivial")
+    stack = np.ascontiguousarray(stack.real)
     stack.flags.writeable = False
     k = HeatKernel(times, stack, H.vertices, H.rho)
     H._cache[key] = k
@@ -284,7 +258,7 @@ def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times, *,
     whole host); by default it is assembled here.
 
     The levels are streamed by time: for each t, every level's p(t) comes
-    from its eigenbasis by `_kernel_slice`, the same product as its stack
+    from its kernel rows (`_spectral_rows`), the same product as its stack
     from `kernel_from_semigroup` would hold, and each pair of consecutive
     levels is compared before the next t. So one slice per level is live
     and no stack is built; a level that is the whole host reads H's cached
@@ -307,35 +281,29 @@ def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times, *,
     times = _grid(times)
     gs = [_semigroup_g(t) for t in times]
     host_stack = H._cache.get(("kernel", times))
-    # per level (stack, basis, buffer): the host's cached stack, or the
-    # eigenbasis with rho and one slice buffer; each level operator, with
-    # its U, is dropped once its basis is formed
+    # per level (stack, rows, buffer): the host's cached stack, or the
+    # kernel rows and one slice buffer; each level operator, with its U, is
+    # dropped once its rows are formed, which hold one n_l x n_l array
     sources = []
     for lv in levels:
         op = dirichlet_restriction(H, lv)
         if host_stack is not None and op.dim == H.dim:
             sources.append((host_stack.kernels, None, None))
         else:
-            sources.append((None, (*_eigenbasis(op), op.rho), np.empty((op.dim, op.dim))))
+            sources.append((None, _spectral_rows(op, kernel=True), np.empty((op.dim, op.dim))))
     window = levels[0]
     # where level a, and the window, sit inside the nested levels
     pairs = [(np.searchsorted(lv_b, lv_a), np.searchsorted(lv_a, window),
               np.searchsorted(lv_b, window)) for lv_a, lv_b in zip(levels, levels[1:])]
-    monotone = True
     worst = 0.0
     sup_inc = [{} for _ in pairs]
     for i, (ti, gt) in enumerate(zip(times, gs)):
-        mats = [_kernel_slice(*basis, gt, buf) if stack is None else stack[i]
-                for stack, basis, buf in sources]
+        mats = [next(rows(gt, out=buf))[1] if stack is None else stack[i]
+                for stack, rows, buf in sources]
         for (pos, win_a, win_b), mat_a, mat_b, inc in zip(pairs, mats, mats[1:], sup_inc):
-            diff = np.real(mat_b[np.ix_(pos, pos)] - mat_a)
-            worst = min(worst, float(np.min(diff)))
-            if np.min(diff) < -A3_TOL:
-                monotone = False
-            win_diff = np.real(mat_b[np.ix_(win_b, win_b)]
-                               - mat_a[np.ix_(win_a, win_a)])
-            inc[ti] = float(np.max(win_diff))
-    return MinimalKernelReport(levels, H, times, monotone, worst, sup_inc)
+            worst = min(worst, float(np.min(mat_b[np.ix_(pos, pos)] - mat_a)))
+            inc[ti] = float(np.max(mat_b[np.ix_(win_b, win_b)] - mat_a[np.ix_(win_a, win_a)]))
+    return MinimalKernelReport(levels, H, times, worst >= -A3_TOL, worst, sup_inc)
 
 
 def dump_kernel(k: HeatKernel, path):

@@ -23,7 +23,7 @@ from .graph import WeightedGraph, _positions, validate_graph
 
 WEIGHTED_HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
-# dense bytes of one row block of g(H) in `spectral_rows`
+# dense bytes of one row block of g(H) in `_spectral_rows`
 ROW_BLOCK_BYTES = 1 << 20
 # `_top_singular_values`: block columns past the k values it returns, the
 # sweep cap past which the dense SVD decides, and the stopping rule (every
@@ -263,45 +263,66 @@ def dirichlet_restriction(H: OperatorMatrix, pos) -> OperatorMatrix:
     return OperatorMatrix(sub, vertices, d, H.rho[pos], "dirichlet-restriction", cache)
 
 
-def spectral_rows(H: OperatorMatrix, g, block_vertices: int | None = None):
-    """g(H) acting on coordinate vectors, one vertex row block at a time:
-    an iterator of (vertex slice, rows of g(H) at those vertices' fiber
-    indices), each block D^{-1/2} (U g(Lambda))[rows] U* D^{1/2} from the
-    cached eigendecomposition. g maps the eigenvalue array to the diagonal
-    of g(Lambda); g None is the identity (`_semigroup_g(0)`), given exactly
-    and with no spectral work. H must be PSD.
-
-    A block holds `block_vertices` vertices, by default as many as fit in
-    ROW_BLOCK_BYTES (at least one); the last block may hold fewer. The
-    eigendecomposition, the PSD check and U* are made when it is called, U*
-    once per call; while the blocks are read U, U* and one row block are
-    live, never the whole of g(H) unless it is one block."""
-    n, d = len(H.vertices), H.rank
-    step = block_vertices or max(1, ROW_BLOCK_BYTES // (d * H.dim * H.matrix.itemsize))
-    spans = [slice(v, min(v + step, n)) for v in range(0, n, step)]
-    if g is None:
-        return ((vs, np.eye((vs.stop - vs.start) * d, H.dim, vs.start * d,
-                            dtype=H.matrix.dtype)) for vs in spans)
+def _psd_eigh(H: OperatorMatrix):
+    """(Lambda, U) of the cached eigendecomposition, after the PSD check that
+    it decides: the preamble of every product over the eigenbasis of H."""
     lam, u = H.eigh()
     require_psd(H)
-    glam, uh, s = g(lam), u.conj().T, np.sqrt(H.measure_weights())
+    return lam, u
 
-    def blocks():
-        for vs in spans:
-            rows = slice(vs.start * d, vs.stop * d)
-            out = np.matmul(_flush_subnormals(u[rows] * glam), uh)
-            out /= s[rows, None]
-            out *= s[None, :]
-            yield vs, out
 
-    return blocks()
+def _spectral_rows(H: OperatorMatrix, kernel: bool = False):
+    """Where every dense g(H) is formed from the eigenbasis: returns
+    rows(g, block_vertices, out), an iterator of (vertex slice, rows at
+    those vertices' fiber indices) of g(H) = D^{-1/2} U g(Lambda) U* D^{1/2}
+    on coordinate vectors or, with kernel, of g(H) D^{-1} = D^{-1/2} U
+    g(Lambda) U* D^{-1/2}. A block holds `block_vertices` vertices, by
+    default as many as fit in ROW_BLOCK_BYTES (at least one); with out
+    given there is one block, written into out. g maps the eigenvalue array
+    to the diagonal of g(Lambda); g None (`_semigroup_g(0)`) is exact, I or
+    diag(1/rho).
+
+    The eigendecomposition, the PSD check and the factors are made on the
+    call, and rows holds no reference to H. The kernel's D factors go on
+    the factors: D^{-1/2} U, divided whole, and its conjugate transpose, a
+    view, so rows holds one n x n array. g(H) keeps U* (a view of a real U)
+    and scales each block, as a copy U* D^{1/2} would cost an n x n array.
+    H must be PSD."""
+    lam, u = _psd_eigh(H)
+    n, d, dim, dtype = len(H.vertices), H.rank, H.dim, H.matrix.dtype
+    w = H.measure_weights()
+    s = np.sqrt(w)
+    if kernel:
+        u = u / s[:, None]
+    right = u.conj().T
+
+    def rows(g, block_vertices: int | None = None, out=None):
+        step = n if out is not None else (
+            block_vertices or max(1, ROW_BLOCK_BYTES // (d * dim * dtype.itemsize)))
+        for v in range(0, n, step):
+            vs = slice(v, min(v + step, n))
+            r = slice(v * d, vs.stop * d)
+            if g is None:
+                block = np.empty((r.stop - r.start, dim), dtype) if out is None else out
+                block.fill(0)
+                block.flat[r.start::dim + 1] = 1.0 / w[r] if kernel else 1.0
+            else:
+                block = np.matmul(_flush_subnormals(u[r] * g(lam)), right, out=out)
+                if not kernel:
+                    block /= s[r, None]
+                    block *= s
+            yield vs, block
+
+    return rows
 
 
 def spectral_function(H: OperatorMatrix, g) -> np.ndarray:
-    """g(H) acting on coordinate vectors, the one-block case of
-    `spectral_rows`: D^{-1/2} U g(Lambda) U* D^{1/2} from the cached
-    eigendecomposition; g None is the identity. H must be PSD."""
-    ((_, out),) = spectral_rows(H, g, len(H.vertices))
+    """g(H) acting on coordinate vectors, D^{-1/2} U g(Lambda) U* D^{1/2}
+    from the cached eigendecomposition as one `_spectral_rows` block; g None
+    is the identity, exactly and with no spectral work. H must be PSD."""
+    if g is None:
+        return np.eye(H.dim, dtype=H.matrix.dtype)
+    ((_, out),) = _spectral_rows(H)(g, len(H.vertices))
     return out
 
 
@@ -363,8 +384,7 @@ def singular_values(H: OperatorMatrix, W: np.ndarray, g, k: int) -> np.ndarray:
     functions of H that need the eigenbasis, such as the semigroup; the
     resolvent has `resolvent_singular_values`. g None is the identity.
     H must be PSD."""
-    lam, u = H.eigh()
-    require_psd(H)
+    lam, u = _psd_eigh(H)
     support = np.any(W != 0, axis=(1, 2))
     rows = (W[support] @ u.reshape(len(W), H.rank, -1)[support]).reshape(-1, H.dim)
     return _top_singular_values((rows if g is None else rows * g(lam)).conj().T, k)

@@ -537,6 +537,42 @@ class TestInputChecks:
         assert "negative edge weight on (v2,v3)" in err
         assert not out.exists()
 
+    @staticmethod
+    def validate_doc(doc, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(doc))
+        return _run(["graph", "validate", "--graph", str(gpath),
+                     "--out", str(tmp_path / "rep.json")], capsys)
+
+    @staticmethod
+    def graph_doc():
+        g = path_graph(4)
+        return {"vertices": [{"id": v, "rho": 1.0} for v in g.vertices],
+                "edges": [{"u": f"v{i}", "v": f"v{i+1}", "b": 1.0} for i in range(3)]}
+
+    @pytest.mark.parametrize("value", ["2", True, None, [1.0]])
+    def test_graph_rho_not_a_number(self, value, tmp_path, capsys):
+        doc = self.graph_doc()
+        doc["vertices"][2]["rho"] = value
+        code, err = self.validate_doc(doc, tmp_path, capsys)
+        assert code == EXIT_INPUT
+        assert "rho(v2) is not a number" in err
+
+    @pytest.mark.parametrize("value", ["1.5", False, None, {"re": 1.0}])
+    def test_graph_b_not_a_number(self, value, tmp_path, capsys):
+        doc = self.graph_doc()
+        doc["edges"][1]["b"] = value
+        code, err = self.validate_doc(doc, tmp_path, capsys)
+        assert code == EXIT_INPUT
+        assert "b(v1,v2) is not a number" in err
+
+    def test_graph_duplicate_vertex_id_named(self, tmp_path, capsys):
+        doc = self.graph_doc()
+        doc["vertices"].append({"id": "v1", "rho": 2.0})
+        code, err = self.validate_doc(doc, tmp_path, capsys)
+        assert code == EXIT_INPUT
+        assert "duplicate vertex id v1" in err
+
     @pytest.mark.parametrize("change, message", [
         (lambda w: w.pop("v3"), "potential has no value at vertex v3"),
         (lambda w: w.update(zz=1.0), "potential has a value at unknown vertex zz"),
@@ -910,6 +946,7 @@ class TestFlagValues:
         "control check --out {out} --times 0.5",
         "control fit --kernel {kernel} --out {out} --times 0.5",
         CERTIFY + " --times 0.5",
+        "demo coulomb-lattice --n 20 --out {out} --times 0.1,2",
     ], ids=lambda argv: " ".join(argv.split()[:2] + argv.split()[-2:]))
     def test_rejected_with_exit_1(self, argv, tmp_path, capsys):
         # the flag under test and its value end each command line, and the

@@ -58,6 +58,11 @@ class TestValidate:
         assert validate_graph(g).ok
         assert bfs_connected(g)
 
+    def test_duplicate_vertex_id_named(self):
+        # the first id whose repeat comes first in vertex order
+        with pytest.raises(GraphFormatError, match="duplicate vertex id b$"):
+            make_graph(["a", "b", "c", "b", "a"], {"a": 1, "b": 1, "c": 1}, [])
+
     def test_loop_rejected(self):
         with pytest.raises(GraphFormatError, match="loop"):
             make_graph(["x"], {"x": 1.0}, [("x", "x", 1.0)])

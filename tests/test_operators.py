@@ -7,6 +7,7 @@ from heatcert.heat import kernel_from_semigroup
 from heatcert.operators import (
     _flush_subnormals,
     _semigroup_g,
+    _spectral_rows,
     add_potential,
     assemble_covariant,
     assemble_laplacian,
@@ -18,7 +19,6 @@ from heatcert.operators import (
     resolvent,
     semigroup_matrix,
     spectral_function,
-    spectral_rows,
 )
 
 
@@ -355,7 +355,8 @@ class TestRequirePsd:
         lambda H: resolvent(H, 1.0),
         lambda H: semigroup_matrix(H, 0.5),
         lambda H: kernel_from_semigroup(H, (0.0, 0.5)),
-        lambda H: spectral_rows(H, _semigroup_g(0.5)),  # on the call, before any block
+        lambda H: _spectral_rows(H),  # on the call, before any block
+        lambda H: _spectral_rows(H, kernel=True),
     ])
     def test_spectral_consumers_reject_a_non_psd_operator(self, consumer):
         with pytest.raises(ValueError, match="sum operator not PSD"):
@@ -375,23 +376,64 @@ class TestRequirePsd:
 
 
 class TestSpectralRows:
+    G_OF = (_semigroup_g(0.5), lambda lam: 1.0 / (lam + 2.0))
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_blocks_tile_spectral_function(self, d):
         rng = np.random.default_rng(96)
         g = random_graph(150, rng)
         H = assemble_covariant(g, d, random_connection(g, d, rng))
-        for g_of in (_semigroup_g(0.5), lambda lam: 1.0 / (lam + 2.0)):
-            spans, blocks = zip(*spectral_rows(H, g_of, 40))
+        rows = _spectral_rows(H)
+        for g_of in self.G_OF:
+            spans, blocks = zip(*rows(g_of, 40))
             assert [(vs.start, vs.stop) for vs in spans] == [(0, 40), (40, 80),
                                                              (80, 120), (120, 150)]
             whole = spectral_function(H, g_of)
             assert np.max(np.abs(np.vstack(blocks) - whole)) <= 1e-14 * np.max(np.abs(whole))
-        # e^{-0H} is the identity exactly, with no spectral work
+        # e^{-0H} is the identity exactly: with no spectral work as a
+        # function of H, and in row blocks
         fresh = assemble_covariant(g, d, random_connection(g, d, rng))
         eye = np.eye(H.dim, dtype=complex)
-        assert np.array_equal(np.vstack([b for _, b in spectral_rows(fresh, None, 40)]), eye)
         assert np.array_equal(semigroup_matrix(fresh, 0.0), eye)
         assert fresh._cache == {}
+        assert np.array_equal(np.vstack([b for _, b in rows(None, 40)]), eye)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_kernel_blocks_tile_the_kernel(self, d):
+        # the kernel scaling is g(H) D^{-1}, in row blocks or in one out
+        rng = np.random.default_rng(97)
+        g = random_graph(150, rng)
+        H = assemble_covariant(g, d, random_connection(g, d, rng))
+        rows = _spectral_rows(H, kernel=True)
+        for g_of in self.G_OF:
+            spans, blocks = zip(*rows(g_of, 40))
+            assert [vs.stop - vs.start for vs in spans] == [40, 40, 40, 30]
+            whole = spectral_function(H, g_of) / H.measure_weights()[None, :]
+            assert np.max(np.abs(np.vstack(blocks) - whole)) <= 1e-14 * np.max(np.abs(whole))
+            out = np.empty((H.dim, H.dim), dtype=complex)
+            ((vs, one),) = rows(g_of, out=out)
+            assert one is out and vs == slice(0, 150)
+            assert np.max(np.abs(one - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+    def test_identity_kernel_is_exactly_inverse_rho(self):
+        g = random_graph(30, np.random.default_rng(98))
+        H = assemble_laplacian(g)
+        rows = _spectral_rows(H, kernel=True)
+        expected = np.diag(1.0 / g.rho_vec)
+        assert np.array_equal(np.vstack([b for _, b in rows(None, 7)]), expected)
+        out = np.full((g.n, g.n), np.nan)
+        ((_, p),) = rows(None, out=out)
+        assert p is out and np.array_equal(out, expected)
+
+    def test_kernel_stack_is_the_routine_bit_for_bit(self):
+        g = random_graph(60, np.random.default_rng(99))
+        H = assemble_laplacian(g)
+        times = (0.0, 0.01, 1.0, 100.0)
+        k = kernel_from_semigroup(H, times)
+        rows = _spectral_rows(H, kernel=True)
+        for t, mat in zip(times, k.kernels):
+            ((_, p),) = rows(_semigroup_g(t), g.n)
+            assert p.dtype == mat.dtype and np.array_equal(p, mat)
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
