@@ -44,7 +44,6 @@ from .control import (
 from .compactness import (
     CompactnessReport,
     LedgerRow,
-    PotentialDecomposition,
     certify_compactness,
     check_2a_bound,
     check_2to2_bound,

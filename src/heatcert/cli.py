@@ -19,7 +19,6 @@ from . import SCHEMA_VERSION, __version__
 from .bundle import (EndomorphismField, UnitaryConnection, check_vertex_set,
                      decompose_potential, load_bundle)
 from .compactness import (
-    PotentialDecomposition,
     certify_compactness,
     check_domination,
     check_hs_bound,
@@ -90,8 +89,10 @@ def _parse_exhaustion(spec: str):
 
 
 def _emit(report: dict, out_path, seed):
+    """Write the report as JSON; one holding NaN or an infinity, which JSON
+    cannot hold, is refused before anything is written."""
     report = {"schema_version": SCHEMA_VERSION, "seed": seed, **report}
-    text = json.dumps(report, indent=1, sort_keys=True)
+    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -122,6 +123,9 @@ def cmd_heat_verify(args) -> int:
         if args.exhaustion:
             raise ValueError("--exhaustion needs --graph: a kernel file has no "
                              "operator to restrict to the levels")
+        if args.times is not None:
+            raise ValueError("--times needs --graph: a kernel file carries its own "
+                             "time grid")
         k = load_kernel(args.kernel)
         axioms = verify_axioms(k)
         rho_bound = verify_rho_bound(k)
@@ -130,9 +134,10 @@ def cmd_heat_verify(args) -> int:
                "rho_bound": rho_bound.to_dict(), "pass": ok},
               args.out, args.seed)
         return EXIT_OK if ok else EXIT_VIOLATION
+    times = args.times or DEFAULT_TIMES
     g = load_graph(args.graph)
     H = assemble_laplacian(g)
-    k = kernel_from_semigroup(H, args.times)
+    k = kernel_from_semigroup(H, times)
     axioms = verify_axioms(k, H)
     rho_bound = verify_rho_bound(k)
     report = {"command": "heat verify", "axioms": axioms.to_dict(),
@@ -141,7 +146,7 @@ def cmd_heat_verify(args) -> int:
     if args.exhaustion:
         root, radii = _parse_exhaustion(args.exhaustion)
         ex = build_exhaustion(g, root, radii)
-        mk = minimal_kernel(g, ex, args.times, H=H)
+        mk = minimal_kernel(g, ex, times, H=H)
         report["minimal_kernel"] = mk.to_dict()
         ok = ok and mk.monotone_ok
     report["pass"] = ok
@@ -226,14 +231,13 @@ def cmd_compact_certify(args) -> int:
             values = json.load(fh)
         check_vertex_set("potential", values, g.vertices)
         W = EndomorphismField.scalar({v: values[v] for v in g.vertices})
-    W1, W2 = decompose_potential(W, args.threshold)
+    W1, _ = decompose_potential(W, args.threshold)
     # the pair rests on the graph checks that assembling H ran and, with a
     # bundle, on its unitary connection; it needs no kernel
     pair = graph_pair(g.rho_vec, args.q)
     root, radii = _parse_exhaustion(args.levels)
     ex = build_exhaustion(g, root, radii)
-    pd = PotentialDecomposition.build(W, W1, W2, g)
-    report = certify_compactness(pd, H, pair, ex, args.a, args.topk)
+    report = certify_compactness(W, W1, H, pair, ex, args.a, args.topk)
     ok = report.verdict == "hypotheses-verified"
     _emit({"command": "compact certify",
            "control_certificate": graph_certificate(connection=bool(args.bundle)),
@@ -284,14 +288,13 @@ def cmd_demo_coulomb(args) -> int:
         raise ValueError(f"--n must be at least 5, got {args.n}")
     g, connection, W = build_coulomb_demo(args.n, args.kappa, args.theta)
     H_cov = assemble_covariant(g, 1, connection)
-    W1, W2 = decompose_potential(W, args.threshold)
+    W1, _ = decompose_potential(W, args.threshold)
     pair = graph_pair(g.rho_vec)
     axioms, rho_rep, ledger = _demo_scalar_checks(
         g, H_cov, W1, pair, np.random.default_rng(args.seed))
     radii = [args.n // 4, args.n // 2, 3 * args.n // 4, args.n - 1]
     ex = build_exhaustion(g, "v0", radii)
-    pd = PotentialDecomposition.build(W, W1, W2, g)
-    report = certify_compactness(pd, H_cov, pair, ex, a=args.a, k_top=args.topk)
+    report = certify_compactness(W, W1, H_cov, pair, ex, a=args.a, k_top=args.topk)
     transitions = list(report.drift)  # insertion order = level order
     drift_last = report.drift[transitions[-1]] if transitions else 0.0
     ok = (axioms.ok and rho_rep.ok
@@ -342,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--kernel")
     sp.add_argument("--exhaustion", default=None)
     common(sp)
-    sp.set_defaults(func=cmd_heat_verify)
+    # None tells a --times given with --kernel, which is refused, from none
+    sp.set_defaults(func=cmd_heat_verify, times=None)
     sp = heat.add_parser("minimal")
     sp.add_argument("--graph", required=True)
     sp.add_argument("--exhaustion", required=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bundle import EndomorphismField
 from .control import ControlPair, F2Family, _quad_f2, laplace_rule
-from .graph import Exhaustion, WeightedGraph, lq_norm
+from .graph import Exhaustion, lq_norm
 from .heat import HeatKernel
 from .operators import (
     OperatorMatrix,
@@ -92,12 +92,13 @@ def check_resolvent_laplace(H: OperatorMatrix, a: float, rtol: float = 1e-6) -> 
                      detail={"a": a, "lambda_max_over_a": float(H.eigh()[0][-1] / a)})
 
 
-def _field(W, vertices, rank: int | None = None) -> EndomorphismField:
-    """W at the given vertices, in their order. The checks also take a map
-    vertex -> real number w, which is the rank-1 field w(x)."""
+def _field(W, vertices, rank: int) -> EndomorphismField:
+    """W at the given vertices, in their order, checked to be of the given
+    rank. The checks also take a map vertex -> real number w, which is the
+    rank-1 field w(x)."""
     if isinstance(W, dict):
         W = EndomorphismField.scalar(W)
-    if rank is not None and W.rank != rank:
+    if W.rank != rank:
         raise ValueError(f"potential of rank {W.rank} for an operator of rank {rank}")
     return W.restrict(vertices)
 
@@ -289,26 +290,6 @@ def _block_norms(block: np.ndarray, n: int, d: int) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(block.reshape(n, d, -1)) ** 2, axis=1))
 
 
-@dataclass(frozen=True)
-class PotentialDecomposition:
-    """W = W1 + W2 as fields over the host's vertices, in its order. The
-    resolvent row takes the norm of W1 from the control pair that
-    `certify_compactness` is given."""
-
-    W: EndomorphismField
-    W1: EndomorphismField
-    W2: EndomorphismField
-
-    @staticmethod
-    def build(W, W1, W2, g: WeightedGraph) -> "PotentialDecomposition":
-        W = _field(W, g.vertices)
-        W1, W2 = (_field(X, g.vertices, W.rank) for X in (W1, W2))
-        bad = np.max(np.abs(W.blocks - W1.blocks - W2.blocks), axis=(1, 2)) > 1e-12
-        if bad.any():
-            raise ValueError(f"W1 + W2 != W at {g.vertices[int(np.argmax(bad))]}")
-        return PotentialDecomposition(W, W1, W2)
-
-
 @dataclass
 class CompactnessReport:
     a: float
@@ -367,20 +348,21 @@ def _resolvent_row(w: np.ndarray, rho: np.ndarray, cp: ControlPair,
     return name, lq_norm(w, 2 * cp.q, cp.F1 * rho) * quad, quad
 
 
-def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
-                        cp: ControlPair, ex: Exhaustion, a: float,
-                        k_top: int = 5) -> CompactnessReport:
+def certify_compactness(W, W1, H: OperatorMatrix, cp: ControlPair, ex: Exhaustion,
+                        a: float, k_top: int = 5) -> CompactnessReport:
     """Per exhaustion level: the top k_top singular values of
     W (H|_level + a)^{-1}, its HS norm and support columns, the resolvent
-    row for W1 (`_resolvent_row`, with the norm of W1 from cp), and
-    level-to-level drift of the top singular values. The row is asserted
-    at every level for every a > 0; drift is reported, not asserted. Each
-    level is an array of vertex positions in H's order
+    row for the part W1 of W (`_resolvent_row`, with the norm of W1 from
+    cp), and level-to-level drift of the top singular values. W and W1 are
+    fields or vertex -> number maps (`_field`), of H's rank. The row is
+    asserted at every level for every a > 0; drift is reported, not
+    asserted. Each level is an array of vertex positions in H's order
     (`graph.Exhaustion`): W and W1 are put in that order once, and a level
-    slices them. H is checked PSD once (`dirichlet_restriction`); no level
-    is diagonalised. The numbers of W R, and sigma_1 of W1 R, come from one
-    solve per level over the union of their supports
-    (`operators.resolvent_singular_values`). k_top must be at least 1."""
+    slices them. H is checked PSD once (`dirichlet_restriction`), by its
+    construction verdict when it has one; no level is diagonalised. The
+    numbers of W R, and sigma_1 of W1 R, come from one solve per level over
+    the union of their supports (`operators.resolvent_singular_values`).
+    k_top must be at least 1."""
     if k_top < 1:
         raise ValueError(f"k_top must be at least 1, got {k_top}")
     verdict_fail = None
@@ -390,7 +372,7 @@ def certify_compactness(pd: PotentialDecomposition, H: OperatorMatrix,
     support_columns: dict[int, int] = {}
     dims: list[int] = []
     top_lists: list[np.ndarray] = []
-    W, W1 = (_field(X, H.vertices, H.rank) for X in (pd.W, pd.W1))
+    W, W1 = (_field(X, H.vertices, H.rank) for X in (W, W1))
     bound_name, rhs, quad_value = _resolvent_row(W1.norms(), H.rho, cp, a)
     W, W1 = W.blocks, W1.blocks
     for lv in ex.levels:

@@ -223,6 +223,8 @@ def fit_control(k: HeatKernel, family: str, q: float = 1.0) -> tuple[ControlPair
     f1 = 1.0 / k.rho
     times = np.array(k.times)
     pos = times > 0
+    if not pos.any():
+        raise ValueError(f"kernel time grid {list(k.times)} has no t > 0 to fit")
     if family == "graph":
         f2 = F2Family.constant(1.0)
         gamma_info = {}

@@ -166,7 +166,9 @@ def validate_graph(g: WeightedGraph) -> ValidationReport:
         u, v = g.vertices[g.src[e]], g.vertices[g.dst[e]]
         kind = "NaN" if np.isnan(g.w[e]) else "negative"
         report.violations.append(f"{kind} edge weight on ({u},{v})")
-    if g.n > 0:
+    if g.n == 0:
+        report.violations.append("graph has no vertices")
+    else:
         unreached = np.flatnonzero(np.isinf(_hops(g, 0)))
         if unreached.size:
             missing = sorted(g.vertices[i] for i in unreached)[:5]

@@ -76,9 +76,9 @@ class OperatorMatrix:
 
     def release_eigh(self):
         """Free the cached eigendecomposition and keep its PSD verdict:
-        `require_psd` decides first (and raises for a non-PSD operator),
-        then the cache holds "psd" alone, so later checks need no
-        factorisation."""
+        `require_psd` decides first by its lambda_min (and raises for a
+        non-PSD operator), then the cache holds "psd" alone, so later checks
+        need no eigh."""
         require_psd(self)
         self._cache.pop("eigh", None)
         self._cache["psd"] = True
@@ -96,24 +96,14 @@ def require_psd(op: OperatorMatrix):
     """Raise unless lambda_min >= -PSD_TOL, so that e^{-tH} contracts.
 
     A cached eigendecomposition decides by its lambda_min. Without one, a
-    Cholesky factorisation of A + PSD_TOL I (A the symmetrized matrix) that
-    succeeds proves the bound and is recorded in the cache as "psd"; one
-    that fails leaves the verdict, and the lambda_min of the message, to
-    `eigh`. The consumers of spectral work call it, not assembly: those
-    that diagonalise H call it after `eigh`, so each operator pays for one
-    of the two factorisations."""
-    if "eigh" not in op._cache:
-        if op._cache.get("psd"):
-            return
-        a = op.hermitian()
-        a.flat[::op.dim + 1] += PSD_TOL
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            op._cache["psd"] = True
-            return
+    verdict "psd" recorded at construction stands: `_assemble` records it,
+    since validated b >= 0 and rho > 0, and a unitary phi, make the form
+    sum b |f(x) - phi(y, x) f(y)|^2 nonnegative; `add_potential` and
+    `dirichlet_restriction` pass it on. Otherwise (an operator built by
+    hand, or a potential with a negative block) `eigh` decides. The
+    consumers of spectral work call it, not construction."""
+    if "eigh" not in op._cache and op._cache.get("psd"):
+        return
     lam = op.lambda_min()
     if lam < -PSD_TOL:
         raise ValueError(f"{op.kind} operator not PSD: lambda_min = {lam}")
@@ -159,7 +149,8 @@ def _oriented_edges(g: WeightedGraph, rank: int, connection):
 def _assemble(g: WeightedGraph, rank: int, connection, kind: str) -> OperatorMatrix:
     """Block operator: diagonal deg(x)/rho(x) Id, off-diagonal
     -(b(x,y)/rho(x)) phi(y, x). Each diagonal entry sums b(x,y)/rho(x) over
-    the edges at x in b order."""
+    the edges at x in b order. The graph is validated, so the operator
+    starts with the PSD verdict "psd" in its cache (`require_psd`)."""
     report = validate_graph(g)
     if not report.ok:
         raise ValueError(f"invalid graph: {report.violations}")
@@ -170,7 +161,7 @@ def _assemble(g: WeightedGraph, rank: int, connection, kind: str) -> OperatorMat
     m.reshape(n, d, n, d)[x, :, y, :] -= coef[:, None, None] * phi
     diag = np.arange(n * d)
     m[diag, diag] = np.repeat(np.bincount(x, coef, minlength=n), d)
-    return OperatorMatrix(m, g.vertices, d, g.rho_vec, kind)
+    return OperatorMatrix(m, g.vertices, d, g.rho_vec, kind, {"psd": True})
 
 
 def assemble_laplacian(g: WeightedGraph) -> OperatorMatrix:
@@ -229,13 +220,17 @@ def multiplication_operator(W: EndomorphismField, vertices, rho: np.ndarray
 
 def add_potential(H: OperatorMatrix, V: EndomorphismField) -> OperatorMatrix:
     """H + diag(V). On a finite host the form sum is the matrix sum,
-    since all operators are bounded and everywhere defined."""
+    since all operators are bounded and everywhere defined. The sum keeps
+    H's PSD verdict when every block of V has lambda_min >= 0; otherwise
+    `require_psd` leaves it to `eigh`."""
     if not V.self_adjoint:
         raise ValueError("potential must be pointwise self-adjoint")
     if V.rank != H.rank:
         raise ValueError("potential rank mismatch")
     Vop = multiplication_operator(V, H.vertices, H.rho)
-    return OperatorMatrix(H.matrix + Vop.matrix, H.vertices, H.rank, H.rho, "sum")
+    psd = H._cache.get("psd") and np.all(np.linalg.eigvalsh(V.blocks) >= 0)
+    return OperatorMatrix(H.matrix + Vop.matrix, H.vertices, H.rank, H.rho, "sum",
+                          {"psd": True} if psd else {})
 
 
 def dirichlet_restriction(H: OperatorMatrix, pos) -> OperatorMatrix:
@@ -246,10 +241,10 @@ def dirichlet_restriction(H: OperatorMatrix, pos) -> OperatorMatrix:
     boundary condition. A pos holding every vertex of H gives H's own
     matrix and shares its cache.
 
-    The PSD check runs on H, once per operator since its verdict is cached.
-    The level's symmetrized matrix is a principal submatrix of H's, so by
-    Cauchy interlacing its lambda_min is no smaller than H's: the level
-    starts with "psd" in its cache and needs no check of its own."""
+    The PSD check runs on H (`require_psd`). The level's symmetrized matrix
+    is a principal submatrix of H's, so by Cauchy interlacing its
+    lambda_min is no smaller than H's: the level inherits the verdict, with
+    "psd" in its cache, and needs no check of its own."""
     if np.size(pos) == 0:
         raise ValueError("empty Dirichlet subset")
     pos, d = _positions(pos, len(H.vertices)), H.rank

@@ -12,7 +12,7 @@ import pytest
 import heatcert
 from heatcert import SCHEMA_VERSION
 from heatcert.bundle import UnitaryConnection, EndomorphismField, dump_bundle
-from heatcert.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, _parse_exhaustion, main
+from heatcert.cli import EXIT_INPUT, EXIT_OK, EXIT_VIOLATION, _emit, _parse_exhaustion, main
 from heatcert.graph import dump_graph, make_graph, path_graph, random_graph
 from heatcert.heat import dump_kernel, kernel_from_semigroup, load_kernel
 from heatcert.operators import assemble_laplacian
@@ -74,6 +74,21 @@ class TestGraphValidate:
         assert any(v.startswith(violation) for v in rep["violations"])
         assert main(["heat", "verify", "--graph", str(gpath)]) == EXIT_INPUT
         assert "invalid graph" in capsys.readouterr().err
+
+    def test_empty_graph_is_refused(self, tmp_path, capsys):
+        # validation used to pass it, and heat kernel / heat verify then
+        # ended in an IndexError traceback
+        gpath, out = tmp_path / "g.json", tmp_path / "rep.json"
+        gpath.write_text(json.dumps({"vertices": [], "edges": []}))
+        assert main(["graph", "validate", "--graph", str(gpath),
+                     "--out", str(out)]) == EXIT_VIOLATION
+        assert json.loads(out.read_text())["violations"] == ["graph has no vertices"]
+        out.unlink()
+        for command in (["heat", "kernel"], ["heat", "verify"]):
+            code, err = _run([*command, "--graph", str(gpath), "--out", str(out)], capsys)
+            assert code == EXIT_INPUT
+            assert "invalid graph: ['graph has no vertices']" in err
+            assert not out.exists()
 
     def test_report_independent_of_string_hashing(self, tmp_path):
         # a frozenset's iteration order changes with PYTHONHASHSEED; the
@@ -177,6 +192,19 @@ class TestHeat:
         assert "--exhaustion needs --graph" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("times", ["0.1,7", "0.5,1.0"])
+    def test_verify_refuses_times_with_kernel(self, times, path_file, tmp_path, capsys):
+        # a kernel file carries its own time grid; --times was ignored
+        kpath, out = tmp_path / "k.json", tmp_path / "rep.json"
+        assert main(["heat", "kernel", "--graph", path_file, "--times", "0.5,1.0",
+                     "--out", str(kpath)]) == EXIT_OK
+        code, err = _run(["heat", "verify", "--kernel", str(kpath),
+                          "--times", times, "--out", str(out)], capsys)
+        assert code == EXIT_INPUT
+        assert "--times needs --graph" in err
+        assert not out.exists()
+        assert main(["heat", "verify", "--kernel", str(kpath), "--out", str(out)]) == EXIT_OK
+
     @pytest.mark.parametrize("sources, message", [
         (["--graph", "missing.json", "--kernel", "{kernel}"],
          "argument --kernel: not allowed with argument --graph"),
@@ -245,6 +273,28 @@ class TestControl:
         assert all(v == 1.0 for v in rep["F1"].values())
 
 
+    @pytest.mark.parametrize("family", ["graph", "power"])
+    def test_fit_on_a_grid_without_positive_time_is_an_input_error(self, family, path_file,
+                                                                  tmp_path, capsys):
+        # graph used to pass with no sample checked and "min_slack": Infinity,
+        # power to end in numpy's zero-size reduction error
+        kpath, out = tmp_path / "k.json", tmp_path / "rep.json"
+        assert main(["heat", "kernel", "--graph", path_file, "--times", "0",
+                     "--out", str(kpath)]) == EXIT_OK
+        code, err = _run(["control", "fit", "--kernel", str(kpath), "--family", family,
+                          "--out", str(out)], capsys)
+        assert code == EXIT_INPUT
+        assert "kernel time grid [0.0] has no t > 0 to fit" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_report_holding_a_non_finite_number_is_refused(self, value, tmp_path):
+        out = tmp_path / "rep.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit({"min_slack": value}, out, 0)
+        assert not out.exists()
+
+
 class TestDominate:
     def test_magnetic_path(self, tmp_path):
         g = path_graph(6)
@@ -292,6 +342,21 @@ class TestDominate:
                                 5, np.random.default_rng(3))
         expected = json.loads(json.dumps([r.to_dict() for r in rows]))
         assert json.loads(out.read_text())["ledger"] == expected
+
+
+    def test_negative_potential_is_not_psd(self, tmp_path, capsys):
+        # H + V with V = -1 has lambda_min = -1: no heat semigroup contracts,
+        # so domination is refused before any report is written
+        g = path_graph(6)
+        gpath, bpath, out = tmp_path / "g.json", tmp_path / "b.json", tmp_path / "rep.json"
+        dump_graph(g, gpath)
+        dump_bundle(bpath, 1, connection=UnitaryConnection.trivial(g, 1),
+                    potentials={"neg": EndomorphismField.scalar(dict.fromkeys(g.vertices, -1.0))})
+        code, err = _run(["dominate", "check", "--graph", str(gpath), "--bundle", str(bpath),
+                          "--potential", "neg", "--out", str(out)], capsys)
+        assert code == EXIT_INPUT
+        assert "sum operator not PSD: lambda_min = " in err
+        assert not out.exists()
 
 
 class TestCompactCertify:
@@ -375,8 +440,9 @@ class TestCompactCertify:
     @pytest.mark.parametrize("source", ["scalar", "bundle"])
     def test_certify_builds_no_eigenbasis_and_no_kernel(self, source, tmp_path,
                                                         monkeypatch):
-        # the graph pair comes from the theorem, so certify neither
-        # diagonalises an operator nor tabulates a heat kernel
+        # the graph pair comes from the theorem and H >= 0 from the validated
+        # inputs, so certify neither diagonalises nor factorises an operator
+        # nor tabulates a heat kernel: it takes one solve per level
         from heatcert import heat
 
         argv = self.path30_argv(tmp_path)
@@ -390,13 +456,15 @@ class TestCompactCertify:
             at = argv.index("--potential")
             argv[at:at + 2] = ["--bundle", str(bpath), "--potential", "w"]
         calls = []
-        eigh, kernel = np.linalg.eigh, heat.HeatKernel
-        monkeypatch.setattr(np.linalg, "eigh",
-                            lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
+        for name in ("eigh", "cholesky", "solve"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=fn, **k:
+                                calls.append(_n) or _f(*a, **k))
+        kernel = heat.HeatKernel
         monkeypatch.setattr(heat, "HeatKernel",
                             lambda *a, **k: calls.append("HeatKernel") or kernel(*a, **k))
         assert main(argv) == EXIT_OK
-        assert calls == []
+        assert calls == ["solve"] * 3  # radii 9, 19, 29
         rep = json.loads((tmp_path / "rep.json").read_text())
         premises = ["graph validation: b >= 0, rho > 0, finite degrees"]
         if source == "bundle":
@@ -865,13 +933,13 @@ class TestDemo:
         caches, calls = [], []
         certify = cli.certify_compactness
 
-        def checking_certify(pd, H, *args, **kwargs):
+        def checking_certify(W, W1, H, *args, **kwargs):
             caches.append(dict(H._cache))
             for name in ("eigh", "cholesky"):
                 fn = getattr(np.linalg, name)
                 monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=fn, **k:
                                     calls.append(_n) or _f(*a, **k))
-            return certify(pd, H, *args, **kwargs)
+            return certify(W, W1, H, *args, **kwargs)
 
         monkeypatch.setattr(cli, "certify_compactness", checking_certify)
         assert main(["demo", "coulomb-lattice", "--n", "30",

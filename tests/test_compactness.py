@@ -12,7 +12,6 @@ from heatcert.bundle import (
 )
 from heatcert.compactness import (
     LedgerRow,
-    PotentialDecomposition,
     certify_compactness,
     check_2a_bound,
     check_2to2_bound,
@@ -504,16 +503,15 @@ def assert_sv_close(fast, ref, k):
 
 
 def rank2_certify_case(seed):
-    """A rank-2 covariant host, a Hermitian W split at |W| = 1, and levels
-    of radius 1, 2 and the whole host."""
+    """A rank-2 covariant host, a Hermitian W and its part W1 where |W| > 1,
+    and levels of radius 1, 2 and the whole host."""
     rng = np.random.default_rng(seed)
     g = random_graph(14, rng)
     Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
     W = random_field(g, 2, rng)
-    W1, W2 = decompose_potential(W, 1.0)
+    W1, _ = decompose_potential(W, 1.0)
     cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
-    pd = PotentialDecomposition.build(W, W1, W2, g)
-    return g, Hc, pd, cp, build_exhaustion(g, g.vertices[0], [1, 2, g.n])
+    return g, Hc, W, W1, cp, build_exhaustion(g, g.vertices[0], [1, 2, g.n])
 
 
 class TestSingularValuesFromEigenbasis:
@@ -607,10 +605,9 @@ class TestSingularValuesFromEigenbasis:
             check_2to2_bound(W, shifted, cp, 0.5)
 
     def test_certify_matches_dense_route(self):
-        g, Hc, pd, cp, ex = rank2_certify_case(45)
-        W, W1 = pd.W, pd.W1
+        g, Hc, W, W1, cp, ex = rank2_certify_case(45)
         assert 0 < np.any(W1.blocks != 0, axis=(1, 2)).sum() < g.n
-        rep = certify_compactness(pd, Hc, cp, ex, a=2.0)
+        rep = certify_compactness(W, W1, Hc, cp, ex, a=2.0)
         rows = [r for r in rep.bounds if r.name == "step1-resolvent-hs-bound"]
         assert len(rows) == len(ex.levels)
         supp = np.any(W.blocks != 0, axis=(1, 2))
@@ -705,10 +702,9 @@ class TestResolventSingularValuesBySolve:
 
     def test_certify_with_an_overlapping_split(self):
         # W1 = W / 2 everywhere is not W on part of its support
-        g, Hc, pd, cp, ex = rank2_certify_case(48)
-        half = EndomorphismField.from_blocks(2, g.vertices, 0.5 * pd.W.blocks, True)
-        split = PotentialDecomposition.build(pd.W, half, half, g)
-        rep = certify_compactness(split, Hc, cp, ex, a=2.0)
+        g, Hc, W, _, cp, ex = rank2_certify_case(48)
+        half = EndomorphismField.from_blocks(2, g.vertices, 0.5 * W.blocks, True)
+        rep = certify_compactness(W, half, Hc, cp, ex, a=2.0)
         for lv, row in zip(ex.levels, rep.bounds):
             Hn = dirichlet_restriction(Hc, lv)
             ref = dense_singular_values(half, Hn, lambda H: resolvent(H, 2.0))[0]
@@ -833,12 +829,12 @@ class TestTopSingularValues:
         assert capped > 0
 
     def test_repeated_calls_give_identical_bytes(self):
-        g, Hc, pd, cp, ex = rank2_certify_case(49)
-        W = pd.W.blocks
+        g, Hc, W, W1, cp, ex = rank2_certify_case(49)
         assert Hc.dim > 5 + operators.SUBSPACE_GUARD  # the iteration runs
-        first, second = (resolvent_singular_values(Hc, [W], 2.0, [5])[0] for _ in range(2))
+        first, second = (resolvent_singular_values(Hc, [W.blocks], 2.0, [5])[0]
+                         for _ in range(2))
         assert first[0].tobytes() == second[0].tobytes() and first[1:] == second[1:]
-        reports = [json.dumps(certify_compactness(pd, Hc, cp, ex, a=2.0).to_dict(),
+        reports = [json.dumps(certify_compactness(W, W1, Hc, cp, ex, a=2.0).to_dict(),
                               sort_keys=True) for _ in range(2)]
         assert reports[0] == reports[1]
 
@@ -847,7 +843,7 @@ class TestCertifyFormsNoDenseProducts:
     def test_no_resolvent_no_multiplication_one_solve_per_level(self, monkeypatch):
         from heatcert import compactness, operators
 
-        g, Hc, pd, cp, ex = rank2_certify_case(46)
+        g, Hc, W, W1, cp, ex = rank2_certify_case(46)
         sizes = [len(lv) for lv in ex.levels]
         assert sizes[-1] == g.n and len(set(sizes)) == len(sizes)
         calls = []
@@ -862,37 +858,30 @@ class TestCertifyFormsNoDenseProducts:
             fn = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=fn:
                                 calls.append(_n) or widths.append(a[-1].shape) or _f(*a))
-        rep = certify_compactness(pd, Hc, cp, ex, a=2.0)
+        rep = certify_compactness(W, W1, Hc, cp, ex, a=2.0)
         assert rep.levels == [2 * s for s in sizes]
-        # one Cholesky proves the host PSD; no level is checked or diagonalised
-        assert calls == ["cholesky"] + ["solve"] * len(sizes)
+        # the host is PSD by construction: nothing is factorised or
+        # diagonalised, and each level takes one solve
+        assert calls == ["solve"] * len(sizes)
         # W1 is W on part of its support, so W's columns serve both
-        supp = np.any(pd.W.blocks != 0, axis=(1, 2))
-        assert widths[1:] == [(2 * s, 2 * supp[lv].sum())
-                              for s, lv in zip(sizes, ex.levels)]
+        supp = np.any(W.blocks != 0, axis=(1, 2))
+        assert widths == [(2 * s, 2 * supp[lv].sum())
+                          for s, lv in zip(sizes, ex.levels)]
 
     def test_non_psd_operator_rejected(self):
-        g, Hc, pd, cp, ex = rank2_certify_case(47)
+        g, Hc, W, W1, cp, ex = rank2_certify_case(47)
         V = EndomorphismField(2, {v: -np.eye(2) for v in g.vertices}, self_adjoint=True)
         with pytest.raises(ValueError, match="not PSD: lambda_min = "):
-            certify_compactness(pd, add_potential(Hc, V), cp, ex, a=2.0)
+            certify_compactness(W, W1, add_potential(Hc, V), cp, ex, a=2.0)
 
 
-class TestPotentialDecompositionBuild:
-    def test_split_mismatch_raises(self):
-        g = path_graph(2)
-        with pytest.raises(ValueError, match="W1"):
-            PotentialDecomposition.build({"v0": 1.0, "v1": 0.0},
-                                         {"v0": 0.5, "v1": 0.0},
-                                         {"v0": 0.0, "v1": 0.0},
-                                         g)
-
+class TestCertifyPotentials:
     @staticmethod
-    def row_rhs(pd, g, cp):
+    def row_rhs(W, W1, g, cp):
         # at a = 1 the quadrature of F2 = 1 is exactly 1, so the resolvent
         # row's rhs is the F1-weighted norm of W1
         ex = build_exhaustion(g, g.vertices[0], [g.n])
-        rep = certify_compactness(pd, assemble_laplacian(g), cp, ex, a=1.0)
+        rep = certify_compactness(W, W1, assemble_laplacian(g), cp, ex, a=1.0)
         (row,) = rep.bounds
         assert row.detail["quadrature_integral"] == 1.0
         return row.rhs
@@ -900,37 +889,30 @@ class TestPotentialDecompositionBuild:
     def test_w1_norm(self):
         g = path_graph(3)
         cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
-        pd = PotentialDecomposition.build(
-            {"v0": 3.0, "v1": 0.5, "v2": 0.0},
-            {"v0": 3.0, "v1": 0.0, "v2": 0.0},
-            {"v0": 0.0, "v1": 0.5, "v2": 0.0},
-            g)
-        assert self.row_rhs(pd, g, cp) == pytest.approx(3.0)
+        W = {"v0": 3.0, "v1": 0.5, "v2": 0.0}
+        W1 = {"v0": 3.0, "v1": 0.0, "v2": 0.0}
+        assert self.row_rhs(W, W1, g, cp) == pytest.approx(3.0)
 
     def test_rank_mismatch_raises(self):
-        g, Hc, pd, cp, ex = rank2_certify_case(47)
+        g, Hc, W, _, cp, ex = rank2_certify_case(47)
         scalar = {v: 1.0 for v in g.vertices}
         with pytest.raises(ValueError, match="rank 1 for an operator of rank 2"):
             check_resolvent_bound(scalar, Hc, ControlPair(cp.F1, cp.F2, 2.0), 1.0)
-        with pytest.raises(ValueError, match="rank 1 for an operator of rank 2"):
-            PotentialDecomposition.build(pd.W, scalar, pd.W2, g)
-        scalar_pd = PotentialDecomposition.build(scalar, scalar, dict.fromkeys(scalar, 0.0), g)
-        with pytest.raises(ValueError, match="rank 1 for an operator of rank 2"):
-            certify_compactness(scalar_pd, Hc, cp, ex, a=2.0)
+        for pair in ((scalar, scalar), (W, scalar), (scalar, W)):
+            with pytest.raises(ValueError, match="rank 1 for an operator of rank 2"):
+                certify_compactness(*pair, Hc, cp, ex, a=2.0)
 
     def test_measure_reweighted_by_f1(self):
         # ||1||^2 in L^2(F1 rho) is the F1-reweighted measure of the host
         g = path_graph(3, rho=2.0)
         cp = ControlPair(np.full(g.n, 0.5), F2Family.constant(1.0), 1.0)
         ones = {v: 1.0 for v in g.vertices}
-        pd = PotentialDecomposition.build(ones, ones, dict.fromkeys(ones, 0.0), g)
-        assert self.row_rhs(pd, g, cp) ** 2 == pytest.approx(3.0)
+        assert self.row_rhs(ones, ones, g, cp) ** 2 == pytest.approx(3.0)
 
 
-def build_decomposition(g, W_map, threshold, cp):
-    W1 = {v: (w if abs(w) > threshold else 0.0) for v, w in W_map.items()}
-    W2 = {v: W_map[v] - W1[v] for v in W_map}
-    return PotentialDecomposition.build(W_map, W1, W2, g)
+def part_above(W_map, threshold):
+    """W1 of the threshold split: W where |W| > threshold, 0 elsewhere."""
+    return {v: (w if abs(w) > threshold else 0.0) for v, w in W_map.items()}
 
 
 class TestCertify:
@@ -939,9 +921,9 @@ class TestCertify:
         H = assemble_laplacian(g)
         cp = ControlPair(1.0 / g.rho_vec,
                          F2Family.constant(1.0), 1.0)
-        pd = build_decomposition(g, {v: 0.0 for v in g.vertices}, 0.1, cp)
+        W = {v: 0.0 for v in g.vertices}
         ex = build_exhaustion(g, "v0", [3, 7])
-        rep = certify_compactness(pd, H, cp, ex, a=2.0)
+        rep = certify_compactness(W, part_above(W, 0.1), H, cp, ex, a=2.0)
         assert rep.verdict == "hypotheses-verified"
         for sv in rep.singular_values.values():
             assert max(sv) == 0.0
@@ -950,9 +932,8 @@ class TestCertify:
         g = make_graph(["x"], {"x": 1.0}, [])
         H = assemble_laplacian(g)
         cp = ControlPair(np.ones(1), F2Family.constant(1.0), 1.0)
-        pd = build_decomposition(g, {"x": 2.0}, 0.1, cp)
         ex = build_exhaustion(g, "x", [1])
-        rep = certify_compactness(pd, H, cp, ex, a=1.0)
+        rep = certify_compactness({"x": 2.0}, part_above({"x": 2.0}, 0.1), H, cp, ex, a=1.0)
         # sole singular value |w| / (0 + 1)
         assert rep.singular_values[1][0] == pytest.approx(2.0, abs=1e-12)
         row = next(r for r in rep.bounds if "resolvent" in r.name)
@@ -967,17 +948,17 @@ class TestCertify:
         g = path_graph(n)
         H = assemble_laplacian(g)
         cp = ControlPair(1.0 / g.rho_vec, F2Family.constant(1e-6), 1.0)
-        pd = build_decomposition(g, {f"v{j}": 1.0 / (1.0 + j * j) for j in range(n)},
-                                 0.1, cp)
+        W = {f"v{j}": 1.0 / (1.0 + j * j) for j in range(n)}
+        W1 = part_above(W, 0.1)
         ex = build_exhaustion(g, "v0", [9, 19, 29])
-        rep = certify_compactness(pd, H, cp, ex, a=1.0)
+        rep = certify_compactness(W, W1, H, cp, ex, a=1.0)
         assert rep.verdict == "hypothesis-failed:step1-resolvent-hs-bound"
         assert [r.ok for r in rep.bounds] == [False] * 3
         assert all(set(r.to_dict()) == {"name", "lhs", "rhs", "slack", "pass", "level_dim",
                                         "a", "quadrature_integral"} for r in rep.bounds)
         # the true graph pair F2 = 1 verifies the same case at the same shift
         graph_cp = ControlPair(cp.F1, F2Family.constant(1.0), 1.0)
-        assert certify_compactness(pd, H, graph_cp, ex, a=1.0).verdict == "hypotheses-verified"
+        assert certify_compactness(W, W1, H, graph_cp, ex, a=1.0).verdict == "hypotheses-verified"
 
     @pytest.mark.parametrize("q", [1.5, 3.0])
     def test_row_matches_check_resolvent_bound_on_the_host(self, q):
@@ -986,11 +967,11 @@ class TestCertify:
         H = assemble_laplacian(g)
         cp = ControlPair(np.ones(g.n), F2Family.power(2.0, 1.0), q)
         W = {v: float(rng.standard_normal()) for v in g.vertices}
-        pd = build_decomposition(g, W, 0.5, cp)
+        W1 = part_above(W, 0.5)
         ex = build_exhaustion(g, g.vertices[0], [1, g.n])
         for a in (0.1, 1.0):
-            host = certify_compactness(pd, H, cp, ex, a=a).bounds[-1]
-            ref = check_resolvent_bound(pd.W1, H, cp, a)
+            host = certify_compactness(W, W1, H, cp, ex, a=a).bounds[-1]
+            ref = check_resolvent_bound(W1, H, cp, a)
             assert host.detail["level_dim"] == g.n
             assert host.name == ref.name == "step3-resolvent-norm-bound"
             assert abs(host.lhs - ref.lhs) <= 1e-12 * max(1.0, ref.lhs)
@@ -1003,9 +984,8 @@ class TestCertify:
         H = assemble_laplacian(g)
         cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
         W = {f"v{j}": 1.0 / (1.0 + j * j) for j in range(n)}
-        pd = build_decomposition(g, W, 0.1, cp)
         ex = build_exhaustion(g, "v0", [50, 100, 200, 399])
-        rep = certify_compactness(pd, H, cp, ex, a=2.0, k_top=5)
+        rep = certify_compactness(W, part_above(W, 0.1), H, cp, ex, a=2.0, k_top=5)
         assert rep.verdict == "hypotheses-verified"
         assert rep.levels == [51, 101, 201, 400]
         last = rep.drift["201->400"]
@@ -1017,9 +997,8 @@ class TestCertify:
         H = assemble_laplacian(g)
         cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
         W = {v: float(rng.standard_normal()) for v in g.vertices}
-        pd = build_decomposition(g, W, 0.5, cp)
         ex = build_exhaustion(g, g.vertices[0], [2, 50])
-        rep = certify_compactness(pd, H, cp, ex, a=2.0)
+        rep = certify_compactness(W, part_above(W, 0.5), H, cp, ex, a=2.0)
         for sv in rep.singular_values.values():
             assert all(a >= b >= 0 for a, b in zip(sv, sv[1:]))
 
@@ -1027,10 +1006,10 @@ class TestCertify:
         g = path_graph(4)
         H = assemble_laplacian(g)
         cp = ControlPair(np.ones(g.n), F2Family.power(1.0, 3.0), 1.0)
-        pd = build_decomposition(g, {v: 1.0 for v in g.vertices}, 0.1, cp)
+        W = {v: 1.0 for v in g.vertices}
         ex = build_exhaustion(g, "v0", [3])
         with pytest.raises(ValueError, match="integrable"):
-            certify_compactness(pd, H, cp, ex, a=2.0)
+            certify_compactness(W, part_above(W, 0.1), H, cp, ex, a=2.0)
 
 
 def test_truncation_operator_norm_converges_exactly():

@@ -254,6 +254,18 @@ class TestFitControl:
         # near 1/2 (reported, not asserted tightly)
         assert 0.0 < cert.fitted["gamma"] < 1.0
 
+    @pytest.mark.parametrize("family", ["graph", "power"])
+    def test_grid_without_positive_time_is_refused(self, family):
+        # at t = 0 the diagonal is 1/rho exactly, so there is nothing to fit
+        k = kernel_from_semigroup(assemble_laplacian(path_graph(4)), (0.0,))
+        with pytest.raises(ValueError, match=r"kernel time grid \[0.0\] has no t > 0"):
+            fit_control(k, family)
+
+    def test_zero_time_next_to_positive_ones_is_skipped(self):
+        k = kernel_from_semigroup(assemble_laplacian(path_graph(4)), (0.0, 0.5))
+        _, cert = fit_control(k, "graph")
+        assert cert.ok and math.isfinite(cert.min_slack) and cert.min_slack > 0
+
     def test_power_family_q_above_one_unit_f1(self):
         g = path_graph(10, rho=2.0)
         k = kernel_from_semigroup(assemble_laplacian(g), DEFAULT_TIMES)

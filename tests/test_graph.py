@@ -46,6 +46,10 @@ class TestValidate:
         g = make_graph(["x"], {"x": 1.0}, [])
         assert validate_graph(g).ok
 
+    def test_no_vertices_invalid(self):
+        report = validate_graph(make_graph([], {}, []))
+        assert not report.ok and report.violations == ["graph has no vertices"]
+
     def test_asymmetry_impossible_by_construction(self):
         # the loader stores one value per unordered pair, so conflicting
         # directions surface as a duplicate-edge rejection

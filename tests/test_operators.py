@@ -5,6 +5,7 @@ from heatcert.bundle import EndomorphismField, UnitaryConnection
 from heatcert.graph import make_graph, path_graph, random_graph
 from heatcert.heat import kernel_from_semigroup
 from heatcert.operators import (
+    OperatorMatrix,
     _flush_subnormals,
     _semigroup_g,
     _spectral_rows,
@@ -286,9 +287,11 @@ class TestDirichlet:
 
 
 class TestRequirePsd:
-    """A successful Cholesky factorisation of A + PSD_TOL I is cached as the
-    PSD verdict; a failed one falls back to the eigh lambda_min. Assembly
-    checks nothing: the consumers of spectral work do."""
+    """Assembly records the PSD verdict that the validated graph and the
+    unitary connection give; add_potential keeps it for a potential with no
+    negative block, and a Dirichlet level inherits it. Without a verdict, or
+    with a cached eigendecomposition, the eigh lambda_min decides. Nothing
+    is checked at construction: the consumers of spectral work check."""
 
     @staticmethod
     def negative_shift(seed):
@@ -315,17 +318,17 @@ class TestRequirePsd:
                                          rel=1e-12, abs=1e-14)
         assert reported < -0.4 and "psd" not in op._cache
 
-    def test_cholesky_verdict_is_cached_without_eigh(self, monkeypatch):
+    def test_construction_verdict_needs_no_factorisation(self, monkeypatch):
         calls = self.count_factorisations(monkeypatch)
-        g = random_graph(12, np.random.default_rng(92))
-        H = assemble_laplacian(g)
-        assert calls == [] and H._cache == {}
-        require_psd(H)
-        assert calls == ["cholesky"] and H._cache == {"psd": True}
-        require_psd(H)
-        level = dirichlet_restriction(H, np.arange(5))
-        require_psd(level)
-        assert calls == ["cholesky"] and level._cache == {"psd": True}
+        rng = np.random.default_rng(92)
+        g = random_graph(12, rng)
+        for H in (assemble_laplacian(g), assemble_covariant(g, 2, random_connection(g, 2, rng))):
+            assert H._cache == {"psd": True}
+            require_psd(H)
+            level = dirichlet_restriction(H, np.arange(5))
+            require_psd(level)
+            assert level._cache == {"psd": True}
+        assert calls == []
 
     def test_diagonalising_consumers_make_no_cholesky(self, monkeypatch):
         # each checks PSD from the eigh it needs anyway
@@ -338,18 +341,48 @@ class TestRequirePsd:
         kernel_from_semigroup(assemble_laplacian(g), (0.0, 0.5, 1.0))
         assert calls == ["eigh"] * 3
 
-    def test_failed_cholesky_falls_back_to_eigh(self, monkeypatch):
-        def refuse(a):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    def test_operator_built_by_hand_is_decided_by_eigh(self, monkeypatch):
+        calls = self.count_factorisations(monkeypatch)
         g = random_graph(12, np.random.default_rng(93))
-        H = assemble_laplacian(g)
+        L = assemble_laplacian(g)
+        H = OperatorMatrix(L.matrix, L.vertices, 1, L.rho, "scalar-laplacian")
         require_psd(H)
-        assert "eigh" in H._cache and "psd" not in H._cache
-        assert H.lambda_min() >= -1e-10
-        with pytest.raises(ValueError, match="not PSD"):
-            require_psd(self.negative_shift(93))
+        assert calls == ["eigh"] and "psd" not in H._cache
+        # releasing the eigenbasis keeps the verdict that eigh gave
+        H.release_eigh()
+        require_psd(H)
+        assert calls == ["eigh"] and H._cache == {"psd": True}
+        shifted = self.negative_shift(93)
+        bare = OperatorMatrix(shifted.matrix, shifted.vertices, 1, shifted.rho, "covariant")
+        with pytest.raises(ValueError, match="covariant operator not PSD: lambda_min = "):
+            require_psd(bare)
+
+    def test_add_potential_keeps_the_verdict_only_for_a_nonnegative_potential(
+            self, monkeypatch):
+        rng = np.random.default_rng(99)
+        g = random_graph(12, rng)
+        H = assemble_covariant(g, 2, random_connection(g, 2, rng))
+        blocks = rng.standard_normal((g.n, 2, 2)) + 1j * rng.standard_normal((g.n, 2, 2))
+        blocks = blocks @ blocks.conj().swapaxes(1, 2)  # PSD blocks
+        blocks[0] = 0.0  # a zero block is nonnegative too
+        nonnegative = add_potential(H, EndomorphismField.from_blocks(2, g.vertices, blocks,
+                                                                       True))
+        # V(1) = 2, V(2) = -0.5 on a two-vertex graph: H + V = [[3, -1],
+        # [-1, 0.5]] has determinant 0.5 and trace 3.5, so it is PD
+        indefinite = add_potential(assemble_laplacian(two_vertex()),
+                                   EndomorphismField.scalar({"1": 2.0, "2": -0.5}))
+        negative = add_potential(H, EndomorphismField(
+            2, {v: -np.eye(2) for v in g.vertices}, self_adjoint=True))
+        assert nonnegative._cache == {"psd": True}
+        assert indefinite._cache == negative._cache == {}
+        calls = self.count_factorisations(monkeypatch)
+        require_psd(nonnegative)
+        assert calls == []
+        require_psd(indefinite)
+        assert calls == ["eigh"] and indefinite.lambda_min() > 0
+        with pytest.raises(ValueError, match="sum operator not PSD: lambda_min = "):
+            require_psd(negative)
+        assert calls == ["eigh"] * 2
 
     @pytest.mark.parametrize("consumer", [
         lambda H: resolvent(H, 1.0),
@@ -395,7 +428,7 @@ class TestSpectralRows:
         fresh = assemble_covariant(g, d, random_connection(g, d, rng))
         eye = np.eye(H.dim, dtype=complex)
         assert np.array_equal(semigroup_matrix(fresh, 0.0), eye)
-        assert fresh._cache == {}
+        assert "eigh" not in fresh._cache
         assert np.array_equal(np.vstack([b for _, b in rows(None, 40)]), eye)
 
     @pytest.mark.parametrize("d", [1, 2])
