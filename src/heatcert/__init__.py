@@ -32,6 +32,7 @@ from .heat import (
     minimal_kernel,
     verify_axioms,
     verify_rho_bound,
+    verify_semigroup,
 )
 from .control import (
     ControlPair,

@@ -34,6 +34,7 @@ from .heat import (
     minimal_kernel,
     verify_axioms,
     verify_rho_bound,
+    verify_semigroup,
 )
 from .operators import add_potential, assemble_covariant, assemble_laplacian
 
@@ -134,19 +135,16 @@ def cmd_heat_verify(args) -> int:
                "rho_bound": rho_bound.to_dict(), "pass": ok},
               args.out, args.seed)
         return EXIT_OK if ok else EXIT_VIOLATION
-    times = args.times or DEFAULT_TIMES
     g = load_graph(args.graph)
     H = assemble_laplacian(g)
-    k = kernel_from_semigroup(H, times)
-    axioms = verify_axioms(k, H)
-    rho_bound = verify_rho_bound(k)
+    ex = build_exhaustion(g, *_parse_exhaustion(args.exhaustion)) if args.exhaustion else None
+    # one pass over the grid: the host's slices feed the axioms, the rho
+    # bound and the minimal kernel's host level, and no stack is formed
+    axioms, rho_bound, mk, _ = verify_semigroup(H, args.times or DEFAULT_TIMES, ex=ex)
     report = {"command": "heat verify", "axioms": axioms.to_dict(),
               "rho_bound": rho_bound.to_dict()}
     ok = axioms.ok and rho_bound.ok
-    if args.exhaustion:
-        root, radii = _parse_exhaustion(args.exhaustion)
-        ex = build_exhaustion(g, root, radii)
-        mk = minimal_kernel(g, ex, times, H=H)
+    if mk is not None:
         report["minimal_kernel"] = mk.to_dict()
         ok = ok and mk.monotone_ok
     report["pass"] = ok
@@ -260,24 +258,22 @@ def build_coulomb_demo(n: int, kappa: float, theta: float):
 
 def _demo_scalar_checks(g, H_cov, W1, pair, rng):
     """The demo's checks on the scalar Laplacian S of the host: Kato
-    domination of S by H_cov, then the kernel axioms, the rho bound and the
-    HS bound for W1 under the graph pair from S's kernel stack on
-    DEFAULT_TIMES (which holds the HS row's t = 0.5 and 2t = 1), and the
-    Laplace crosscheck. Returns (axioms, rho bound, ledger), the ledger
-    holding the HS, crosscheck and domination rows. S, its eigenbasis and
-    its kernel stack go out of scope on return, before certification runs;
-    H_cov keeps only the PSD verdict of its eigendecomposition, which is
-    all that certification reads of it."""
+    domination of S by H_cov, then the kernel axioms and the rho bound in
+    one pass over S's kernel slices on DEFAULT_TIMES (`verify_semigroup`),
+    which keeps the HS row's p(0.5) and p(2t = 1) for the HS bound of W1
+    under the graph pair, and the Laplace crosscheck. Returns (axioms, rho
+    bound, ledger), the ledger holding the HS, crosscheck and domination
+    rows. S, its eigenbasis and the kept slices go out of scope on return,
+    before certification runs; H_cov keeps only the PSD verdict of its
+    eigendecomposition, which is all that certification reads of it."""
     H_scal = assemble_laplacian(g)
     # domination first, so that its dense semigroups and the covariant
-    # eigenbasis come and go before the kernel stack is built
+    # eigenbasis come and go before the kernel slices are formed
     dom_rows = check_domination(H_cov, H_scal, times=(0.1, 1.0),
                                 a_values=(1.0,), trials=5, rng=rng)
     H_cov.release_eigh()
-    k = kernel_from_semigroup(H_scal, DEFAULT_TIMES)
-    axioms = verify_axioms(k, H_scal)
-    rho_rep = verify_rho_bound(k)
-    ledger = check_hs_bound(W1, k, pair, t=0.5)
+    axioms, rho_rep, _, kept = verify_semigroup(H_scal, DEFAULT_TIMES, keep=(0.5, 1.0))
+    ledger = check_hs_bound(W1, kept, pair, t=0.5)
     ledger.append(check_resolvent_laplace(H_scal, a=1.0))
     return axioms, rho_rep, ledger + dom_rows
 

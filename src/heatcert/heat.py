@@ -3,17 +3,23 @@
 Kernel convention: e^{-tH} f(x) = sum_y p(t, x, y) f(y) rho(y), so
 p(t, x, y) = [e^{-tH} D^{-1}]_{x, y}, the kernel scaling of
 `operators._spectral_rows`; this module forms no eigenbasis product of
-its own. A kernel stack is tabulated once per operator and time grid,
-cached on the operator and read-only; a complex kernel (nontrivial
-connection) is refused rather than truncated to its real part. The four
-kernel axioms (Chapman-Kolmogorov, symmetry, sub-Markov row mass, strong
-continuity at t = 0) are verified, never assumed, and the minimal kernel
-is approached through Dirichlet restrictions along an exhaustion,
-streamed by time with no stack per level.
+its own, and a complex kernel (nontrivial connection) is refused rather
+than truncated to its real part. The four kernel axioms
+(Chapman-Kolmogorov, symmetry, sub-Markov row mass, strong continuity at
+t = 0) and the rho bound are verified, never assumed, in one pass over
+the time grid in ascending order (`_KernelChecks`): each slice p(t) is
+checked as it comes and held only while a later pair (t, s, t + s) on the
+grid still needs it as a factor. `verify_semigroup` forms each slice of
+an operator once and holds no stack; `verify_axioms` and
+`verify_rho_bound` run the same pass over a stored stack, such as the one
+`kernel_from_semigroup` tabulates for `heat kernel`. The minimal kernel
+is approached through Dirichlet restrictions along an exhaustion, streamed
+by time with no stack per level.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 
@@ -43,16 +49,16 @@ DEFAULT_TIMES = (0.001, 0.01, 0.05, 0.1, 0.2, 0.25, 0.5,
 
 @dataclass(frozen=True)
 class HeatKernel:
-    times: tuple[float, ...]
+    times: tuple[float, ...]  # ascending
     kernels: np.ndarray  # shape (n_times, n, n), raw (unclamped) values
     vertices: tuple[str, ...]
     rho: np.ndarray
 
     def at(self, t: float) -> np.ndarray:
-        for i, ti in enumerate(self.times):
-            if abs(ti - t) <= 1e-12 * max(1.0, t):
-                return self.kernels[i]
-        raise KeyError(f"time {t} not on kernel grid")
+        i = _on_grid(self.times, t)
+        if i is None:
+            raise KeyError(f"time {t} not on kernel grid")
+        return self.kernels[i]
 
     def diagonal(self) -> np.ndarray:
         """p(t, x, x) per time, shape (n_times, n)."""
@@ -60,37 +66,73 @@ class HeatKernel:
 
 
 def _grid(times) -> tuple[float, ...]:
-    """A time grid as the sorted floats that key a cached stack."""
+    """A time grid as sorted floats."""
     return tuple(sorted(float(t) for t in times))
 
 
-def kernel_from_semigroup(H: OperatorMatrix, times) -> HeatKernel:
-    """Kernel stack p(t) = e^{-tH} D^{-1} of the scalar operator H, one
-    `operators._spectral_rows` kernel block per time written into a
-    read-only (n_times, n, n) array; p(0) is exactly diag(1/rho). The stack
-    is cached on H per time grid, and a kernel with an imaginary part above
-    round-off (a nontrivial connection) is refused. `minimal_kernel` forms
-    the same slices one time at a time, with no stack of its own."""
+def _on_grid(times, t) -> int | None:
+    """Index of the time of the ascending grid nearest to t, if t lies
+    within 1e-12 of it relative to that grid time; else None. So only 0
+    matches 0, and no grid time matches an infinite or NaN t. `HeatKernel.at`
+    and the Chapman-Kolmogorov pairs match times by it."""
+    i = bisect.bisect_left(times, t)
+    near = [j for j in (i - 1, i)
+            if 0 <= j < len(times) and abs(times[j] - t) <= 1e-12 * times[j]]
+    return min(near, key=lambda j: abs(times[j] - t), default=None)
+
+
+def _a1_plan(times):
+    """The Chapman-Kolmogorov pairs of the ascending grid: per index k, the
+    index pairs (i, j) of positive times with t_i + t_j on the grid at k
+    (`_on_grid`, which gives k >= i, j); and per index, the last k that
+    needs it as a factor, -1 for none."""
+    pairs = [[] for _ in times]
+    last = [-1] * len(times)
+    for i, t in enumerate(times):
+        for j, s in enumerate(times):
+            k = _on_grid(times, t + s) if t > 0 and s > 0 else None
+            if k is not None:
+                pairs[k].append((i, j))
+                last[i], last[j] = max(last[i], k), max(last[j], k)
+    return pairs, last
+
+
+def _kernel_former(H: OperatorMatrix, times):
+    """form(i, out): the kernel p(t_i) = e^{-t_i H} D^{-1} of the scalar
+    operator H, one `operators._spectral_rows` kernel block written into the
+    real n x n array out, which it returns; p(0) is exactly diag(1/rho). A
+    kernel with an imaginary part above round-off (a nontrivial connection)
+    is refused. Guards first: a rank above 1 or a t < 0 raises before the
+    eigendecomposition, and a non-PSD H right after it."""
     if H.rank != 1:
         raise ValueError("heat kernels are scalar; trivialize first")
-    times = _grid(times)
-    key = ("kernel", times)
-    if key in H._cache:
-        return H._cache[key]
-    # guards first: t < 0 raises before any work, a non-PSD H right after
-    # the eigendecomposition the stack needs anyway
     gs = [_semigroup_g(t) for t in times]
     rows = _spectral_rows(H, kernel=True)
-    stack = np.empty((len(times), H.dim, H.dim), H.matrix.dtype)
-    for out, g in zip(stack, gs):
-        ((_, p),) = rows(g, out=out)
-        if np.iscomplexobj(p) and np.max(np.abs(p.imag)) > KERNEL_IMAG_TOL * np.max(np.abs(p)):
-            raise ValueError("heat kernel is not real; the connection is not trivial")
-    stack = np.ascontiguousarray(stack.real)
+    scratch = np.empty((H.dim, H.dim), H.matrix.dtype) if np.iscomplexobj(H.matrix) else None
+
+    def form(i, out):
+        ((_, p),) = rows(gs[i], out=out if scratch is None else scratch)
+        if scratch is not None:
+            if np.max(np.abs(p.imag)) > KERNEL_IMAG_TOL * np.max(np.abs(p)):
+                raise ValueError("heat kernel is not real; the connection is not trivial")
+            out[...] = p.real
+        return out
+
+    return form
+
+
+def kernel_from_semigroup(H: OperatorMatrix, times) -> HeatKernel:
+    """Kernel stack p(t) = e^{-tH} D^{-1} of the scalar operator H on the
+    sorted grid, each slice formed as `verify_semigroup` forms it and
+    written into a read-only (n_times, n, n) array. `heat kernel` writes
+    it; the kernel checks of an operator need no stack."""
+    times = _grid(times)
+    form = _kernel_former(H, times)
+    stack = np.empty((len(times), H.dim, H.dim))
+    for i, out in enumerate(stack):
+        form(i, out)
     stack.flags.writeable = False
-    k = HeatKernel(times, stack, H.vertices, H.rho)
-    H._cache[key] = k
-    return k
+    return HeatKernel(times, stack, H.vertices, H.rho)
 
 
 @dataclass
@@ -125,69 +167,6 @@ class AxiomReport:
         }
 
 
-def verify_axioms(k: HeatKernel, H: OperatorMatrix | None = None) -> AxiomReport:
-    """Max violation per kernel axiom over all stored samples.
-
-    A1 needs pairs (t, s) with t + s on the grid; if none exist it is
-    reported as unchecked, not failed. The continuity probe needs the
-    generating operator.
-    """
-    rho = k.rho
-    times = k.times
-    # A2: symmetry
-    a2 = 0.0
-    a2_worst = None
-    for ti, mat in zip(times, k.kernels):
-        asym = np.abs(mat - mat.T)
-        idx = np.unravel_index(np.argmax(asym), asym.shape)
-        if asym[idx] > a2:
-            a2 = float(asym[idx])
-            a2_worst = (ti, k.vertices[idx[0]], k.vertices[idx[1]])
-    # A3: row mass <= 1
-    a3 = 0.0
-    for mat in k.kernels:
-        a3 = max(a3, float(np.max(mat @ rho) - 1.0))
-    # A1: p(t+s) = p(t) D_rho p(s)
-    a1 = None
-    pairs = 0
-    grid = {round(t, 12): i for i, t in enumerate(times)}
-    for i, t in enumerate(times):
-        if t == 0:
-            continue
-        for j, s in enumerate(times):
-            if s == 0 or t + s > times[-1] + 1e-12:
-                continue
-            key = round(t + s, 12)
-            if key in grid:
-                lhs = k.kernels[grid[key]]
-                rhs = k.kernels[i] @ (rho[:, None] * k.kernels[j])
-                err = float(np.max(np.abs(lhs - rhs)))
-                a1 = err if a1 is None else max(a1, err)
-                pairs += 1
-    negativity = float(min(np.min(np.real(mat)) for mat in k.kernels))
-    report = AxiomReport(a1, a2, a3, True, negativity, pairs, a2_worst=a2_worst)
-    if pairs == 0:
-        report.notes.append("A1 unchecked: no composable (t, s, t+s) triple on grid")
-    if H is not None:
-        report.continuity_ok = _continuity_probe(H)
-    else:
-        report.notes.append("continuity unchecked: generating operator not supplied")
-    return report
-
-
-def _continuity_probe(H: OperatorMatrix, times=(1e-3, 1e-6)) -> bool:
-    """||e^{-tH} f - f|| <= t ||H f|| as t drops to 0, on basis vectors
-    (weighted column norms of P_t - I and of H)."""
-    w = H.measure_weights()
-    h_norms = np.sqrt(w @ np.abs(H.matrix) ** 2)
-    for t in times:
-        steps = semigroup_matrix(H, t)
-        steps[np.diag_indices(H.dim)] -= 1.0
-        if not np.all(np.sqrt(w @ np.abs(steps) ** 2) <= t * h_norms + 1e-12):
-            return False
-    return True
-
-
 @dataclass
 class RhoBoundReport:
     max_product: float  # max over (t, x, y) of p * rho(y)
@@ -202,17 +181,110 @@ class RhoBoundReport:
                 "saturating_sample": list(self.saturating), "pass": self.ok}
 
 
+class _KernelChecks:
+    """The kernel checks as one pass over an ascending time grid. `add`
+    takes the real slice p(t) of each grid time in turn and checks on it
+    symmetry (A2), row mass (A3), negativity and the rho bound
+    p(t, x, y) rho(y) <= 1; and, unless a1 is off, Chapman-Kolmogorov (A1)
+    for every pair (t, s) of positive times with t + s at this time
+    (`_a1_plan`). A slice is held only while a later pair still needs it as
+    a factor. A worst sample is the first of the grid to reach the max."""
+
+    def __init__(self, times, vertices, rho, a1: bool = True):
+        self.times, self.vertices, self.rho = times, vertices, rho
+        self.pairs, self.last = (_a1_plan(times) if a1
+                                 else ([()] * len(times), [-1] * len(times)))
+        self.k, self.held = 0, {}
+        self.a1, self.a1_pairs = None, 0
+        self.a2, self.a2_worst = 0.0, None
+        self.a3, self.negativity = 0.0, np.inf
+        self.rho_max, self.rho_worst = -np.inf, None
+
+    def add(self, mat: np.ndarray):
+        k, rho, vertices = self.k, self.rho, self.vertices
+        t = self.times[k]
+        self.k += 1
+        buf = mat - mat.T
+        np.abs(buf, out=buf)
+        x, y = np.unravel_index(np.argmax(buf), buf.shape)
+        if buf[x, y] > self.a2:
+            self.a2, self.a2_worst = float(buf[x, y]), (t, vertices[x], vertices[y])
+        prod = np.multiply(mat, rho[None, :], out=buf)
+        x, y = np.unravel_index(np.argmax(prod), prod.shape)
+        if prod[x, y] > self.rho_max:
+            self.rho_max, self.rho_worst = float(prod[x, y]), (t, vertices[x], vertices[y])
+        del buf, prod
+        self.a3 = max(self.a3, float(np.max(mat @ rho) - 1.0))
+        self.negativity = min(self.negativity, float(np.min(mat)))
+        self.held[k] = mat
+        for i, j in self.pairs[k]:
+            # p(t + s) = p(t) D_rho p(s); the difference and its abs in place
+            diff = self.held[i] @ (rho[:, None] * self.held[j])
+            np.subtract(mat, diff, out=diff)
+            err = float(np.max(np.abs(diff, out=diff)))
+            self.a1 = err if self.a1 is None else max(self.a1, err)
+            self.a1_pairs += 1
+        for h in [h for h in self.held if self.last[h] <= k]:
+            del self.held[h]
+
+    def axioms(self, H: OperatorMatrix | None) -> AxiomReport:
+        """The axiom report; the continuity probe needs the generating
+        operator H."""
+        report = AxiomReport(self.a1, self.a2, self.a3, True, self.negativity,
+                             self.a1_pairs, a2_worst=self.a2_worst)
+        if self.a1_pairs == 0:
+            report.notes.append("A1 unchecked: no composable (t, s, t+s) triple on grid")
+        if H is not None:
+            report.continuity_ok = _continuity_probe(H)
+        else:
+            report.notes.append("continuity unchecked: generating operator not supplied")
+        return report
+
+    def rho_bound(self) -> RhoBoundReport:
+        return RhoBoundReport(self.rho_max, self.rho_worst)
+
+
+def verify_axioms(k: HeatKernel, H: OperatorMatrix | None = None) -> AxiomReport:
+    """Max violation per kernel axiom over all stored samples, by the pass
+    of `_KernelChecks` over the stack's slices.
+
+    A1 needs pairs (t, s) with t + s on the grid; if none exist it is
+    reported as unchecked, not failed. The continuity probe needs the
+    generating operator.
+    """
+    checks = _KernelChecks(k.times, k.vertices, k.rho)
+    for mat in k.kernels:
+        checks.add(mat)
+    return checks.axioms(H)
+
+
+def _continuity_probe(H: OperatorMatrix, times=(1e-3, 1e-6)) -> bool:
+    """||e^{-tH} f - f|| <= t ||H f|| as t drops to 0, on basis vectors
+    (weighted column norms of P_t - I and of H); the squared moduli are
+    taken in place, in one n x n array per time for a real H."""
+    w = H.measure_weights()
+    mag = np.abs(H.matrix)
+    mag **= 2
+    h_norms = np.sqrt(w @ mag)
+    del mag
+    for t in times:
+        steps = semigroup_matrix(H, t)
+        steps[np.diag_indices(H.dim)] -= 1.0
+        mag = np.abs(steps, out=steps) if np.isrealobj(steps) else np.abs(steps)
+        mag **= 2
+        if not np.all(np.sqrt(w @ mag) <= t * h_norms + 1e-12):
+            return False
+    return True
+
+
 def verify_rho_bound(k: HeatKernel) -> RhoBoundReport:
-    """Universal graph bound p(t, x, y) <= 1/rho(y), checked as p * rho(y) <= 1."""
-    best = -np.inf
-    where = None
-    for ti, mat in zip(k.times, k.kernels):
-        prod = np.real(mat) * k.rho[None, :]
-        idx = np.unravel_index(np.argmax(prod), prod.shape)
-        if prod[idx] > best:
-            best = float(prod[idx])
-            where = (ti, k.vertices[idx[0]], k.vertices[idx[1]])
-    return RhoBoundReport(best, where)
+    """Universal graph bound p(t, x, y) <= 1/rho(y), checked as
+    p * rho(y) <= 1 by the pass of `_KernelChecks` over the stack's slices,
+    with no Chapman-Kolmogorov products."""
+    checks = _KernelChecks(k.times, k.vertices, k.rho, a1=False)
+    for mat in k.kernels:
+        checks.add(mat)
+    return checks.rho_bound()
 
 
 @dataclass
@@ -231,8 +303,7 @@ class MinimalKernelReport:
     @property
     def kernels(self) -> list[HeatKernel]:
         """One stack per level, `kernel_from_semigroup` of its Dirichlet
-        restriction; a level that is the whole host reads (or fills) the
-        host's cached stack."""
+        restriction."""
         return [kernel_from_semigroup(dirichlet_restriction(self.host, lv), self.times)
                 for lv in self.levels]
 
@@ -246,6 +317,61 @@ class MinimalKernelReport:
         }
 
 
+class _LevelStream:
+    """The minimal kernel's pass over an ascending time grid. `step(i)`
+    forms every level's p(t_i) from its kernel rows (`_spectral_rows`) into
+    the level's one slice buffer, the product that its stack from
+    `kernel_from_semigroup` would hold, and compares each pair of
+    consecutive levels before the next time. With host_given, a level that
+    is the whole host forms nothing and takes the host slice passed to
+    `step`. Each level operator, with its U, is dropped once its rows are
+    formed, which hold one n_l x n_l factor.
+
+    Monotonicity is asserted on the full common index set of each pair of
+    consecutive levels. The sup increments are measured on the first
+    level's vertices — a fixed observation window — because increments near
+    the moving boundary have roughly constant magnitude at every stage and
+    would mask the pointwise convergence the diagnostic is meant to show.
+    """
+
+    def __init__(self, H: OperatorMatrix, levels, times, host_given: bool = False):
+        if H.kind != "scalar-laplacian":
+            raise ValueError("host operator is not the scalar Laplacian of the graph")
+        for lv in levels:
+            if lv.size and lv[-1] >= len(H.vertices):
+                raise ValueError("exhaustion level not contained in host")
+        self.host, self.levels, self.times = H, list(levels), times
+        self.gs = [_semigroup_g(t) for t in times]
+        # per level its kernel rows and slice buffer, or None for the host's
+        self.sources = []
+        for lv in self.levels:
+            op = dirichlet_restriction(H, lv)
+            self.sources.append(None if host_given and op.dim == H.dim else
+                                (_spectral_rows(op, kernel=True), np.empty((op.dim, op.dim))))
+        window = self.levels[0]
+        # where level a, and the window, sit inside the nested levels
+        self.pairs = [(np.searchsorted(lv_b, lv_a), np.searchsorted(lv_a, window),
+                       np.searchsorted(lv_b, window))
+                      for lv_a, lv_b in zip(self.levels, self.levels[1:])]
+        self.worst = 0.0
+        self.sup_inc = [{} for _ in self.pairs]
+
+    def step(self, i: int, host: np.ndarray | None = None):
+        t, g = self.times[i], self.gs[i]
+        mats = [host if src is None else next(src[0](g, out=src[1]))[1]
+                for src in self.sources]
+        for (pos, win_a, win_b), mat_a, mat_b, inc in zip(self.pairs, mats, mats[1:],
+                                                          self.sup_inc):
+            diff = mat_b[np.ix_(pos, pos)]
+            diff -= mat_a
+            self.worst = min(self.worst, float(np.min(diff)))
+            inc[t] = float(np.max(mat_b[np.ix_(win_b, win_b)] - mat_a[np.ix_(win_a, win_a)]))
+
+    def report(self) -> MinimalKernelReport:
+        return MinimalKernelReport(self.levels, self.host, self.times,
+                                   self.worst >= -A3_TOL, self.worst, self.sup_inc)
+
+
 def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times, *,
                    H: OperatorMatrix | None = None) -> MinimalKernelReport:
     """Dirichlet kernels along the exhaustion; monotone increasing toward
@@ -255,55 +381,60 @@ def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times, *,
 
     H is the host Laplacian `assemble_laplacian(g)` when the caller has
     already built it (its cached spectrum then serves a level that is the
-    whole host); by default it is assembled here.
-
-    The levels are streamed by time: for each t, every level's p(t) comes
-    from its kernel rows (`_spectral_rows`), the same product as its stack
-    from `kernel_from_semigroup` would hold, and each pair of consecutive
-    levels is compared before the next t. So one slice per level is live
-    and no stack is built; a level that is the whole host reads H's cached
-    stack for this grid when there is one, as in `heat verify`.
-
-    Monotonicity is asserted on the full common index set of each pair of
-    consecutive levels. The sup increments are measured on the first
-    level's vertices — a fixed observation window — because increments near
-    the moving boundary have roughly constant magnitude at every stage and
-    would mask the pointwise convergence the diagnostic is meant to show.
+    whole host); by default it is assembled here. The levels are streamed
+    by time (`_LevelStream`): one slice per level is live and no stack is
+    built. `verify_semigroup` runs the same stream next to the host's
+    kernel checks.
     """
-    for lv in ex.levels:
-        if lv.size and lv[-1] >= g.n:
-            raise ValueError("exhaustion level not contained in host")
     if H is None:
         H = assemble_laplacian(g)
-    elif H.kind != "scalar-laplacian" or H.vertices != g.vertices:
+    elif H.vertices != g.vertices:
         raise ValueError("host operator is not the scalar Laplacian of the graph")
-    levels = list(ex.levels)
     times = _grid(times)
-    gs = [_semigroup_g(t) for t in times]
-    host_stack = H._cache.get(("kernel", times))
-    # per level (stack, rows, buffer): the host's cached stack, or the
-    # kernel rows and one slice buffer; each level operator, with its U, is
-    # dropped once its rows are formed, which hold one n_l x n_l array
-    sources = []
-    for lv in levels:
-        op = dirichlet_restriction(H, lv)
-        if host_stack is not None and op.dim == H.dim:
-            sources.append((host_stack.kernels, None, None))
-        else:
-            sources.append((None, _spectral_rows(op, kernel=True), np.empty((op.dim, op.dim))))
-    window = levels[0]
-    # where level a, and the window, sit inside the nested levels
-    pairs = [(np.searchsorted(lv_b, lv_a), np.searchsorted(lv_a, window),
-              np.searchsorted(lv_b, window)) for lv_a, lv_b in zip(levels, levels[1:])]
-    worst = 0.0
-    sup_inc = [{} for _ in pairs]
-    for i, (ti, gt) in enumerate(zip(times, gs)):
-        mats = [next(rows(gt, out=buf))[1] if stack is None else stack[i]
-                for stack, rows, buf in sources]
-        for (pos, win_a, win_b), mat_a, mat_b, inc in zip(pairs, mats, mats[1:], sup_inc):
-            worst = min(worst, float(np.min(mat_b[np.ix_(pos, pos)] - mat_a)))
-            inc[ti] = float(np.max(mat_b[np.ix_(win_b, win_b)] - mat_a[np.ix_(win_a, win_a)]))
-    return MinimalKernelReport(levels, H, times, worst >= -A3_TOL, worst, sup_inc)
+    stream = _LevelStream(H, ex.levels, times)
+    for i in range(len(times)):
+        stream.step(i)
+    return stream.report()
+
+
+def verify_semigroup(H: OperatorMatrix, times, *, ex: Exhaustion | None = None,
+                     keep=()) -> tuple[AxiomReport, RhoBoundReport,
+                                       MinimalKernelReport | None, HeatKernel]:
+    """The kernel checks of `verify_axioms` (continuity probe included) and
+    `verify_rho_bound` for the kernel of the scalar operator H on the
+    sorted grid, and with an exhaustion ex those of `minimal_kernel`, in one
+    ascending pass over the grid that forms each slice p(t) once and holds
+    no stack.
+
+    Each slice feeds `_KernelChecks`, which holds it only while a later
+    Chapman-Kolmogorov pair needs it, and, where a level is the whole host,
+    the level stream at the same t. The slices of the times in keep (each on
+    the grid) are written into a small stack and returned; the rest are
+    dropped when the pass no longer needs them. Returns (axioms, rho bound,
+    minimal kernel report or None, HeatKernel of the kept times); the
+    reports equal those of the stack-based functions exactly.
+    """
+    times = _grid(times)
+    at = [_on_grid(times, t) for t in keep]
+    if None in at:
+        raise KeyError(f"time {keep[at.index(None)]} not on kernel grid")
+    slots = {i: j for j, i in enumerate(sorted(set(at)))}
+    form = _kernel_former(H, times)
+    n = H.dim
+    kept = np.empty((len(slots), n, n))
+    levels = None if ex is None else _LevelStream(H, ex.levels, times, host_given=True)
+    checks = _KernelChecks(times, H.vertices, H.rho)
+    for i in range(len(times)):
+        p = form(i, kept[slots[i]] if i in slots else np.empty((n, n)))
+        checks.add(p)
+        if levels is not None:
+            levels.step(i, p)
+        del p
+    minimal = None if levels is None else levels.report()
+    del form, levels
+    kept.flags.writeable = False
+    kernel = HeatKernel(tuple(times[i] for i in slots), kept, H.vertices, H.rho)
+    return checks.axioms(H), checks.rho_bound(), minimal, kernel
 
 
 def dump_kernel(k: HeatKernel, path):

@@ -441,12 +441,15 @@ def _resolvent_g(a: float):
 
 def _semigroup_g(t: float):
     """lambda -> e^{-t max(lambda, 0)}, the spectral function of e^{-tH};
-    None at t = 0, where e^{-0H} is the identity and is applied exactly."""
+    None at t = 0, where e^{-0H} is the identity and is applied exactly.
+    lambda is clipped to [0, 746 / t] as well: e^{-746} rounds to 0, as
+    e^{-t lambda} does past it, so the values are the same bit for bit and
+    t lambda cannot overflow for a huge t."""
     if t < 0:
         raise ValueError("negative time")
     if t == 0:
         return None
-    return lambda lam: np.exp(-t * np.clip(lam, 0.0, None))
+    return lambda lam: np.exp(-t * np.clip(lam, 0.0, 746.0 / t))
 
 
 def resolvent(H: OperatorMatrix, a: float) -> np.ndarray:

@@ -473,23 +473,25 @@ class TestCompactCertify:
                                               "rests_on": premises, "pass": True}
 
     def test_kernel_stack_released_before_certification(self, tmp_path, monkeypatch):
-        # the demo's scalar kernel stack serves its scalar checks only;
-        # certification must not keep it alive
+        # the demo's scalar kernel slices serve its scalar checks only: the
+        # pass keeps p(0.5) and p(1) for the HS row, and certification must
+        # not keep them alive
         from heatcert import cli
 
         kernels, alive = [], []
-        tabulate, certify = cli.kernel_from_semigroup, cli.certify_compactness
+        tabulate, certify = cli.verify_semigroup, cli.certify_compactness
 
-        def recording_tabulate(*args):
-            k = tabulate(*args)
-            kernels.append(weakref.ref(k))
-            return k
+        def recording_tabulate(*args, **kwargs):
+            result = tabulate(*args, **kwargs)
+            assert result[3].times == (0.5, 1.0)
+            kernels.append(weakref.ref(result[3]))
+            return result
 
         def checking_certify(*args, **kwargs):
             alive.append([ref() is not None for ref in kernels])
             return certify(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "kernel_from_semigroup", recording_tabulate)
+        monkeypatch.setattr(cli, "verify_semigroup", recording_tabulate)
         monkeypatch.setattr(cli, "certify_compactness", checking_certify)
         assert main(["demo", "coulomb-lattice", "--n", "30",
                      "--out", str(tmp_path / "rep.json")]) == EXIT_OK

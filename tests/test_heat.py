@@ -12,6 +12,7 @@ from heatcert.heat import (
     minimal_kernel,
     verify_axioms,
     verify_rho_bound,
+    verify_semigroup,
 )
 from heatcert.operators import assemble_laplacian, semigroup_matrix as semigroup
 
@@ -226,9 +227,11 @@ class TestStreamedLevels:
     """minimal_kernel forms each level's p(t) one time at a time; the
     per-level stacks of `MinimalKernelReport.kernels` are the reference."""
 
-    @pytest.mark.parametrize("host_cached", [False, True])
+    @pytest.mark.parametrize("next_to_host_checks", [False, True])
     @pytest.mark.parametrize("host", ["path", "random"])
-    def test_report_equals_per_level_stacks(self, host, host_cached):
+    def test_report_equals_per_level_stacks(self, host, next_to_host_checks):
+        # alone, every level forms its slices; next to the host's kernel
+        # checks, the whole-host level takes the host's slice instead
         if host == "path":
             g, radii = path_graph(30), [2, 5, 30]
         else:
@@ -236,12 +239,11 @@ class TestStreamedLevels:
         ex = build_exhaustion(g, g.vertices[0], radii)
         assert ex.levels[-1].size == g.n and len({lv.size for lv in ex.levels}) == 3
         H = assemble_laplacian(g)
-        cached = kernel_from_semigroup(H, DEFAULT_TIMES) if host_cached else None
-        rep = minimal_kernel(g, ex, DEFAULT_TIMES, H=H)
-        kernels = rep.kernels
-        if host_cached:
-            assert kernels[-1] is cached
-        monotone, worst, sup_inc = reference_minimal(ex.levels, kernels)
+        if next_to_host_checks:
+            rep = verify_semigroup(H, DEFAULT_TIMES, ex=ex)[2]
+        else:
+            rep = minimal_kernel(g, ex, DEFAULT_TIMES, H=H)
+        monotone, worst, sup_inc = reference_minimal(ex.levels, rep.kernels)
         assert rep.monotone_ok == monotone
         assert rep.worst_decrease == worst
         assert rep.sup_increments == sup_inc
@@ -341,6 +343,8 @@ class TestOneEigendecompositionPerOperator:
         V = EndomorphismField.scalar({v: 1.0 for v in g.vertices})
         with pytest.raises(ValueError):
             minimal_kernel(g, ex, (1.0,), H=add_potential(assemble_laplacian(g), V))
+        with pytest.raises(ValueError, match="not the scalar Laplacian"):
+            verify_semigroup(add_potential(assemble_laplacian(g), V), (1.0,), ex=ex)
 
 
 class TestTabulatedStack:
@@ -402,42 +406,67 @@ class TestTabulatedStack:
         assert np.array_equal(loaded.rho, k.rho)
         assert np.array_equal(loaded.kernels, k.kernels)
 
-    def test_host_tabulated_once(self):
+    def test_each_slice_formed_once_per_operator(self, monkeypatch):
+        # one pass over the grid: the host's p(t) feeds its checks and the
+        # whole-host level, and each level forms its own p(t) once
+        from heatcert import heat, operators
+
         g = path_graph(10)
-        times = (0.5, 1.0)
-        H = assemble_laplacian(g)
+        times = (0.0, 0.5, 1.0)
         to_host = build_exhaustion(g, "v0", [3, 9])
         assert to_host.levels[-1].tolist() == list(range(g.n))
-        last = minimal_kernel(g, to_host, times, H=H).kernels[-1]
-        assert last is kernel_from_semigroup(H, times)
-        assert last is kernel_from_semigroup(H, [1.0, 0.5])
-        assert last is not kernel_from_semigroup(assemble_laplacian(g), times)
-        assert minimal_kernel(g, to_host, (0.5, 2.0), H=H).kernels[-1] is not last
-        short = build_exhaustion(g, "v0", [3, 8])
-        assert minimal_kernel(g, short, times, H=H).kernels[-1] is not last
+        made, formed = {}, []
 
-    def test_heat_verify_builds_host_stack_once(self, tmp_path, monkeypatch):
+        def tagged(t):
+            # the time each spectral function was made for (t = 0 gives None)
+            g_t = operators._semigroup_g(t)
+            made[id(g_t)] = (t, g_t)
+            return g_t
+
+        def counting(op, kernel=False):
+            rows = operators._spectral_rows(op, kernel)
+
+            def counted(g_t, *a, **k):
+                formed.append((op.dim, made[id(g_t)][0]))
+                return rows(g_t, *a, **k)
+            return counted
+
+        monkeypatch.setattr(heat, "_semigroup_g", tagged)
+        monkeypatch.setattr(heat, "_spectral_rows", counting)
+        H = assemble_laplacian(g)
+        heat.verify_semigroup(H, times, ex=to_host)
+        dims = [4, g.n]
+        assert sorted(formed) == sorted((d, t) for d in dims for t in times)
+        formed.clear()
+        minimal_kernel(g, to_host, times, H=H)
+        assert sorted(formed) == sorted((d, t) for d in dims for t in times)
+        formed.clear()
+        heat.kernel_from_semigroup(H, times)
+        assert sorted(formed) == [(g.n, t) for t in times]
+
+    def test_heat_verify_builds_no_stack(self, tmp_path, monkeypatch):
         from heatcert import cli, heat
         from heatcert.graph import dump_graph
 
         g = random_graph(12, np.random.default_rng(60))
         root = g.vertices[0]
         dump_graph(g, tmp_path / "g.json")
-        sizes = []
+        slices = []
         make = heat.HeatKernel
         monkeypatch.setattr(heat, "HeatKernel",
-                            lambda *a: sizes.append(len(a[2])) or make(*a))
+                            lambda *a: slices.append(len(a[1])) or make(*a))
         rc = cli.main(["heat", "verify", "--graph", str(tmp_path / "g.json"),
                        "--exhaustion", f"root={root},radii=1,2,{g.n}",
                        "--times", "0.5,1.0", "--out", str(tmp_path / "r.json")])
         assert rc == 0
-        # the levels are streamed by time: the host's stack is the only one
-        assert sizes == [g.n]
-        sizes.clear()
+        # the host and its levels are streamed by time: the only kernel
+        # made is the empty one of kept slices
+        assert slices == [0]
+        slices.clear()
         rc = cli.main(["heat", "minimal", "--graph", str(tmp_path / "g.json"),
                        "--exhaustion", f"root={root},radii=1,2,{g.n}",
                        "--times", "0.5,1.0", "--out", str(tmp_path / "m.json")])
-        assert rc == 0 and sizes == []
+        assert rc == 0 and slices == []
 
     def test_continuity_probe_subtracts_identity(self, monkeypatch):
         from heatcert import heat
@@ -446,3 +475,145 @@ class TestTabulatedStack:
         assert heat._continuity_probe(H)
         monkeypatch.setattr(heat, "semigroup_matrix", lambda H, t: 2.0 * np.eye(H.dim))
         assert not heat._continuity_probe(H)
+
+
+def varying_path(n=40):
+    return path_graph(n, rho=[1.0 + (j % 7) / 3 for j in range(n)])
+
+
+def reference_checks(k):
+    """The axiom and rho-bound values of a stack, each over the whole stack
+    at once and A1 time pair by time pair: the loops the pass replaced."""
+    rho, times, kernels = k.rho, k.times, k.kernels
+    errs = []
+    for i, t in enumerate(times):
+        for j, s in enumerate(times):
+            at = [m for m, u in enumerate(times) if abs(u - (t + s)) <= 1e-12 * u]
+            if t > 0 and s > 0 and at:
+                rhs = kernels[i] @ (rho[:, None] * kernels[j])
+                errs.append(float(np.max(np.abs(kernels[at[0]] - rhs))))
+    return {"A1_max_violation": max(errs) if errs else None, "A1_pairs_checked": len(errs),
+            "A2_max_violation": float(np.max(np.abs(kernels - kernels.swapaxes(1, 2)))),
+            "A3_max_excess": max(0.0, *(float(np.max(mat @ rho)) - 1.0 for mat in kernels)),
+            "min_kernel_value": float(np.min(kernels)),
+            "max_p_times_rho": float(np.max(kernels * rho))}
+
+
+class TestStreamedHost:
+    """verify_semigroup forms each host slice once, in one ascending pass,
+    and holds no stack; the stack-based functions are the reference."""
+
+    @pytest.mark.parametrize("times", [DEFAULT_TIMES, (0.0, 0.5, 1.0), (0.1, 1.0, 10.0, 10.1)],
+                             ids=["default", "with-zero", "kept-to-the-end"])
+    @pytest.mark.parametrize("host", ["lattice", "varying-path"])
+    def test_reports_equal_stack_reports(self, host, times):
+        if host == "lattice":
+            g, root, radii = unit_lattice(8), "v0_0", [3, 7, 14]
+        else:
+            g, root, radii = varying_path(), "v0", [5, 20, 39]
+        assert len(set(g.rho_vec)) == (1 if host == "lattice" else 7)
+        ex = build_exhaustion(g, root, radii)
+        H = assemble_laplacian(g)
+        axioms, rho_bound, minimal, kept = verify_semigroup(H, times, ex=ex)
+        k = kernel_from_semigroup(H, times)
+        assert axioms.to_dict() == verify_axioms(k, H).to_dict()
+        assert rho_bound.to_dict() == verify_rho_bound(k).to_dict()
+        reference = {**axioms.to_dict(), **rho_bound.to_dict()}
+        assert {key: reference[key] for key in reference_checks(k)} == reference_checks(k)
+        assert minimal.to_dict() == minimal_kernel(g, ex, times, H=H).to_dict()
+        assert kept.times == () and kept.kernels.shape == (0, g.n, g.n)
+        pairs = {DEFAULT_TIMES: 9, (0.0, 0.5, 1.0): 1, (0.1, 1.0, 10.0, 10.1): 2}[times]
+        assert axioms.a1_pairs_checked == pairs
+
+    def test_kept_slices_are_the_stack_slices(self):
+        g = varying_path()
+        H = assemble_laplacian(g)
+        kept = verify_semigroup(H, DEFAULT_TIMES, keep=(1.0, 0.5, 0.5))[3]
+        k = kernel_from_semigroup(H, DEFAULT_TIMES)
+        assert kept.times == (0.5, 1.0)
+        for t in kept.times:
+            assert np.array_equal(kept.at(t), k.at(t))
+        with pytest.raises(ValueError):
+            kept.kernels[0, 0, 0] = 1.0
+        with pytest.raises(KeyError):
+            verify_semigroup(H, DEFAULT_TIMES, keep=(0.3,))
+
+    @pytest.mark.parametrize("times, most, to_the_end", [
+        (DEFAULT_TIMES, 2, []), ((0.1, 1.0, 10.0, 10.1), 2, [0.1, 10.0])])
+    def test_slice_held_only_while_a_pair_needs_it(self, times, most, to_the_end):
+        from heatcert.heat import _KernelChecks
+
+        k = kernel_from_semigroup(assemble_laplacian(path_graph(6)), times)
+        checks = _KernelChecks(k.times, k.vertices, k.rho)
+        held = []
+        for mat in k.kernels:
+            checks.add(mat)
+            held.append(sorted(k.times[i] for i in checks.held))
+        # held past its step: p(t) for a later t + s; with the current
+        # slice, at most most + 1 are live
+        assert max(map(len, held)) == most
+        assert held[-2] == to_the_end and held[-1] == []
+
+    @pytest.mark.parametrize("times, pairs", [
+        ((1e-13, 3e-13), 0), ((2e-13, 5e-13, 7e-13), 2), (DEFAULT_TIMES, 9),
+        ((0.3, 0.6, 0.9, 1.2), 6), ((1e308,), 0), ((1.0, 1e308), 2)])
+    def test_pairs_match_times_relatively(self, times, pairs):
+        H = assemble_laplacian(path_graph(5))
+        rep = verify_axioms(kernel_from_semigroup(H, times), H)
+        assert rep.a1_pairs_checked == pairs
+        assert verify_semigroup(H, times)[0].to_dict() == rep.to_dict()
+
+    def test_at_matches_relatively(self):
+        k = kernel_from_semigroup(assemble_laplacian(path_graph(3)), (0.0, 1e-13, 1.0))
+        for t, i in ((1e-13, 1), (1e-13 * (1 + 1e-14), 1), (1.0 + 1e-13, 2), (0.0, 0)):
+            assert np.array_equal(k.at(t), k.kernels[i])
+        short = HeatKernel((0.0, 1.0), k.kernels[[0, 2]], k.vertices, k.rho)
+        for t in (1e-13, 5e-13, np.inf, np.nan):
+            with pytest.raises(KeyError):
+                short.at(t)
+
+    def test_heat_verify_peak_below_one_host_stack(self, tmp_path):
+        # 13 n^2 doubles is the host stack the checks held before the
+        # stream; the pass holds a few slices and the level factors
+        import tracemalloc
+
+        from heatcert.cli import main
+        from heatcert.graph import dump_graph
+
+        g = unit_lattice(20)
+        dump_graph(g, tmp_path / "g.json")
+        argv = ["heat", "verify", "--graph", str(tmp_path / "g.json"),
+                "--exhaustion", "root=v0_0,radii=5,10,20,38", "--out", str(tmp_path / "r.json")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < len(DEFAULT_TIMES) * g.n ** 2 * 8
+
+
+def test_heat_verify_at_a_huge_time_does_not_overflow(tmp_path):
+    # a RuntimeWarning fails the test; e^{-t lambda} is 0 for every lambda > 0
+    from heatcert.cli import main
+    from heatcert.graph import dump_graph
+
+    dump_graph(path_graph(6), tmp_path / "g.json")
+    assert main(["heat", "verify", "--graph", str(tmp_path / "g.json"), "--times", "1e308",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    rep = json.loads((tmp_path / "r.json").read_text())
+    assert rep["axioms"]["A1_pairs_checked"] == 0 and rep["pass"] is True
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-3, 1.0, 100.0, 1e4, 1e300, 1e308])
+def test_semigroup_g_clip_keeps_values_bit_for_bit(t):
+    from heatcert.operators import _semigroup_g
+
+    lam = np.concatenate([[-1e-12, 0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e6, 400),
+                          746.0 / t * np.array([1 - 1e-15, 1.0, 1 + 1e-15, 2.0])])
+    with np.errstate(over="ignore"):
+        unclipped = np.exp(-t * np.clip(lam, 0.0, None))
+    with np.errstate(over="raise"):
+        clipped = _semigroup_g(t)(lam)
+    assert np.array_equal(clipped, unclipped)
