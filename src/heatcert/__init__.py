@@ -31,6 +31,7 @@ from .heat import (
     kernel_from_semigroup,
     minimal_kernel,
     verify_axioms,
+    verify_kernel,
     verify_rho_bound,
     verify_semigroup,
 )

@@ -32,8 +32,7 @@ from .heat import (
     kernel_from_semigroup,
     load_kernel,
     minimal_kernel,
-    verify_axioms,
-    verify_rho_bound,
+    verify_kernel,
     verify_semigroup,
 )
 from .operators import add_potential, assemble_covariant, assemble_laplacian
@@ -128,8 +127,7 @@ def cmd_heat_verify(args) -> int:
             raise ValueError("--times needs --graph: a kernel file carries its own "
                              "time grid")
         k = load_kernel(args.kernel)
-        axioms = verify_axioms(k)
-        rho_bound = verify_rho_bound(k)
+        axioms, rho_bound = verify_kernel(k)
         ok = axioms.ok and rho_bound.ok
         _emit({"command": "heat verify", "axioms": axioms.to_dict(),
                "rho_bound": rho_bound.to_dict(), "pass": ok},
@@ -258,24 +256,27 @@ def build_coulomb_demo(n: int, kappa: float, theta: float):
 
 def _demo_scalar_checks(g, H_cov, W1, pair, rng):
     """The demo's checks on the scalar Laplacian S of the host: Kato
-    domination of S by H_cov, then the kernel axioms and the rho bound in
-    one pass over S's kernel slices on DEFAULT_TIMES (`verify_semigroup`),
-    which keeps the HS row's p(0.5) and p(2t = 1) for the HS bound of W1
-    under the graph pair, and the Laplace crosscheck. Returns (axioms, rho
-    bound, ledger), the ledger holding the HS, crosscheck and domination
-    rows. S, its eigenbasis and the kept slices go out of scope on return,
-    before certification runs; H_cov keeps only the PSD verdict of its
-    eigendecomposition, which is all that certification reads of it."""
+    domination of S by H_cov, the Laplace crosscheck, then the kernel
+    axioms and the rho bound in one pass over S's kernel slices on
+    DEFAULT_TIMES (`verify_semigroup`), which keeps the HS row's p(0.5) and
+    p(2t = 1) for the HS bound of W1 under the graph pair. The crosscheck
+    reads S's eigenbasis, so it runs before the pass, which forms the kernel
+    factor in place of that eigenbasis: S is diagonalised once. Returns
+    (axioms, rho bound, ledger), the ledger holding the HS, crosscheck and
+    domination rows. S, its kernel factor and the kept slices go out of
+    scope on return, before certification runs; H_cov keeps only the PSD
+    verdict of its eigendecomposition, which is all that certification
+    reads of it."""
     H_scal = assemble_laplacian(g)
     # domination first, so that its dense semigroups and the covariant
     # eigenbasis come and go before the kernel slices are formed
     dom_rows = check_domination(H_cov, H_scal, times=(0.1, 1.0),
                                 a_values=(1.0,), trials=5, rng=rng)
     H_cov.release_eigh()
+    laplace_row = check_resolvent_laplace(H_scal, a=1.0)
     axioms, rho_rep, _, kept = verify_semigroup(H_scal, DEFAULT_TIMES, keep=(0.5, 1.0))
     ledger = check_hs_bound(W1, kept, pair, t=0.5)
-    ledger.append(check_resolvent_laplace(H_scal, a=1.0))
-    return axioms, rho_rep, ledger + dom_rows
+    return axioms, rho_rep, [*ledger, laplace_row, *dom_rows]
 
 
 def cmd_demo_coulomb(args) -> int:

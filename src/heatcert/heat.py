@@ -9,12 +9,13 @@ than truncated to its real part. The four kernel axioms
 t = 0) and the rho bound are verified, never assumed, in one pass over
 the time grid in ascending order (`_KernelChecks`): each slice p(t) is
 checked as it comes and held only while a later pair (t, s, t + s) on the
-grid still needs it as a factor. `verify_semigroup` forms each slice of
-an operator once and holds no stack; `verify_axioms` and
-`verify_rho_bound` run the same pass over a stored stack, such as the one
-`kernel_from_semigroup` tabulates for `heat kernel`. The minimal kernel
-is approached through Dirichlet restrictions along an exhaustion, streamed
-by time with no stack per level.
+grid still needs it as a factor, and every check runs in row blocks.
+`verify_semigroup` forms each slice of an operator once and holds no
+stack; `verify_kernel` runs the same pass once over a stored stack, such
+as the one `kernel_from_semigroup` tabulates for `heat kernel`, and
+`verify_axioms` and `verify_rho_bound` each run it for one report. The
+minimal kernel is approached through Dirichlet restrictions along an
+exhaustion, streamed by time with no stack per level.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from .graph import Exhaustion, WeightedGraph
 from .operators import (
     OperatorMatrix,
+    _row_step,
     _semigroup_g,
     _spectral_rows,
     assemble_laplacian,
@@ -181,6 +183,14 @@ class RhoBoundReport:
                 "saturating_sample": list(self.saturating), "pass": self.ok}
 
 
+def _first_max(block: np.ndarray, row0: int) -> tuple[float, int, int]:
+    """The max of a row block of an n x n array and its (row, column) in
+    the whole array, the block starting at row row0; the first in row-major
+    order of those that reach it."""
+    x, y = np.unravel_index(np.argmax(block), block.shape)
+    return float(block[x, y]), row0 + int(x), int(y)
+
+
 class _KernelChecks:
     """The kernel checks as one pass over an ascending time grid. `add`
     takes the real slice p(t) of each grid time in turn and checks on it
@@ -188,7 +198,11 @@ class _KernelChecks:
     p(t, x, y) rho(y) <= 1; and, unless a1 is off, Chapman-Kolmogorov (A1)
     for every pair (t, s) of positive times with t + s at this time
     (`_a1_plan`). A slice is held only while a later pair still needs it as
-    a factor. A worst sample is the first of the grid to reach the max."""
+    a factor. A2's difference, the rho product and each A1 product
+    (p(t)[r] rho) p(s) are formed in row blocks r of ROW_BLOCK_BYTES
+    (`operators._row_step`), so no check makes an n x n temporary. A worst
+    sample is the first of the grid, in row-major order within a slice, to
+    reach the max."""
 
     def __init__(self, times, vertices, rho, a1: bool = True):
         self.times, self.vertices, self.rho = times, vertices, rho
@@ -204,44 +218,62 @@ class _KernelChecks:
         k, rho, vertices = self.k, self.rho, self.vertices
         t = self.times[k]
         self.k += 1
-        buf = mat - mat.T
-        np.abs(buf, out=buf)
-        x, y = np.unravel_index(np.argmax(buf), buf.shape)
-        if buf[x, y] > self.a2:
-            self.a2, self.a2_worst = float(buf[x, y]), (t, vertices[x], vertices[y])
-        prod = np.multiply(mat, rho[None, :], out=buf)
-        x, y = np.unravel_index(np.argmax(prod), prod.shape)
-        if prod[x, y] > self.rho_max:
-            self.rho_max, self.rho_worst = float(prod[x, y]), (t, vertices[x], vertices[y])
-        del buf, prod
+        n = mat.shape[0]
+        step = _row_step(n * mat.itemsize)
+        blocks = [slice(v, min(v + step, n)) for v in range(0, n, step)]
+        for r in blocks:
+            buf = mat[r] - mat[:, r].T
+            value, x, y = _first_max(np.abs(buf, out=buf), r.start)
+            if value > self.a2:
+                self.a2, self.a2_worst = value, (t, vertices[x], vertices[y])
+            value, x, y = _first_max(np.multiply(mat[r], rho, out=buf), r.start)
+            if value > self.rho_max:
+                self.rho_max, self.rho_worst = value, (t, vertices[x], vertices[y])
         self.a3 = max(self.a3, float(np.max(mat @ rho) - 1.0))
         self.negativity = min(self.negativity, float(np.min(mat)))
         self.held[k] = mat
         for i, j in self.pairs[k]:
             # p(t + s) = p(t) D_rho p(s); the difference and its abs in place
-            diff = self.held[i] @ (rho[:, None] * self.held[j])
-            np.subtract(mat, diff, out=diff)
-            err = float(np.max(np.abs(diff, out=diff)))
+            errs = []
+            for r in blocks:
+                diff = (self.held[i][r] * rho) @ self.held[j]
+                np.subtract(mat[r], diff, out=diff)
+                errs.append(np.max(np.abs(diff, out=diff)))
+            err = float(np.max(errs))
             self.a1 = err if self.a1 is None else max(self.a1, err)
             self.a1_pairs += 1
         for h in [h for h in self.held if self.last[h] <= k]:
             del self.held[h]
 
-    def axioms(self, H: OperatorMatrix | None) -> AxiomReport:
-        """The axiom report; the continuity probe needs the generating
-        operator H."""
-        report = AxiomReport(self.a1, self.a2, self.a3, True, self.negativity,
-                             self.a1_pairs, a2_worst=self.a2_worst)
+    def axioms(self, continuity_ok: bool | None) -> AxiomReport:
+        """The axiom report, with the continuity probe's verdict, None when
+        it was not run (no generating operator)."""
+        report = AxiomReport(self.a1, self.a2, self.a3, continuity_ok is not False,
+                             self.negativity, self.a1_pairs, a2_worst=self.a2_worst)
         if self.a1_pairs == 0:
             report.notes.append("A1 unchecked: no composable (t, s, t+s) triple on grid")
-        if H is not None:
-            report.continuity_ok = _continuity_probe(H)
-        else:
+        if continuity_ok is None:
             report.notes.append("continuity unchecked: generating operator not supplied")
         return report
 
     def rho_bound(self) -> RhoBoundReport:
         return RhoBoundReport(self.rho_max, self.rho_worst)
+
+
+def _stack_checks(k: HeatKernel, a1: bool = True) -> _KernelChecks:
+    """The pass of `_KernelChecks` over a stored stack's slices."""
+    checks = _KernelChecks(k.times, k.vertices, k.rho, a1)
+    for mat in k.kernels:
+        checks.add(mat)
+    return checks
+
+
+def verify_kernel(k: HeatKernel) -> tuple[AxiomReport, RhoBoundReport]:
+    """The reports of `verify_axioms` (with no generating operator, so no
+    continuity probe) and `verify_rho_bound` from one pass over the stored
+    stack, as `heat verify --kernel` checks a kernel file."""
+    checks = _stack_checks(k)
+    return checks.axioms(None), checks.rho_bound()
 
 
 def verify_axioms(k: HeatKernel, H: OperatorMatrix | None = None) -> AxiomReport:
@@ -252,10 +284,7 @@ def verify_axioms(k: HeatKernel, H: OperatorMatrix | None = None) -> AxiomReport
     reported as unchecked, not failed. The continuity probe needs the
     generating operator.
     """
-    checks = _KernelChecks(k.times, k.vertices, k.rho)
-    for mat in k.kernels:
-        checks.add(mat)
-    return checks.axioms(H)
+    return _stack_checks(k).axioms(None if H is None else _continuity_probe(H))
 
 
 def _continuity_probe(H: OperatorMatrix, times=(1e-3, 1e-6)) -> bool:
@@ -281,10 +310,7 @@ def verify_rho_bound(k: HeatKernel) -> RhoBoundReport:
     """Universal graph bound p(t, x, y) <= 1/rho(y), checked as
     p * rho(y) <= 1 by the pass of `_KernelChecks` over the stack's slices,
     with no Chapman-Kolmogorov products."""
-    checks = _KernelChecks(k.times, k.vertices, k.rho, a1=False)
-    for mat in k.kernels:
-        checks.add(mat)
-    return checks.rho_bound()
+    return _stack_checks(k, a1=False).rho_bound()
 
 
 @dataclass
@@ -324,8 +350,8 @@ class _LevelStream:
     `kernel_from_semigroup` would hold, and compares each pair of
     consecutive levels before the next time. With host_given, a level that
     is the whole host forms nothing and takes the host slice passed to
-    `step`. Each level operator, with its U, is dropped once its rows are
-    formed, which hold one n_l x n_l factor.
+    `step`. Each level operator is dropped once its rows are formed, which
+    hold one n_l x n_l factor, formed in place of the level's U.
 
     Monotonicity is asserted on the full common index set of each pair of
     consecutive levels. The sup increments are measured on the first
@@ -381,10 +407,10 @@ def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times, *,
 
     H is the host Laplacian `assemble_laplacian(g)` when the caller has
     already built it (its cached spectrum then serves a level that is the
-    whole host); by default it is assembled here. The levels are streamed
-    by time (`_LevelStream`): one slice per level is live and no stack is
-    built. `verify_semigroup` runs the same stream next to the host's
-    kernel checks.
+    whole host, and that level's kernel factor takes its place); by default
+    it is assembled here. The levels are streamed by time (`_LevelStream`):
+    one slice per level is live and no stack is built. `verify_semigroup`
+    runs the same stream next to the host's kernel checks.
     """
     if H is None:
         H = assemble_laplacian(g)
@@ -406,19 +432,25 @@ def verify_semigroup(H: OperatorMatrix, times, *, ex: Exhaustion | None = None,
     ascending pass over the grid that forms each slice p(t) once and holds
     no stack.
 
-    Each slice feeds `_KernelChecks`, which holds it only while a later
-    Chapman-Kolmogorov pair needs it, and, where a level is the whole host,
-    the level stream at the same t. The slices of the times in keep (each on
-    the grid) are written into a small stack and returned; the rest are
-    dropped when the pass no longer needs them. Returns (axioms, rho bound,
-    minimal kernel report or None, HeatKernel of the kept times); the
-    reports equal those of the stack-based functions exactly.
+    The continuity probe runs first, on H's eigenbasis; then the kernel
+    factor D^{-1/2} U is formed in its place, and H keeps only its PSD
+    verdict (`operators._spectral_rows`). So the pass holds H, the factor,
+    the level factors and slice buffers, the current slice and the held
+    ones, and an operator of H's spectrum read after it is diagonalised
+    again. Each slice feeds `_KernelChecks`, which holds it only while a
+    later Chapman-Kolmogorov pair needs it, and, where a level is the whole
+    host, the level stream at the same t. The slices of the times in keep
+    (each on the grid) are written into a small stack and returned; the
+    rest are dropped when the pass no longer needs them. Returns (axioms,
+    rho bound, minimal kernel report or None, HeatKernel of the kept
+    times); the reports equal those of the stack-based functions exactly.
     """
     times = _grid(times)
     at = [_on_grid(times, t) for t in keep]
     if None in at:
         raise KeyError(f"time {keep[at.index(None)]} not on kernel grid")
     slots = {i: j for j, i in enumerate(sorted(set(at)))}
+    continuity_ok = _continuity_probe(H)
     form = _kernel_former(H, times)
     n = H.dim
     kept = np.empty((len(slots), n, n))
@@ -434,7 +466,7 @@ def verify_semigroup(H: OperatorMatrix, times, *, ex: Exhaustion | None = None,
     del form, levels
     kept.flags.writeable = False
     kernel = HeatKernel(tuple(times[i] for i in slots), kept, H.vertices, H.rho)
-    return checks.axioms(H), checks.rho_bound(), minimal, kernel
+    return checks.axioms(continuity_ok), checks.rho_bound(), minimal, kernel
 
 
 def dump_kernel(k: HeatKernel, path):

@@ -266,47 +266,61 @@ def _psd_eigh(H: OperatorMatrix):
     return lam, u
 
 
+def _row_step(row_bytes: int) -> int:
+    """Rows of row_bytes bytes each that fill one ROW_BLOCK_BYTES block, at
+    least one: the block height of `_spectral_rows` and of the heat kernel
+    checks."""
+    return max(1, ROW_BLOCK_BYTES // row_bytes)
+
+
 def _spectral_rows(H: OperatorMatrix, kernel: bool = False):
     """Where every dense g(H) is formed from the eigenbasis: returns
     rows(g, block_vertices, out), an iterator of (vertex slice, rows at
     those vertices' fiber indices) of g(H) = D^{-1/2} U g(Lambda) U* D^{1/2}
     on coordinate vectors or, with kernel, of g(H) D^{-1} = D^{-1/2} U
     g(Lambda) U* D^{-1/2}. A block holds `block_vertices` vertices, by
-    default as many as fit in ROW_BLOCK_BYTES (at least one); with out
-    given there is one block, written into out. g maps the eigenvalue array
-    to the diagonal of g(Lambda); g None (`_semigroup_g(0)`) is exact, I or
-    diag(1/rho).
+    default as many as fit in ROW_BLOCK_BYTES (at least one). With out
+    given, the blocks are written into out's rows and one block, out, is
+    yielded: the operand U[r] g(Lambda) of a product is one row block, never
+    n x n. g maps the eigenvalue array to the diagonal of g(Lambda); g None
+    (`_semigroup_g(0)`) is exact, I or diag(1/rho).
 
     The eigendecomposition, the PSD check and the factors are made on the
     call, and rows holds no reference to H. The kernel's D factors go on
-    the factors: D^{-1/2} U, divided whole, and its conjugate transpose, a
-    view, so rows holds one n x n array. g(H) keeps U* (a view of a real U)
-    and scales each block, as a copy U* D^{1/2} would cost an n x n array.
+    the factors: D^{-1/2} U, divided in place of the cached U, which H
+    releases (`OperatorMatrix.release_eigh`: H keeps its PSD verdict, and a
+    later g(H) diagonalises again), and its conjugate transpose, a view, so
+    rows holds one n x n array. g(H) keeps U* (a view of a real U) and
+    scales each block, as a copy U* D^{1/2} would cost an n x n array.
     H must be PSD."""
     lam, u = _psd_eigh(H)
     n, d, dim, dtype = len(H.vertices), H.rank, H.dim, H.matrix.dtype
     w = H.measure_weights()
     s = np.sqrt(w)
     if kernel:
-        u = u / s[:, None]
+        H.release_eigh()
+        u /= s[:, None]
     right = u.conj().T
 
     def rows(g, block_vertices: int | None = None, out=None):
-        step = n if out is not None else (
-            block_vertices or max(1, ROW_BLOCK_BYTES // (d * dim * dtype.itemsize)))
+        step = block_vertices or _row_step(d * dim * dtype.itemsize)
+        g_lam = None if g is None else g(lam)
         for v in range(0, n, step):
             vs = slice(v, min(v + step, n))
             r = slice(v * d, vs.stop * d)
+            block = np.empty((r.stop - r.start, dim), dtype) if out is None else out[r]
             if g is None:
-                block = np.empty((r.stop - r.start, dim), dtype) if out is None else out
                 block.fill(0)
                 block.flat[r.start::dim + 1] = 1.0 / w[r] if kernel else 1.0
             else:
-                block = np.matmul(_flush_subnormals(u[r] * g(lam)), right, out=out)
+                np.matmul(_flush_subnormals(u[r] * g_lam), right, out=block)
                 if not kernel:
                     block /= s[r, None]
                     block *= s
-            yield vs, block
+            if out is None:
+                yield vs, block
+        if out is not None:
+            yield slice(0, n), out
 
     return rows
 

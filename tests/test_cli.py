@@ -238,6 +238,26 @@ class TestHeat:
         assert main(["heat", "verify", "--kernel", str(kpath)]) == EXIT_INPUT
         assert "non-finite entry at t = 1.0" in capsys.readouterr().err
 
+    def test_verify_kernel_file_runs_one_pass(self, tmp_path, monkeypatch):
+        # the axioms and the rho bound come from one pass over the stored
+        # slices, and the report is what the two stack functions give
+        from heatcert import heat
+
+        g = random_graph(10, np.random.default_rng(12))
+        k = kernel_from_semigroup(assemble_laplacian(g), (0.5, 1.0))
+        kpath, out = tmp_path / "k.json", tmp_path / "rep.json"
+        dump_kernel(k, kpath)
+        added = []
+        add = heat._KernelChecks.add
+        monkeypatch.setattr(heat._KernelChecks, "add",
+                            lambda self, mat: added.append(mat.shape) or add(self, mat))
+        assert main(["heat", "verify", "--kernel", str(kpath), "--out", str(out)]) == EXIT_OK
+        assert added == [(g.n, g.n)] * 2
+        rep = json.loads(out.read_text())
+        stored = load_kernel(kpath)
+        assert rep["axioms"] == heat.verify_axioms(stored).to_dict()
+        assert rep["rho_bound"] == heat.verify_rho_bound(stored).to_dict()
+
     def test_minimal_monotone(self, path_file, tmp_path):
         out = tmp_path / "rep.json"
         assert main(["heat", "minimal", "--graph", path_file,
@@ -926,6 +946,16 @@ class TestDemo:
         main(["demo", "coulomb-lattice", "--n", "30", "--seed", "42",
               "--out", str(out)])
         assert json.loads(out.read_text())["seed"] == 42
+
+    def test_each_host_operator_diagonalised_once(self, tmp_path, monkeypatch):
+        # the Laplace crosscheck reads the scalar eigenbasis before the
+        # heat pass forms its kernel factor in place of it
+        kinds = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: kinds.append(a.dtype.kind) or eigh(a))
+        assert main(["demo", "coulomb-lattice", "--n", "30",
+                     "--out", str(tmp_path / "rep.json")]) == EXIT_OK
+        assert sorted(kinds) == ["c", "f"]
 
     def test_certification_runs_no_factorisation(self, tmp_path, monkeypatch):
         # the covariant eigenbasis is released after domination, its PSD

@@ -572,9 +572,10 @@ class TestStreamedHost:
             with pytest.raises(KeyError):
                 short.at(t)
 
-    def test_heat_verify_peak_below_one_host_stack(self, tmp_path):
-        # 13 n^2 doubles is the host stack the checks held before the
-        # stream; the pass holds a few slices and the level factors
+    @staticmethod
+    def traced_heat_verify_peak(tmp_path) -> float:
+        """The tracemalloc peak of `heat verify` with an exhaustion on the
+        20 x 20 unit lattice, in n^2 doubles."""
         import tracemalloc
 
         from heatcert.cli import main
@@ -591,7 +592,36 @@ class TestStreamedHost:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < len(DEFAULT_TIMES) * g.n ** 2 * 8
+        return peak / (g.n ** 2 * 8)
+
+    def test_heat_verify_peak_below_one_host_stack(self, tmp_path):
+        # 13 n^2 doubles is the host stack the checks held before the
+        # stream; the pass holds a few slices and the level factors
+        assert self.traced_heat_verify_peak(tmp_path) < len(DEFAULT_TIMES)
+
+    def test_heat_verify_peak_below_nine_slices(self, tmp_path):
+        # the pass holds H, the kernel factor in place of the eigenbasis,
+        # the level factors and buffers and the live slices, and checks in
+        # row blocks: about 8.3 n^2 doubles, where U next to its factor and
+        # the n x n temporaries of the slice operand and the checks made 10.3
+        assert self.traced_heat_verify_peak(tmp_path) < 9
+
+    def test_probe_first_then_the_factor_replaces_the_eigenbasis(self, monkeypatch):
+        from heatcert import heat
+
+        H = assemble_laplacian(varying_path())
+        calls, order = [], []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        for name in ("_continuity_probe", "_kernel_former"):
+            fn = getattr(heat, name)
+            monkeypatch.setattr(heat, name, lambda *a, _n=name, _f=fn: order.append(_n) or _f(*a))
+        axioms = verify_semigroup(H, DEFAULT_TIMES)[0]
+        # one eigenbasis serves the probe, then the kernel factor is formed
+        # in its place: H keeps only its PSD verdict
+        assert axioms.continuity_ok and order == ["_continuity_probe", "_kernel_former"]
+        assert calls == [(H.dim, H.dim)]
+        assert H._cache == {"psd": True}
 
 
 def test_heat_verify_at_a_huge_time_does_not_overflow(tmp_path):

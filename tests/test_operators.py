@@ -448,6 +448,30 @@ class TestSpectralRows:
             assert one is out and vs == slice(0, 150)
             assert np.max(np.abs(one - whole)) <= 1e-14 * np.max(np.abs(whole))
 
+    @pytest.mark.parametrize("kernel", [False, True], ids=["g(H)", "kernel"])
+    @pytest.mark.parametrize("d", [1, 2], ids=["real", "complex"])
+    def test_out_is_the_block_stream_bit_for_bit(self, d, kernel):
+        # with out, the blocks of the default stream are written into its
+        # rows; n spans more than one ROW_BLOCK_BYTES block
+        from heatcert.operators import ROW_BLOCK_BYTES
+
+        rng = np.random.default_rng(95)
+        g = random_graph(400 // d, rng)
+        if d == 1:
+            H = assemble_laplacian(g)
+        else:
+            H = assemble_covariant(g, d, random_connection(g, d, rng))
+        dtype = H.matrix.dtype
+        assert H.dim * H.dim * dtype.itemsize > ROW_BLOCK_BYTES
+        rows = _spectral_rows(H, kernel=kernel)
+        for g_of in (None, *self.G_OF):
+            spans, blocks = zip(*rows(g_of))
+            assert len(spans) > 1
+            out = np.full((H.dim, H.dim), np.nan, dtype)
+            ((vs, one),) = rows(g_of, out=out)
+            assert one is out and vs == slice(0, g.n)
+            assert np.array_equal(out, np.vstack(blocks))
+
     def test_identity_kernel_is_exactly_inverse_rho(self):
         g = random_graph(30, np.random.default_rng(98))
         H = assemble_laplacian(g)
