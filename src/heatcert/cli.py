@@ -259,19 +259,25 @@ def _demo_scalar_checks(g, H_cov, W1, pair, rng):
     domination of S by H_cov, the Laplace crosscheck, then the kernel
     axioms and the rho bound in one pass over S's kernel slices on
     DEFAULT_TIMES (`verify_semigroup`), which keeps the HS row's p(0.5) and
-    p(2t = 1) for the HS bound of W1 under the graph pair. The crosscheck
-    reads S's eigenbasis, so it runs before the pass, which forms the kernel
-    factor in place of that eigenbasis: S is diagonalised once. Returns
-    (axioms, rho bound, ledger), the ledger holding the HS, crosscheck and
-    domination rows. S, its kernel factor and the kept slices go out of
-    scope on return, before certification runs; H_cov keeps only the PSD
-    verdict of its eigendecomposition, which is all that certification
-    reads of it."""
+    p(2t = 1) for the HS bound of W1 under the graph pair.
+
+    The host is a path, so its connection is a gauge of the trivial one:
+    H_cov = G S G* up to eta (`operators.scalar_gauge`), and the Kato rows
+    are derived with no spectral work on H_cov (`check_domination`): the
+    semigroup row reads 1 * eta and the resolvent row eta / 1^2, each times
+    sqrt(max rho / min rho) = 1, and lambda_min(H_cov) >= lambda_min(S) -
+    eta. Domination diagonalises S, the crosscheck reads that eigenbasis,
+    and the pass forms the kernel factor in its place: S is diagonalised
+    once, and H_cov never. Returns (axioms, rho bound, ledger), the ledger
+    holding the HS, crosscheck and domination rows. S, its kernel factor and
+    the kept slices go out of scope on return, before certification runs;
+    H_cov keeps only its PSD verdict, which is all that certification reads
+    of it."""
     H_scal = assemble_laplacian(g)
-    # domination first, so that its dense semigroups and the covariant
-    # eigenbasis come and go before the kernel slices are formed
     dom_rows = check_domination(H_cov, H_scal, times=(0.1, 1.0),
                                 a_values=(1.0,), trials=5, rng=rng)
+    # the numeric route, taken for a connection with holonomy, leaves the
+    # covariant eigenbasis in the cache
     H_cov.release_eigh()
     laplace_row = check_resolvent_laplace(H_scal, a=1.0)
     axioms, rho_rep, _, kept = verify_semigroup(H_scal, DEFAULT_TIMES, keep=(0.5, 1.0))

@@ -28,13 +28,18 @@ from .operators import (
     _spectral_rows,
     _symmetrize,
     dirichlet_restriction,
+    require_psd,
     resolvent_singular_values,
+    scalar_gauge,
     singular_values,
     spectral_function,
 )
 
 HS_IDENTITY_RTOL = 1e-8
 DOMINATION_TOL = 1e-9
+# the resolvent row's tolerance in `certify_compactness`, and the most its
+# gauge route may move a singular value
+RESOLVENT_TOL = 1e-10
 ASCENT_TOL = 1e-8
 
 
@@ -237,11 +242,23 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     (i)  |e^{-t T} f(x)| <= (e^{-t S} |f|)(x)   pointwise,
     (ii) |(T + a)^{-1} f(x)| <= ((S + a)^{-1} |f|)(x)  pointwise,
 
-    plus the spectral consequence lambda_min(T) >= lambda_min(S).
-    Sections tested: every fiber-coordinate basis section and `trials`
-    random complex sections; worst_at is the first largest gap.
+    plus the spectral consequence lambda_min(T) >= lambda_min(S), for
+    T = H_cov and S = H_scal, both PSD.
 
-    The covariant g(T) is read one vertex row block at a time
+    Gauge route. When T is, up to eta, a unitary gauge of S x I_d
+    (`_gauge_distance`), (i) and (ii) hold with equality for
+    T' = G (S x I_d) G*, and the rows are derived, with no spectral work
+    on T: ||e^{-tT} - e^{-tT'}|| <= t eta (Duhamel) and
+    ||(T + a)^{-1} - (T' + a)^{-1}|| <= eta / a^2 (the resolvent identity)
+    in the weighted norm, so the gap of any section of unit coordinate norm
+    is at most max t eta sqrt(max rho / min rho), and at most
+    eta / min a^2 sqrt(max rho / min rho); and lambda_min(T) >=
+    lambda_min(S) - eta (Weyl). The route is taken when all three derived
+    rows pass at DOMINATION_TOL; its rows carry the route and eta.
+
+    Numeric route, otherwise. Sections tested: every fiber-coordinate basis
+    section and `trials` random complex sections; worst_at is the first
+    largest gap. The covariant g(T) is read one vertex row block at a time
     (`operators._spectral_rows`), and each section keeps a running maximum
     of its gap over the blocks: besides the scalar g(S), which is whole,
     U, U* and one row block of g(T) are live, never the whole of g(T)."""
@@ -249,6 +266,11 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
         raise ValueError("operators live over different vertex sets")
     if H_scal.rank != 1:
         raise ValueError("the dominated operator must be scalar")
+    eta = _gauge_distance(H_cov, H_scal)
+    if eta is not None:
+        rows = _derived_domination(H_cov, H_scal, times, a_values, eta)
+        if all(r.ok for r in rows):
+            return rows
     d = H_cov.rank
     n = len(H_cov.vertices)
     randoms = np.array([rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d)
@@ -283,6 +305,52 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
                           H_scal.lambda_min(), H_cov.lambda_min(),
                           tol=DOMINATION_TOL))
     return rows
+
+
+def _gauge_distance(H_cov: OperatorMatrix, H_scal: OperatorMatrix) -> float | None:
+    """A bound on ||herm(A_T) - G (herm(A_S) x I_d) G*||_2 for T = H_cov,
+    S = H_scal and the gauge G of `operators.scalar_gauge`: its eta plus
+    the Schur test on |A_S' - A_S|, for S' the scalar operator read from T.
+    None when no gauge applies: T real of rank 1, T and S on different
+    vertex weights, or an off-diagonal entry of S above zero, where e^{-tS}
+    is not positive and the gauge's equality does not hold."""
+    if not np.array_equal(H_cov.rho, H_scal.rho):
+        return None
+    positive = H_scal.matrix > 0
+    np.fill_diagonal(positive, False)
+    gauge = None if positive.any() else scalar_gauge(H_cov)
+    if gauge is None:
+        return None
+    S_read, _, eta = gauge
+    diff = S_read.matrix  # |S' - S|, in place of S', which nothing else holds
+    diff -= H_scal.matrix
+    np.abs(diff, out=diff)
+    s = np.sqrt(H_scal.rho)
+    rows, cols = s * (diff @ (1.0 / s)), (s @ diff) / s
+    return eta + float(np.sqrt(np.max(rows) * np.max(cols)))
+
+
+def _derived_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
+                        times, a_values, eta: float) -> list[LedgerRow]:
+    """The three Kato rows of the gauge route (`check_domination`) at
+    distance eta; T and S are checked PSD, and S is diagonalised, T not.
+    A negative time or a shift a <= 0 raises, as on the numeric route."""
+    for t in times:
+        _semigroup_g(t)
+    for a in a_values:
+        _resolvent_g(a)
+    require_psd(H_cov)
+    require_psd(H_scal)
+    spread = float(np.sqrt(np.max(H_scal.rho) / np.min(H_scal.rho)))
+    t, a = max(times), min(a_values)
+    detail = {"route": "gauge", "eta": eta}
+    lam = H_scal.lambda_min()
+    return [LedgerRow("kato-domination-semigroup", t * eta * spread, 0.0,
+                      tol=DOMINATION_TOL, detail={**detail, "worst_at": {"t": t}}),
+            LedgerRow("kato-domination-resolvent", eta / a ** 2 * spread, 0.0,
+                      tol=DOMINATION_TOL, detail={**detail, "worst_at": {"a": a}}),
+            LedgerRow("kato-spectral-ordering", lam, lam - eta,
+                      tol=DOMINATION_TOL, detail=detail)]
 
 
 def _block_norms(block: np.ndarray, n: int, d: int) -> np.ndarray:
@@ -358,11 +426,19 @@ def certify_compactness(W, W1, H: OperatorMatrix, cp: ControlPair, ex: Exhaustio
     asserted at every level for every a > 0; drift is reported, not
     asserted. Each level is an array of vertex positions in H's order
     (`graph.Exhaustion`): W and W1 are put in that order once, and a level
-    slices them. H is checked PSD once (`dirichlet_restriction`), by its
-    construction verdict when it has one; no level is diagonalised. The
+    slices them. H is checked PSD once, by its construction verdict when it
+    has one, and each level inherits it; no level is diagonalised. The
     numbers of W R, and sigma_1 of W1 R, come from one solve per level over
     the union of their supports (`operators.resolvent_singular_values`).
-    k_top must be at least 1."""
+    k_top must be at least 1.
+
+    Gauge route. For H with a connection, `operators.scalar_gauge` gives
+    H = G (S x I_d) G* up to eta, which holds on every level as well; then
+    sigma_k(W (H + a)^{-1}) is sigma_k(G*WG (S + a)^{-1}) within
+    ||W|| eta / a^2, ||W|| the largest fiber norm of W or W1. When that is at
+    most RESOLVENT_TOL, the levels are solved on the real S, with W as it is
+    at rank 1 and G*WG above. S takes H's PSD verdict by Weyl, so this route
+    diagonalises nothing either."""
     if k_top < 1:
         raise ValueError(f"k_top must be at least 1, got {k_top}")
     verdict_fail = None
@@ -373,19 +449,30 @@ def certify_compactness(W, W1, H: OperatorMatrix, cp: ControlPair, ex: Exhaustio
     dims: list[int] = []
     top_lists: list[np.ndarray] = []
     W, W1 = (_field(X, H.vertices, H.rank) for X in (W, W1))
-    bound_name, rhs, quad_value = _resolvent_row(W1.norms(), H.rho, cp, a)
-    W, W1 = W.blocks, W1.blocks
+    w1_norms = W1.norms()
+    bound_name, rhs, quad_value = _resolvent_row(w1_norms, H.rho, cp, a)
+    w_sup = max(np.max(W.norms(), initial=0.0), np.max(w1_norms, initial=0.0))
+    W, W1, rank = W.blocks, W1.blocks, H.rank
+    require_psd(H)
+    gauge = scalar_gauge(H)
+    if gauge is not None and w_sup * gauge[2] / a ** 2 <= RESOLVENT_TOL:
+        H, G = gauge[0], gauge[1]
+        if rank > 1:
+            gh = G.conj().swapaxes(1, 2)
+            W, W1 = gh @ W @ G, gh @ W1 @ G
+    del gauge  # an S left unused goes before the solves
     for lv in ex.levels:
         Hn = dirichlet_restriction(H, lv)
+        dim = lv.size * rank
         (sv, hs, columns), (sv1, _, _) = resolvent_singular_values(
             Hn, [W[lv], W1[lv]], a, [k_top, 1])
-        singular[Hn.dim] = [float(x) for x in sv]
-        hs_norms[Hn.dim] = hs
-        support_columns[Hn.dim] = columns
-        dims.append(Hn.dim)
+        singular[dim] = [float(x) for x in sv]
+        hs_norms[dim] = hs
+        support_columns[dim] = columns
+        dims.append(dim)
         top_lists.append(sv)
-        bounds.append(LedgerRow(bound_name, float(sv1[0]), rhs, tol=1e-10,
-                                detail={"level_dim": Hn.dim, "a": a,
+        bounds.append(LedgerRow(bound_name, float(sv1[0]), rhs, tol=RESOLVENT_TOL,
+                                detail={"level_dim": dim, "a": a,
                                         "quadrature_integral": quad_value}))
         if not bounds[-1].ok and verdict_fail is None:
             verdict_fail = bound_name

@@ -252,10 +252,16 @@ def load_graph(path) -> WeightedGraph:
                 raise GraphFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
         try:
             vertices = [v["id"] for v in doc["vertices"]]
-            rho = {v["id"]: v["rho"] for v in doc["vertices"]}
+            rhos = [v["rho"] for v in doc["vertices"]]
             edges = [(e["u"], e["v"], e["b"]) for e in doc["edges"]]
         except (KeyError, TypeError) as e:
             raise GraphFormatError(f"{path}: missing field {e}")
+        # ids are strings at the JSON boundary: a CLI spec names a vertex by
+        # a string, and `dump_graph` sorts the edge pairs
+        for v in vertices:
+            if not isinstance(v, str):
+                raise GraphFormatError(f"{path}: vertex id {v!r} is not a string")
+        rho = dict(zip(vertices, rhos))
         for v, r in rho.items():
             if isinstance(r, bool) or not isinstance(r, (int, float)):
                 raise GraphFormatError(f"{path}: rho({v}) is not a number")

@@ -46,7 +46,9 @@ class OperatorMatrix:
     vertices: tuple[str, ...]
     rank: int
     rho: np.ndarray
-    kind: str  # scalar-laplacian | covariant | dirichlet-restriction | multiplication | sum
+    # scalar-laplacian | covariant | dirichlet-restriction | multiplication |
+    # sum | scalar-gauge
+    kind: str
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -258,6 +260,94 @@ def dirichlet_restriction(H: OperatorMatrix, pos) -> OperatorMatrix:
     return OperatorMatrix(sub, vertices, d, H.rho[pos], "dirichlet-restriction", cache)
 
 
+def scalar_gauge(H: OperatorMatrix):
+    """(S, G, eta) for an operator H of rank d with a connection, or None
+    for a real operator of rank 1, which is scalar already:
+
+    - S, the real rank-1 operator read from H's blocks: S_xy = -||H_xy||_2
+      off the diagonal and S_xx = Re tr H_xx / d;
+    - G, a block-diagonal unitary gauge as an (n, d, d) stack;
+    - eta >= ||herm(A_H) - G (herm(A_S) x I_d) G*||_2, for A the symmetrized
+      matrix and herm its Hermitian part, the matrices spectral work reads.
+
+    When H carries no holonomy, H = G (S x I_d) G* and eta is round-off: each
+    eigenvalue of H is one of S's within eta (Weyl), and (H + a)^{-1} is
+    G ((S + a)^{-1} x I_d) G* within eta / a^2 for a > 0. A connection with
+    holonomy leaves its defect in eta.
+
+    The edge pattern, the nonzero off-diagonal blocks made symmetric, is
+    found in one boolean pass over H; the rest works on its |E| edge blocks.
+    G is I at the root of a breadth-first spanning tree of each component,
+    and each child c of p takes G_c = Q G_p, for Q the unitary polar factor
+    of -herm(A_H)_cp, which makes the tree blocks of G* A_H G scalar; G is
+    then replaced by its polar factors, which are unitary at any depth. eta is
+    the Schur test on the blocks of the residual, the diagonal ones
+    included: the square root of the largest row sum times the largest
+    column sum of their Frobenius norms. S records H's PSD verdict when
+    lambda_min(H) - eta >= -PSD_TOL (Weyl), read from H's verdict or its
+    cached eigendecomposition and never from a new one."""
+    n, d = len(H.vertices), H.rank
+    if d == 1 and np.isrealobj(H.matrix):
+        return None
+    m = H.matrix.reshape(n, d, n, d)
+    pattern = (H.matrix != 0).reshape(n, d, n, d).any(axis=(1, 3))
+    pattern |= pattern.T
+    np.fill_diagonal(pattern, False)
+    x, y = np.nonzero(pattern)  # ordered pairs, ascending in x
+    s = np.sqrt(H.rho)
+    ratio = (s[x] / s[y])[:, None, None]
+    coord = m[x, :, y, :]
+    blocks = 0.5 * (coord * ratio + (m[y, :, x, :] / ratio).conj().swapaxes(1, 2))
+    diag = m[np.arange(n), :, np.arange(n), :]
+    diag = 0.5 * (diag + diag.conj().swapaxes(1, 2))
+    S = np.zeros((n, n))
+    S[x, y] = -(np.abs(coord[:, 0, 0]) if d == 1 else np.linalg.norm(coord, 2, axis=(1, 2)))
+    S.flat[::n + 1] = np.trace(diag, axis1=1, axis2=2).real / d
+    s_xy = 0.5 * (S[x, y] * ratio[:, 0, 0] + S[y, x] / ratio[:, 0, 0])
+    # breadth-first spanning forest over the pattern; G in tree order
+    ptr = np.searchsorted(x, np.arange(n + 1)).tolist()
+    nbr = y.tolist()
+    seen = [False] * n
+    tree = []  # (child, parent, pair index of (parent, child))
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        frontier = [root]
+        while frontier:
+            reached = []
+            for p in frontier:
+                for e in range(ptr[p], ptr[p + 1]):
+                    c = nbr[e]
+                    if not seen[c]:
+                        seen[c] = True
+                        tree.append((c, p, e))
+                        reached.append(c)
+            frontier = reached
+    G = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)).copy()
+    if tree:
+        child, parent, edge = map(list, zip(*tree))
+        # herm(A_H)_cp is the adjoint of the (p, c) block
+        u, _, vh = np.linalg.svd(-blocks[edge].conj().swapaxes(1, 2))
+        for c, p, q in zip(child, parent, u @ vh):
+            G[c] = q @ G[p]
+        # the products drift from unitary with the tree depth; their polar
+        # factors do not, and they keep each tree relation to round-off
+        u, _, vh = np.linalg.svd(G)
+        G = u @ vh
+    gh = G.conj().swapaxes(1, 2)
+    eye = np.eye(d)
+    # Frobenius norms: upper bounds on the 2-norms, at a fraction of the cost
+    off = np.linalg.norm(gh[x] @ blocks @ G[y] - s_xy[:, None, None] * eye, axis=(1, 2))
+    on = np.linalg.norm(gh @ diag @ G - S.flat[::n + 1][:, None, None] * eye, axis=(1, 2))
+    rows = np.bincount(x, off, minlength=n) + on
+    cols = np.bincount(y, off, minlength=n) + on
+    eta = float(np.sqrt(np.max(rows) * np.max(cols)))
+    lam = H.lambda_min() if "eigh" in H._cache else (0.0 if H._cache.get("psd") else None)
+    cache = {"psd": True} if lam is not None and lam - eta >= -PSD_TOL else {}
+    return OperatorMatrix(S, H.vertices, 1, H.rho, "scalar-gauge", cache), G, eta
+
+
 def _psd_eigh(H: OperatorMatrix):
     """(Lambda, U) of the cached eigendecomposition, after the PSD check that
     it decides: the preamble of every product over the eigenbasis of H."""
@@ -401,11 +491,13 @@ def singular_values(H: OperatorMatrix, W: np.ndarray, g, k: int) -> np.ndarray:
 
 def resolvent_singular_values(H: OperatorMatrix, Ws, a: float,
                               ks) -> list[tuple[np.ndarray, float, int]]:
-    """Per (n, rank, rank) stack W in Ws, with its count k in ks, a triple
-    for W (H + a)^{-1} on the weighted L^2 space: its top min(k, H.dim)
-    singular values, zero past the support; its Hilbert-Schmidt norm; and
-    its support columns |S| rank, the most singular values it can have that
-    are not zero. H PSD, a > 0.
+    """Per (n, d, d) stack W in Ws, with its count k in ks, a triple for
+    W (H + a)^{-1} on the weighted L^2 space: its top min(k, n d) singular
+    values, zero past the support; its Hilbert-Schmidt norm; and its support
+    columns |S| d, the most singular values it can have that are not zero.
+    The stacks share d, which is H's rank or, for a scalar H, any rank: H
+    then acts as H x I_d, and one scalar solve serves every fiber
+    coordinate. H PSD, a > 0.
 
     W commutes with the per-vertex D, so these are the numbers of
     W (A + a)^{-1} for A the symmetrized matrix. Its rows vanish off the
@@ -422,14 +514,16 @@ def resolvent_singular_values(H: OperatorMatrix, Ws, a: float,
     if a <= 0:
         raise ValueError("resolvent shift must be positive")
     require_psd(H)
-    n, d = len(H.vertices), H.rank
+    n, r, d = len(H.vertices), H.rank, Ws[0].shape[1]
+    if r not in (1, d):
+        raise ValueError(f"potential of rank {d} for an operator of rank {r}")
     supports = [np.any(W != 0, axis=(1, 2)) for W in Ws]
     cols = np.flatnonzero(np.logical_or.reduce(supports, initial=False))
-    rhs = np.zeros((n, d, cols.size, d), dtype=H.matrix.dtype)
-    rhs[cols, :, np.arange(cols.size), :] = np.eye(d)
+    rhs = np.zeros((n, r, cols.size, r), dtype=H.matrix.dtype)
+    rhs[cols, :, np.arange(cols.size), :] = np.eye(r)
     shifted = H.hermitian()
     shifted.flat[::H.dim + 1] += a
-    sol = np.linalg.solve(shifted, rhs.reshape(H.dim, -1)).reshape(H.dim, cols.size, d)
+    sol = np.linalg.solve(shifted, rhs.reshape(H.dim, -1)).reshape(H.dim, cols.size, r)
     del shifted, rhs
     out = []
     for W, support, k in zip(Ws, supports, ks):
@@ -437,10 +531,16 @@ def resolvent_singular_values(H: OperatorMatrix, Ws, a: float,
         blocks = W[cols[own]]
         if np.isrealobj(sol) and not np.any(blocks.imag):
             blocks = blocks.real  # a real potential of a scalar operator stays real
-        # column block x of the adjoint: sol[:, x] W(x)*
+        # column block x of the adjoint: sol[:, x] W(x)*, with sol[:, x]
+        # (H + a)^{-1} e_x x I_d for a scalar H under stacks of rank d
         own_sol = sol if own.all() else sol[:, own]
-        adjoint = own_sol.transpose(1, 0, 2) @ blocks.conj().swapaxes(1, 2)
-        adjoint = adjoint.transpose(1, 0, 2).reshape(H.dim, -1)
+        if r == d:
+            adjoint = own_sol.transpose(1, 0, 2) @ blocks.conj().swapaxes(1, 2)
+            adjoint = adjoint.transpose(1, 0, 2)
+        else:
+            adjoint = own_sol.T[0, :, :, None, None] * blocks.conj().swapaxes(1, 2)[:, None]
+            adjoint = adjoint.transpose(1, 2, 0, 3)
+        adjoint = adjoint.reshape(n * d, -1)
         hs = float(np.linalg.norm(adjoint))
         out.append((_top_singular_values(adjoint, k), hs, adjoint.shape[1]))
     return out

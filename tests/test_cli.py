@@ -57,6 +57,34 @@ class TestGraphValidate:
         bad.write_text("{not json")
         assert main(["graph", "validate", "--graph", str(bad)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("ids", [[1, "a"], [1, 2], [[1], "a"]],
+                             ids=["mixed", "integers", "list"])
+    def test_non_string_vertex_id_exit_one(self, ids, tmp_path, capsys):
+        # a mixed-type id set cannot be dumped (sorting the edge pairs
+        # raises), and no CLI spec can name an integer id (--exhaustion
+        # root=1 looks for the string "1"): both are refused at load
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({
+            "vertices": [{"id": v, "rho": 1.0} for v in ids],
+            "edges": [{"u": ids[0], "v": ids[1], "b": 1.0}]}))
+        for argv in (["graph", "validate"],
+                     ["heat", "minimal", "--exhaustion", "root=1,radii=1"]):
+            code, err = _run([*argv, "--graph", str(gpath),
+                              "--out", str(tmp_path / "rep.json")], capsys)
+            assert code == EXIT_INPUT
+            assert f"vertex id {ids[0]} is not a string" in err
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_non_string_kernel_vertex_id_exit_one(self, tmp_path, capsys):
+        kpath = tmp_path / "k.json"
+        dump_kernel(kernel_from_semigroup(assemble_laplacian(path_graph(3)), (1.0,)), kpath)
+        doc = json.loads(kpath.read_text())
+        doc["vertices"][1] = 7
+        kpath.write_text(json.dumps(doc))
+        code, err = _run(["heat", "verify", "--kernel", str(kpath)], capsys)
+        assert code == EXIT_INPUT
+        assert "vertex id 7 is not a string" in err
+
     @pytest.mark.parametrize("rho_c, b_bc, violation", [
         (math.inf, 1.0, "non-finite rho at c"),
         (math.nan, 1.0, "non-finite rho at c"),
@@ -337,7 +365,9 @@ class TestDominate:
 
     def test_potential_ledger_matches_covariant_labelled_sum(self, tmp_path):
         # H + V is labelled "sum"; the ledger is the one the same matrix
-        # gives under the "covariant" label
+        # gives under the "covariant" label. The connection on the path is
+        # flat, but V puts H + V far from a gauge of the scalar Laplacian,
+        # so the rows are the numeric route's
         from heatcert.bundle import load_bundle
         from heatcert.compactness import check_domination
         from heatcert.operators import (OperatorMatrix, assemble_covariant,
@@ -362,6 +392,7 @@ class TestDominate:
                                 5, np.random.default_rng(3))
         expected = json.loads(json.dumps([r.to_dict() for r in rows]))
         assert json.loads(out.read_text())["ledger"] == expected
+        assert not any("route" in row for row in expected)
 
 
     def test_negative_potential_is_not_psd(self, tmp_path, capsys):
@@ -948,14 +979,17 @@ class TestDemo:
         assert json.loads(out.read_text())["seed"] == 42
 
     def test_each_host_operator_diagonalised_once(self, tmp_path, monkeypatch):
-        # the Laplace crosscheck reads the scalar eigenbasis before the
-        # heat pass forms its kernel factor in place of it
+        # the path's connection is a gauge of the trivial one, so domination
+        # and certification run on the real scalar operator and the
+        # covariant one is never diagonalised; the Laplace crosscheck reads
+        # the scalar eigenbasis before the heat pass forms its kernel factor
+        # in place of it
         kinds = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: kinds.append(a.dtype.kind) or eigh(a))
         assert main(["demo", "coulomb-lattice", "--n", "30",
                      "--out", str(tmp_path / "rep.json")]) == EXIT_OK
-        assert sorted(kinds) == ["c", "f"]
+        assert kinds == ["f"]
 
     def test_certification_runs_no_factorisation(self, tmp_path, monkeypatch):
         # the covariant eigenbasis is released after domination, its PSD

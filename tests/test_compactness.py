@@ -414,13 +414,12 @@ class TestFastPathsAgainstReferences:
     @pytest.mark.parametrize("rank, n", [(2, 10), (1, 10), (2, 200), (1, 400)],
                              ids=["2", "1", "2-row-blocks", "1-row-blocks"])
     def test_block_domination_matches_section_loop(self, rank, n):
-        # rank 1 uses the trivial connection, T = S: many sections tie at a
-        # gap of exactly 0, so the first worst section must be kept. The
-        # larger hosts span several row blocks of g(T), the last one short.
+        # random connections, which carry holonomy, so the numeric route
+        # runs at either rank. The larger hosts span several row blocks of
+        # g(T), the last one short.
         rng = np.random.default_rng(22)
         g = random_graph(n, rng)
-        conn = random_connection(g, 2, rng) if rank == 2 else UnitaryConnection.trivial(g, 1)
-        Hc = assemble_covariant(g, rank, conn)
+        Hc = assemble_covariant(g, rank, random_connection(g, rank, rng))
         H = assemble_laplacian(g)
         sizes = [vs.stop - vs.start for vs, _ in _spectral_rows(Hc)(None)]
         if n > 10:
@@ -433,8 +432,29 @@ class TestFastPathsAgainstReferences:
                                           "kato-spectral-ordering"]
         for row, (worst, worst_at) in zip(rows, ref):
             assert abs(row.lhs - worst) <= 1e-13
-            assert row.detail["worst_at"] == worst_at
+            assert row.detail == {"worst_at": worst_at}
         assert rows[2].lhs == H.lambda_min() and rows[2].rhs == Hc.lambda_min()
+
+    @pytest.mark.parametrize("n", [10, 400])
+    def test_trivial_connection_takes_the_gauge_route(self, n):
+        # T = S: the rows are derived from eta, which is round-off, and
+        # bound the section loop's gaps (which tie at 0 up to round-off)
+        rng = np.random.default_rng(22)
+        g = random_graph(n, rng)
+        Hc = assemble_covariant(g, 1, UnitaryConnection.trivial(g, 1))
+        H = assemble_laplacian(g)
+        times, a_values, trials = (0.05, 0.5, 2.0), (0.5, 3.0), 7
+        rows = check_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
+        assert "eigh" not in Hc._cache
+        ref = reference_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
+        eta = rows[0].detail["eta"]
+        assert 0 <= eta <= 1e-13
+        assert [r.detail for r in rows] == [
+            {"route": "gauge", "eta": eta, "worst_at": {"t": 2.0}},
+            {"route": "gauge", "eta": eta, "worst_at": {"a": 0.5}}, {"route": "gauge", "eta": eta}]
+        for row, (worst, _) in zip(rows, ref):
+            assert row.ok and worst <= row.lhs + 1e-13
+        assert rows[2].lhs == H.lambda_min() and rows[2].rhs == H.lambda_min() - eta
 
     def test_doubled_edge_weights_break_domination(self):
         rng = np.random.default_rng(23)
@@ -444,7 +464,7 @@ class TestFastPathsAgainstReferences:
         Hc = assemble_covariant(doubled, 2, random_connection(doubled, 2, rng))
         rows = check_domination(Hc, assemble_laplacian(g), (0.1, 1.0), (1.0,), 5, rng)
         semi = next(r for r in rows if r.name == "kato-domination-semigroup")
-        assert not semi.ok
+        assert not semi.ok and "route" not in semi.detail
 
     def test_stale_eigendecomposition_fails_the_crosscheck(self):
         # the cached spectrum is that of the same graph with one edge weight
@@ -837,6 +857,110 @@ class TestTopSingularValues:
         reports = [json.dumps(certify_compactness(W, W1, Hc, cp, ex, a=2.0).to_dict(),
                               sort_keys=True) for _ in range(2)]
         assert reports[0] == reports[1]
+
+
+def flat_lattice_case(side, d, seed):
+    """A side x side lattice with seeded b and rho, a random gauge U of the
+    trivial connection, phi(x, y) = U_y U_x*, and a Hermitian W with its
+    part W1 where |W| > 1."""
+    rng = np.random.default_rng(seed)
+    ids = [f"v{i}_{j}" for i in range(side) for j in range(side)]
+    edges = [(f"v{i}_{j}", f"v{i + di}_{j + dj}", float(rng.uniform(0.5, 2.0)))
+             for i in range(side) for j in range(side)
+             for di, dj in ((1, 0), (0, 1)) if i + di < side and j + dj < side]
+    g = make_graph(ids, {v: float(rng.uniform(0.5, 2.0)) for v in ids}, edges)
+    U = {v: random_unitary(rng, d) for v in ids}
+    phi = {}
+    for u, v, _ in edges:
+        phi[(u, v)], phi[(v, u)] = U[v] @ U[u].conj().T, U[u] @ U[v].conj().T
+    W = random_field(g, d, rng)
+    W1, _ = decompose_potential(W, 1.0)
+    return g, assemble_covariant(g, d, UnitaryConnection(d, phi)), W, W1
+
+
+class TestScalarGauge:
+    """A connection without holonomy runs Kato domination and certification
+    on the real scalar operator; one with holonomy runs the numeric route."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_flat_lattice_derives_domination(self, d, monkeypatch):
+        g, Hc, _, _ = flat_lattice_case(12, d, 31)
+        H = assemble_laplacian(g)
+        S, G, eta = operators.scalar_gauge(Hc)
+        assert eta <= 1e-12 and S.rank == 1 and np.isrealobj(S.matrix)
+        assert np.max(np.abs(S.matrix - H.matrix)) <= 1e-13
+        assert np.allclose(G.conj().swapaxes(1, 2) @ G, np.eye(d), atol=1e-14)
+        kinds = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: kinds.append(a.dtype.kind) or eigh(a))
+        rows = check_domination(Hc, H, (0.1, 1.0), (0.5, 2.0), 5, np.random.default_rng(0))
+        assert kinds == ["f"] and "eigh" not in Hc._cache
+        assert all(r.ok and r.detail["route"] == "gauge" for r in rows)
+        assert [r.name for r in rows] == ["kato-domination-semigroup",
+                                          "kato-domination-resolvent",
+                                          "kato-spectral-ordering"]
+        # the derived bounds: Duhamel, the resolvent identity and Weyl
+        spread = np.sqrt(np.max(g.rho_vec) / np.min(g.rho_vec))
+        eta = rows[0].detail["eta"]
+        assert rows[0].lhs == 1.0 * eta * spread and rows[1].lhs == eta / 0.25 * spread
+        assert rows[2].rhs == H.lambda_min() - eta
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_flat_lattice_certifies_on_the_scalar_operator(self, d, monkeypatch):
+        g, Hc, W, W1 = flat_lattice_case(12, d, 32)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
+        ex = build_exhaustion(g, g.vertices[0], [4, 8, 22])
+        # the covariant route, level by level
+        ref = [resolvent_singular_values(dirichlet_restriction(Hc, lv),
+                                         [W.blocks[lv], W1.blocks[lv]], 2.0, [5, 1])
+               for lv in ex.levels]
+        solved = []
+        for name in ("eigh", "solve"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=fn:
+                                solved.append((_n, a[0].dtype.kind)) or _f(*a))
+        rep = certify_compactness(W, W1, Hc, cp, ex, a=2.0)
+        assert solved == [("solve", "f")] * len(ex.levels)
+        assert rep.levels == [d * lv.size for lv in ex.levels]
+        for dim, (top, hs, columns), (top1, _, _), row in zip(
+                rep.levels, *zip(*ref), rep.bounds):
+            assert_sv_close(rep.singular_values[dim], top, 5)
+            assert abs(rep.hs_norms[dim] - hs) <= 1e-12 * max(1.0, hs)
+            assert rep.support_columns[dim] == columns
+            assert abs(row.lhs - top1[0]) <= 1e-12 * max(1.0, top1[0])
+
+    def test_ring_with_flux_runs_the_numeric_rows(self):
+        # total phase pi around an 8-cycle: the gauge leaves the holonomy
+        # e^{i pi} - 1 on the closing edge, and the resolvent gap is
+        # strictly negative for every section
+        n = 8
+        ids = [f"v{i}" for i in range(n)]
+        ring = make_graph(ids, dict.fromkeys(ids, 1.0),
+                          [(ids[i], ids[(i + 1) % n], 1.0) for i in range(n)])
+        conn = UnitaryConnection.from_edge_phases(
+            ring, {(ids[i], ids[(i + 1) % n]): np.pi / n for i in range(n)})
+        Hc, H = assemble_covariant(ring, 1, conn), assemble_laplacian(ring)
+        assert operators.scalar_gauge(Hc)[2] >= 2.0 - 1e-12
+        rows = check_domination(Hc, H, (0.1, 1.0), (0.5, 2.0), 5, np.random.default_rng(0))
+        assert all("route" not in r.detail for r in rows) and "eigh" in Hc._cache
+        assert all(r.ok for r in rows)
+        resolvent_row = next(r for r in rows if r.name == "kato-domination-resolvent")
+        assert resolvent_row.lhs < 0
+
+    def test_doubled_edge_weights_on_a_flat_connection_fail_numerically(self):
+        # T is a gauge of twice S: eta against S is large, the numeric
+        # route runs, and it finds the violation
+        g, Hc, _, _ = flat_lattice_case(4, 2, 33)
+        doubled = make_graph(g.vertices, g.rho,
+                             [(*tuple(pair), 2.0 * w) for pair, w in g.b.items()])
+        flat = assemble_covariant(doubled, 2, UnitaryConnection.trivial(doubled, 2))
+        rows = check_domination(flat, assemble_laplacian(g), (0.1, 1.0), (1.0,), 5,
+                                np.random.default_rng(0))
+        assert all("route" not in r.detail for r in rows)
+        assert not next(r for r in rows if r.name == "kato-domination-semigroup").ok
+
+    def test_real_scalar_operator_has_no_gauge(self):
+        assert operators.scalar_gauge(assemble_laplacian(path_graph(4))) is None
 
 
 class TestCertifyFormsNoDenseProducts:
