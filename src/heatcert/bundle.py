@@ -29,11 +29,56 @@ from .graph import WeightedGraph
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 MAX_RANK = 8
+# `block_norms` squares entries: a block whose norm reads outside this range
+# may have lost squares to underflow or overflow, and is scaled first
+SQUARES_SAFE = (1e-140, 1e140)
 
 
 def _stack(matrices, rank: int) -> np.ndarray:
     """A list of rank x rank matrices as one complex (len, rank, rank) array."""
     return np.array(matrices, dtype=complex).reshape(len(matrices), rank, rank)
+
+
+def block_norms(blocks: np.ndarray) -> np.ndarray:
+    """The 2-norm, the largest singular value, of each d x d matrix B of a
+    stack of shape (..., d, d): |B| at d = 1; at d = 2 the closed form
+    sqrt(lambda_max(B*B)), lambda_max = (g11 + g22)/2 +
+    sqrt(((g11 - g22)/2)^2 + |g12|^2) for G = B*B, where no term cancels
+    another; above, a batched eigvalsh(B*B). A block whose norm reads
+    outside SQUARES_SAFE (a zero block among them) is divided by its
+    largest entry and read again, so that no square underflows or
+    overflows."""
+    if blocks.shape[-1] == 1:
+        return np.abs(blocks[..., 0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _gram_norms(blocks)
+    redo = ~((out >= SQUARES_SAFE[0]) & (out <= SQUARES_SAFE[1]))
+    if redo.any():
+        b = blocks[redo]
+        scale = np.max(np.abs(b), axis=(-2, -1))
+        scale[scale == 0] = 1.0
+        # real and imaginary parts divided as reals: a complex division
+        # by a subnormal scale overflows
+        (b.view(np.float64) if np.iscomplexobj(b) else b)[...] /= scale[:, None, None]
+        out[redo] = _gram_norms(b) * scale
+    return out
+
+
+def _gram_norms(blocks: np.ndarray) -> np.ndarray:
+    """`block_norms` of a stack of d x d matrices, d >= 2, unscaled: a
+    block whose squares overflow reads NaN or inf."""
+    if blocks.shape[-1] > 2:
+        gram = blocks.conj().swapaxes(-1, -2) @ blocks
+        finite = np.isfinite(gram).all(axis=(-2, -1))
+        top = np.linalg.eigvalsh(np.where(finite[..., None, None], gram, 0))[..., -1]
+        return np.where(finite, np.sqrt(np.clip(top, 0.0, None)), np.inf)
+    sq = np.abs(blocks)
+    sq *= sq
+    g11 = sq[..., 0, 0] + sq[..., 1, 0]
+    g22 = sq[..., 0, 1] + sq[..., 1, 1]
+    g12 = blocks[..., 0, 0].conj() * blocks[..., 0, 1] + blocks[..., 1, 0].conj() * blocks[..., 1, 1]
+    half = 0.5 * (g11 - g22)
+    return np.sqrt(0.5 * (g11 + g22) + np.sqrt(half * half + g12.real ** 2 + g12.imag ** 2))
 
 
 @dataclass(frozen=True)
@@ -73,9 +118,8 @@ class UnitaryConnection:
             x, y = pairs[k] if not np.isfinite(m[k]).all() else pairs[k][::-1]
             error = f"phi({x},{y}) is not finite"
             pairs, m, back = pairs[:k], m[:k], back[:k]
-        inverse_bad = np.linalg.norm(back @ m - np.eye(d), 2, axis=(1, 2)) > UNITARY_TOL
-        unitary_bad = np.linalg.norm(m.conj().swapaxes(1, 2) @ m - np.eye(d), 2,
-                                     axis=(1, 2)) > UNITARY_TOL
+        inverse_bad = block_norms(back @ m - np.eye(d)) > UNITARY_TOL
+        unitary_bad = block_norms(m.conj().swapaxes(1, 2) @ m - np.eye(d)) > UNITARY_TOL
         for k in np.flatnonzero(inverse_bad | unitary_bad)[:1]:
             x, y = pairs[k]
             if inverse_bad[k]:
@@ -167,8 +211,8 @@ class EndomorphismField:
                                              self.self_adjoint)
 
     def norms(self) -> np.ndarray:
-        """The fiber operator norms |W(x)|, in vertex order."""
-        return np.linalg.norm(self.blocks, 2, axis=(1, 2))
+        """The fiber operator norms |W(x)|, in vertex order (`block_norms`)."""
+        return block_norms(self.blocks)
 
 
 def _raise_first(names, bad: np.ndarray, message: str):

@@ -17,15 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import EndomorphismField
+from .bundle import EndomorphismField, block_norms
 from .control import ControlPair, F2Family, _quad_f2, laplace_rule
 from .graph import Exhaustion, lq_norm
 from .heat import HeatKernel
 from .operators import (
     OperatorMatrix,
+    _hermitian_rows,
     _resolvent_g,
     _semigroup_g,
-    _spectral_rows,
     _symmetrize,
     dirichlet_restriction,
     require_psd,
@@ -256,12 +256,23 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     lambda_min(S) - eta (Weyl). The route is taken when all three derived
     rows pass at DOMINATION_TOL; its rows carry the route and eta.
 
-    Numeric route, otherwise. Sections tested: every fiber-coordinate basis
-    section and `trials` random complex sections; worst_at is the first
-    largest gap. The covariant g(T) is read one vertex row block at a time
-    (`operators._spectral_rows`), and each section keeps a running maximum
-    of its gap over the blocks: besides the scalar g(S), which is whole,
-    U, U* and one row block of g(T) are live, never the whole of g(T)."""
+    Numeric route, otherwise. By the same principle, (i) holds for every
+    section exactly when ||[e^{-tT}]_xy||_2 <= [e^{-tS}]_xy for every pair
+    of vertices x, y, with [.]_xy the d x d block of the coordinate matrix,
+    and (ii) likewise. So each row's lhs is the largest block gap
+    ||[g(T)]_xy||_2 - [g(S)]_xy over the pairs and the parameters: the sup
+    over every section supported at one vertex, of unit fiber norm, of its
+    largest fiber gap, whatever the fiber frame. In symmetrized coordinates
+    g(A) = U g(Lambda) U* is Hermitian, and [g(T)]_xy is
+    sqrt(rho_y / rho_x) [g(A)]_xy, so one norm of the upper block triangle
+    of g(A) (`operators._hermitian_rows`, `bundle.block_norms`) gives the
+    gaps at (x, y) and at (y, x). `trials` random complex sections,
+    applied through the eigenbasis as D^{-1/2} U g(Lambda) (U* D^{1/2} R),
+    add their largest fiber gaps. worst_at is {t or a, x, y}, the first
+    largest block gap in row-major order (x, y vertex ids), or
+    {t or a, section}, the index of a random section whose gap exceeds
+    every block's. Besides the scalar g(S), which is whole, U, U* and one
+    row block of g(A) are live, never the whole of g(T)."""
     if H_cov.vertices != H_scal.vertices:
         raise ValueError("operators live over different vertex sets")
     if H_scal.rank != 1:
@@ -275,36 +286,61 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     n = len(H_cov.vertices)
     randoms = np.array([rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d)
                         for _ in range(trials)], dtype=complex).reshape(trials, n * d).T
-    abs_randoms = _block_norms(randoms, n, d)
-    cov_rows = _spectral_rows(H_cov)
+    abs_randoms = _section_norms(randoms, n, d)
+    triangle = _hermitian_rows(H_cov)
+    lam, u = H_cov.eigh()
+    sw = np.sqrt(H_cov.measure_weights())
+    coeffs = (u.T @ (sw[:, None] * randoms).conj()).conj()  # U* D^{1/2} R, with no copy of U*
+    s = np.sqrt(H_cov.rho)
+    vertices = H_cov.vertices
     rows = []
     for name, key, params, g_of in (("kato-domination-semigroup", "t", times, _semigroup_g),
                                     ("kato-domination-resolvent", "a", a_values, _resolvent_g)):
         worst, worst_at = -np.inf, None
         for p in params:
             g = g_of(p)
-            blocks = cov_rows(g)
             op_scal = np.real(spectral_function(H_scal, g))
-            rhs_randoms = op_scal @ abs_randoms
-            # gaps of the basis sections, then of the random ones
-            gaps = np.full(n * d + trials, -np.inf)
-            for vs, block in blocks:
-                # basis section j is the indicator of vertex j // d, so its
-                # images are column j of g(T) and column j // d of g(S)
-                nb = vs.stop - vs.start
-                basis = _block_norms(block, nb, d) - np.repeat(op_scal[vs], d, axis=1)
-                random = _block_norms(block @ randoms, nb, d) - rhs_randoms[vs]
-                np.maximum(gaps, np.concatenate([np.max(basis, axis=0),
-                                                 np.max(random, axis=0)]), out=gaps)
-            si = int(np.argmax(gaps))
-            if gaps[si] > worst:
-                worst, worst_at = float(gaps[si]), {key: p, "section": si}
+            gap, x, y = _block_gap(triangle, g, op_scal, s, n, d)
+            if gap > worst:
+                worst, worst_at = gap, {key: p, "x": vertices[x], "y": vertices[y]}
+            if trials:
+                images = randoms if g is None else (u @ (g(lam)[:, None] * coeffs)) / sw[:, None]
+                gaps = np.max(_section_norms(images, n, d) - op_scal @ abs_randoms, axis=0)
+                k = int(np.argmax(gaps))
+                if gaps[k] > worst:
+                    worst, worst_at = float(gaps[k]), {key: p, "section": k}
         rows.append(LedgerRow(name, worst, 0.0, tol=DOMINATION_TOL,
                               detail={"worst_at": worst_at}))
     rows.append(LedgerRow("kato-spectral-ordering",
                           H_scal.lambda_min(), H_cov.lambda_min(),
                           tol=DOMINATION_TOL))
     return rows
+
+
+def _block_gap(triangle, g, op_scal: np.ndarray, s: np.ndarray, n: int, d: int):
+    """(gap, x, y): the largest coordinate block gap ||[g(T)]_xy||_2 -
+    [g(S)]_xy over all vertex pairs, first in row-major order, from the
+    upper block triangle of g(A) (`operators._hermitian_rows`), op_scal the
+    coordinate g(S) and s = sqrt(rho). g None is the identity, whose gaps
+    are 0."""
+    if g is None:
+        return 0.0, 0, 0
+    found = []  # per block, the first largest gap above and below the diagonal
+    for vs, block in triangle(g):
+        v, nb = vs.start, vs.stop - vs.start
+        norms = block_norms(block.reshape(nb, d, n - v, d).swapaxes(1, 2))
+        ratio = s[v:] / s[vs, None]  # sqrt(rho_y / rho_x) at (x, y), y >= x
+        upper = norms * ratio
+        upper -= op_scal[vs, v:]
+        upper[:, :nb][np.tri(nb, k=-1, dtype=bool)] = -np.inf
+        lower = norms / ratio  # the gaps at (y, x), transposed
+        lower -= op_scal[v:, vs].T
+        lower[:, :nb][np.tri(nb, dtype=bool)] = -np.inf
+        i, j = np.unravel_index(np.argmax(upper), upper.shape)
+        found.append((float(upper[i, j]), v + i, v + j))
+        j, i = np.unravel_index(np.argmax(lower.T), lower.T.shape)
+        found.append((float(lower[i, j]), v + j, v + i))
+    return max(found, key=lambda f: (f[0], -f[1], -f[2]))
 
 
 def _gauge_distance(H_cov: OperatorMatrix, H_scal: OperatorMatrix) -> float | None:
@@ -353,7 +389,7 @@ def _derived_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
                       tol=DOMINATION_TOL, detail=detail)]
 
 
-def _block_norms(block: np.ndarray, n: int, d: int) -> np.ndarray:
+def _section_norms(block: np.ndarray, n: int, d: int) -> np.ndarray:
     """Per-vertex fiber norms of each column: (n d, m) -> (n, m)."""
     return np.sqrt(np.sum(np.abs(block.reshape(n, d, -1)) ** 2, axis=1))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import EndomorphismField, UnitaryConnection
+from .bundle import EndomorphismField, UnitaryConnection, block_norms
 from .graph import WeightedGraph, _positions, validate_graph
 
 WEIGHTED_HERMITIAN_TOL = 1e-10
@@ -301,7 +301,7 @@ def scalar_gauge(H: OperatorMatrix):
     diag = m[np.arange(n), :, np.arange(n), :]
     diag = 0.5 * (diag + diag.conj().swapaxes(1, 2))
     S = np.zeros((n, n))
-    S[x, y] = -(np.abs(coord[:, 0, 0]) if d == 1 else np.linalg.norm(coord, 2, axis=(1, 2)))
+    S[x, y] = -block_norms(coord)
     S.flat[::n + 1] = np.trace(diag, axis1=1, axis2=2).real / d
     s_xy = 0.5 * (S[x, y] * ratio[:, 0, 0] + S[y, x] / ratio[:, 0, 0])
     # breadth-first spanning forest over the pattern; G in tree order
@@ -411,6 +411,43 @@ def _spectral_rows(H: OperatorMatrix, kernel: bool = False):
                 yield vs, block
         if out is not None:
             yield slice(0, n), out
+
+    return rows
+
+
+def _hermitian_rows(H: OperatorMatrix):
+    """The upper block triangle of g(A) = U g(Lambda) U*, for A the
+    symmetrized matrix of H: returns rows(g), an iterator of (vertex slice
+    vs, block), block holding g(A) at the fiber rows of the vertices vs and
+    the fiber columns of the vertices from vs.start on. So the blocks hold
+    the blocks [g(A)]_xy with x <= y, each once, and the block [g(A)]_yx
+    is the adjoint of [g(A)]_xy. A block holds as many vertices as fit in
+    ROW_BLOCK_BYTES at full width (at least one); g is as for
+    `_spectral_rows`, but not None.
+
+    The sum over eigenpairs stops after the last one whose weight g(lambda)
+    exceeds 2^-53 max g: each dropped pair moves an entry by at most its
+    weight times |u_xk| |u_yk|, and the rows of U have unit norm, so an
+    entry moves by at most 2^-53 max g, less than the rounding of the
+    product. At a large time, where e^{-t lambda} is negligible on most of
+    the spectrum, the products shrink with it.
+
+    The eigendecomposition and the PSD check are made on the call, and
+    rows holds U and U*, no D factor and no reference to H. H must be
+    PSD."""
+    lam, u = _psd_eigh(H)
+    n, d, dim = len(H.vertices), H.rank, H.dim
+    right = u.conj().T
+    step = _row_step(d * dim * u.dtype.itemsize)
+
+    def rows(g):
+        g_lam = g(lam)
+        kept = np.flatnonzero(g_lam > np.ldexp(np.max(g_lam), -53))
+        k = kept[-1] + 1 if kept.size else 0
+        for v in range(0, n, step):
+            vs = slice(v, min(v + step, n))
+            r = slice(v * d, vs.stop * d)
+            yield vs, _flush_subnormals(u[r, :k] * g_lam[:k]) @ right[:k, r.start:]
 
     return rows
 

@@ -7,6 +7,7 @@ from heatcert.bundle import (
     EndomorphismField,
     UnitaryConnection,
     _complex_matrix_to_json,
+    block_norms,
     decompose_potential,
     dump_bundle,
     load_bundle,
@@ -56,6 +57,46 @@ class TestFiberNorms:
             ws = EndomorphismField(2, {v: m1[v] + m2[v] for v in m1})
             n1, n2, ns = (w.norms() for w in (w1, w2, ws))
             assert np.all(ns <= n1 + n2 + 1e-12)
+
+
+class TestBlockNorms:
+    """`block_norms` against np.linalg.norm(B, 2), the SVD, on every block
+    kind it meets: within BLOCK_RTOL of the largest singular value."""
+
+    BLOCK_RTOL = 4e-15
+
+    @staticmethod
+    def kinds(rng, d):
+        count = 200
+        random = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+        unitary = np.array([random_unitary(rng, d) for _ in range(count)])
+        low_rank = random[:, :, :1] @ random[:, :1, :]  # rank 1, the rank-deficient case
+        return {"random": random, "nearly-unitary": unitary,
+                "rank-deficient": low_rank, "zero": np.zeros((3, d, d), dtype=complex),
+                "tiny": random * 1e-200, "huge": random * 1e200}
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_svd(self, d):
+        rng = np.random.default_rng(41)
+        for kind, blocks in self.kinds(rng, d).items():
+            if kind == "nearly-unitary" and d > 1:
+                gram = blocks.conj().swapaxes(1, 2) @ blocks - np.eye(d)
+                assert 0 < np.max(np.abs(gram)) < 1e-14
+            expected = np.linalg.norm(blocks, 2, axis=(1, 2))
+            got = block_norms(blocks)
+            assert got.shape == expected.shape
+            assert np.all(np.abs(got - expected) <= self.BLOCK_RTOL * expected), kind
+            assert np.array_equal(got == 0, expected == 0), kind
+
+    def test_real_stacks_and_leading_axes(self):
+        # any leading shape, real or complex, as the Kato row blocks are
+        rng = np.random.default_rng(42)
+        blocks = rng.standard_normal((4, 5, 2, 2))
+        expected = np.linalg.norm(blocks, 2, axis=(2, 3))
+        assert np.all(np.abs(block_norms(blocks) - expected) <= self.BLOCK_RTOL * expected)
+        view = rng.standard_normal((8, 12)).reshape(4, 2, 6, 2).swapaxes(1, 2)
+        expected = np.linalg.norm(view, 2, axis=(2, 3))
+        assert np.all(np.abs(block_norms(view) - expected) <= self.BLOCK_RTOL * expected)
 
 
 class TestConnection:

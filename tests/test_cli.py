@@ -723,13 +723,12 @@ class TestMetricBundles:
     the same operator as its twin with the identity metric, U and H_x, up to
     the unitary change of fiber frames Q_x = L_x^* S_x^{-1} (g_x = L_x L_x^*).
 
-    Q_x = I for a diagonal metric, and then the two reports agree on every
-    value. For a full metric they agree on every frame-invariant value; the
-    Kato domination gaps are maxima over sampled sections (fiber basis
-    vectors and random sections), which Q moves, so there they must agree
-    on the verdict only."""
-
-    FRAME_DEPENDENT = ("kato-domination-semigroup", "kato-domination-resolvent")
+    Every value the reports hold is invariant under a unitary change of
+    fiber frames, the Kato domination gaps too, which are maxima of fiber
+    block norms (a random section, drawn in the file's frame, sets a gap
+    only where it exceeds every block, and here none does): so the two
+    reports agree on every value, to 1e-12, for a diagonal metric
+    (Q_x = I) and for a full one."""
 
     @staticmethod
     def twins(tmp_path, diagonal=False, seed=17, d=2):
@@ -797,11 +796,6 @@ class TestMetricBundles:
                          "--seed", "5", "--out", str(out)]) == EXIT_OK
             reports[name] = json.loads(out.read_text())
         assert reports["curved"]["pass"] is True
-        if not diagonal and "ledger" in reports["plain"]:
-            for rep in reports.values():
-                rep["ledger"] = [{"name": r["name"], "pass": r["pass"]}
-                                 if r["name"] in self.FRAME_DEPENDENT else r
-                                 for r in rep["ledger"]]
         self.assert_reports_match(reports["curved"], reports["plain"])
 
     @pytest.mark.parametrize("fault, message", [

@@ -30,8 +30,9 @@ from heatcert.graph import build_exhaustion, make_graph, path_graph, random_grap
 from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup
 from heatcert.operators import (
     OperatorMatrix,
+    _hermitian_rows,
     _resolvent_g,
-    _spectral_rows,
+    _semigroup_g,
     _symmetrize,
     add_potential,
     assemble_covariant,
@@ -398,6 +399,33 @@ def reference_domination(H_cov, H_scal, times, a_values, trials, rng):
     return out
 
 
+def reference_block_domination(H_cov, H_scal, times, a_values, trials, rng):
+    """Block-by-block Kato gaps: np.linalg.norm(B, 2) of every d x d block
+    of the coordinate g(T) against the scalar entry, then the random
+    sections' fiber gaps. (worst gap, worst_at) per family: the first
+    largest block gap in row-major order, or a random section whose gap
+    exceeds every block's."""
+    n, d, dim = len(H_cov.vertices), H_cov.rank, H_cov.dim
+    randoms = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(trials)]
+    out = []
+    for key, params, op in (("t", times, semigroup), ("a", a_values, resolvent)):
+        worst, worst_at = -np.inf, None
+        for p in params:
+            m_cov, m_scal = op(H_cov, p), np.real(op(H_scal, p))
+            blocks = m_cov.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+            gaps = np.linalg.norm(blocks, 2, axis=(2, 3)) - m_scal
+            x, y = np.unravel_index(np.argmax(gaps), gaps.shape)
+            if gaps[x, y] > worst:
+                worst = float(gaps[x, y])
+                worst_at = {key: p, "x": H_cov.vertices[x], "y": H_cov.vertices[y]}
+            for k, f in enumerate(randoms):
+                gap = float(np.max(fiber_norms(m_cov @ f, d) - m_scal @ fiber_norms(f, d)))
+                if gap > worst:
+                    worst, worst_at = gap, {key: p, "section": k}
+        out.append((worst, worst_at))
+    return out
+
+
 class TestFastPathsAgainstReferences:
     def test_laplace_matches_explicit_semigroup_sum(self):
         rng = np.random.default_rng(21)
@@ -416,23 +444,27 @@ class TestFastPathsAgainstReferences:
     def test_block_domination_matches_section_loop(self, rank, n):
         # random connections, which carry holonomy, so the numeric route
         # runs at either rank. The larger hosts span several row blocks of
-        # g(T), the last one short.
+        # the triangle of g(A), the last one short.
         rng = np.random.default_rng(22)
         g = random_graph(n, rng)
         Hc = assemble_covariant(g, rank, random_connection(g, rank, rng))
         H = assemble_laplacian(g)
-        sizes = [vs.stop - vs.start for vs, _ in _spectral_rows(Hc)(None)]
+        sizes = [vs.stop - vs.start for vs, _ in _hermitian_rows(Hc)(_semigroup_g(1.0))]
         if n > 10:
             assert len(sizes) > 2 and sizes[-1] < sizes[0]
         times, a_values, trials = (0.05, 0.5, 2.0), (0.5, 3.0), 7
         rows = check_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
-        ref = reference_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
+        ref = reference_block_domination(Hc, H, times, a_values, trials,
+                                         np.random.default_rng(3))
+        sections = reference_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
         assert [r.name for r in rows] == ["kato-domination-semigroup",
                                           "kato-domination-resolvent",
                                           "kato-spectral-ordering"]
-        for row, (worst, worst_at) in zip(rows, ref):
+        for row, (worst, worst_at), (section_gap, _) in zip(rows, ref, sections):
             assert abs(row.lhs - worst) <= 1e-13
             assert row.detail == {"worst_at": worst_at}
+            # the sup over sections bounds every sampled one
+            assert row.lhs >= section_gap - 1e-13
         assert rows[2].lhs == H.lambda_min() and rows[2].rhs == Hc.lambda_min()
 
     @pytest.mark.parametrize("n", [10, 400])
@@ -456,15 +488,28 @@ class TestFastPathsAgainstReferences:
             assert row.ok and worst <= row.lhs + 1e-13
         assert rows[2].lhs == H.lambda_min() and rows[2].rhs == H.lambda_min() - eta
 
-    def test_doubled_edge_weights_break_domination(self):
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    def test_doubled_edge_weights_break_domination(self, order):
+        # the coordinate gaps at (x, y) and (y, x) are sqrt(rho_y / rho_x)
+        # and sqrt(rho_x / rho_y) times one symmetric gap: with rho
+        # ascending in vertex order, the largest positive gap lies above
+        # the diagonal (x before y), and with rho descending, below it
         rng = np.random.default_rng(23)
         g = random_graph(10, rng)
-        doubled = make_graph(g.vertices, g.rho,
+        rho = dict(zip(g.vertices, sorted(g.rho.values(), reverse=order == "descending")))
+        scalar = make_graph(g.vertices, rho, [(*tuple(pair), w) for pair, w in g.b.items()])
+        doubled = make_graph(g.vertices, rho,
                              [(*tuple(pair), 2.0 * w) for pair, w in g.b.items()])
         Hc = assemble_covariant(doubled, 2, random_connection(doubled, 2, rng))
-        rows = check_domination(Hc, assemble_laplacian(g), (0.1, 1.0), (1.0,), 5, rng)
+        H = assemble_laplacian(scalar)
+        rows = check_domination(Hc, H, (0.1, 1.0), (1.0,), 5, np.random.default_rng(4))
         semi = next(r for r in rows if r.name == "kato-domination-semigroup")
         assert not semi.ok and "route" not in semi.detail
+        ref = reference_block_domination(Hc, H, (0.1, 1.0), (1.0,), 5, np.random.default_rng(4))
+        for row, (worst, worst_at) in zip(rows, ref):
+            assert abs(row.lhs - worst) <= 1e-13 and row.detail == {"worst_at": worst_at}
+        x, y = (g.vertices.index(semi.detail["worst_at"][k]) for k in "xy")
+        assert (x < y) if order == "ascending" else (x > y)
 
     def test_stale_eigendecomposition_fails_the_crosscheck(self):
         # the cached spectrum is that of the same graph with one edge weight

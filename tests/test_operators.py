@@ -8,6 +8,7 @@ from heatcert.operators import (
     OperatorMatrix,
     _flush_subnormals,
     _semigroup_g,
+    _hermitian_rows,
     _spectral_rows,
     add_potential,
     assemble_covariant,
@@ -390,6 +391,7 @@ class TestRequirePsd:
         lambda H: kernel_from_semigroup(H, (0.0, 0.5)),
         lambda H: _spectral_rows(H),  # on the call, before any block
         lambda H: _spectral_rows(H, kernel=True),
+        lambda H: _hermitian_rows(H),  # on the call, before any block
     ])
     def test_spectral_consumers_reject_a_non_psd_operator(self, consumer):
         with pytest.raises(ValueError, match="sum operator not PSD"):
@@ -471,6 +473,26 @@ class TestSpectralRows:
             ((vs, one),) = rows(g_of, out=out)
             assert one is out and vs == slice(0, g.n)
             assert np.array_equal(out, np.vstack(blocks))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_hermitian_rows_tile_the_upper_triangle(self, d):
+        # each block holds g(A) = U g(Lambda) U* from its own first fiber
+        # column on; at t = 100 most eigenpairs weigh below 2^-53 max g and
+        # are dropped, which moves no entry past the product's rounding
+        rng = np.random.default_rng(94)
+        g = random_graph(300 // d, rng)
+        H = assemble_covariant(g, d, random_connection(g, d, rng))
+        lam, u = H.eigh()
+        rows = _hermitian_rows(H)
+        for g_of in (*self.G_OF, _semigroup_g(100.0)):
+            whole = (u * g_of(lam)) @ u.conj().T
+            spans, blocks = zip(*rows(g_of))
+            assert len(spans) > 1 and spans[0].start == 0 and spans[-1].stop == g.n
+            for vs, block in zip(spans, blocks):
+                assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+                expected = whole[vs.start * d:vs.stop * d, vs.start * d:]
+                assert block.shape == expected.shape
+                assert np.max(np.abs(block - expected)) <= 1e-14 * np.max(np.abs(whole))
 
     def test_identity_kernel_is_exactly_inverse_rho(self):
         g = random_graph(30, np.random.default_rng(98))
