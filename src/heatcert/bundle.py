@@ -266,12 +266,27 @@ def _matrix(rows, rank: int, what: str) -> np.ndarray:
     return m
 
 
+def _matrices(items, rank: int, what) -> np.ndarray:
+    """A list of rank x rank matrices of a bundle file as one complex
+    (len, rank, rank) stack, read by one np.array when every entry is a
+    number; otherwise `_matrix` reads them in order, what(k) naming the k-th,
+    so the first malformed one raises."""
+    try:
+        parts = np.array(items)
+    except (TypeError, ValueError):  # ragged
+        parts = None
+    if (parts is not None and parts.dtype.kind in "biuf"
+            and parts.shape == (len(items), rank, rank, 2)):
+        return np.ascontiguousarray(parts, dtype=float).view(complex)[..., 0]
+    return _stack([_matrix(m, rank, what(k)) for k, m in enumerate(items)], rank)
+
+
 def _orthonormal_frames(metric, vertices, rank: int):
     """(L^*, L^{-*}) as two (n, rank, rank) stacks in vertex order, for the
     Cholesky factors of g_x = L_x L_x^*. L_x^* maps fiber coordinates to
     orthonormal ones."""
     check_vertex_set("metric", metric, vertices)
-    gm = _stack([_matrix(metric[v], rank, f"metric at {v}") for v in vertices], rank)
+    gm = _matrices([metric[v] for v in vertices], rank, lambda k: f"metric at {vertices[k]}")
     # each property batched over all vertices, as for potentials
     _raise_first(vertices, ~np.isfinite(gm).all(axis=(1, 2)), "metric at {} is not finite")
     _raise_first(vertices, _asymmetry(gm) > HERMITIAN_TOL, "metric at {} not Hermitian")
@@ -292,36 +307,49 @@ def load_bundle(path, g: WeightedGraph):
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be in [1, {MAX_RANK}], got {rank}")
     if "connection" in doc:
+        # an entry's edge is found by its key x*n + y, x <= y, among the
+        # graph's sorted keys (no np.isin, which imports numpy.ma); the
+        # matrices before the first entry off the graph are read first, so a
+        # malformed one of them raises first, as entry by entry
+        entries = doc["connection"]
+        pairs = [(e["u"], e["v"]) for e in entries]
+        x, y = (g.indices([p[end] for p in pairs]) for end in (0, 1))
+        keys, order = np.minimum(x, y) * g.n + np.maximum(x, y), np.argsort(g.src * g.n + g.dst)
+        # a sentinel above every key ends the sorted keys
+        ends = np.append((g.src * g.n + g.dst)[order], np.iinfo(np.intp).max)
+        at = np.searchsorted(ends, keys)
+        off = np.flatnonzero((np.minimum(x, y) < 0) | (ends[at] != keys))
+        stop = off[0] if off.size else len(entries)
+        mats = _matrices([e["phi"] for e in entries[:stop]], rank,
+                         lambda k: "phi({},{})".format(*pairs[k]))
+        for k in off[:1]:
+            raise ValueError("connection entry ({},{}) is not an edge of the graph".format(*pairs[k]))
         # a reverse orientation the file does not give is the inverse of
         # the first matrix given for its edge, all inverted in one batch
         phi, reverse = {}, {}
-        for entry in doc["connection"]:
-            u, v = entry["u"], entry["v"]
-            if frozenset((u, v)) not in g.b:
-                raise ValueError(f"connection entry ({u},{v}) is not an edge of the graph")
-            m = _matrix(entry["phi"], rank, f"phi({u},{v})")
+        for (u, v), m in zip(pairs, mats):
             phi[(u, v)] = m
             reverse.pop((u, v), None)
             if (v, u) not in phi:
                 phi[(v, u)] = reverse[(v, u)] = m
         if reverse:
             phi.update(zip(reverse, np.linalg.inv(_stack(list(reverse.values()), rank))))
-        for i, j in zip(g.src.tolist(), g.dst.tolist()):
-            u, v = g.vertices[i], g.vertices[j]
-            if (u, v) not in phi:
-                raise ValueError(f"connection has no entry for edge ({u},{v})")
+        given = np.zeros(ends.size, dtype=bool)
+        given[at] = True
+        for e in np.sort(order[~given[:-1]])[:1]:
+            u, v = g.vertices[g.src[e]], g.vertices[g.dst[e]]
+            raise ValueError(f"connection has no entry for edge ({u},{v})")
     else:
         phi = UnitaryConnection.trivial(g, rank).phi
     potentials = {}
     for name, values in doc.get("potentials", {}).items():
         check_vertex_set(f"potential {name!r}", values, g.vertices)
-        potentials[name] = _stack([_matrix(values[v], rank, f"potential {name!r} at {v}")
-                                   for v in g.vertices], rank)
+        potentials[name] = _matrices([values[v] for v in g.vertices], rank,
+                                     lambda k: f"potential {name!r} at {g.vertices[k]}")
     metric = doc.get("metric", "identity")
     if metric != "identity":
         lh, lh_inv = _orthonormal_frames(metric, g.vertices, rank)
-        src = [g.index(x) for x, _ in phi]
-        dst = [g.index(y) for _, y in phi]
+        src, dst = (g.indices([p[end] for p in phi]) for end in (0, 1))
         phi = dict(zip(phi, lh[dst] @ _stack(list(phi.values()), rank) @ lh_inv[src]))
         potentials = {name: lh @ blocks @ lh_inv for name, blocks in potentials.items()}
     fields = {}

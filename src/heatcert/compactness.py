@@ -358,8 +358,7 @@ def _gauge_distance(H_cov: OperatorMatrix, H_scal: OperatorMatrix) -> float | No
     if gauge is None:
         return None
     S_read, _, eta = gauge
-    diff = S_read.matrix  # |S' - S|, in place of S', which nothing else holds
-    diff -= H_scal.matrix
+    diff = S_read.matrix - H_scal.matrix  # S' stays as cached with T
     np.abs(diff, out=diff)
     s = np.sqrt(H_scal.rho)
     rows, cols = s * (diff @ (1.0 / s)), (s @ diff) / s
@@ -496,7 +495,9 @@ def certify_compactness(W, W1, H: OperatorMatrix, cp: ControlPair, ex: Exhaustio
         if rank > 1:
             gh = G.conj().swapaxes(1, 2)
             W, W1 = gh @ W @ G, gh @ W1 @ G
-    del gauge  # an S left unused goes before the solves
+    else:  # an S left unused goes before the solves, cached or not
+        H._cache.pop("gauge", None)
+    del gauge
     for lv in ex.levels:
         Hn = dirichlet_restriction(H, lv)
         dim = lv.size * rank

@@ -13,6 +13,9 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -25,40 +28,28 @@ class GraphFormatError(ValueError):
     """Raised when a graph file or constructor input is malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Immutable weighted graph. Vertex order fixes all matrix indexing.
-
-    `vertices`, `rho` and `b` are the constructor and file-format fields.
-    Everything else reads the integer form derived from them once: edge
-    arrays `src` <= `dst` (vertex indices, so each edge is oriented by
-    vertex order; a loop pair has src == dst) and `w` in `b` order, the vertex weight vector `rho_vec` and the weighted degree
-    vector `deg` in vertex order, and the neighbour index arrays of the
-    edges with w > ADJACENCY_EPS: the neighbours of vertex i are
-    `nbr[nbr_ptr[i]:nbr_ptr[i + 1]]`.
-    """
+    """Immutable weighted graph as integer-indexed arrays; vertex order fixes
+    all matrix indexing. It is the ids `vertices`, their weights `rho_vec`,
+    and one edge per unordered pair in first-occurrence order: vertex indices
+    `src` <= `dst` (a loop has src == dst) and weights `w`. Derived once: the
+    weighted degrees `deg`, and the neighbours `nbr[nbr_ptr[i]:nbr_ptr[i+1]]`
+    of vertex i by the edges with w > ADJACENCY_EPS. The maps `rho` and `b`
+    (frozenset pair -> weight, in edge order) are views built on first use."""
 
     vertices: tuple[str, ...]
-    rho: dict[str, float]
-    b: dict[frozenset, float]  # one entry per unordered pair
-    src: np.ndarray = field(init=False, repr=False, compare=False)
-    dst: np.ndarray = field(init=False, repr=False, compare=False)
-    w: np.ndarray = field(init=False, repr=False, compare=False)
-    rho_vec: np.ndarray = field(init=False, repr=False, compare=False)
-    deg: np.ndarray = field(init=False, repr=False, compare=False)
-    nbr_ptr: np.ndarray = field(init=False, repr=False, compare=False)
-    nbr: np.ndarray = field(init=False, repr=False, compare=False)
+    rho_vec: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+    deg: np.ndarray = field(init=False, repr=False)
+    nbr_ptr: np.ndarray = field(init=False, repr=False)
+    nbr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        index = {v: i for i, v in enumerate(self.vertices)}
-        pairs = [tuple(pair) for pair in self.b]
-        first = np.array([index[p[0]] for p in pairs], dtype=np.intp)
-        last = np.array([index[p[-1]] for p in pairs], dtype=np.intp)
-        src, dst = np.minimum(first, last), np.maximum(first, last)
-        w = np.array(list(self.b.values()), dtype=float)
-        n = len(self.vertices)
-        rho_vec = np.array([self.rho.get(v, 0.0) for v in self.vertices], dtype=float)
-        # per edge src, then dst, so each entry sums in b order; sub-eps
+        src, dst, w, n = self.src, self.dst, self.w, len(self.vertices)
+        # per edge src, then dst, so each entry sums in edge order; sub-eps
         # weights count, and a loop pair counts once
         ends = np.stack([src, dst], axis=1).ravel()
         once = np.ones(ends.size, dtype=bool)
@@ -69,10 +60,19 @@ class WeightedGraph:
         cols = np.concatenate([dst[near], src[near]])
         nbr = cols[np.argsort(rows, kind="stable")]
         nbr_ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        for name, value in (("_index", index), ("src", src), ("dst", dst), ("w", w),
-                            ("rho_vec", rho_vec), ("deg", deg), ("nbr_ptr", nbr_ptr),
-                            ("nbr", nbr)):
+        for name, value in (("_index", dict(zip(self.vertices, range(n)))), ("deg", deg),
+                            ("nbr_ptr", nbr_ptr), ("nbr", nbr)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def rho(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self.vertices, self.rho_vec.tolist())))
+
+    @cached_property
+    def b(self) -> MappingProxyType:
+        ids = self.vertices
+        return MappingProxyType({frozenset((ids[i], ids[j])): w for i, j, w in zip(
+            self.src.tolist(), self.dst.tolist(), self.w.tolist())})
 
     @property
     def n(self) -> int:
@@ -81,34 +81,40 @@ class WeightedGraph:
     def index(self, v: str) -> int:
         return self._index[v]
 
-    def degree(self, v: str) -> float:
-        """Weighted degree sum_y b(v, y); includes sub-eps weights."""
-        return float(self.deg[self._index[v]])
+    def indices(self, ids) -> np.ndarray:
+        """The index of each of the vertex ids, -1 for an unknown one."""
+        return np.fromiter(map(self._index.get, ids, repeat(-1)), np.intp, len(ids))
+
+
+def _graph_arrays(ids, rhos, us, vs, bs):
+    """(vertices, rho_vec, src, dst, w) of a WeightedGraph from ids, weights
+    rhos (read last) and edges (us[k], vs[k], bs[k]). GraphFormatError names
+    a duplicate id, else the first edge with an unknown endpoint, a loop, or
+    a b unequal to its pair's first (NaN included); equal repeats merge."""
+    vertices, n = tuple(ids), len(ids)
+    index = dict(zip(vertices, range(n)))
+    if len(index) != n:  # name the first repeat: the first id not at its first position
+        first = dict(zip(reversed(vertices), range(n - 1, -1, -1)))
+        v = next(v for k, v in enumerate(vertices) if first[v] != k)
+        raise GraphFormatError(f"duplicate vertex id {v}")
+    a, c = (np.fromiter(map(index.get, e, repeat(-1)), np.intp, len(e)) for e in (us, vs))
+    w = np.array(bs, dtype=float)
+    lo, hi = np.minimum(a, c), np.maximum(a, c)
+    _, first, inverse = np.unique(lo * n + hi, return_index=True, return_inverse=True)
+    differ = (first[inverse] != np.arange(w.size)) & (w != w[first[inverse]])
+    for k in np.flatnonzero((lo < 0) | (a == c) | differ)[:1]:
+        raise GraphFormatError(f"edge ({us[k]},{vs[k]}) references unknown vertex" if lo[k] < 0
+                               else f"loop at {us[k]}" if a[k] == c[k]
+                               else f"duplicate edge ({us[k]},{vs[k]}) with differing b")
+    keep = np.sort(first)
+    return vertices, np.array(list(rhos), dtype=float), lo[keep], hi[keep], w[keep]
 
 
 def make_graph(vertices, rho, edges) -> WeightedGraph:
-    """Build a WeightedGraph from (id list, rho map, (u, v, b) triples).
-
-    Symmetrizes edges; rejects loops, duplicate pairs with conflicting b,
-    and unknown endpoints.
-    """
-    vertices = tuple(vertices)
-    seen = set()
-    for v in vertices:
-        if v in seen:
-            raise GraphFormatError(f"duplicate vertex id {v}")
-        seen.add(v)
-    b: dict[frozenset, float] = {}
-    for u, v, w in edges:
-        if u not in seen or v not in seen:
-            raise GraphFormatError(f"edge ({u},{v}) references unknown vertex")
-        if u == v:
-            raise GraphFormatError(f"loop at {u}")
-        key = frozenset((u, v))
-        if key in b and b[key] != w:
-            raise GraphFormatError(f"duplicate edge ({u},{v}) with differing b")
-        b[key] = float(w)
-    return WeightedGraph(vertices, {v: float(rho[v]) for v in vertices}, b)
+    """A WeightedGraph from (id list, rho map, (u, v, b) triples), by `_graph_arrays`."""
+    vertices, edges = tuple(vertices), list(edges)
+    us, vs, bs = zip(*edges) if edges else ((), (), ())
+    return WeightedGraph(*_graph_arrays(vertices, map(rho.__getitem__, vertices), us, vs, bs))
 
 
 def _positions(pos, n: int | None = None) -> np.ndarray:
@@ -214,7 +220,7 @@ def build_exhaustion(g: WeightedGraph, root: str, radii) -> Exhaustion:
 
     Truncates once the full host is covered (further radii add nothing).
     """
-    if root not in g.rho:
+    if root not in g._index:
         raise ValueError(f"unknown root {root}")
     hops = _hops(g, g.index(root))
     if np.isinf(hops).any():
@@ -238,10 +244,11 @@ def build_exhaustion(g: WeightedGraph, root: str, radii) -> Exhaustion:
 # file I/O and generators used by the CLI and the test-suite
 
 def load_graph(path) -> WeightedGraph:
-    # Loading makes a few containers per vertex and edge and no reference
-    # cycles, so the cyclic collector is paused meanwhile: on a 4,096-vertex
-    # lattice it would otherwise run some 50 times per file, at times over
-    # the whole heap, and reclaim nothing.
+    """The graph of a JSON file {"vertices": [{"id", "rho"}], "edges": [{"u",
+    "v", "b"}]}: its fields in lists, checked by type, then by `_graph_arrays`."""
+    # the parse makes containers per vertex and edge and no cycles, so the
+    # cyclic collector is paused: it would run some 50 times on a 4,096-vertex
+    # lattice, at times over the whole heap, and reclaim nothing
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -256,34 +263,33 @@ def load_graph(path) -> WeightedGraph:
             edges = [(e["u"], e["v"], e["b"]) for e in doc["edges"]]
         except (KeyError, TypeError) as e:
             raise GraphFormatError(f"{path}: missing field {e}")
-        # ids are strings at the JSON boundary: a CLI spec names a vertex by
-        # a string, and `dump_graph` sorts the edge pairs
-        for v in vertices:
-            if not isinstance(v, str):
-                raise GraphFormatError(f"{path}: vertex id {v!r} is not a string")
-        rho = dict(zip(vertices, rhos))
-        for v, r in rho.items():
-            if isinstance(r, bool) or not isinstance(r, (int, float)):
-                raise GraphFormatError(f"{path}: rho({v}) is not a number")
-        for u, v, w in edges:
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
-                raise GraphFormatError(f"{path}: b({u},{v}) is not a number")
-        return make_graph(vertices, rho, edges)
+        us, vs, bs = zip(*edges) if edges else ((), (), ())
+        # ids are strings: a CLI spec names a vertex by a string, and
+        # `dump_graph` sorts ids; a scan runs only to name a check's offender
+        number = {int, float}
+        if not set(map(type, vertices)) <= {str}:
+            v = next(v for v in vertices if type(v) is not str)
+            raise GraphFormatError(f"{path}: vertex id {v!r} is not a string")
+        if not set(map(type, rhos)) <= number:  # a repeated id keeps its last rho
+            for v, r in dict(zip(vertices, rhos)).items():
+                if type(r) not in number:
+                    raise GraphFormatError(f"{path}: rho({v}) is not a number")
+        if not set(map(type, bs)) <= number:
+            u, v, _ = next(e for e in edges if type(e[2]) not in number)
+            raise GraphFormatError(f"{path}: b({u},{v}) is not a number")
+        return WeightedGraph(*_graph_arrays(vertices, rhos, us, vs, bs))
     finally:
         if enabled:
             gc.enable()
 
 
 def dump_graph(g: WeightedGraph, path):
-    doc = {
-        "vertices": [{"id": v, "rho": g.rho[v]} for v in g.vertices],
-        "edges": [
-            {"u": u, "v": v, "b": w}
-            for (u, v), w in sorted(
-                ((tuple(sorted(p)), w) for p, w in g.b.items())
-            )
-        ],
-    }
+    """Write g in `load_graph`'s format, each edge once, sorted by its ids."""
+    ids = g.vertices
+    edges = sorted((tuple(sorted((ids[i], ids[j]))), w)
+                   for i, j, w in zip(g.src.tolist(), g.dst.tolist(), g.w.tolist()))
+    doc = {"vertices": [{"id": v, "rho": r} for v, r in zip(ids, g.rho_vec.tolist())],
+           "edges": [{"u": u, "v": v, "b": w} for (u, v), w in edges]}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
@@ -291,9 +297,8 @@ def dump_graph(g: WeightedGraph, path):
 def path_graph(n: int, rho=1.0, b=1.0) -> WeightedGraph:
     """Path on n vertices v0 - v1 - ... - v(n-1)."""
     names = [f"v{i}" for i in range(n)]
-    rho_map = {v: rho for v in names} if np.isscalar(rho) else dict(zip(names, rho))
-    edges = [(names[i], names[i + 1], b) for i in range(n - 1)]
-    return make_graph(names, rho_map, edges)
+    rho_map = dict(zip(names, np.broadcast_to(rho, n).tolist()))
+    return make_graph(names, rho_map, zip(names, names[1:], [b] * (n - 1)))
 
 
 def random_graph(n: int, rng: np.random.Generator, p=0.15,
@@ -301,15 +306,10 @@ def random_graph(n: int, rng: np.random.Generator, p=0.15,
     """Seeded Erdos-Renyi graph, forced connected via a random spanning path."""
     names = [f"v{i}" for i in range(n)]
     rho = {v: float(rng.uniform(*rho_range)) for v in names}
-    order = rng.permutation(n)
-    edges = {}
-    for a, c in zip(order, order[1:]):
-        key = frozenset((names[a], names[c]))
-        edges[key] = float(rng.uniform(*b_range))
+    order = rng.permutation(n).tolist()
+    edges = {tuple(sorted(e)): float(rng.uniform(*b_range)) for e in zip(order, order[1:])}
     for i in range(n):
         for j in range(i + 1, n):
-            key = frozenset((names[i], names[j]))
-            if key not in edges and rng.random() < p:
-                edges[key] = float(rng.uniform(*b_range))
-    triples = [(*sorted(pair), w) for pair, w in edges.items()]
-    return make_graph(names, rho, triples)
+            if (i, j) not in edges and rng.random() < p:
+                edges[(i, j)] = float(rng.uniform(*b_range))
+    return make_graph(names, rho, [(names[i], names[j], w) for (i, j), w in edges.items()])

@@ -79,16 +79,28 @@ class OperatorMatrix:
     def release_eigh(self):
         """Free the cached eigendecomposition and keep its PSD verdict:
         `require_psd` decides first by its lambda_min (and raises for a
-        non-PSD operator), then the cache holds "psd" alone, so later checks
-        need no eigh."""
+        non-PSD operator), then the cache holds "psd" and no eigenbasis, so
+        later checks need no eigh."""
         require_psd(self)
         self._cache.pop("eigh", None)
         self._cache["psd"] = True
 
     def check_self_adjoint(self) -> float:
-        """Largest entry of |A - A*|; zero when M is weighted-self-adjoint."""
-        a = self.symmetrized()
-        return float(np.max(np.abs(a - a.conj().T)))
+        """Largest entry of |A - A*|; zero when M is weighted-self-adjoint.
+        Rows r of A are compared with the columns r of A, in row blocks of
+        `_row_step` rows, so no dim x dim temporary is made; each entry is
+        formed as `_symmetrize` forms it."""
+        m, s = self.matrix, np.sqrt(self.measure_weights())
+        step, peaks = _row_step(m.shape[0] * m.itemsize), [0.0]
+        for i in range(0, self.dim, step):
+            r = slice(i, i + step)
+            rows = s[r, None] * m[r]
+            rows /= s
+            cols = s[:, None] * m[:, r]
+            cols /= s[r]
+            rows -= cols.conj().T
+            peaks.append(np.max(np.abs(rows)))
+        return float(np.max(peaks))
 
     def lambda_min(self) -> float:
         return float(self.eigh()[0][0])
@@ -285,10 +297,14 @@ def scalar_gauge(H: OperatorMatrix):
     included: the square root of the largest row sum times the largest
     column sum of their Frobenius norms. S records H's PSD verdict when
     lambda_min(H) - eta >= -PSD_TOL (Weyl), read from H's verdict or its
-    cached eigendecomposition and never from a new one."""
+    cached eigendecomposition and never from a new one. The triple is
+    cached with H, as its eigendecomposition is: callers must not write to
+    it."""
     n, d = len(H.vertices), H.rank
     if d == 1 and np.isrealobj(H.matrix):
         return None
+    if "gauge" in H._cache:
+        return H._cache["gauge"]
     m = H.matrix.reshape(n, d, n, d)
     pattern = (H.matrix != 0).reshape(n, d, n, d).any(axis=(1, 3))
     pattern |= pattern.T
@@ -345,7 +361,8 @@ def scalar_gauge(H: OperatorMatrix):
     eta = float(np.sqrt(np.max(rows) * np.max(cols)))
     lam = H.lambda_min() if "eigh" in H._cache else (0.0 if H._cache.get("psd") else None)
     cache = {"psd": True} if lam is not None and lam - eta >= -PSD_TOL else {}
-    return OperatorMatrix(S, H.vertices, 1, H.rho, "scalar-gauge", cache), G, eta
+    H._cache["gauge"] = OperatorMatrix(S, H.vertices, 1, H.rho, "scalar-gauge", cache), G, eta
+    return H._cache["gauge"]
 
 
 def _psd_eigh(H: OperatorMatrix):

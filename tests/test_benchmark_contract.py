@@ -12,7 +12,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from heatcert.compactness import check_domination
+from heatcert.graph import dump_graph, load_graph, random_graph
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,3 +43,13 @@ def test_check_domination_keeps_the_parameters_the_tracer_binds():
     # Tracer._count reads these from the bound arguments of each call
     assert {"H_cov", "times", "a_values", "trials"} <= set(
         inspect.signature(check_domination).parameters)
+
+
+def test_the_tracer_reads_edges_of_a_weighted_graph(tmp_path):
+    # Tracer._count recognises a graph by its class name and adds len(g.b)
+    # to graph.edges: one entry per edge
+    path = tmp_path / "g.json"
+    dump_graph(random_graph(30, np.random.default_rng(2)), path)
+    g = load_graph(path)
+    assert type(g).__name__ == "WeightedGraph"
+    assert len(g.b) == g.src.size

@@ -1004,8 +1004,31 @@ class TestDemo:
         monkeypatch.setattr(cli, "certify_compactness", checking_certify)
         assert main(["demo", "coulomb-lattice", "--n", "30",
                      "--out", str(tmp_path / "rep.json")]) == EXIT_OK
-        assert caches == [{"psd": True}]
+        # the gauge that domination built stays cached for certification
+        assert [sorted(c) for c in caches] == [["gauge", "psd"]]
+        assert caches[0]["psd"] is True
         assert calls == []
+
+    def test_demo_builds_the_gauge_once(self, tmp_path, monkeypatch):
+        # domination and certification read one scalar gauge of H_cov: the
+        # second call returns the cached (S, G, eta), and S is never written
+        from heatcert import compactness, operators
+
+        built, returned = [], []
+        gauge = operators.scalar_gauge
+
+        def recording_gauge(H):
+            out = gauge(H)
+            returned.append(out)
+            if not any(r is out for r in returned[:-1]):
+                built.append(out[0].matrix.copy())
+            return out
+
+        monkeypatch.setattr(compactness, "scalar_gauge", recording_gauge)
+        assert main(["demo", "coulomb-lattice", "--n", "30",
+                     "--out", str(tmp_path / "rep.json")]) == EXIT_OK
+        assert len(returned) == 2 and returned[0] is returned[1]
+        assert len(built) == 1 and np.array_equal(built[0], returned[0][0].matrix)
 
     @pytest.mark.parametrize("n", ["-3", "0", "3", "4"])
     def test_n_below_five_is_an_input_error(self, n, tmp_path, capsys):

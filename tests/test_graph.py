@@ -221,10 +221,11 @@ def test_load_graph_leaves_collector_as_found(tmp_path, enabled):
 
 
 def test_violations_keep_their_order():
-    # per vertex: rho, then degree; then negative weights in b order
-    b = {frozenset({"a"}): 0.0, frozenset({"a", "b"}): math.inf,
-         frozenset({"b", "c"}): -1.0, frozenset({"c", "d"}): 1.0}
-    g = WeightedGraph(("a", "b", "c", "d"), {"a": 1.0, "b": 0.0, "c": 1.0, "d": 1.0}, b)
+    # per vertex: rho, then degree; then negative weights in edge order. The
+    # loop at a cannot come from make_graph, so the arrays are given directly
+    g = WeightedGraph(("a", "b", "c", "d"), np.array([1.0, 0.0, 1.0, 1.0]),
+                      np.array([0, 0, 1, 2]), np.array([0, 1, 2, 3]),
+                      np.array([0.0, math.inf, -1.0, 1.0]))
     assert validate_graph(g).violations == [
         "loop at a",
         "non-finite weighted degree at a",
@@ -240,8 +241,8 @@ def test_sub_eps_bridge_counts_in_degree_only(bridge, connected):
     assert (bridge > ADJACENCY_EPS) == connected
     g = make_graph(["a", "b", "c"], {"a": 1.0, "b": 1.0, "c": 1.0},
                    [("a", "b", 1.0), ("b", "c", bridge)])
-    assert g.degree("c") == bridge
-    assert g.degree("b") == 1.0 + bridge
+    assert g.deg[g.index("c")] == bridge
+    assert g.deg[g.index("b")] == 1.0 + bridge
     rep = validate_graph(g)
     if connected:
         assert rep.ok
@@ -365,3 +366,141 @@ def test_build_exhaustion_searches_once(monkeypatch):
     with pytest.raises(ValueError, match="cannot exhaust a disconnected host"):
         build_exhaustion(cut, "b", [2, 1])
     assert calls == [4, 1]
+
+
+# --- the file format: round trip and refusals --------------------------------
+
+ids_st = st.lists(st.text("abcxyz_0123456789", min_size=1, max_size=4), min_size=1,
+                  max_size=8, unique=True)
+weight_st = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                      st.integers(-3, 3), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def graph_docs(draw):
+    """A graph file `load_graph` accepts: string ids, numbers for rho and b,
+    no loop, each repeated pair with its first b."""
+    ids = draw(ids_st)
+    verts = [{"id": v, "rho": draw(weight_st)} for v in ids]
+    edges, first = [], {}
+    for _ in range(draw(st.integers(0, 12)) if len(ids) > 1 else 0):
+        u, v = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        if u != v:
+            b = first.setdefault(frozenset((u, v)), draw(weight_st))
+            edges.append({"u": u, "v": v, "b": b})
+    return {"vertices": verts, "edges": edges}
+
+
+FAULTS = ("non-string id", "bool rho", "string b", "unknown endpoint", "loop",
+          "differing b", "duplicate id")
+
+
+def add_fault(doc, fault) -> str:
+    """Put one fault into an accepted graph file; returns the message that
+    must name it. "?" is an id no generated file holds."""
+    verts, edges = doc["vertices"], doc["edges"]
+    first, last = verts[0]["id"], verts[-1]["id"]
+    if fault == "non-string id":
+        verts[-1]["id"] = 7
+        return "vertex id 7 is not a string"
+    if fault == "bool rho":
+        verts[-1]["rho"] = True
+        return f"rho({last}) is not a number"
+    if fault == "string b":
+        edges.append({"u": first, "v": last, "b": "1"})
+        return f"b({first},{last}) is not a number"
+    if fault == "unknown endpoint":
+        edges.append({"u": first, "v": "?", "b": 1.0})
+        return f"edge ({first},?) references unknown vertex"
+    if fault == "loop":
+        edges.append({"u": last, "v": last, "b": 1.0})
+        return f"loop at {last}"
+    if fault == "differing b":
+        verts.append({"id": "?", "rho": 1.0})
+        edges += [{"u": first, "v": "?", "b": 1.0}, {"u": "?", "v": first, "b": 2.0}]
+        return f"duplicate edge (?,{first}) with differing b"
+    verts.append(dict(verts[0]))
+    return f"duplicate vertex id {first}"
+
+
+def _validate(path):
+    """Exit code and stderr of `graph validate` on a file."""
+    import contextlib
+    import io
+
+    from heatcert.cli import main
+
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        code = main(["graph", "validate", "--graph", str(path)])
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(graph_docs(), st.sampled_from(FAULTS))
+def test_file_format_round_trip(doc, fault):
+    # every accepted graph dumps, and loads back to the same arrays (the
+    # dump lists the edges sorted by their ids); a second dump is byte for
+    # byte the first. One fault in the file exits 1 and names its item.
+    import copy
+    import json
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        src, once, twice = (Path(tmp) / f"{k}.json" for k in ("src", "once", "twice"))
+        src.write_text(json.dumps(doc))
+        g = load_graph(src)
+        dump_graph(g, once)
+        back = load_graph(once)
+        dump_graph(back, twice)
+        assert once.read_bytes() == twice.read_bytes()
+        assert back.vertices == g.vertices
+        assert np.array_equal(back.rho_vec, g.rho_vec, equal_nan=True)
+        order = np.lexsort(([min(g.vertices[i], g.vertices[j]) for i, j in zip(g.src, g.dst)],
+                            [max(g.vertices[i], g.vertices[j]) for i, j in zip(g.src, g.dst)])[::-1])
+        for name in ("src", "dst", "w"):
+            assert np.array_equal(getattr(back, name), getattr(g, name)[order], equal_nan=True)
+        again = load_graph(twice)
+        for name in ("rho_vec", "src", "dst", "w"):
+            assert np.array_equal(getattr(again, name), getattr(back, name), equal_nan=True)
+        bad = copy.deepcopy(doc)
+        message = add_fault(bad, fault)
+        src.write_text(json.dumps(bad))
+        code, err = _validate(src)
+        assert code == 1 and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change, message", [
+    # type checks first: ids, then rho, then b; then duplicate ids; then the
+    # first bad edge in file order, whatever its kind
+    (lambda d: (d["vertices"][2].update(rho=True), d["vertices"][1].update(id=5)),
+     "vertex id 5 is not a string"),
+    (lambda d: (d["edges"][0].update(b="1"), d["vertices"][3].update(rho=None)),
+     "rho(v3) is not a number"),
+    (lambda d: (d["vertices"].append({"id": "v0", "rho": 1.0}), d["edges"][2].update(b=None)),
+     "b(v2,v3) is not a number"),
+    (lambda d: (d["edges"].insert(0, {"u": "v1", "v": "v1", "b": 1.0}),
+                d["vertices"].append({"id": "v2", "rho": 1.0})),
+     "duplicate vertex id v2"),
+    (lambda d: (d["edges"].insert(1, {"u": "v1", "v": "v1", "b": 1.0}),
+                d["edges"].insert(1, {"u": "v1", "v": "q", "b": 1.0})),
+     "edge (v1,q) references unknown vertex"),
+    (lambda d: (d["edges"].insert(1, {"u": "v1", "v": "q", "b": 1.0}),
+                d["edges"].insert(1, {"u": "v2", "v": "v2", "b": 1.0})),
+     "loop at v2"),
+    (lambda d: (d["edges"].append({"u": "v3", "v": "v3", "b": 1.0}),
+                d["edges"].insert(1, {"u": "v1", "v": "v0", "b": math.nan})),
+     "duplicate edge (v1,v0) with differing b"),
+], ids=["id-before-rho", "rho-before-b", "b-before-duplicate-id", "duplicate-id-before-loop",
+        "unknown-before-loop", "loop-before-unknown", "differing-b-before-loop"])
+def test_first_fault_wins(change, message, tmp_path):
+    import json
+
+    doc = {"vertices": [{"id": f"v{i}", "rho": 1.0} for i in range(4)],
+           "edges": [{"u": f"v{i}", "v": f"v{i + 1}", "b": 1.0} for i in range(3)]}
+    change(doc)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, err = _validate(path)
+    assert code == 1 and message in err

@@ -177,6 +177,47 @@ class TestCovariant:
             np.testing.assert_allclose(lam1, lam2, atol=1e-9)
 
 
+
+class TestCheckSelfAdjoint:
+    """|A - A*| is compared in row blocks: the whole-matrix value, with no
+    dim x dim temporary."""
+
+    @staticmethod
+    def whole(H):
+        a = H.symmetrized()
+        return float(np.max(np.abs(a - a.conj().T)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_value_and_peak(self, d):
+        import tracemalloc
+
+        rng = np.random.default_rng(8)
+        g = random_graph(600, rng, p=0.004)
+        H = assemble_covariant(g, d, random_connection(g, d, rng))
+        skewed = OperatorMatrix(H.matrix + 1e-3 * rng.standard_normal(H.matrix.shape),
+                                H.vertices, d, H.rho, "covariant")
+        for op in (H, skewed):
+            tracemalloc.start()
+            try:
+                value = op.check_self_adjoint()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert value == self.whole(op)
+            assert peak <= 1.5 * op.dim ** 2 * 16
+        assert self.whole(skewed) > 1e-4
+
+    def test_non_unitary_connection_still_raises(self):
+        # phi(v1, v0) = phi(v0, v1)^{-1} but not its adjoint, set past the
+        # connection's own check
+        g = path_graph(3)
+        conn = UnitaryConnection.trivial(g, 1)
+        object.__setattr__(conn, "phi", {**conn.phi, ("v0", "v1"): np.array([[2.0 + 0j]]),
+                                         ("v1", "v0"): np.array([[0.5 + 0j]])})
+        with pytest.raises(ValueError, match="lost self-adjointness"):
+            assemble_covariant(g, 1, conn)
+
+
 class TestPotential:
     def test_zero_potential_is_identity_op(self):
         g = two_vertex()
