@@ -1,8 +1,9 @@
 """Vector bundles over a vertex set, in orthonormal fiber coordinates.
 
-Rank-d fibers, unitary edge connections (one matrix per directed edge) and
-endomorphism fields (matrix potentials). A potential is one complex
-(n, d, d) stack in the order of a vertex tuple; vertex ids are mapped to
+Rank-d fibers, unitary edge connections and endomorphism fields (matrix
+potentials). A connection is two complex (|E|, d, d) stacks in its graph's
+edge order, one per orientation of each edge; a potential is one complex
+(n, d, d) stack in the order of a vertex tuple. Vertex ids are mapped to
 stack positions once, where a file or a map is read. Every fiber is in
 orthonormal coordinates: a connection is unitary when phi^* phi = I, a
 potential is self-adjoint when it is Hermitian, and the fiber norm is the
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -81,81 +82,67 @@ def _gram_norms(blocks: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * (g11 + g22) + np.sqrt(half * half + g12.real ** 2 + g12.imag ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryConnection:
-    """Per-directed-edge fiber maps phi[(x, y)]: fiber at x -> fiber at y.
+    """A unitary connection on the graph `graph`: two complex (|E|, d, d)
+    stacks in its edge order, `phi[e]` the map from the fiber at src[e] to
+    the fiber at dst[e] and `back[e]` the map from the fiber at dst[e] to
+    the fiber at src[e].
 
-    Both directions are stored; construction checks the inverse relation
-    phi[(y, x)] = phi[(x, y)]^{-1} and unitarity phi^* phi = I.
+    Construction checks every map, in one batched pass: finite, unitary
+    (phi^* phi = I) and the inverse of its reverse (back phi = phi back =
+    I), each to UNITARY_TOL in the 2-norm. A failure raises, naming the map
+    by its two vertex ids. The oriented maps are numbered k < |E| for
+    phi[k] and |E| + k for back[k]; they are checked in the order `order`
+    gives, by default in that numbering, and the first one that fails is
+    named.
     """
 
-    rank: int
-    phi: dict[tuple[str, str], np.ndarray]
+    graph: WeightedGraph
+    phi: np.ndarray
+    back: np.ndarray
+    order: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        # Shape, reverse-edge and finiteness checks run per pair, in dict
-        # order (the last batched); the two 2-norm checks then run batched
-        # over the pairs before the first failure, so the first offending
-        # pair raises what a per-pair loop checking shape, reverse,
-        # finiteness, inverse, unitarity would.
-        d = self.rank
-        pairs = list(self.phi)
+    def __post_init__(self, order):
+        g, d = self.graph, self.rank
+        # map k, from the fiber at x[k] to the fiber at y[k], and its reverse
+        maps, reverse = np.concatenate([self.phi, self.back]), np.concatenate([self.back, self.phi])
+        x, y = np.concatenate([g.src, g.dst]), np.concatenate([g.dst, g.src])
+        if order is not None:
+            maps, reverse, x, y = maps[order], reverse[order], x[order], y[order]
+        # the inverse and unitarity checks run on the maps before the first
+        # one that is not finite, or whose reverse is not
         error = None
-        for k, (x, y) in enumerate(pairs):
-            if np.shape(self.phi[(x, y)]) != (d, d):
-                error = f"phi({x},{y}) has shape {np.shape(self.phi[(x, y)])}"
-            elif (y, x) not in self.phi:
-                error = f"missing reverse edge ({y},{x})"
-            elif np.shape(self.phi[(y, x)]) != (d, d):
-                error = f"phi({y},{x}) has shape {np.shape(self.phi[(y, x)])}"
-            if error:
-                pairs = pairs[:k]
-                break
-        m = _stack([self.phi[(x, y)] for x, y in pairs], d)
-        back = _stack([self.phi[(y, x)] for x, y in pairs], d)
-        finite = np.isfinite(m).all(axis=(1, 2)) & np.isfinite(back).all(axis=(1, 2))
+        finite = np.isfinite(maps).all(axis=(1, 2)) & np.isfinite(reverse).all(axis=(1, 2))
         for k in np.flatnonzero(~finite)[:1]:
-            x, y = pairs[k] if not np.isfinite(m[k]).all() else pairs[k][::-1]
-            error = f"phi({x},{y}) is not finite"
-            pairs, m, back = pairs[:k], m[:k], back[:k]
-        inverse_bad = block_norms(back @ m - np.eye(d)) > UNITARY_TOL
-        unitary_bad = block_norms(m.conj().swapaxes(1, 2) @ m - np.eye(d)) > UNITARY_TOL
+            a, b = (x[k], y[k]) if not np.isfinite(maps[k]).all() else (y[k], x[k])
+            error = f"phi({g.vertices[a]},{g.vertices[b]}) is not finite"
+            maps, reverse = maps[:k], reverse[:k]
+        inverse_bad = block_norms(reverse @ maps - np.eye(d)) > UNITARY_TOL
+        unitary_bad = block_norms(maps.conj().swapaxes(1, 2) @ maps - np.eye(d)) > UNITARY_TOL
         for k in np.flatnonzero(inverse_bad | unitary_bad)[:1]:
-            x, y = pairs[k]
+            a, b = g.vertices[x[k]], g.vertices[y[k]]
             if inverse_bad[k]:
-                raise ValueError(f"phi({y},{x}) is not the inverse of phi({x},{y})")
-            raise ValueError(f"phi({x},{y}) not unitary")
+                raise ValueError(f"phi({b},{a}) is not the inverse of phi({a},{b})")
+            raise ValueError(f"phi({a},{b}) not unitary")
         if error:
             raise ValueError(error)
 
-    def get(self, x: str, y: str) -> np.ndarray:
-        return np.asarray(self.phi[(x, y)], dtype=complex)
-
-    def stack(self, vertices, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """phi(vertices[x[k]], vertices[y[k]]) for every k, as one
-        (len(x), rank, rank) array."""
-        return _stack([self.phi[(vertices[i], vertices[j])]
-                       for i, j in zip(x.tolist(), y.tolist())], self.rank)
+    @property
+    def rank(self) -> int:
+        return self.phi.shape[-1]
 
     @staticmethod
     def trivial(g: WeightedGraph, rank: int = 1) -> "UnitaryConnection":
-        eye = np.eye(rank, dtype=complex)
-        phi = {}
-        for i, j in zip(g.src.tolist(), g.dst.tolist()):
-            if i != j:
-                u, v = g.vertices[i], g.vertices[j]
-                phi[(u, v)] = phi[(v, u)] = eye
-        return UnitaryConnection(rank, phi)
+        eye = np.repeat(np.eye(rank, dtype=complex)[None], g.src.size, axis=0)
+        return UnitaryConnection(g, eye, eye)
 
     @staticmethod
-    def from_edge_phases(g: WeightedGraph, phases: dict[tuple[str, str], float]
-                         ) -> "UnitaryConnection":
-        """Rank-1 magnetic connection: phi(x, y) = exp(i theta(x, y))."""
-        phi = {}
-        for (u, v), theta in phases.items():
-            phi[(u, v)] = np.array([[np.exp(1j * theta)]])
-            phi[(v, u)] = np.array([[np.exp(-1j * theta)]])
-        return UnitaryConnection(1, phi)
+    def from_edge_phases(g: WeightedGraph, phases) -> "UnitaryConnection":
+        """Rank-1 magnetic connection: phi[e] = exp(i phases[e]), one phase
+        per edge, from src[e] to dst[e]."""
+        theta = np.asarray(phases, dtype=float)[:, None, None]
+        return UnitaryConnection(g, np.exp(1j * theta), np.exp(-1j * theta))
 
 
 class EndomorphismField:
@@ -296,6 +283,33 @@ def _orthonormal_frames(metric, vertices, rank: int):
     return lh, np.linalg.inv(lh)
 
 
+def _connection_stacks(g: WeightedGraph, x: np.ndarray, edge: np.ndarray, mats: np.ndarray):
+    """(phi, back, order) of `UnitaryConnection` for the connection entries
+    of a file: entry k gives the map mats[k] on the edge edge[k], from the
+    fiber at vertex x[k]. An orientation given twice keeps its last matrix;
+    one not given is the inverse of the first matrix given for its edge,
+    all inverted in one batch. `order` checks the edges in the order of
+    their first entries, the orientation given first before its reverse.
+    Raises for the first edge, in edge order, that no entry gives."""
+    m = g.src.size
+    slot = np.where(x == g.src[edge], edge, edge + m)  # numbered as `order` numbers maps
+    maps = np.empty((2 * m, *mats.shape[1:]), dtype=complex)
+    last = slot.size - 1 - np.unique(slot[::-1], return_index=True)[1]
+    maps[slot[last]] = mats[last]
+    first = np.unique(edge, return_index=True)[1]
+    lead = slot[first]
+    rest = (lead + m) % (2 * m)
+    unset = np.ones(2 * m, dtype=bool)
+    unset[slot] = False
+    fill = unset[rest]
+    maps[rest[fill]] = np.linalg.inv(mats[first[fill]])
+    for e in np.flatnonzero(unset[:m] & unset[m:])[:1]:
+        raise ValueError(f"connection has no entry for edge "
+                         f"({g.vertices[g.src[e]]},{g.vertices[g.dst[e]]})")
+    by_first = np.argsort(first)
+    return maps[:m], maps[m:], np.stack([lead[by_first], rest[by_first]], axis=1).ravel()
+
+
 def load_bundle(path, g: WeightedGraph):
     """Load (rank, connection, potentials) from the JSON bundle format,
     checked against the graph g and in orthonormal fiber coordinates. A
@@ -306,6 +320,7 @@ def load_bundle(path, g: WeightedGraph):
     rank = int(doc["rank"])
     if not 1 <= rank <= MAX_RANK:
         raise ValueError(f"rank must be in [1, {MAX_RANK}], got {rank}")
+    order = None
     if "connection" in doc:
         # an entry's edge is found by its key x*n + y, x <= y, among the
         # graph's sorted keys (no np.isin, which imports numpy.ma); the
@@ -314,9 +329,9 @@ def load_bundle(path, g: WeightedGraph):
         entries = doc["connection"]
         pairs = [(e["u"], e["v"]) for e in entries]
         x, y = (g.indices([p[end] for p in pairs]) for end in (0, 1))
-        keys, order = np.minimum(x, y) * g.n + np.maximum(x, y), np.argsort(g.src * g.n + g.dst)
+        keys, by_key = np.minimum(x, y) * g.n + np.maximum(x, y), np.argsort(g.src * g.n + g.dst)
         # a sentinel above every key ends the sorted keys
-        ends = np.append((g.src * g.n + g.dst)[order], np.iinfo(np.intp).max)
+        ends = np.append((g.src * g.n + g.dst)[by_key], np.iinfo(np.intp).max)
         at = np.searchsorted(ends, keys)
         off = np.flatnonzero((np.minimum(x, y) < 0) | (ends[at] != keys))
         stop = off[0] if off.size else len(entries)
@@ -324,23 +339,9 @@ def load_bundle(path, g: WeightedGraph):
                          lambda k: "phi({},{})".format(*pairs[k]))
         for k in off[:1]:
             raise ValueError("connection entry ({},{}) is not an edge of the graph".format(*pairs[k]))
-        # a reverse orientation the file does not give is the inverse of
-        # the first matrix given for its edge, all inverted in one batch
-        phi, reverse = {}, {}
-        for (u, v), m in zip(pairs, mats):
-            phi[(u, v)] = m
-            reverse.pop((u, v), None)
-            if (v, u) not in phi:
-                phi[(v, u)] = reverse[(v, u)] = m
-        if reverse:
-            phi.update(zip(reverse, np.linalg.inv(_stack(list(reverse.values()), rank))))
-        given = np.zeros(ends.size, dtype=bool)
-        given[at] = True
-        for e in np.sort(order[~given[:-1]])[:1]:
-            u, v = g.vertices[g.src[e]], g.vertices[g.dst[e]]
-            raise ValueError(f"connection has no entry for edge ({u},{v})")
+        phi, back, order = _connection_stacks(g, x, by_key[at], mats)
     else:
-        phi = UnitaryConnection.trivial(g, rank).phi
+        phi = back = UnitaryConnection.trivial(g, rank).phi
     potentials = {}
     for name, values in doc.get("potentials", {}).items():
         check_vertex_set(f"potential {name!r}", values, g.vertices)
@@ -349,8 +350,7 @@ def load_bundle(path, g: WeightedGraph):
     metric = doc.get("metric", "identity")
     if metric != "identity":
         lh, lh_inv = _orthonormal_frames(metric, g.vertices, rank)
-        src, dst = (g.indices([p[end] for p in phi]) for end in (0, 1))
-        phi = dict(zip(phi, lh[dst] @ _stack(list(phi.values()), rank) @ lh_inv[src]))
+        phi, back = lh[g.dst] @ phi @ lh_inv[g.src], lh[g.src] @ back @ lh_inv[g.dst]
         potentials = {name: lh @ blocks @ lh_inv for name, blocks in potentials.items()}
     fields = {}
     for name, blocks in potentials.items():
@@ -359,17 +359,20 @@ def load_bundle(path, g: WeightedGraph):
                                                          self_adjoint=True)
         except ValueError as e:
             raise ValueError(f"potential {name!r}: {e}") from None
-    return rank, UnitaryConnection(rank, phi), fields
+    return rank, UnitaryConnection(g, phi, back, order), fields
 
 
 def dump_bundle(path, rank: int, connection=None, potentials=None):
     """Write the JSON bundle format, with the identity metric."""
     doc = {"rank": rank}
     if connection is not None:
-        # one entry per edge, the orientation with u < v
-        doc["connection"] = [{"u": u, "v": v,
-                              "phi": _complex_matrix_to_json(connection.get(u, v))}
-                             for u, v in sorted(connection.phi) if u < v]
+        # both orientations of every edge, sorted by their ids, so that
+        # loading the file gives back both stacks bit for bit
+        g, maps = connection.graph, np.concatenate([connection.phi, connection.back])
+        ends = zip(np.concatenate([g.src, g.dst]).tolist(), np.concatenate([g.dst, g.src]).tolist())
+        doc["connection"] = [{"u": u, "v": v, "phi": _complex_matrix_to_json(maps[k])}
+                             for u, v, k in sorted((g.vertices[i], g.vertices[j], k)
+                                                   for k, (i, j) in enumerate(ends))]
     if potentials:
         doc["potentials"] = {
             name: dict(zip(W.vertices, map(_complex_matrix_to_json, W.blocks)))

@@ -9,6 +9,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -245,12 +246,10 @@ def build_coulomb_demo(n: int, kappa: float, theta: float):
     """Path host with a uniform magnetic phase and the inverse-square
     decaying potential W(x_j) = kappa / (1 + j^2), split by threshold."""
     g = path_graph(n)
-    phases = {}
-    for i in range(n - 1):
-        phases[(f"v{i}", f"v{i+1}")] = theta
-    connection = UnitaryConnection.from_edge_phases(g, phases)
-    w_values = {f"v{j}": kappa / (1.0 + j * j) for j in range(n)}
-    W = EndomorphismField.scalar(w_values)
+    connection = UnitaryConnection.from_edge_phases(g, np.full(n - 1, theta))
+    j = np.arange(n)
+    W = EndomorphismField.from_blocks(1, g.vertices, (kappa / (1.0 + j * j))[:, None, None]
+                                      .astype(complex), self_adjoint=True)
     return g, connection, W
 
 
@@ -319,7 +318,9 @@ def cmd_demo_coulomb(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `heatcert` argument parser, built once per process."""
     p = argparse.ArgumentParser(prog="heatcert")
     p.add_argument("--version", action="version",
                    version=f"heatcert {__version__} (report schema v{SCHEMA_VERSION})")

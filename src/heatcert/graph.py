@@ -83,7 +83,16 @@ class WeightedGraph:
 
     def indices(self, ids) -> np.ndarray:
         """The index of each of the vertex ids, -1 for an unknown one."""
-        return np.fromiter(map(self._index.get, ids, repeat(-1)), np.intp, len(ids))
+        return _lookup(self._index, ids)
+
+
+def _lookup(index: dict, ids) -> np.ndarray:
+    """index[v] for each v of ids, -1 where v is not a key of index (a
+    string-keyed map): a JSON list or object is none."""
+    try:
+        return np.fromiter(map(index.get, ids, repeat(-1)), np.intp, len(ids))
+    except TypeError:  # unhashable
+        return _lookup(index, [None if type(v) in (list, dict) else v for v in ids])
 
 
 def _graph_arrays(ids, rhos, us, vs, bs):
@@ -97,7 +106,7 @@ def _graph_arrays(ids, rhos, us, vs, bs):
         first = dict(zip(reversed(vertices), range(n - 1, -1, -1)))
         v = next(v for k, v in enumerate(vertices) if first[v] != k)
         raise GraphFormatError(f"duplicate vertex id {v}")
-    a, c = (np.fromiter(map(index.get, e, repeat(-1)), np.intp, len(e)) for e in (us, vs))
+    a, c = _lookup(index, us), _lookup(index, vs)
     w = np.array(bs, dtype=float)
     lo, hi = np.minimum(a, c), np.maximum(a, c)
     _, first, inverse = np.unique(lo * n + hi, return_index=True, return_inverse=True)

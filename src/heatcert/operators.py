@@ -149,14 +149,15 @@ def _symmetrize(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def _oriented_edges(g: WeightedGraph, rank: int, connection):
     """Both orientations (x, y) of every edge, per edge (src, dst) then
     (dst, src), in b order: index arrays x and y, the weights b(x, y), and
-    the fiber maps phi(y, x) stacked (2|E|, rank, rank); real rank-1
-    identity blocks when connection is None."""
+    the fiber maps phi(y, x) stacked (2|E|, rank, rank), per edge the
+    connection's `back` then its `phi`; real rank-1 identity blocks when
+    connection is None."""
     x = np.stack([g.src, g.dst], axis=1).ravel()
     y = np.stack([g.dst, g.src], axis=1).ravel()
     if connection is None:
         phi = np.ones((x.size, 1, 1))
     else:
-        phi = connection.stack(g.vertices, y, x)
+        phi = np.stack([connection.back, connection.phi], axis=1).reshape(-1, rank, rank)
     return x, y, np.repeat(g.w, 2), phi
 
 

@@ -173,13 +173,8 @@ def _random_unitary(rng, d):
 
 
 def _random_connection(g, d, rng):
-    phi = {}
-    for pair in g.b:
-        u, v = tuple(pair)
-        m = _random_unitary(rng, d)
-        phi[(u, v)] = m
-        phi[(v, u)] = np.linalg.inv(m)
-    return UnitaryConnection(d, phi)
+    phi = np.array([_random_unitary(rng, d) for _ in range(g.src.size)])
+    return UnitaryConnection(g, phi, np.linalg.inv(phi))
 
 
 def test_criterion_08_kato_domination():
@@ -239,10 +234,11 @@ def test_criterion_11_gauge_invariance():
         g = random_graph(int(rng.integers(4, 12)), rng)
         d = int(rng.integers(1, 4))
         conn = _random_connection(g, d, rng)
-        gauge = {v: _random_unitary(rng, d) for v in g.vertices}
-        phi2 = {(x, y): gauge[y] @ np.asarray(m) @ gauge[x].conj().T
-                for (x, y), m in conn.phi.items()}
+        gauge = np.array([_random_unitary(rng, d) for _ in g.vertices])
+        adjoint = gauge.conj().swapaxes(1, 2)
+        conn2 = UnitaryConnection(g, gauge[g.dst] @ conn.phi @ adjoint[g.src],
+                                  gauge[g.src] @ conn.back @ adjoint[g.dst])
         lam1, _ = assemble_covariant(g, d, conn).eigh()
-        lam2, _ = assemble_covariant(g, d, UnitaryConnection(d, phi2)).eigh()
+        lam2, _ = assemble_covariant(g, d, conn2).eigh()
         ok &= bool(np.max(np.abs(lam1 - lam2)) <= 1e-9)
     _report(11, "gauge invariance of covariant spectra", ok)

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatcert.bundle import (
     EndomorphismField,
@@ -12,7 +19,8 @@ from heatcert.bundle import (
     dump_bundle,
     load_bundle,
 )
-from heatcert.graph import path_graph
+from heatcert.cli import main
+from heatcert.graph import dump_graph, make_graph, path_graph, random_graph
 
 
 def random_unitary(rng, d):
@@ -99,49 +107,69 @@ class TestBlockNorms:
         assert np.all(np.abs(block_norms(view) - expected) <= self.BLOCK_RTOL * expected)
 
 
+def _connection_file(path, rank, entries):
+    """A bundle file whose connection lists (u, v, phi(u, v)) in order."""
+    path.write_text(json.dumps({"rank": rank, "connection": [
+        {"u": u, "v": v, "phi": _complex_matrix_to_json(m)} for u, v, m in entries]}))
+    return path
+
+
 class TestConnection:
+    @staticmethod
+    def one_edge(phi, back):
+        g = make_graph(["x", "y"], {"x": 1.0, "y": 1.0}, [("x", "y", 1.0)])
+        return UnitaryConnection(g, phi[None], back[None])
+
     def test_unitarity_is_isometry(self):
         rng = np.random.default_rng(8)
         d = 3
         u = random_unitary(rng, d)
-        conn = UnitaryConnection(d, {("x", "y"): u, ("y", "x"): np.linalg.inv(u)})
+        conn = self.one_edge(u, np.linalg.inv(u))
+        assert conn.rank == d
         for _ in range(10):
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            assert np.linalg.norm(conn.get("x", "y") @ v) == pytest.approx(
+            assert np.linalg.norm(conn.phi[0] @ v) == pytest.approx(
                 np.linalg.norm(v), rel=1e-10)
 
     def test_rejects_non_inverse_pair(self):
         rng = np.random.default_rng(8)
         u = random_unitary(rng, 2)
-        with pytest.raises(ValueError, match="inverse"):
-            UnitaryConnection(2, {("x", "y"): u, ("y", "x"): u})
+        with pytest.raises(ValueError, match=r"phi\(y,x\) is not the inverse of phi\(x,y\)"):
+            self.one_edge(u, u)
 
     def test_rejects_non_unitary(self):
         m = np.array([[2.0, 0.0], [0.0, 0.5]])
-        with pytest.raises(ValueError, match="unitary"):
-            UnitaryConnection(2, {("x", "y"): m, ("y", "x"): np.linalg.inv(m)})
+        with pytest.raises(ValueError, match=r"phi\(x,y\) not unitary"):
+            self.one_edge(m, np.linalg.inv(m))
 
-    def test_first_offending_pair_in_dict_order(self):
+    def test_first_offending_entry_in_file_order(self, tmp_path):
+        # the maps are checked edge by edge in the order of the edges' first
+        # entries, the orientation given first before its reverse; a map
+        # that is not finite ends the checks, and a failure before it wins
         rng = np.random.default_rng(9)
-        u, m = random_unitary(rng, 2), np.diag([2.0, 0.5])
-        ok = {("a", "b"): u, ("b", "a"): u.conj().T}
-        bad_unitary = {("c", "d"): m, ("d", "c"): np.linalg.inv(m)}
-        bad_inverse = {("e", "f"): u, ("f", "e"): u}
-        bad_shape = {("g", "h"): np.eye(3), ("h", "g"): np.eye(3)}
+        u, m, nan = random_unitary(rng, 2), np.diag([2.0, 0.5]), np.full((2, 2), np.nan)
+        ok = [("a", "b", u), ("b", "a", u.conj().T)]
+        bad_unitary = [("c", "d", m), ("d", "c", np.linalg.inv(m))]
+        bad_inverse = [("e", "f", u), ("f", "e", u)]
+        nan_reverse = [("r", "s", u), ("s", "r", nan)]
         cases = [
-            ({**ok, **bad_unitary, **bad_shape}, r"phi\(c,d\) not unitary"),
-            ({**ok, **bad_shape, **bad_unitary}, r"phi\(g,h\) has shape \(3, 3\)"),
-            ({**bad_inverse, **bad_unitary}, r"phi\(f,e\) is not the inverse of phi\(e,f\)"),
-            ({**ok, ("x", "y"): u, **bad_inverse}, r"missing reverse edge \(y,x\)"),
-            ({**ok, ("p", "q"): u, ("q", "p"): np.eye(3)}, r"phi\(q,p\) has shape \(3, 3\)"),
-            ({**ok, **bad_unitary, ("r", "s"): u, ("s", "r"): np.full((2, 2), np.nan)},
-             r"phi\(c,d\) not unitary"),
-            ({**ok, ("r", "s"): u, ("s", "r"): np.full((2, 2), np.nan), **bad_unitary},
-             r"phi\(s,r\) is not finite"),
+            (ok + bad_unitary + bad_inverse, r"phi\(c,d\) not unitary"),
+            (bad_inverse + bad_unitary, r"phi\(f,e\) is not the inverse of phi\(e,f\)"),
+            (ok + bad_unitary + nan_reverse, r"phi\(c,d\) not unitary"),
+            (ok + nan_reverse + bad_unitary, r"phi\(s,r\) is not finite"),
+            (ok + bad_unitary[::-1], r"phi\(d,c\) not unitary"),
+            # a reverse the file omits is the inverse of the map it gives
+            ([("d", "c", m), *ok], r"phi\(d,c\) not unitary"),
+            ([*bad_inverse[::-1], *bad_unitary], r"phi\(e,f\) is not the inverse of phi\(f,e\)"),
         ]
-        for phi, message in cases:
+        g = make_graph("abcdefrs", dict.fromkeys("abcdefrs", 1.0),
+                       [("a", "b", 1.0), ("c", "d", 1.0), ("e", "f", 1.0), ("r", "s", 1.0)])
+        for entries, message in cases:
+            given = {frozenset(e[:2]) for e in entries}
+            rest = [(x, y, np.eye(2)) for x, y in ("ab", "cd", "ef", "rs")
+                    if frozenset((x, y)) not in given]
             with pytest.raises(ValueError, match=message):
-                UnitaryConnection(2, phi)
+                load_bundle(_connection_file(tmp_path / "b.json", 2, entries + rest), g)
 
 
 class TestDecompose:
@@ -238,8 +266,7 @@ def test_metric_file_round_trip(tmp_path):
     assert "metric" not in json.loads(second.read_text())
     rank2, conn2, pots2 = load_bundle(second, g)
     assert rank2 == 2
-    for pair in (("v0", "v1"), ("v1", "v0")):
-        np.testing.assert_allclose(conn2.get(*pair), conn.get(*pair), rtol=0, atol=1e-14)
+    assert np.array_equal(conn2.phi, conn.phi) and np.array_equal(conn2.back, conn.back)
     assert pots2["w"].vertices == pots["w"].vertices == g.vertices
     assert np.array_equal(pots2["w"].blocks, pots["w"].blocks)
 
@@ -255,13 +282,120 @@ def test_connection_orientations_match_per_entry_loop(tmp_path):
         u, v, m = f"v{i}", f"v{i+1}", random_unitary(rng, 2)
         given = [(u, v, m), (v, u, m.conj().T)][:1 + (i in (1, 3))]
         entries += given[::-1] if i == 3 else given
-    path = tmp_path / "b.json"
-    path.write_text(json.dumps({"rank": 2, "connection": [
-        {"u": u, "v": v, "phi": _complex_matrix_to_json(m)} for u, v, m in entries]}))
-    _, conn, _ = load_bundle(path, g)
+    _, conn, _ = load_bundle(_connection_file(tmp_path / "b.json", 2, entries), g)
     ref = {}
     for u, v, m in entries:
         ref[(u, v)] = m
         ref.setdefault((v, u), np.linalg.inv(m))
-    assert list(conn.phi) == list(ref)
-    assert all(np.array_equal(conn.phi[key], m) for key, m in ref.items())
+    assert conn.phi.shape == conn.back.shape == (g.src.size, 2, 2)
+    for e, (i, j) in enumerate(zip(g.src, g.dst)):
+        u, v = g.vertices[i], g.vertices[j]
+        assert np.array_equal(conn.phi[e], ref[(u, v)])
+        assert np.array_equal(conn.back[e], ref[(v, u)])
+
+
+FAULTS = ("non-edge", "missing-edge", "non-unitary", "non-inverse", "non-finite",
+          "bad-shape", "list-endpoint")
+
+
+@st.composite
+def bundle_docs(draw):
+    """A graph and a valid bundle file for it: rank 1-3, with or without a
+    fiber metric, and per edge one orientation or both, in either order,
+    with the entries shuffled. Maps and metric are drawn from a seed."""
+    rank, n = draw(st.integers(1, 3)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = random_graph(n, rng, p=0.5)
+    modes = draw(st.lists(st.sampled_from(["forward", "backward", "both", "both-reversed"]),
+                          min_size=g.src.size, max_size=g.src.size))
+    root = np.array([np.eye(rank)] * n, dtype=complex)  # g_x = S_x S_x, S_x > 0
+    if draw(st.booleans()):
+        for x in range(n):
+            z = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+            lam, q = np.linalg.eigh(z @ z.conj().T + np.eye(rank))
+            root[x] = (q * np.sqrt(lam)) @ q.conj().T
+    inv = np.linalg.inv
+    entries = []
+    for e, mode in enumerate(modes):
+        i, j = g.src[e], g.dst[e]
+        u = random_unitary(rng, rank)
+        # unitary for the metric: phi(x, y)* g_y phi(x, y) = g_x
+        forward = (g.vertices[i], g.vertices[j], inv(root[j]) @ u @ root[i])
+        reverse = (g.vertices[j], g.vertices[i], inv(root[i]) @ u.conj().T @ root[j])
+        given = {"forward": [forward], "backward": [reverse], "both": [forward, reverse],
+                 "both-reversed": [reverse, forward]}[mode]
+        entries += [{"u": a, "v": b, "phi": _complex_matrix_to_json(m)} for a, b, m in given]
+    entries = [entries[k] for k in rng.permutation(len(entries))]
+    potential = {}
+    for x, v in enumerate(g.vertices):
+        z = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+        potential[v] = _complex_matrix_to_json(inv(root[x]) @ (z + z.conj().T) @ root[x])
+    doc = {"rank": rank, "connection": entries, "potentials": {"w": potential}}
+    if not np.array_equal(root, np.array([np.eye(rank)] * n)):
+        doc["metric"] = {v: _complex_matrix_to_json(s @ s) for v, s in zip(g.vertices, root)}
+    return g, doc
+
+
+def add_connection_fault(doc, g, fault) -> str:
+    """Put one fault of the kind into the connection of doc, around its
+    first entry; return the message that must name it."""
+    entries, rank = doc["connection"], doc["rank"]
+    first = entries[0]
+    u, v = first["u"], first["v"]
+    if fault == "non-edge":
+        adjacent = {frozenset((g.vertices[i], g.vertices[j])) for i, j in zip(g.src, g.dst)}
+        a, b = next(((a, b) for a in g.vertices for b in g.vertices
+                     if a < b and frozenset((a, b)) not in adjacent), (u, u))
+        entries.append({"u": a, "v": b, "phi": _complex_matrix_to_json(np.eye(rank))})
+        return f"connection entry ({a},{b}) is not an edge of the graph"
+    if fault == "missing-edge":
+        doc["connection"] = [e for e in entries if {e["u"], e["v"]} != {u, v}]
+        e = next(e for e, (i, j) in enumerate(zip(g.src, g.dst))
+                 if {g.vertices[i], g.vertices[j]} == {u, v})
+        return f"connection has no entry for edge ({g.vertices[g.src[e]]},{g.vertices[g.dst[e]]})"
+    if fault == "list-endpoint":
+        first["u"] = [u]
+        return f"connection entry (['{u}'],{v}) is not an edge of the graph"
+    if fault == "bad-shape":
+        first["phi"] = _complex_matrix_to_json(np.eye(rank + 1))
+        return f"phi({u},{v}) has shape ({rank + 1}, {rank + 1})"
+    if fault == "non-finite":
+        first["phi"][0][0] = [math.nan, 0.0]
+        return f"phi({u},{v}) is not finite"
+    # the first entry's edge is checked first: its other entries go, and
+    # the reverse is its inverse or i times that
+    m = np.array([[complex(*z) for z in row] for row in first["phi"]])
+    doc["connection"] = [first] + [e for e in entries[1:] if {e["u"], e["v"]} != {u, v}]
+    if fault == "non-unitary":
+        first["phi"] = _complex_matrix_to_json(2 * m)
+        return f"phi({u},{v}) not unitary"
+    doc["connection"].append({"u": v, "v": u, "phi": _complex_matrix_to_json(1j * np.linalg.inv(m))})
+    return f"phi({v},{u}) is not the inverse of phi({u},{v})"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(bundle_docs(), st.sampled_from(FAULTS))
+def test_bundle_format_round_trip(case, fault):
+    # every accepted bundle dumps, in orthonormal coordinates, and loads back
+    # to the same stacks bit for bit; a second dump is byte for byte the
+    # first. One fault in the connection exits 1 and names its entry.
+    g, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        gpath, src, once, twice = (Path(tmp) / f"{k}.json" for k in ("g", "src", "once", "twice"))
+        dump_graph(g, gpath)
+        src.write_text(json.dumps(doc))
+        rank, conn, pots = load_bundle(src, g)
+        dump_bundle(once, rank, connection=conn, potentials=pots)
+        rank2, conn2, pots2 = load_bundle(once, g)
+        assert rank2 == rank
+        assert np.array_equal(conn2.phi, conn.phi) and np.array_equal(conn2.back, conn.back)
+        assert np.array_equal(pots2["w"].blocks, pots["w"].blocks)
+        dump_bundle(twice, rank2, connection=conn2, potentials=pots2)
+        assert once.read_bytes() == twice.read_bytes()
+        message = add_connection_fault(doc, g, fault)
+        src.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["dominate", "check", "--graph", str(gpath), "--bundle", str(src),
+                         "--out", str(Path(tmp) / "rep.json")])
+        assert code == 1 and message in err.getvalue(), (message, err.getvalue())

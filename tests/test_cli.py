@@ -348,8 +348,7 @@ class TestDominate:
         g = path_graph(6)
         gpath = tmp_path / "g.json"
         dump_graph(g, gpath)
-        conn = UnitaryConnection.from_edge_phases(
-            g, {(f"v{i}", f"v{i+1}"): 0.4 for i in range(5)})
+        conn = UnitaryConnection.from_edge_phases(g, np.full(5, 0.4))
         bpath = tmp_path / "b.json"
         dump_bundle(bpath, 1, connection=conn)
         out = tmp_path / "rep.json"
@@ -376,8 +375,7 @@ class TestDominate:
         g = path_graph(6)
         gpath, bpath, out = tmp_path / "g.json", tmp_path / "b.json", tmp_path / "rep.json"
         dump_graph(g, gpath)
-        conn = UnitaryConnection.from_edge_phases(
-            g, {(f"v{i}", f"v{i+1}"): 0.4 for i in range(5)})
+        conn = UnitaryConnection.from_edge_phases(g, np.full(5, 0.4))
         V = EndomorphismField.scalar({f"v{j}": 1.0 / (1.0 + j) for j in range(6)})
         dump_bundle(bpath, 1, connection=conn, potentials={"v": V})
         assert main(["dominate", "check", "--graph", str(gpath), "--bundle", str(bpath),
@@ -499,8 +497,7 @@ class TestCompactCertify:
         argv = self.path30_argv(tmp_path)
         if source == "bundle":
             g = path_graph(30)
-            conn = UnitaryConnection.from_edge_phases(
-                g, {(f"v{i}", f"v{i+1}"): 0.4 for i in range(29)})
+            conn = UnitaryConnection.from_edge_phases(g, np.full(29, 0.4))
             W = EndomorphismField.scalar({f"v{j}": 1.0 / (1.0 + j * j) for j in range(30)})
             bpath = tmp_path / "b.json"
             dump_bundle(bpath, 1, connection=conn, potentials={"w": W})
@@ -586,6 +583,8 @@ class TestInputChecks:
         ("connection-non-edge", "connection entry (v0,v3) is not an edge"),
         ("connection-nan", "phi(v1,v2) is not finite"),
         ("connection-not-pairs", "phi(v1,v2) is not a matrix of [re, im] pairs"),
+        ("connection-list-endpoint", "connection entry (['v1'],v2) is not an edge"),
+        ("connection-object-endpoint", "connection entry (v1,{'id': 'v2'}) is not an edge"),
         ("metric-missing-vertex", "metric has no value at vertex v4"),
     ])
     @pytest.mark.parametrize("command", ["dominate", "certify"])
@@ -609,6 +608,10 @@ class TestInputChecks:
             conn[1]["phi"] = [[[float("nan"), 0.0]]]
         elif case == "connection-not-pairs":
             conn[1]["phi"] = [[1.0]]
+        elif case == "connection-list-endpoint":
+            conn[1]["u"] = ["v1"]
+        elif case == "connection-object-endpoint":
+            conn[1]["v"] = {"id": "v2"}
         elif case == "metric-missing-vertex":
             doc["metric"] = {f"v{j}": [[[1.0, 0.0]]] for j in range(6) if j != 4}
         bpath.write_text(json.dumps(doc))
@@ -686,6 +689,18 @@ class TestInputChecks:
         code, err = self.validate_doc(doc, tmp_path, capsys)
         assert code == EXIT_INPUT
         assert "b(v1,v2) is not a number" in err
+
+    @pytest.mark.parametrize("end, value, message", [
+        ("u", ["v1"], "edge (['v1'],v2) references unknown vertex"),
+        ("v", {"id": "v2"}, "edge (v1,{'id': 'v2'}) references unknown vertex"),
+    ])
+    def test_graph_endpoint_list_or_object(self, end, value, message, tmp_path, capsys):
+        # a JSON list or object is no vertex id, and no hashable key
+        doc = self.graph_doc()
+        doc["edges"][1][end] = value
+        code, err = self.validate_doc(doc, tmp_path, capsys)
+        assert code == EXIT_INPUT
+        assert message in err
 
     def test_graph_duplicate_vertex_id_named(self, tmp_path, capsys):
         doc = self.graph_doc()
@@ -929,8 +944,7 @@ class TestStartupImports:
         g = path_graph(12)
         kernel, bundle = tmp_path / "k.json", tmp_path / "b.json"
         dump_kernel(kernel_from_semigroup(assemble_laplacian(g), (0.5, 1.0)), kernel)
-        conn = UnitaryConnection.from_edge_phases(
-            g, {(f"v{i}", f"v{i + 1}"): 0.4 for i in range(11)})
+        conn = UnitaryConnection.from_edge_phases(g, np.full(11, 0.4))
         W = EndomorphismField.scalar({f"v{j}": 1.0 / (1.0 + j * j) for j in range(12)})
         dump_bundle(bundle, 1, connection=conn, potentials={"w": W})
         paths = {"graph": path_file, "kernel": kernel, "bundle": bundle,
@@ -1107,6 +1121,27 @@ class TestFlagValues:
         assert code == EXIT_INPUT
         assert argv.split()[-2] in err.splitlines()[-1]
         assert not paths["out"].exists()
+
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        import argparse
+
+        from heatcert import cli
+
+        cli.build_parser.cache_clear()
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+        for _ in range(2):
+            assert main(["control", "check", "--q", "1"]) == EXIT_OK
+        assert built.count("heatcert") == 1
+        # a later usage error still exits 1 on the same parser
+        assert main(["control", "check", "--q", "nan"]) == EXIT_INPUT
+        assert built.count("heatcert") == 1
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -64,13 +64,8 @@ def random_unitary(rng, d):
 
 
 def random_connection(g, d, rng):
-    phi = {}
-    for pair in g.b:
-        u, v = tuple(pair)
-        m = random_unitary(rng, d)
-        phi[(u, v)] = m
-        phi[(v, u)] = np.linalg.inv(m)
-    return UnitaryConnection(d, phi)
+    phi = np.array([random_unitary(rng, d) for _ in range(g.src.size)])
+    return UnitaryConnection(g, phi, np.linalg.inv(phi))
 
 
 class TestLedgerRow:
@@ -307,7 +302,7 @@ class TestDomination:
 
     def test_magnetic_two_vertex_analytic(self):
         g = two_vertex(1.0)
-        conn = UnitaryConnection.from_edge_phases(g, {("1", "2"): np.pi / 2})
+        conn = UnitaryConnection.from_edge_phases(g, [np.pi / 2])
         Hc = assemble_covariant(g, 1, conn)
         H = assemble_laplacian(g)
         t = 1.0
@@ -914,13 +909,12 @@ def flat_lattice_case(side, d, seed):
              for i in range(side) for j in range(side)
              for di, dj in ((1, 0), (0, 1)) if i + di < side and j + dj < side]
     g = make_graph(ids, {v: float(rng.uniform(0.5, 2.0)) for v in ids}, edges)
-    U = {v: random_unitary(rng, d) for v in ids}
-    phi = {}
-    for u, v, _ in edges:
-        phi[(u, v)], phi[(v, u)] = U[v] @ U[u].conj().T, U[u] @ U[v].conj().T
+    U = np.array([random_unitary(rng, d) for _ in ids])
+    Uh = U.conj().swapaxes(1, 2)
+    conn = UnitaryConnection(g, U[g.dst] @ Uh[g.src], U[g.src] @ Uh[g.dst])
     W = random_field(g, d, rng)
     W1, _ = decompose_potential(W, 1.0)
-    return g, assemble_covariant(g, d, UnitaryConnection(d, phi)), W, W1
+    return g, assemble_covariant(g, d, conn), W, W1
 
 
 class TestScalarGauge:
@@ -982,8 +976,9 @@ class TestScalarGauge:
         ids = [f"v{i}" for i in range(n)]
         ring = make_graph(ids, dict.fromkeys(ids, 1.0),
                           [(ids[i], ids[(i + 1) % n], 1.0) for i in range(n)])
-        conn = UnitaryConnection.from_edge_phases(
-            ring, {(ids[i], ids[(i + 1) % n]): np.pi / n for i in range(n)})
+        # pi / n on each edge v(i) -> v(i+1); the closing edge is stored
+        # as (v0, v(n-1))
+        conn = UnitaryConnection.from_edge_phases(ring, [np.pi / n] * (n - 1) + [-np.pi / n])
         Hc, H = assemble_covariant(ring, 1, conn), assemble_laplacian(ring)
         assert operators.scalar_gauge(Hc)[2] >= 2.0 - 1e-12
         rows = check_domination(Hc, H, (0.1, 1.0), (0.5, 2.0), 5, np.random.default_rng(0))

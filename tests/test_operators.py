@@ -41,13 +41,17 @@ def random_unitary(rng, d):
 
 
 def random_connection(g, d, rng):
-    phi = {}
-    for pair in g.b:
-        u, v = tuple(pair)
-        m = random_unitary(rng, d)
-        phi[(u, v)] = m
-        phi[(v, u)] = np.linalg.inv(m)
-    return UnitaryConnection(d, phi)
+    phi = np.array([random_unitary(rng, d) for _ in range(g.src.size)])
+    return UnitaryConnection(g, phi, np.linalg.inv(phi))
+
+
+def maps_by_ids(conn):
+    """phi(x, y) of a connection, from the fiber at vertex id x to that at y."""
+    g, maps = conn.graph, {}
+    for e, (i, j) in enumerate(zip(g.src, g.dst)):
+        u, v = g.vertices[i], g.vertices[j]
+        maps[(u, v)], maps[(v, u)] = conn.phi[e], conn.back[e]
+    return lambda x, y: maps[(x, y)]
 
 
 class TestLaplacian:
@@ -131,7 +135,7 @@ class TestCovariant:
     def test_magnetic_two_vertex(self):
         beta, theta = 1.5, 0.7
         g = two_vertex(beta)
-        conn = UnitaryConnection.from_edge_phases(g, {("1", "2"): theta})
+        conn = UnitaryConnection.from_edge_phases(g, [theta])
         H = assemble_covariant(g, 1, conn)
         expected = np.array([[beta, -beta * np.exp(-1j * theta)],
                              [-beta * np.exp(1j * theta), beta]])
@@ -144,8 +148,8 @@ class TestCovariant:
         g = make_graph(names, {v: 1.0 for v in names},
                        [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0)])
         # total holonomy e^{i pi}: pi/3 per oriented edge around the cycle
-        conn = UnitaryConnection.from_edge_phases(
-            g, {("a", "b"): np.pi / 3, ("b", "c"): np.pi / 3, ("c", "a"): np.pi / 3})
+        # a -> b -> c -> a, whose last edge is stored as (a, c)
+        conn = UnitaryConnection.from_edge_phases(g, [np.pi / 3, np.pi / 3, -np.pi / 3])
         H = assemble_covariant(g, 1, conn)
         assert H.lambda_min() > 1e-8
 
@@ -167,11 +171,10 @@ class TestCovariant:
             g = random_graph(10, rng)
             d = int(rng.integers(1, 4))
             conn = random_connection(g, d, rng)
-            gauge = {v: random_unitary(rng, d) for v in g.vertices}
-            phi2 = {}
-            for (x, y), m in conn.phi.items():
-                phi2[(x, y)] = gauge[y] @ np.asarray(m) @ gauge[x].conj().T
-            conn2 = UnitaryConnection(d, phi2)
+            gauge = np.array([random_unitary(rng, d) for _ in g.vertices])
+            adjoint = gauge.conj().swapaxes(1, 2)
+            conn2 = UnitaryConnection(g, gauge[g.dst] @ conn.phi @ adjoint[g.src],
+                                      gauge[g.src] @ conn.back @ adjoint[g.dst])
             lam1, _ = assemble_covariant(g, d, conn).eigh()
             lam2, _ = assemble_covariant(g, d, conn2).eigh()
             np.testing.assert_allclose(lam1, lam2, atol=1e-9)
@@ -212,8 +215,10 @@ class TestCheckSelfAdjoint:
         # connection's own check
         g = path_graph(3)
         conn = UnitaryConnection.trivial(g, 1)
-        object.__setattr__(conn, "phi", {**conn.phi, ("v0", "v1"): np.array([[2.0 + 0j]]),
-                                         ("v1", "v0"): np.array([[0.5 + 0j]])})
+        phi, back = conn.phi.copy(), conn.back.copy()
+        phi[0], back[0] = 2.0, 0.5
+        object.__setattr__(conn, "phi", phi)
+        object.__setattr__(conn, "back", back)
         with pytest.raises(ValueError, match="lost self-adjointness"):
             assemble_covariant(g, 1, conn)
 
@@ -637,7 +642,7 @@ class TestArrayAssemblyAgainstLoops:
         g = random_graph(20, rng)
         conn = random_connection(g, d, rng)
         H = assemble_covariant(g, d, conn)
-        assert np.array_equal(H.matrix, loop_covariant(g, d, conn.get))
+        assert np.array_equal(H.matrix, loop_covariant(g, d, maps_by_ids(conn)))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_forms_match_loops(self, d):
@@ -648,7 +653,7 @@ class TestArrayAssemblyAgainstLoops:
         for _ in range(5):
             f1, f2 = (rng.standard_normal(g.n * d) + 1j * rng.standard_normal(g.n * d)
                       for _ in range(2))
-            ref = loop_form(g, d, conn.get, f1, f2)
+            ref = loop_form(g, d, maps_by_ids(conn), f1, f2)
             assert abs(covariant_form(g, d, conn, f1, f2) - ref) <= 1e-12 * abs(ref)
             if d == 1:
                 ref = loop_form(g, 1, lambda x, y: one, f1, f2)
