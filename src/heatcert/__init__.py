@@ -22,7 +22,6 @@ from .operators import (
     assemble_laplacian,
     dirichlet_restriction,
     multiplication_operator,
-    quadratic_form,
     resolvent,
 )
 from .heat import (

@@ -25,7 +25,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _gc_paused
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -310,11 +310,13 @@ def _connection_stacks(g: WeightedGraph, x: np.ndarray, edge: np.ndarray, mats: 
     return maps[:m], maps[m:], np.stack([lead[by_first], rest[by_first]], axis=1).ravel()
 
 
+@_gc_paused()
 def load_bundle(path, g: WeightedGraph):
     """Load (rank, connection, potentials) from the JSON bundle format,
     checked against the graph g and in orthonormal fiber coordinates. A
     file without a connection gets the trivial one. Each potential is one
-    stack in the graph's vertex order, whatever the order of its keys."""
+    stack in the graph's vertex order, whatever the order of its keys. The
+    cyclic collector is paused throughout, as for `graph.load_graph`."""
     with open(path) as fh:
         doc = json.load(fh)
     rank = int(doc["rank"])
@@ -327,6 +329,9 @@ def load_bundle(path, g: WeightedGraph):
         # matrices before the first entry off the graph are read first, so a
         # malformed one of them raises first, as entry by entry
         entries = doc["connection"]
+        if not set(map(type, entries)) <= {dict}:
+            e = next(e for e in entries if type(e) is not dict)
+            raise ValueError(f"connection entry {e!r} is not an object")
         pairs = [(e["u"], e["v"]) for e in entries]
         x, y = (g.indices([p[end] for p in pairs]) for end in (0, 1))
         keys, by_key = np.minimum(x, y) * g.n + np.maximum(x, y), np.argsort(g.src * g.n + g.dst)

@@ -22,8 +22,9 @@ from .control import ControlPair, F2Family, _quad_f2, laplace_rule
 from .graph import Exhaustion, lq_norm
 from .heat import HeatKernel
 from .operators import (
+    PSD_TOL,
     OperatorMatrix,
-    _hermitian_rows,
+    _edge_blocks,
     _resolvent_g,
     _semigroup_g,
     _symmetrize,
@@ -37,6 +38,9 @@ from .operators import (
 
 HS_IDENTITY_RTOL = 1e-8
 DOMINATION_TOL = 1e-9
+# the rounding allowance of a Kato margin, in units of u = 2^-53 times the
+# sizes of its two sides (`_kato_excess`)
+KATO_ROUNDING = 64
 # the resolvent row's tolerance in `certify_compactness`, and the most its
 # gauge route may move a singular value
 RESOLVENT_TOL = 1e-10
@@ -243,118 +247,133 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     (ii) |(T + a)^{-1} f(x)| <= ((S + a)^{-1} |f|)(x)  pointwise,
 
     plus the spectral consequence lambda_min(T) >= lambda_min(S), for
-    T = H_cov and S = H_scal, both PSD.
+    T = H_cov and S = H_scal, both PSD, over the same vertex weights, with
+    no positive off-diagonal entry in S (else ValueError).
 
-    Gauge route. When T is, up to eta, a unitary gauge of S x I_d
-    (`_gauge_distance`), (i) and (ii) hold with equality for
-    T' = G (S x I_d) G*, and the rows are derived, with no spectral work
-    on T: ||e^{-tT} - e^{-tT'}|| <= t eta (Duhamel) and
-    ||(T + a)^{-1} - (T' + a)^{-1}|| <= eta / a^2 (the resolvent identity)
-    in the weighted norm, so the gap of any section of unit coordinate norm
-    is at most max t eta sqrt(max rho / min rho), and at most
-    eta / min a^2 sqrt(max rho / min rho); and lambda_min(T) >=
-    lambda_min(S) - eta (Weyl). The route is taken when all three derived
-    rows pass at DOMINATION_TOL; its rows carry the route and eta.
+    Criterion. With A the symmetrized matrix and herm its Hermitian part,
+    (i) holds for every t >= 0, and (ii) for every a > 0, exactly when
+    ||herm(A_T)_xy||_2 <= |(A_S)_xy| for every pair x != y and
+    herm(A_T)_xx >= (A_S)_xx I at every vertex (Simon 1977; Hess, Schrader
+    & Uhlenbrock 1977). Sufficiency is by Trotter: the semigroups of the
+    diagonal and of the off-diagonal part of T are each dominated by those
+    of S, and so is their product; (ii) is the Laplace transform of (i).
+    Necessity is the first order of e^{-tA} in t. `_kato_excess` reads the
+    blocks (`operators._edge_blocks`) and their margins, by which each
+    block misses the criterion, in O(|E| d^3) and with no spectral work on
+    T. Each margin loses a rounding allowance k u (||B||_2 + |c|), clamped
+    at 0, for B the block of T, c the entry of S, u = 2^-53 and
+    k = KATO_ROUNDING = 64, derived there; what is left is its excess.
 
-    Numeric route, otherwise. By the same principle, (i) holds for every
-    section exactly when ||[e^{-tT}]_xy||_2 <= [e^{-tS}]_xy for every pair
-    of vertices x, y, with [.]_xy the d x d block of the coordinate matrix,
-    and (ii) likewise. So each row's lhs is the largest block gap
-    ||[g(T)]_xy||_2 - [g(S)]_xy over the pairs and the parameters: the sup
-    over every section supported at one vertex, of unit fiber norm, of its
-    largest fiber gap, whatever the fiber frame. In symmetrized coordinates
-    g(A) = U g(Lambda) U* is Hermitian, and [g(T)]_xy is
-    sqrt(rho_y / rho_x) [g(A)]_xy, so one norm of the upper block triangle
-    of g(A) (`operators._hermitian_rows`, `bundle.block_norms`) gives the
-    gaps at (x, y) and at (y, x). `trials` random complex sections,
-    applied through the eigenbasis as D^{-1/2} U g(Lambda) (U* D^{1/2} R),
-    add their largest fiber gaps. worst_at is {t or a, x, y}, the first
-    largest block gap in row-major order (x, y vertex ids), or
-    {t or a, section}, the index of a random section whose gap exceeds
-    every block's. Besides the scalar g(S), which is whole, U, U* and one
-    row block of g(A) are live, never the whole of g(T)."""
+    Rows. T~, T with each off-diagonal block shrunk by its excess and each
+    diagonal block lifted by its excess, meets the criterion to within the
+    allowances, which rounding cannot resolve, and
+    ||herm(A_T) - herm(A_T~)||_2 <= eta, the Schur test of the excesses.
+    So the gap of any section of unit coordinate norm is at most
+    max t eta sqrt(max rho / min rho) for (i), by Duhamel, and at most
+    eta / min a^2 sqrt(max rho / min rho) for (ii), by the resolvent
+    identity. The two rows carry route "blockwise", eta, the largest raw
+    margin (signed; > 0 where a block misses the criterion before the
+    allowance) and worst_at, the parameter of the bound.
+
+    Ordering row, lhs lambda_min(S). Its rhs is lambda_min(S) - eta_g
+    (Weyl) when T is a gauge of S x I_d to eta_g <= DOMINATION_TOL
+    (`_gauge_distance`), with route "gauge" and eta_g in its detail, and
+    lambda_min(T) from `np.linalg.eigvalsh`, or a cached eigendecomposition
+    of T, otherwise. No eigenvector of T is formed.
+
+    `trials` and `rng` have no effect: the criterion is exact, and no
+    section is sampled."""
     if H_cov.vertices != H_scal.vertices:
         raise ValueError("operators live over different vertex sets")
     if H_scal.rank != 1:
         raise ValueError("the dominated operator must be scalar")
-    eta = _gauge_distance(H_cov, H_scal)
-    if eta is not None:
-        rows = _derived_domination(H_cov, H_scal, times, a_values, eta)
-        if all(r.ok for r in rows):
-            return rows
-    d = H_cov.rank
-    n = len(H_cov.vertices)
-    randoms = np.array([rng.standard_normal(n * d) + 1j * rng.standard_normal(n * d)
-                        for _ in range(trials)], dtype=complex).reshape(trials, n * d).T
-    abs_randoms = _section_norms(randoms, n, d)
-    triangle = _hermitian_rows(H_cov)
-    lam, u = H_cov.eigh()
-    sw = np.sqrt(H_cov.measure_weights())
-    coeffs = (u.T @ (sw[:, None] * randoms).conj()).conj()  # U* D^{1/2} R, with no copy of U*
-    s = np.sqrt(H_cov.rho)
-    vertices = H_cov.vertices
-    rows = []
-    for name, key, params, g_of in (("kato-domination-semigroup", "t", times, _semigroup_g),
-                                    ("kato-domination-resolvent", "a", a_values, _resolvent_g)):
-        worst, worst_at = -np.inf, None
-        for p in params:
-            g = g_of(p)
-            op_scal = np.real(spectral_function(H_scal, g))
-            gap, x, y = _block_gap(triangle, g, op_scal, s, n, d)
-            if gap > worst:
-                worst, worst_at = gap, {key: p, "x": vertices[x], "y": vertices[y]}
-            if trials:
-                images = randoms if g is None else (u @ (g(lam)[:, None] * coeffs)) / sw[:, None]
-                gaps = np.max(_section_norms(images, n, d) - op_scal @ abs_randoms, axis=0)
-                k = int(np.argmax(gaps))
-                if gaps[k] > worst:
-                    worst, worst_at = float(gaps[k]), {key: p, "section": k}
-        rows.append(LedgerRow(name, worst, 0.0, tol=DOMINATION_TOL,
-                              detail={"worst_at": worst_at}))
-    rows.append(LedgerRow("kato-spectral-ordering",
-                          H_scal.lambda_min(), H_cov.lambda_min(),
-                          tol=DOMINATION_TOL))
-    return rows
+    if not np.array_equal(H_cov.rho, H_scal.rho):
+        raise ValueError("operators live over different vertex weights")
+    positive = H_scal.matrix > 0
+    np.fill_diagonal(positive, False)
+    if positive.any():
+        raise ValueError("the scalar operator has a positive off-diagonal entry, "
+                         "so e^{-tS} is not positive")
+    for t in times:
+        _semigroup_g(t)
+    for a in a_values:
+        _resolvent_g(a)
+    require_psd(H_scal)
+    eta, margin = _kato_excess(H_cov, H_scal)
+    lam = H_scal.lambda_min()
+    eta_g = _gauge_distance(H_cov, H_scal)
+    if eta_g is not None and eta_g <= DOMINATION_TOL:
+        require_psd(H_cov)
+        ordering = LedgerRow("kato-spectral-ordering", lam, lam - eta_g, tol=DOMINATION_TOL,
+                             detail={"route": "gauge", "eta": eta_g})
+    else:
+        lam_cov = (H_cov.lambda_min() if "eigh" in H_cov._cache
+                   else float(np.linalg.eigvalsh(H_cov.hermitian())[0]))
+        if lam_cov < -PSD_TOL:
+            raise ValueError(f"{H_cov.kind} operator not PSD: lambda_min = {lam_cov}")
+        ordering = LedgerRow("kato-spectral-ordering", lam, lam_cov, tol=DOMINATION_TOL)
+    spread = float(np.sqrt(np.max(H_scal.rho) / np.min(H_scal.rho)))
+    t, a = max(times), min(a_values)
+    detail = {"route": "blockwise", "eta": eta, "margin": margin}
+    return [LedgerRow("kato-domination-semigroup", t * eta * spread, 0.0,
+                      tol=DOMINATION_TOL, detail={**detail, "worst_at": {"t": t}}),
+            LedgerRow("kato-domination-resolvent", eta / a ** 2 * spread, 0.0,
+                      tol=DOMINATION_TOL, detail={**detail, "worst_at": {"a": a}}),
+            ordering]
 
 
-def _block_gap(triangle, g, op_scal: np.ndarray, s: np.ndarray, n: int, d: int):
-    """(gap, x, y): the largest coordinate block gap ||[g(T)]_xy||_2 -
-    [g(S)]_xy over all vertex pairs, first in row-major order, from the
-    upper block triangle of g(A) (`operators._hermitian_rows`), op_scal the
-    coordinate g(S) and s = sqrt(rho). g None is the identity, whose gaps
-    are 0."""
-    if g is None:
-        return 0.0, 0, 0
-    found = []  # per block, the first largest gap above and below the diagonal
-    for vs, block in triangle(g):
-        v, nb = vs.start, vs.stop - vs.start
-        norms = block_norms(block.reshape(nb, d, n - v, d).swapaxes(1, 2))
-        ratio = s[v:] / s[vs, None]  # sqrt(rho_y / rho_x) at (x, y), y >= x
-        upper = norms * ratio
-        upper -= op_scal[vs, v:]
-        upper[:, :nb][np.tri(nb, k=-1, dtype=bool)] = -np.inf
-        lower = norms / ratio  # the gaps at (y, x), transposed
-        lower -= op_scal[v:, vs].T
-        lower[:, :nb][np.tri(nb, dtype=bool)] = -np.inf
-        i, j = np.unravel_index(np.argmax(upper), upper.shape)
-        found.append((float(upper[i, j]), v + i, v + j))
-        j, i = np.unravel_index(np.argmax(lower.T), lower.T.shape)
-        found.append((float(lower[i, j]), v + j, v + i))
-    return max(found, key=lambda f: (f[0], -f[1], -f[2]))
+def _kato_excess(H_cov: OperatorMatrix, H_scal: OperatorMatrix) -> tuple[float, float]:
+    """(eta, margin) of `check_domination`'s criterion. The margin of a pair
+    x != y of T's edge pattern is ||B||_2 - |c|, for B = herm(A_T)_xy by
+    `bundle.block_norms` and c = (A_S)_xy; that of a vertex x is
+    c - lambda_min(B), for B = herm(A_T)_xx by a batched eigvalsh and
+    c = (A_S)_xx. A pair outside T's pattern has margin -|c| <= 0. margin
+    is the largest of them, and eta the Schur test (the square root of the
+    largest row sum times the largest column sum) of the excesses
+    max(0, margin - k u (||B||_2 + |c|)), u = 2^-53 and k = KATO_ROUNDING.
+
+    The allowance k u (||B|| + |c|) bounds what rounding puts into a margin
+    that is 0 in exact arithmetic, to first order in u, at ranks
+    d <= MAX_RANK = 8 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1 and 3.5): the stored maps are rounded unitary
+    matrices and T's entries rounded products b / rho phi, at most
+    2 sqrt(d) u ||B|| in the 2-norm; r = sqrt(rho_x) / sqrt(rho_y), the two
+    scaled entries and their mean take 5 roundings per entry, at most
+    5 sqrt(d) u ||B|| for B (the entrywise bound, through the Frobenius
+    norm) and 5 u |c| for c; `block_norms` is one rounding at d = 1, a few
+    at d = 2, and at d >= 3 a Gram product B*B, off by gamma_d |B|*|B|,
+    at most d^2 u ||B||^2 in the 2-norm, whose eigvalsh, taken as backward
+    stable with error d u ||B*B||, and square root add (d^2 + d) u / 2 + u
+    relative; the difference is one more. At d = 8 that is
+    (5.7 + 14.1 + 37 + 1) u ||B|| + 5 u |c|, within k = 64. A vertex block
+    takes its sums, the mean and eigvalsh, at most (d + 2) u ||B||. A margin
+    within its allowance cannot be told from 0 in floating point; past
+    rank 8 the allowance may fall short of the rounding, which can only
+    leave a small positive eta."""
+    x, y, ratio, _, blocks, diag = _edge_blocks(H_cov)
+    S, n = H_scal.matrix, len(H_cov.vertices)
+    unit = KATO_ROUNDING * np.finfo(float).eps / 2
+    norms = block_norms(blocks)
+    c = -0.5 * (S[x, y] * ratio + S[y, x] / ratio)  # |(A_S)_xy|, as S_xy <= 0
+    off = norms - c
+    off_excess = np.clip(off - unit * (norms + c), 0.0, None)
+    lam = np.linalg.eigvalsh(diag)
+    c_diag = np.diagonal(S)
+    on = c_diag - lam[:, 0]
+    on_excess = np.clip(on - unit * (np.max(np.abs(lam), axis=1) + np.abs(c_diag)), 0.0, None)
+    rows = np.bincount(x, off_excess, minlength=n) + on_excess
+    cols = np.bincount(y, off_excess, minlength=n) + on_excess
+    eta = float(np.sqrt(np.max(rows) * np.max(cols)))
+    return eta, float(max(np.max(off, initial=-np.inf), np.max(on)))
 
 
 def _gauge_distance(H_cov: OperatorMatrix, H_scal: OperatorMatrix) -> float | None:
     """A bound on ||herm(A_T) - G (herm(A_S) x I_d) G*||_2 for T = H_cov,
-    S = H_scal and the gauge G of `operators.scalar_gauge`: its eta plus
-    the Schur test on |A_S' - A_S|, for S' the scalar operator read from T.
-    None when no gauge applies: T real of rank 1, T and S on different
-    vertex weights, or an off-diagonal entry of S above zero, where e^{-tS}
-    is not positive and the gauge's equality does not hold."""
-    if not np.array_equal(H_cov.rho, H_scal.rho):
-        return None
-    positive = H_scal.matrix > 0
-    np.fill_diagonal(positive, False)
-    gauge = None if positive.any() else scalar_gauge(H_cov)
+    S = H_scal over T's vertex weights, and the gauge G of
+    `operators.scalar_gauge`: its eta plus the Schur test on |A_S' - A_S|,
+    for S' the scalar operator read from T. None for T real of rank 1,
+    which has no gauge."""
+    gauge = scalar_gauge(H_cov)
     if gauge is None:
         return None
     S_read, _, eta = gauge
@@ -363,34 +382,6 @@ def _gauge_distance(H_cov: OperatorMatrix, H_scal: OperatorMatrix) -> float | No
     s = np.sqrt(H_scal.rho)
     rows, cols = s * (diff @ (1.0 / s)), (s @ diff) / s
     return eta + float(np.sqrt(np.max(rows) * np.max(cols)))
-
-
-def _derived_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
-                        times, a_values, eta: float) -> list[LedgerRow]:
-    """The three Kato rows of the gauge route (`check_domination`) at
-    distance eta; T and S are checked PSD, and S is diagonalised, T not.
-    A negative time or a shift a <= 0 raises, as on the numeric route."""
-    for t in times:
-        _semigroup_g(t)
-    for a in a_values:
-        _resolvent_g(a)
-    require_psd(H_cov)
-    require_psd(H_scal)
-    spread = float(np.sqrt(np.max(H_scal.rho) / np.min(H_scal.rho)))
-    t, a = max(times), min(a_values)
-    detail = {"route": "gauge", "eta": eta}
-    lam = H_scal.lambda_min()
-    return [LedgerRow("kato-domination-semigroup", t * eta * spread, 0.0,
-                      tol=DOMINATION_TOL, detail={**detail, "worst_at": {"t": t}}),
-            LedgerRow("kato-domination-resolvent", eta / a ** 2 * spread, 0.0,
-                      tol=DOMINATION_TOL, detail={**detail, "worst_at": {"a": a}}),
-            LedgerRow("kato-spectral-ordering", lam, lam - eta,
-                      tol=DOMINATION_TOL, detail=detail)]
-
-
-def _section_norms(block: np.ndarray, n: int, d: int) -> np.ndarray:
-    """Per-vertex fiber norms of each column: (n d, m) -> (n, m)."""
-    return np.sqrt(np.sum(np.abs(block.reshape(n, d, -1)) ** 2, axis=1))
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -252,44 +253,54 @@ def build_exhaustion(g: WeightedGraph, root: str, radii) -> Exhaustion:
 # ---------------------------------------------------------------------------
 # file I/O and generators used by the CLI and the test-suite
 
-def load_graph(path) -> WeightedGraph:
-    """The graph of a JSON file {"vertices": [{"id", "rho"}], "edges": [{"u",
-    "v", "b"}]}: its fields in lists, checked by type, then by `_graph_arrays`."""
-    # the parse makes containers per vertex and edge and no cycles, so the
-    # cyclic collector is paused: it would run some 50 times on a 4,096-vertex
-    # lattice, at times over the whole heap, and reclaim nothing
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector, and restore its previous state on
+    the way out, an error included. Used as a decorator on the file loaders:
+    a JSON parse makes containers per vertex and edge and no cycles, and the
+    collector would run over them many times and reclaim nothing (some 50
+    runs on a 4,096-vertex lattice, at times over the whole heap). The parsed
+    document is freed by reference counting when the loader returns, before
+    the collector resumes."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise GraphFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
-        try:
-            vertices = [v["id"] for v in doc["vertices"]]
-            rhos = [v["rho"] for v in doc["vertices"]]
-            edges = [(e["u"], e["v"], e["b"]) for e in doc["edges"]]
-        except (KeyError, TypeError) as e:
-            raise GraphFormatError(f"{path}: missing field {e}")
-        us, vs, bs = zip(*edges) if edges else ((), (), ())
-        # ids are strings: a CLI spec names a vertex by a string, and
-        # `dump_graph` sorts ids; a scan runs only to name a check's offender
-        number = {int, float}
-        if not set(map(type, vertices)) <= {str}:
-            v = next(v for v in vertices if type(v) is not str)
-            raise GraphFormatError(f"{path}: vertex id {v!r} is not a string")
-        if not set(map(type, rhos)) <= number:  # a repeated id keeps its last rho
-            for v, r in dict(zip(vertices, rhos)).items():
-                if type(r) not in number:
-                    raise GraphFormatError(f"{path}: rho({v}) is not a number")
-        if not set(map(type, bs)) <= number:
-            u, v, _ = next(e for e in edges if type(e[2]) not in number)
-            raise GraphFormatError(f"{path}: b({u},{v}) is not a number")
-        return WeightedGraph(*_graph_arrays(vertices, rhos, us, vs, bs))
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+@_gc_paused()
+def load_graph(path) -> WeightedGraph:
+    """The graph of a JSON file {"vertices": [{"id", "rho"}], "edges": [{"u",
+    "v", "b"}]}: its fields in lists, checked by type, then by `_graph_arrays`."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise GraphFormatError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}")
+    try:
+        vertices = [v["id"] for v in doc["vertices"]]
+        rhos = [v["rho"] for v in doc["vertices"]]
+        edges = [(e["u"], e["v"], e["b"]) for e in doc["edges"]]
+    except (KeyError, TypeError) as e:
+        raise GraphFormatError(f"{path}: missing field {e}")
+    us, vs, bs = zip(*edges) if edges else ((), (), ())
+    # ids are strings: a CLI spec names a vertex by a string, and
+    # `dump_graph` sorts ids; a scan runs only to name a check's offender
+    number = {int, float}
+    if not set(map(type, vertices)) <= {str}:
+        v = next(v for v in vertices if type(v) is not str)
+        raise GraphFormatError(f"{path}: vertex id {v!r} is not a string")
+    if not set(map(type, rhos)) <= number:  # a repeated id keeps its last rho
+        for v, r in dict(zip(vertices, rhos)).items():
+            if type(r) not in number:
+                raise GraphFormatError(f"{path}: rho({v}) is not a number")
+    if not set(map(type, bs)) <= number:
+        u, v, _ = next(e for e in edges if type(e[2]) not in number)
+        raise GraphFormatError(f"{path}: b({u},{v}) is not a number")
+    return WeightedGraph(*_graph_arrays(vertices, rhos, us, vs, bs))
 
 
 def dump_graph(g: WeightedGraph, path):

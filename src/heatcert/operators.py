@@ -146,32 +146,25 @@ def _symmetrize(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _oriented_edges(g: WeightedGraph, rank: int, connection):
-    """Both orientations (x, y) of every edge, per edge (src, dst) then
-    (dst, src), in b order: index arrays x and y, the weights b(x, y), and
-    the fiber maps phi(y, x) stacked (2|E|, rank, rank), per edge the
-    connection's `back` then its `phi`; real rank-1 identity blocks when
-    connection is None."""
+def _assemble(g: WeightedGraph, rank: int, connection, kind: str) -> OperatorMatrix:
+    """Block operator: diagonal deg(x)/rho(x) Id, off-diagonal
+    -(b(x,y)/rho(x)) phi(y, x), with phi(y, x) the connection's `back` at
+    (src, dst) and its `phi` at (dst, src), real rank-1 identity blocks when
+    connection is None. Each diagonal entry sums b(x,y)/rho(x) over the
+    edges at x in b order. The graph is validated, so the operator starts
+    with the PSD verdict "psd" in its cache (`require_psd`)."""
+    report = validate_graph(g)
+    if not report.ok:
+        raise ValueError(f"invalid graph: {report.violations}")
+    n, d = g.n, rank
+    # both orientations of every edge, per edge (src, dst) then (dst, src)
     x = np.stack([g.src, g.dst], axis=1).ravel()
     y = np.stack([g.dst, g.src], axis=1).ravel()
     if connection is None:
         phi = np.ones((x.size, 1, 1))
     else:
-        phi = np.stack([connection.back, connection.phi], axis=1).reshape(-1, rank, rank)
-    return x, y, np.repeat(g.w, 2), phi
-
-
-def _assemble(g: WeightedGraph, rank: int, connection, kind: str) -> OperatorMatrix:
-    """Block operator: diagonal deg(x)/rho(x) Id, off-diagonal
-    -(b(x,y)/rho(x)) phi(y, x). Each diagonal entry sums b(x,y)/rho(x) over
-    the edges at x in b order. The graph is validated, so the operator
-    starts with the PSD verdict "psd" in its cache (`require_psd`)."""
-    report = validate_graph(g)
-    if not report.ok:
-        raise ValueError(f"invalid graph: {report.violations}")
-    n, d = g.n, rank
-    x, y, w, phi = _oriented_edges(g, d, connection)
-    coef = w / g.rho_vec[x]
+        phi = np.stack([connection.back, connection.phi], axis=1).reshape(-1, d, d)
+    coef = np.repeat(g.w, 2) / g.rho_vec[x]
     m = np.zeros((n * d, n * d), dtype=phi.dtype)
     m.reshape(n, d, n, d)[x, :, y, :] -= coef[:, None, None] * phi
     diag = np.arange(n * d)
@@ -182,27 +175,6 @@ def _assemble(g: WeightedGraph, rank: int, connection, kind: str) -> OperatorMat
 def assemble_laplacian(g: WeightedGraph) -> OperatorMatrix:
     """H[x,x] = deg(x)/rho(x), H[x,y] = -b(x,y)/rho(x); PSD, constants in kernel."""
     return _assemble(g, 1, None, "scalar-laplacian")
-
-
-def _form(g: WeightedGraph, rank: int, connection, f1: np.ndarray,
-          f2: np.ndarray) -> complex:
-    """(1/2) sum over ordered adjacent pairs of
-    b(x,y) <f1(x) - phi(y,x) f1(y), f2(x) - phi(y,x) f2(y)>."""
-    x, y, w, phi = _oriented_edges(g, rank, connection)
-
-    def grad(f):
-        f = f.reshape(g.n, rank)
-        return f[x] - (phi @ f[y][..., None])[..., 0]
-
-    return complex(0.5 * np.sum(w * np.sum(np.conj(grad(f1)) * grad(f2), axis=1)))
-
-
-def quadratic_form(g: WeightedGraph, f1: np.ndarray, f2: np.ndarray) -> complex:
-    """Dirichlet form (1/2) sum over ordered adjacent pairs of
-    b(x,y) conj(f1(x)-f1(y)) (f2(x)-f2(y)); antilinear in f1."""
-    if f1.shape != (g.n,) or f2.shape != (g.n,):
-        raise ValueError("function shape does not match graph")
-    return _form(g, 1, None, f1, f2)
 
 
 def assemble_covariant(g: WeightedGraph, rank: int,
@@ -216,12 +188,6 @@ def assemble_covariant(g: WeightedGraph, rank: int,
     if op.check_self_adjoint() > WEIGHTED_HERMITIAN_TOL:
         raise ValueError("covariant assembly lost self-adjointness; phi not unitary?")
     return op
-
-
-def covariant_form(g: WeightedGraph, rank: int, connection: UnitaryConnection,
-                   f1: np.ndarray, f2: np.ndarray) -> complex:
-    """Covariant Dirichlet form; f given as stacked fiber blocks."""
-    return _form(g, rank, connection, f1, f2)
 
 
 def multiplication_operator(W: EndomorphismField, vertices, rho: np.ndarray
@@ -273,6 +239,30 @@ def dirichlet_restriction(H: OperatorMatrix, pos) -> OperatorMatrix:
     return OperatorMatrix(sub, vertices, d, H.rho[pos], "dirichlet-restriction", cache)
 
 
+def _edge_blocks(H: OperatorMatrix):
+    """(x, y, ratio, coord, blocks, diag): H's blocks as spectral work reads
+    them. x and y index the ordered vertex pairs of the edge pattern, the
+    nonzero off-diagonal blocks made symmetric, ascending in x, found in one
+    boolean pass over H; ratio is sqrt(rho_x / rho_y) per pair, coord the
+    blocks H_xy of the coordinate matrix, blocks those of herm(A_H) for A
+    the symmetrized matrix and herm its Hermitian part, and diag the n
+    diagonal blocks of herm(A_H). Past the pass, the work is O(|E| d^2)."""
+    n, d = len(H.vertices), H.rank
+    m = H.matrix.reshape(n, d, n, d)
+    pattern = (H.matrix != 0).reshape(n, d, n, d).any(axis=(1, 3))
+    pattern |= pattern.T
+    np.fill_diagonal(pattern, False)
+    x, y = np.nonzero(pattern)
+    s = np.sqrt(H.rho)
+    ratio = s[x] / s[y]
+    coord = m[x, :, y, :]
+    r = ratio[:, None, None]
+    blocks = 0.5 * (coord * r + (m[y, :, x, :] / r).conj().swapaxes(1, 2))
+    diag = m[np.arange(n), :, np.arange(n), :]
+    diag = 0.5 * (diag + diag.conj().swapaxes(1, 2))
+    return x, y, ratio, coord, blocks, diag
+
+
 def scalar_gauge(H: OperatorMatrix):
     """(S, G, eta) for an operator H of rank d with a connection, or None
     for a real operator of rank 1, which is scalar already:
@@ -288,8 +278,8 @@ def scalar_gauge(H: OperatorMatrix):
     G ((S + a)^{-1} x I_d) G* within eta / a^2 for a > 0. A connection with
     holonomy leaves its defect in eta.
 
-    The edge pattern, the nonzero off-diagonal blocks made symmetric, is
-    found in one boolean pass over H; the rest works on its |E| edge blocks.
+    The blocks come from `_edge_blocks`; the rest works on its |E| edge
+    blocks.
     G is I at the root of a breadth-first spanning tree of each component,
     and each child c of p takes G_c = Q G_p, for Q the unitary polar factor
     of -herm(A_H)_cp, which makes the tree blocks of G* A_H G scalar; G is
@@ -306,21 +296,11 @@ def scalar_gauge(H: OperatorMatrix):
         return None
     if "gauge" in H._cache:
         return H._cache["gauge"]
-    m = H.matrix.reshape(n, d, n, d)
-    pattern = (H.matrix != 0).reshape(n, d, n, d).any(axis=(1, 3))
-    pattern |= pattern.T
-    np.fill_diagonal(pattern, False)
-    x, y = np.nonzero(pattern)  # ordered pairs, ascending in x
-    s = np.sqrt(H.rho)
-    ratio = (s[x] / s[y])[:, None, None]
-    coord = m[x, :, y, :]
-    blocks = 0.5 * (coord * ratio + (m[y, :, x, :] / ratio).conj().swapaxes(1, 2))
-    diag = m[np.arange(n), :, np.arange(n), :]
-    diag = 0.5 * (diag + diag.conj().swapaxes(1, 2))
+    x, y, ratio, coord, blocks, diag = _edge_blocks(H)
     S = np.zeros((n, n))
     S[x, y] = -block_norms(coord)
     S.flat[::n + 1] = np.trace(diag, axis1=1, axis2=2).real / d
-    s_xy = 0.5 * (S[x, y] * ratio[:, 0, 0] + S[y, x] / ratio[:, 0, 0])
+    s_xy = 0.5 * (S[x, y] * ratio + S[y, x] / ratio)
     # breadth-first spanning forest over the pattern; G in tree order
     ptr = np.searchsorted(x, np.arange(n + 1)).tolist()
     nbr = y.tolist()
@@ -429,43 +409,6 @@ def _spectral_rows(H: OperatorMatrix, kernel: bool = False):
                 yield vs, block
         if out is not None:
             yield slice(0, n), out
-
-    return rows
-
-
-def _hermitian_rows(H: OperatorMatrix):
-    """The upper block triangle of g(A) = U g(Lambda) U*, for A the
-    symmetrized matrix of H: returns rows(g), an iterator of (vertex slice
-    vs, block), block holding g(A) at the fiber rows of the vertices vs and
-    the fiber columns of the vertices from vs.start on. So the blocks hold
-    the blocks [g(A)]_xy with x <= y, each once, and the block [g(A)]_yx
-    is the adjoint of [g(A)]_xy. A block holds as many vertices as fit in
-    ROW_BLOCK_BYTES at full width (at least one); g is as for
-    `_spectral_rows`, but not None.
-
-    The sum over eigenpairs stops after the last one whose weight g(lambda)
-    exceeds 2^-53 max g: each dropped pair moves an entry by at most its
-    weight times |u_xk| |u_yk|, and the rows of U have unit norm, so an
-    entry moves by at most 2^-53 max g, less than the rounding of the
-    product. At a large time, where e^{-t lambda} is negligible on most of
-    the spectrum, the products shrink with it.
-
-    The eigendecomposition and the PSD check are made on the call, and
-    rows holds U and U*, no D factor and no reference to H. H must be
-    PSD."""
-    lam, u = _psd_eigh(H)
-    n, d, dim = len(H.vertices), H.rank, H.dim
-    right = u.conj().T
-    step = _row_step(d * dim * u.dtype.itemsize)
-
-    def rows(g):
-        g_lam = g(lam)
-        kept = np.flatnonzero(g_lam > np.ldexp(np.max(g_lam), -53))
-        k = kept[-1] + 1 if kept.size else 0
-        for v in range(0, n, step):
-            vs = slice(v, min(v + step, n))
-            r = slice(v * d, vs.stop * d)
-            yield vs, _flush_subnormals(u[r, :k] * g_lam[:k]) @ right[:k, r.start:]
 
     return rows
 

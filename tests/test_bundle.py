@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -112,6 +113,32 @@ def _connection_file(path, rank, entries):
     path.write_text(json.dumps({"rank": rank, "connection": [
         {"u": u, "v": v, "phi": _complex_matrix_to_json(m)} for u, v, m in entries]}))
     return path
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_bundle_parses_with_the_collector_paused(tmp_path, monkeypatch, enabled):
+    # a spy on json.load sees the collector paused; the previous state comes
+    # back after a good file and after a refused one
+    from heatcert import bundle
+
+    g = path_graph(3)
+    good = _connection_file(tmp_path / "good.json", 1,
+                            [("v0", "v1", np.eye(1)), ("v1", "v2", np.eye(1))])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rank": 1, "connection": [["v0", "v1"]]}))
+    seen, parse = [], json.load
+    monkeypatch.setattr(bundle.json, "load", lambda fh: seen.append(gc.isenabled()) or parse(fh))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert load_bundle(good, g)[0] == 1
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError, match=r"connection entry \['v0', 'v1'\] is not an object"):
+            load_bundle(bad, g)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 class TestConnection:

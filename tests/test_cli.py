@@ -366,7 +366,7 @@ class TestDominate:
         # H + V is labelled "sum"; the ledger is the one the same matrix
         # gives under the "covariant" label. The connection on the path is
         # flat, but V puts H + V far from a gauge of the scalar Laplacian,
-        # so the rows are the numeric route's
+        # so the ordering row reads lambda_min(H + V), with no route
         from heatcert.bundle import load_bundle
         from heatcert.compactness import check_domination
         from heatcert.operators import (OperatorMatrix, assemble_covariant,
@@ -390,7 +390,7 @@ class TestDominate:
                                 5, np.random.default_rng(3))
         expected = json.loads(json.dumps([r.to_dict() for r in rows]))
         assert json.loads(out.read_text())["ledger"] == expected
-        assert not any("route" in row for row in expected)
+        assert [row.get("route") for row in expected] == ["blockwise", "blockwise", None]
 
 
     def test_negative_potential_is_not_psd(self, tmp_path, capsys):
@@ -585,6 +585,7 @@ class TestInputChecks:
         ("connection-not-pairs", "phi(v1,v2) is not a matrix of [re, im] pairs"),
         ("connection-list-endpoint", "connection entry (['v1'],v2) is not an edge"),
         ("connection-object-endpoint", "connection entry (v1,{'id': 'v2'}) is not an edge"),
+        ("connection-not-object", "connection entry ['v1', 'v2'] is not an object"),
         ("metric-missing-vertex", "metric has no value at vertex v4"),
     ])
     @pytest.mark.parametrize("command", ["dominate", "certify"])
@@ -612,6 +613,8 @@ class TestInputChecks:
             conn[1]["u"] = ["v1"]
         elif case == "connection-object-endpoint":
             conn[1]["v"] = {"id": "v2"}
+        elif case == "connection-not-object":
+            conn[1] = ["v1", "v2"]
         elif case == "metric-missing-vertex":
             doc["metric"] = {f"v{j}": [[[1.0, 0.0]]] for j in range(6) if j != 4}
         bpath.write_text(json.dumps(doc))
@@ -739,11 +742,10 @@ class TestMetricBundles:
     the unitary change of fiber frames Q_x = L_x^* S_x^{-1} (g_x = L_x L_x^*).
 
     Every value the reports hold is invariant under a unitary change of
-    fiber frames, the Kato domination gaps too, which are maxima of fiber
-    block norms (a random section, drawn in the file's frame, sets a gap
-    only where it exceeds every block, and here none does): so the two
-    reports agree on every value, to 1e-12, for a diagonal metric
-    (Q_x = I) and for a full one."""
+    fiber frames, the Kato domination rows too, which read fiber block
+    norms and the eigenvalues of diagonal blocks: so the two reports agree
+    on every value, to 1e-12, for a diagonal metric (Q_x = I) and for a
+    full one."""
 
     @staticmethod
     def twins(tmp_path, diagonal=False, seed=17, d=2):
@@ -1000,8 +1002,8 @@ class TestDemo:
         assert kinds == ["f"]
 
     def test_certification_runs_no_factorisation(self, tmp_path, monkeypatch):
-        # the covariant eigenbasis is released after domination, its PSD
-        # verdict kept: certification neither diagonalises nor factorises
+        # domination diagonalises no covariant operator, and H_cov keeps
+        # its PSD verdict: certification neither diagonalises nor factorises
         from heatcert import cli
 
         caches, calls = [], []

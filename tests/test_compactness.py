@@ -30,7 +30,6 @@ from heatcert.graph import build_exhaustion, make_graph, path_graph, random_grap
 from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup
 from heatcert.operators import (
     OperatorMatrix,
-    _hermitian_rows,
     _resolvent_g,
     _semigroup_g,
     _symmetrize,
@@ -353,21 +352,64 @@ class TestDomination:
             check_domination(H2c, H1, (1.0,), (1.0,), 1, np.random.default_rng(0))
 
     def test_domination_never_holds_a_whole_covariant_operator(self):
-        # both eigendecompositions cached: besides the small scalar g(S), a
-        # call allocates U* and row blocks of g(T), never a whole g(T) and
-        # a copy of it
+        # no eigenbasis made first: with holonomy, a call makes S's real
+        # eigh and one complex eigvalsh of T, and holds at most two whole
+        # copies of T, herm(A_T) and its conjugate, never an eigenbasis of T
         rng = np.random.default_rng(25)
         g = random_graph(200, rng)
         Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
         H = assemble_laplacian(g)
-        Hc.eigh(), H.eigh()
         tracemalloc.start()
         try:
             check_domination(Hc, H, (0.1, 1.0), (1.0,), 5, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * Hc.dim ** 2 * 16
+        assert peak < 3 * Hc.dim ** 2 * 16 and "eigh" not in Hc._cache
+
+    def test_trials_and_rng_have_no_effect(self):
+        rng = np.random.default_rng(26)
+        g = random_graph(12, rng)
+        Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
+        H = assemble_laplacian(g)
+        a, b = (check_domination(Hc, H, (0.1, 1.0), (1.0,), trials, np.random.default_rng(seed))
+                for trials, seed in ((0, 1), (50, 2)))
+        assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+
+    def test_holonomy_makes_no_complex_eigh(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        g = random_graph(30, rng)
+        Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
+        H = assemble_laplacian(g)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *r, _n=name, _f=fn, **k:
+                                calls.append((_n, a.dtype.kind, a.ndim)) or _f(a, *r, **k))
+        rows = check_domination(Hc, H, (0.1, 1.0), (1.0,), 5, rng)
+        # S's eigh, the vertex blocks' batched eigvalsh and T's eigvalsh
+        assert sorted(calls) == [("eigh", "f", 2), ("eigvalsh", "c", 2), ("eigvalsh", "c", 3)]
+        assert all(r.ok for r in rows) and rows[2].rhs == pytest.approx(
+            eigh_min(Hc), abs=1e-12)
+
+    @pytest.mark.parametrize("case", ["weights", "positive"])
+    def test_rejects_a_scalar_operator_that_is_not_the_hosts(self, case):
+        # S over other vertex weights, or with a positive off-diagonal entry
+        # (e^{-tS} then is not positive): no CLI path builds either one
+        g = random_graph(8, np.random.default_rng(28))
+        Hc = assemble_covariant(g, 1, UnitaryConnection.trivial(g, 1))
+        H = assemble_laplacian(g)
+        if case == "weights":
+            S = OperatorMatrix(H.matrix, H.vertices, 1, 2.0 * H.rho, H.kind)
+        else:
+            S = OperatorMatrix(np.abs(H.matrix), H.vertices, 1, H.rho, H.kind)
+        with pytest.raises(ValueError, match="vertex weights" if case == "weights"
+                           else "positive off-diagonal"):
+            check_domination(Hc, S, (1.0,), (1.0,), 0, np.random.default_rng(0))
+
+
+def eigh_min(H):
+    return float(np.linalg.eigvalsh(H.hermitian())[0])
 
 
 def fiber_norms(f, d):
@@ -421,6 +463,90 @@ def reference_block_domination(H_cov, H_scal, times, a_values, trials, rng):
     return out
 
 
+def assert_fails_with_positive_gap(Hc, H):
+    """Both gap rows fail on the blockwise route, and each bounds the
+    positive exact block gap of the dense g(T)."""
+    times, a_values = (0.1, 1.0), (1.0,)
+    rows = check_domination(Hc, H, times, a_values, 5, np.random.default_rng(4))
+    ref = reference_block_domination(Hc, H, times, a_values, 5, np.random.default_rng(4))
+    for row, (worst, _) in zip(rows, ref):
+        assert worst > 1e-3 and not row.ok and row.lhs >= worst
+        assert row.detail["route"] == "blockwise" and row.detail["margin"] > 0
+    return rows
+
+
+def power_host(n, p, rng):
+    """A path with n chords more, seeded b in [0.5, 2] and rho_j = (1+j)^-p,
+    so that the entries of A_S reach about n^p."""
+    ids = [f"v{j}" for j in range(n)]
+    edges = {(j, j + 1) for j in range(n - 1)}
+    while len(edges) < 2 * n - 1:
+        edges.add(tuple(sorted(rng.choice(n, 2, replace=False).tolist())))
+    return make_graph(ids, {v: (1.0 + j) ** -p for j, v in enumerate(ids)},
+                      [(ids[a], ids[b], float(rng.uniform(0.5, 2.0))) for a, b in sorted(edges)])
+
+
+class TestBlockwiseCriterion:
+    """Hosts whose verdict the criterion must get right: dominated ones pass
+    with eta exactly 0, each margin within its rounding allowance, and
+    violated ones fail with a positive exact gap."""
+
+    @pytest.mark.parametrize("p", [1.25, 1.5])
+    @pytest.mark.parametrize("rank, n", [(1, 400), (2, 200)])
+    def test_power_weight_hosts_pass(self, rank, n, p):
+        # without the allowance, rounding in the margins of entries near
+        # n^p gives eta > 0, and a semigroup row near 3e-9 at rank 1
+        rng = np.random.default_rng(40)
+        g = power_host(n, p, rng)
+        conn = (UnitaryConnection.from_edge_phases(g, rng.uniform(0, 2 * np.pi, g.src.size))
+                if rank == 1 else random_connection(g, rank, rng))
+        rows = check_domination(assemble_covariant(g, rank, conn), assemble_laplacian(g),
+                                DEFAULT_TIMES, (0.5, 1.0), 0, np.random.default_rng(0))
+        assert all(r.ok for r in rows)
+        assert rows[0].detail["eta"] == 0.0 and rows[0].lhs == rows[1].lhs == 0.0
+
+    def test_half_weight_edge_with_compensating_potential_passes(self):
+        # T's edge at half weight is dominated off the diagonal, and the
+        # potential restores the degree that the edge lost on the diagonal
+        rng = np.random.default_rng(41)
+        g = random_graph(12, rng, p=0.4)
+        (pair, w), *rest = g.b.items()
+        u, v = sorted(pair)
+        half = make_graph(g.vertices, g.rho, [(u, v, w / 2)] + [(*sorted(q), b) for q, b in rest])
+        blocks = np.zeros((g.n, 2, 2), dtype=complex)
+        for x in (u, v):
+            blocks[g.index(x)] = np.eye(2) * (w / 2) / g.rho[x]
+        Hc = add_potential(assemble_covariant(half, 2, random_connection(half, 2, rng)),
+                           EndomorphismField.from_blocks(2, g.vertices, blocks, True))
+        H = assemble_laplacian(g)
+        rows = check_domination(Hc, H, (0.1, 1.0), (1.0,), 5, np.random.default_rng(4))
+        assert all(r.ok for r in rows) and rows[0].detail["eta"] == 0.0
+        (worst, _), _ = reference_block_domination(Hc, H, (0.1, 1.0), (1.0,), 0, None)
+        assert worst <= 1e-13
+
+    def test_potential_block_below_zero_fails(self):
+        # lambda_min = -0.5 at one vertex; holonomy keeps T PSD
+        rng = np.random.default_rng(42)
+        g = random_graph(12, rng, p=0.4)
+        blocks = np.broadcast_to(2.0 * np.eye(2, dtype=complex), (g.n, 2, 2)).copy()
+        q = random_unitary(rng, 2)
+        blocks[3] = q @ np.diag([-0.5, 1.0]) @ q.conj().T
+        Hc = add_potential(assemble_covariant(g, 2, random_connection(g, 2, rng)),
+                           EndomorphismField.from_blocks(2, g.vertices, blocks, True))
+        rows = assert_fails_with_positive_gap(Hc, assemble_laplacian(g))
+        assert rows[0].detail["margin"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_scalar_operator_lacking_an_edge_fails(self):
+        rng = np.random.default_rng(43)
+        g = random_graph(12, rng, p=0.4)
+        (pair, w), *rest = g.b.items()
+        lacking = make_graph(g.vertices, g.rho, [(*sorted(q), b) for q, b in rest])
+        Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
+        rows = assert_fails_with_positive_gap(Hc, assemble_laplacian(lacking))
+        x, y = (g.index(v) for v in sorted(pair))
+        assert rows[0].detail["margin"] == pytest.approx(w / np.sqrt(g.rho_vec[x] * g.rho_vec[y]))
+
+
 class TestFastPathsAgainstReferences:
     def test_laplace_matches_explicit_semigroup_sum(self):
         rng = np.random.default_rng(21)
@@ -434,38 +560,33 @@ class TestFastPathsAgainstReferences:
         rel = np.linalg.norm(fast - explicit) / np.linalg.norm(explicit)
         assert rel <= 1e-12
 
-    @pytest.mark.parametrize("rank, n", [(2, 10), (1, 10), (2, 200), (1, 400)],
-                             ids=["2", "1", "2-row-blocks", "1-row-blocks"])
+    @pytest.mark.parametrize("rank, n", [(2, 10), (1, 10), (2, 200), (1, 200)],
+                             ids=["2", "1", "2-n200", "1-n200"])
     def test_block_domination_matches_section_loop(self, rank, n):
-        # random connections, which carry holonomy, so the numeric route
-        # runs at either rank. The larger hosts span several row blocks of
-        # the triangle of g(A), the last one short.
+        # random connections, which carry holonomy: each derived row bounds
+        # the exact block gap of the dense g(T), and passes
         rng = np.random.default_rng(22)
         g = random_graph(n, rng)
         Hc = assemble_covariant(g, rank, random_connection(g, rank, rng))
         H = assemble_laplacian(g)
-        sizes = [vs.stop - vs.start for vs, _ in _hermitian_rows(Hc)(_semigroup_g(1.0))]
-        if n > 10:
-            assert len(sizes) > 2 and sizes[-1] < sizes[0]
         times, a_values, trials = (0.05, 0.5, 2.0), (0.5, 3.0), 7
         rows = check_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
         ref = reference_block_domination(Hc, H, times, a_values, trials,
                                          np.random.default_rng(3))
-        sections = reference_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
         assert [r.name for r in rows] == ["kato-domination-semigroup",
                                           "kato-domination-resolvent",
                                           "kato-spectral-ordering"]
-        for row, (worst, worst_at), (section_gap, _) in zip(rows, ref, sections):
-            assert abs(row.lhs - worst) <= 1e-13
-            assert row.detail == {"worst_at": worst_at}
-            # the sup over sections bounds every sampled one
-            assert row.lhs >= section_gap - 1e-13
-        assert rows[2].lhs == H.lambda_min() and rows[2].rhs == Hc.lambda_min()
+        for row, (worst, _) in zip(rows, ref):
+            assert row.ok and row.lhs >= worst - 1e-13
+            assert row.detail["route"] == "blockwise"
+        assert rows[2].lhs == H.lambda_min() and "route" not in rows[2].detail
+        assert rows[2].rhs == pytest.approx(eigh_min(Hc), abs=1e-12)
 
     @pytest.mark.parametrize("n", [10, 400])
     def test_trivial_connection_takes_the_gauge_route(self, n):
-        # T = S: the rows are derived from eta, which is round-off, and
-        # bound the section loop's gaps (which tie at 0 up to round-off)
+        # T = S: every margin is round-off within its allowance, so eta is
+        # 0; the ordering row reads the gauge, whose eta is round-off. The
+        # rows bound the section loop's gaps (which tie at 0 up to round-off)
         rng = np.random.default_rng(22)
         g = random_graph(n, rng)
         Hc = assemble_covariant(g, 1, UnitaryConnection.trivial(g, 1))
@@ -474,21 +595,23 @@ class TestFastPathsAgainstReferences:
         rows = check_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
         assert "eigh" not in Hc._cache
         ref = reference_domination(Hc, H, times, a_values, trials, np.random.default_rng(3))
-        eta = rows[0].detail["eta"]
+        eta = rows[2].detail["eta"]
         assert 0 <= eta <= 1e-13
+        margin = rows[0].detail["margin"]
+        assert abs(margin) <= 1e-15
+        detail = {"route": "blockwise", "eta": 0.0, "margin": margin}
         assert [r.detail for r in rows] == [
-            {"route": "gauge", "eta": eta, "worst_at": {"t": 2.0}},
-            {"route": "gauge", "eta": eta, "worst_at": {"a": 0.5}}, {"route": "gauge", "eta": eta}]
+            {**detail, "worst_at": {"t": 2.0}}, {**detail, "worst_at": {"a": 0.5}},
+            {"route": "gauge", "eta": eta}]
         for row, (worst, _) in zip(rows, ref):
             assert row.ok and worst <= row.lhs + 1e-13
         assert rows[2].lhs == H.lambda_min() and rows[2].rhs == H.lambda_min() - eta
 
     @pytest.mark.parametrize("order", ["ascending", "descending"])
     def test_doubled_edge_weights_break_domination(self, order):
-        # the coordinate gaps at (x, y) and (y, x) are sqrt(rho_y / rho_x)
-        # and sqrt(rho_x / rho_y) times one symmetric gap: with rho
-        # ascending in vertex order, the largest positive gap lies above
-        # the diagonal (x before y), and with rho descending, below it
+        # the largest block gap of g(T) lies above the diagonal (x before
+        # y) with rho ascending in vertex order, and below it with rho
+        # descending; the margins find the doubled weights either way
         rng = np.random.default_rng(23)
         g = random_graph(10, rng)
         rho = dict(zip(g.vertices, sorted(g.rho.values(), reverse=order == "descending")))
@@ -497,14 +620,7 @@ class TestFastPathsAgainstReferences:
                              [(*tuple(pair), 2.0 * w) for pair, w in g.b.items()])
         Hc = assemble_covariant(doubled, 2, random_connection(doubled, 2, rng))
         H = assemble_laplacian(scalar)
-        rows = check_domination(Hc, H, (0.1, 1.0), (1.0,), 5, np.random.default_rng(4))
-        semi = next(r for r in rows if r.name == "kato-domination-semigroup")
-        assert not semi.ok and "route" not in semi.detail
-        ref = reference_block_domination(Hc, H, (0.1, 1.0), (1.0,), 5, np.random.default_rng(4))
-        for row, (worst, worst_at) in zip(rows, ref):
-            assert abs(row.lhs - worst) <= 1e-13 and row.detail == {"worst_at": worst_at}
-        x, y = (g.vertices.index(semi.detail["worst_at"][k]) for k in "xy")
-        assert (x < y) if order == "ascending" else (x > y)
+        assert_fails_with_positive_gap(Hc, H)
 
     def test_stale_eigendecomposition_fails_the_crosscheck(self):
         # the cached spectrum is that of the same graph with one edge weight
@@ -934,7 +1050,8 @@ class TestScalarGauge:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: kinds.append(a.dtype.kind) or eigh(a))
         rows = check_domination(Hc, H, (0.1, 1.0), (0.5, 2.0), 5, np.random.default_rng(0))
         assert kinds == ["f"] and "eigh" not in Hc._cache
-        assert all(r.ok and r.detail["route"] == "gauge" for r in rows)
+        assert all(r.ok for r in rows)
+        assert [r.detail["route"] for r in rows] == ["blockwise", "blockwise", "gauge"]
         assert [r.name for r in rows] == ["kato-domination-semigroup",
                                           "kato-domination-resolvent",
                                           "kato-spectral-ordering"]
@@ -942,7 +1059,7 @@ class TestScalarGauge:
         spread = np.sqrt(np.max(g.rho_vec) / np.min(g.rho_vec))
         eta = rows[0].detail["eta"]
         assert rows[0].lhs == 1.0 * eta * spread and rows[1].lhs == eta / 0.25 * spread
-        assert rows[2].rhs == H.lambda_min() - eta
+        assert rows[2].rhs == H.lambda_min() - rows[2].detail["eta"]
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_flat_lattice_certifies_on_the_scalar_operator(self, d, monkeypatch):
@@ -968,10 +1085,11 @@ class TestScalarGauge:
             assert rep.support_columns[dim] == columns
             assert abs(row.lhs - top1[0]) <= 1e-12 * max(1.0, top1[0])
 
-    def test_ring_with_flux_runs_the_numeric_rows(self):
+    def test_ring_with_flux_passes_blockwise(self):
         # total phase pi around an 8-cycle: the gauge leaves the holonomy
-        # e^{i pi} - 1 on the closing edge, and the resolvent gap is
-        # strictly negative for every section
+        # e^{i pi} - 1 on the closing edge, so the ordering row reads
+        # lambda_min(T) = 2 - 2 cos(pi / 8) with no eigenvector, and every
+        # block of T meets the criterion
         n = 8
         ids = [f"v{i}" for i in range(n)]
         ring = make_graph(ids, dict.fromkeys(ids, 1.0),
@@ -982,22 +1100,20 @@ class TestScalarGauge:
         Hc, H = assemble_covariant(ring, 1, conn), assemble_laplacian(ring)
         assert operators.scalar_gauge(Hc)[2] >= 2.0 - 1e-12
         rows = check_domination(Hc, H, (0.1, 1.0), (0.5, 2.0), 5, np.random.default_rng(0))
-        assert all("route" not in r.detail for r in rows) and "eigh" in Hc._cache
-        assert all(r.ok for r in rows)
-        resolvent_row = next(r for r in rows if r.name == "kato-domination-resolvent")
-        assert resolvent_row.lhs < 0
+        assert all(r.ok for r in rows) and "eigh" not in Hc._cache
+        assert [r.detail.get("route") for r in rows] == ["blockwise", "blockwise", None]
+        assert rows[0].detail["eta"] == 0.0
+        assert rows[2].rhs == pytest.approx(2 - 2 * np.cos(np.pi / n), abs=1e-12)
 
-    def test_doubled_edge_weights_on_a_flat_connection_fail_numerically(self):
-        # T is a gauge of twice S: eta against S is large, the numeric
-        # route runs, and it finds the violation
+    def test_doubled_edge_weights_on_a_flat_connection_fail_blockwise(self):
+        # T is a gauge of twice S: eta against S is large, and the margins
+        # find the violation
         g, Hc, _, _ = flat_lattice_case(4, 2, 33)
         doubled = make_graph(g.vertices, g.rho,
                              [(*tuple(pair), 2.0 * w) for pair, w in g.b.items()])
         flat = assemble_covariant(doubled, 2, UnitaryConnection.trivial(doubled, 2))
-        rows = check_domination(flat, assemble_laplacian(g), (0.1, 1.0), (1.0,), 5,
-                                np.random.default_rng(0))
-        assert all("route" not in r.detail for r in rows)
-        assert not next(r for r in rows if r.name == "kato-domination-semigroup").ok
+        rows = assert_fails_with_positive_gap(flat, assemble_laplacian(g))
+        assert "route" not in rows[2].detail
 
     def test_real_scalar_operator_has_no_gauge(self):
         assert operators.scalar_gauge(assemble_laplacian(path_graph(4))) is None

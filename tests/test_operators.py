@@ -8,20 +8,38 @@ from heatcert.operators import (
     OperatorMatrix,
     _flush_subnormals,
     _semigroup_g,
-    _hermitian_rows,
     _spectral_rows,
     add_potential,
     assemble_covariant,
     assemble_laplacian,
-    covariant_form,
     dirichlet_restriction,
     multiplication_operator,
-    quadratic_form,
     require_psd,
     resolvent,
     semigroup_matrix,
     spectral_function,
 )
+
+
+def form(g, rank, connection, f1, f2):
+    """The Dirichlet form (1/2) sum over ordered adjacent pairs of
+    b(x,y) <f1(x) - phi(y,x) f1(y), f2(x) - phi(y,x) f2(y)>, antilinear in
+    f1, with f given as stacked fiber blocks; phi(y, x) is the connection's
+    `back` at (src, dst) and its `phi` at (dst, src), and 1 for connection
+    None, the scalar Laplacian's form."""
+    x = np.concatenate([g.src, g.dst])
+    y = np.concatenate([g.dst, g.src])
+    if connection is None:
+        phi = np.ones((x.size, 1, 1))
+    else:
+        phi = np.concatenate([connection.back, connection.phi])
+
+    def grad(f):
+        f = f.reshape(g.n, rank)
+        return f[x] - (phi @ f[y][..., None])[..., 0]
+
+    return complex(0.5 * np.sum(np.concatenate([g.w, g.w])
+                                * np.sum(np.conj(grad(f1)) * grad(f2), axis=1)))
 
 
 def weighted_pairing(H, f):
@@ -86,18 +104,18 @@ class TestQuadraticForm:
     def test_constant_function_vanishes(self):
         g = path_graph(5)
         f = np.full(5, 2.0 + 1j)
-        assert abs(quadratic_form(g, f, f)) < 1e-14
+        assert abs(form(g, 1, None, f, f)) < 1e-14
 
     def test_single_edge_delta(self):
         g = two_vertex()
         f = np.array([1.0, 0.0])
-        assert quadratic_form(g, f, f) == pytest.approx(1.0)
+        assert form(g, 1, None, f, f) == pytest.approx(1.0)
         assert np.max(g.deg / g.rho_vec) == 1.0  # sup_x deg(x)/rho(x)
 
     def test_path3_hand_value(self):
         g = path_graph(3)
         f = np.array([1.0, 0.0, -1.0])
-        assert quadratic_form(g, f, f) == pytest.approx(2.0)
+        assert form(g, 1, None, f, f) == pytest.approx(2.0)
         H = assemble_laplacian(g)
         assert np.real(weighted_pairing(H, f)) == pytest.approx(2.0)
 
@@ -107,7 +125,7 @@ class TestQuadraticForm:
         H = assemble_laplacian(g)
         for _ in range(100):
             f = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
-            q = quadratic_form(g, f, f)
+            q = form(g, 1, None, f, f)
             pairing = weighted_pairing(H, f)
             assert abs(q - pairing) <= 1e-10 * max(1.0, abs(q))
 
@@ -120,7 +138,7 @@ class TestQuadraticForm:
         for _ in range(20):
             f = rng.standard_normal(g.n)
             nf = np.sum(f ** 2 * g.rho_vec)
-            assert np.real(quadratic_form(g, f, f)) <= 2 * c * nf + 1e-10
+            assert np.real(form(g, 1, None, f, f)) <= 2 * c * nf + 1e-10
 
 
 class TestCovariant:
@@ -161,7 +179,7 @@ class TestCovariant:
         H = assemble_covariant(g, d, conn)
         for _ in range(20):
             f = rng.standard_normal(g.n * d) + 1j * rng.standard_normal(g.n * d)
-            q = covariant_form(g, d, conn, f, f)
+            q = form(g, d, conn, f, f)
             pairing = weighted_pairing(H, f)
             assert abs(q - pairing) <= 1e-10 * max(1.0, abs(q))
 
@@ -437,7 +455,6 @@ class TestRequirePsd:
         lambda H: kernel_from_semigroup(H, (0.0, 0.5)),
         lambda H: _spectral_rows(H),  # on the call, before any block
         lambda H: _spectral_rows(H, kernel=True),
-        lambda H: _hermitian_rows(H),  # on the call, before any block
     ])
     def test_spectral_consumers_reject_a_non_psd_operator(self, consumer):
         with pytest.raises(ValueError, match="sum operator not PSD"):
@@ -519,26 +536,6 @@ class TestSpectralRows:
             ((vs, one),) = rows(g_of, out=out)
             assert one is out and vs == slice(0, g.n)
             assert np.array_equal(out, np.vstack(blocks))
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_hermitian_rows_tile_the_upper_triangle(self, d):
-        # each block holds g(A) = U g(Lambda) U* from its own first fiber
-        # column on; at t = 100 most eigenpairs weigh below 2^-53 max g and
-        # are dropped, which moves no entry past the product's rounding
-        rng = np.random.default_rng(94)
-        g = random_graph(300 // d, rng)
-        H = assemble_covariant(g, d, random_connection(g, d, rng))
-        lam, u = H.eigh()
-        rows = _hermitian_rows(H)
-        for g_of in (*self.G_OF, _semigroup_g(100.0)):
-            whole = (u * g_of(lam)) @ u.conj().T
-            spans, blocks = zip(*rows(g_of))
-            assert len(spans) > 1 and spans[0].start == 0 and spans[-1].stop == g.n
-            for vs, block in zip(spans, blocks):
-                assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
-                expected = whole[vs.start * d:vs.stop * d, vs.start * d:]
-                assert block.shape == expected.shape
-                assert np.max(np.abs(block - expected)) <= 1e-14 * np.max(np.abs(whole))
 
     def test_identity_kernel_is_exactly_inverse_rho(self):
         g = random_graph(30, np.random.default_rng(98))
@@ -654,10 +651,10 @@ class TestArrayAssemblyAgainstLoops:
             f1, f2 = (rng.standard_normal(g.n * d) + 1j * rng.standard_normal(g.n * d)
                       for _ in range(2))
             ref = loop_form(g, d, maps_by_ids(conn), f1, f2)
-            assert abs(covariant_form(g, d, conn, f1, f2) - ref) <= 1e-12 * abs(ref)
+            assert abs(form(g, d, conn, f1, f2) - ref) <= 1e-12 * abs(ref)
             if d == 1:
                 ref = loop_form(g, 1, lambda x, y: one, f1, f2)
-                assert abs(quadratic_form(g, f1, f2) - ref) <= 1e-12 * abs(ref)
+                assert abs(form(g, 1, None, f1, f2) - ref) <= 1e-12 * abs(ref)
 
 
 class TestRealScalarPath:
