@@ -22,7 +22,6 @@ from .control import ControlPair, F2Family, _quad_f2, laplace_rule
 from .graph import Exhaustion, lq_norm
 from .heat import HeatKernel
 from .operators import (
-    PSD_TOL,
     OperatorMatrix,
     _edge_blocks,
     _resolvent_g,
@@ -257,12 +256,13 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     & Uhlenbrock 1977). Sufficiency is by Trotter: the semigroups of the
     diagonal and of the off-diagonal part of T are each dominated by those
     of S, and so is their product; (ii) is the Laplace transform of (i).
-    Necessity is the first order of e^{-tA} in t. `_kato_excess` reads the
-    blocks (`operators._edge_blocks`) and their margins, by which each
-    block misses the criterion, in O(|E| d^3) and with no spectral work on
-    T. Each margin loses a rounding allowance k u (||B||_2 + |c|), clamped
-    at 0, for B the block of T, c the entry of S, u = 2^-53 and
-    k = KATO_ROUNDING = 64, derived there; what is left is its excess.
+    Necessity is the first order of e^{-tA} in t. `_kato_excess` takes the
+    blocks (`operators._edge_blocks`, read once and shared with the gauge)
+    and their margins, by which each block misses the criterion, in
+    O(|E| d^3) and with no spectral work on T. Each margin loses a rounding
+    allowance k u (||B||_2 + |c|), clamped at 0, for B the block of T, c
+    the entry of S, u = 2^-53 and k = KATO_ROUNDING = 64, derived there;
+    what is left is its excess.
 
     Rows. T~, T with each off-diagonal block shrunk by its excess and each
     diagonal block lifted by its excess, meets the criterion to within the
@@ -278,8 +278,8 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     Ordering row, lhs lambda_min(S). Its rhs is lambda_min(S) - eta_g
     (Weyl) when T is a gauge of S x I_d to eta_g <= DOMINATION_TOL
     (`_gauge_distance`), with route "gauge" and eta_g in its detail, and
-    lambda_min(T) from `np.linalg.eigvalsh`, or a cached eigendecomposition
-    of T, otherwise. No eigenvector of T is formed.
+    lambda_min(T) from `np.linalg.eigvalsh` otherwise. No eigenvector of T
+    is formed.
 
     `trials` and `rng` have no effect: the criterion is exact, and no
     section is sampled."""
@@ -299,18 +299,17 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     for a in a_values:
         _resolvent_g(a)
     require_psd(H_scal)
-    eta, margin = _kato_excess(H_cov, H_scal)
+    edges = _edge_blocks(H_cov)
+    eta, margin = _kato_excess(edges, H_scal)
     lam = H_scal.lambda_min()
-    eta_g = _gauge_distance(H_cov, H_scal)
+    eta_g = _gauge_distance(H_cov, H_scal, edges)
     if eta_g is not None and eta_g <= DOMINATION_TOL:
         require_psd(H_cov)
         ordering = LedgerRow("kato-spectral-ordering", lam, lam - eta_g, tol=DOMINATION_TOL,
                              detail={"route": "gauge", "eta": eta_g})
     else:
-        lam_cov = (H_cov.lambda_min() if "eigh" in H_cov._cache
-                   else float(np.linalg.eigvalsh(H_cov.hermitian())[0]))
-        if lam_cov < -PSD_TOL:
-            raise ValueError(f"{H_cov.kind} operator not PSD: lambda_min = {lam_cov}")
+        lam_cov = float(np.linalg.eigvalsh(H_cov.hermitian())[0])
+        require_psd(H_cov, lam_cov)
         ordering = LedgerRow("kato-spectral-ordering", lam, lam_cov, tol=DOMINATION_TOL)
     spread = float(np.sqrt(np.max(H_scal.rho) / np.min(H_scal.rho)))
     t, a = max(times), min(a_values)
@@ -322,12 +321,12 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
             ordering]
 
 
-def _kato_excess(H_cov: OperatorMatrix, H_scal: OperatorMatrix) -> tuple[float, float]:
-    """(eta, margin) of `check_domination`'s criterion. The margin of a pair
-    x != y of T's edge pattern is ||B||_2 - |c|, for B = herm(A_T)_xy by
-    `bundle.block_norms` and c = (A_S)_xy; that of a vertex x is
-    c - lambda_min(B), for B = herm(A_T)_xx by a batched eigvalsh and
-    c = (A_S)_xx. A pair outside T's pattern has margin -|c| <= 0. margin
+def _kato_excess(edges, H_scal: OperatorMatrix) -> tuple[float, float]:
+    """(eta, margin) of `check_domination`'s criterion, for edges the
+    `operators._edge_blocks` of T. The margin of a pair x != y of T's edge
+    pattern is ||B||_2 - |c|, for B = herm(A_T)_xy by `bundle.block_norms`
+    and c = (A_S)_xy; that of a vertex x is c - lambda_min(B), for
+    B = herm(A_T)_xx by a batched eigvalsh and c = (A_S)_xx. A pair outside T's pattern has margin -|c| <= 0. margin
     is the largest of them, and eta the Schur test (the square root of the
     largest row sum times the largest column sum) of the excesses
     max(0, margin - k u (||B||_2 + |c|)), u = 2^-53 and k = KATO_ROUNDING.
@@ -350,8 +349,8 @@ def _kato_excess(H_cov: OperatorMatrix, H_scal: OperatorMatrix) -> tuple[float, 
     within its allowance cannot be told from 0 in floating point; past
     rank 8 the allowance may fall short of the rounding, which can only
     leave a small positive eta."""
-    x, y, ratio, _, blocks, diag = _edge_blocks(H_cov)
-    S, n = H_scal.matrix, len(H_cov.vertices)
+    x, y, ratio, _, blocks, diag = edges
+    S, n = H_scal.matrix, len(H_scal.vertices)
     unit = KATO_ROUNDING * np.finfo(float).eps / 2
     norms = block_norms(blocks)
     c = -0.5 * (S[x, y] * ratio + S[y, x] / ratio)  # |(A_S)_xy|, as S_xy <= 0
@@ -367,13 +366,14 @@ def _kato_excess(H_cov: OperatorMatrix, H_scal: OperatorMatrix) -> tuple[float, 
     return eta, float(max(np.max(off, initial=-np.inf), np.max(on)))
 
 
-def _gauge_distance(H_cov: OperatorMatrix, H_scal: OperatorMatrix) -> float | None:
+def _gauge_distance(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
+                    edges) -> float | None:
     """A bound on ||herm(A_T) - G (herm(A_S) x I_d) G*||_2 for T = H_cov,
     S = H_scal over T's vertex weights, and the gauge G of
-    `operators.scalar_gauge`: its eta plus the Schur test on |A_S' - A_S|,
-    for S' the scalar operator read from T. None for T real of rank 1,
-    which has no gauge."""
-    gauge = scalar_gauge(H_cov)
+    `operators.scalar_gauge`, given edges, T's `_edge_blocks`: its eta plus
+    the Schur test on |A_S' - A_S|, for S' the scalar operator read from T.
+    None for T real of rank 1, which has no gauge."""
+    gauge = scalar_gauge(H_cov, edges)
     if gauge is None:
         return None
     S_read, _, eta = gauge

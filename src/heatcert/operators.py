@@ -106,19 +106,21 @@ class OperatorMatrix:
         return float(self.eigh()[0][0])
 
 
-def require_psd(op: OperatorMatrix):
+def require_psd(op: OperatorMatrix, lam: float | None = None):
     """Raise unless lambda_min >= -PSD_TOL, so that e^{-tH} contracts.
 
-    A cached eigendecomposition decides by its lambda_min. Without one, a
+    A given lam, op's lambda_min found by the caller, decides. Else a cached
+    eigendecomposition decides by its lambda_min. Without one, a
     verdict "psd" recorded at construction stands: `_assemble` records it,
     since validated b >= 0 and rho > 0, and a unitary phi, make the form
     sum b |f(x) - phi(y, x) f(y)|^2 nonnegative; `add_potential` and
     `dirichlet_restriction` pass it on. Otherwise (an operator built by
     hand, or a potential with a negative block) `eigh` decides. The
     consumers of spectral work call it, not construction."""
-    if "eigh" not in op._cache and op._cache.get("psd"):
-        return
-    lam = op.lambda_min()
+    if lam is None:
+        if "eigh" not in op._cache and op._cache.get("psd"):
+            return
+        lam = op.lambda_min()
     if lam < -PSD_TOL:
         raise ValueError(f"{op.kind} operator not PSD: lambda_min = {lam}")
 
@@ -263,7 +265,7 @@ def _edge_blocks(H: OperatorMatrix):
     return x, y, ratio, coord, blocks, diag
 
 
-def scalar_gauge(H: OperatorMatrix):
+def scalar_gauge(H: OperatorMatrix, edges=None):
     """(S, G, eta) for an operator H of rank d with a connection, or None
     for a real operator of rank 1, which is scalar already:
 
@@ -278,8 +280,8 @@ def scalar_gauge(H: OperatorMatrix):
     G ((S + a)^{-1} x I_d) G* within eta / a^2 for a > 0. A connection with
     holonomy leaves its defect in eta.
 
-    The blocks come from `_edge_blocks`; the rest works on its |E| edge
-    blocks.
+    The blocks come from `_edge_blocks`, or from edges, its tuple for H
+    read by the caller; the rest works on its |E| edge blocks.
     G is I at the root of a breadth-first spanning tree of each component,
     and each child c of p takes G_c = Q G_p, for Q the unitary polar factor
     of -herm(A_H)_cp, which makes the tree blocks of G* A_H G scalar; G is
@@ -296,7 +298,7 @@ def scalar_gauge(H: OperatorMatrix):
         return None
     if "gauge" in H._cache:
         return H._cache["gauge"]
-    x, y, ratio, coord, blocks, diag = _edge_blocks(H)
+    x, y, ratio, coord, blocks, diag = edges or _edge_blocks(H)
     S = np.zeros((n, n))
     S[x, y] = -block_norms(coord)
     S.flat[::n + 1] = np.trace(diag, axis1=1, axis2=2).real / d

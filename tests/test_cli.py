@@ -354,7 +354,7 @@ class TestDominate:
         out = tmp_path / "rep.json"
         assert main(["dominate", "check", "--graph", str(gpath),
                      "--bundle", str(bpath), "--times", "0.1,1.0",
-                     "--a", "1,2", "--trials", "5", "--seed", "3",
+                     "--a", "1,2", "--seed", "3",
                      "--out", str(out)]) == EXIT_OK
         rep = json.loads(out.read_text())
         assert rep["pass"] is True
@@ -380,7 +380,7 @@ class TestDominate:
         dump_bundle(bpath, 1, connection=conn, potentials={"v": V})
         assert main(["dominate", "check", "--graph", str(gpath), "--bundle", str(bpath),
                      "--potential", "v", "--times", "0.1,1.0", "--a", "1,2",
-                     "--trials", "5", "--seed", "3", "--out", str(out)]) == EXIT_OK
+                     "--seed", "3", "--out", str(out)]) == EXIT_OK
         _, conn, pots = load_bundle(bpath, g)
         H = assemble_covariant(g, 1, conn)
         Vop = multiplication_operator(pots["v"], g.vertices, H.rho)
@@ -937,7 +937,7 @@ class TestStartupImports:
         "heat verify --graph {graph} --exhaustion root=v0,radii=3,11 --out {out}",
         "heat minimal --graph {graph} --exhaustion root=v0,radii=3,6,11 --times 0.5,1.0",
         "control fit --kernel {kernel} --family graph --out {out}",
-        "dominate check --graph {graph} --bundle {bundle} --times 0.1,1.0 --a 1,2 --trials 5",
+        "dominate check --graph {graph} --bundle {bundle} --times 0.1,1.0 --a 1,2",
         "compact certify --graph {graph} --bundle {bundle} --potential w --a 2"
         " --levels root=v0,radii=5,11 --out {out}",
         "demo coulomb-lattice --n 30 --out {out}",
@@ -1033,8 +1033,8 @@ class TestDemo:
         built, returned = [], []
         gauge = operators.scalar_gauge
 
-        def recording_gauge(H):
-            out = gauge(H)
+        def recording_gauge(H, *edges):
+            out = gauge(H, *edges)
             returned.append(out)
             if not any(r is out for r in returned[:-1]):
                 built.append(out[0].matrix.copy())
@@ -1102,7 +1102,6 @@ class TestFlagValues:
         "heat verify --graph {graph} --out {out} --times nan",
         DOMINATE + " --a nan",
         DOMINATE + " --a 1,inf",
-        DOMINATE + " --trials -1",
         "demo coulomb-lattice --n 30 --out {out} --threshold nan",
         "control check --out {out} --C nan",
         "control check --out {out} --q nan",
