@@ -89,13 +89,7 @@ class UnitaryConnection:
     the fiber at dst[e] and `back[e]` the map from the fiber at dst[e] to
     the fiber at src[e].
 
-    Construction checks every map, in one batched pass: finite, unitary
-    (phi^* phi = I) and the inverse of its reverse (back phi = phi back =
-    I), each to UNITARY_TOL in the 2-norm. A failure raises, naming the map
-    by its two vertex ids. The oriented maps are numbered k < |E| for
-    phi[k] and |E| + k for back[k]; they are checked in the order `order`
-    gives, by default in that numbering, and the first one that fails is
-    named.
+    Construction runs `check`, with the order `order`.
     """
 
     graph: WeightedGraph
@@ -104,6 +98,16 @@ class UnitaryConnection:
     order: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, order):
+        self.check(order)
+
+    def check(self, order: np.ndarray | None = None):
+        """Check every map, in one batched pass: finite, unitary
+        (phi^* phi = I) and the inverse of its reverse (back phi = phi back
+        = I), each to UNITARY_TOL in the 2-norm. A failure raises, naming
+        the map by its two vertex ids. The oriented maps are numbered k < |E|
+        for phi[k] and |E| + k for back[k]; they are checked in the order
+        `order` gives, by default in that numbering, and the first one that
+        fails is named."""
         g, d = self.graph, self.rank
         # map k, from the fiber at x[k] to the fiber at y[k], and its reverse
         maps, reverse = np.concatenate([self.phi, self.back]), np.concatenate([self.back, self.phi])

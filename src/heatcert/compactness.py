@@ -26,7 +26,6 @@ from .operators import (
     _edge_blocks,
     _resolvent_g,
     _semigroup_g,
-    _symmetrize,
     dirichlet_restriction,
     require_psd,
     resolvent_singular_values,
@@ -48,7 +47,8 @@ ASCENT_TOL = 1e-8
 
 @dataclass
 class LedgerRow:
-    """One verified inequality: name, both sides, slack = rhs - lhs."""
+    """One verified inequality: name, both sides, slack = rhs - lhs, and the
+    tolerance tol by which it may pass with negative slack."""
 
     name: str
     lhs: float
@@ -66,7 +66,7 @@ class LedgerRow:
 
     def to_dict(self) -> dict:
         return {"name": self.name, "lhs": self.lhs, "rhs": self.rhs,
-                "slack": self.slack, "pass": self.ok, **self.detail}
+                "slack": self.slack, "tol": self.tol, "pass": self.ok, **self.detail}
 
 
 def resolvent_via_laplace(H: OperatorMatrix, a: float) -> np.ndarray:
@@ -88,14 +88,17 @@ def resolvent_via_laplace(H: OperatorMatrix, a: float) -> np.ndarray:
 
 def check_resolvent_laplace(H: OperatorMatrix, a: float, rtol: float = 1e-6) -> LedgerRow:
     """Residual of `resolvent_via_laplace` against the assembled matrix:
-    ||D^{1/2} ((M + a) R - I) D^{-1/2}||_F for M = H.matrix and R the
-    quadrature resolvent. With the eigendecomposition of M it reads
+    ||(A + a) R_A - I||_F for A = H.matrix and R_A = D^{1/2} R D^{-1/2},
+    R the quadrature resolvent. With the eigendecomposition of A it reads
     sqrt(sum over eigenvalues of ((lambda + a) g(lambda) - 1)^2), so it
     bounds the relative error on every eigenvalue; with a stale one it
     fails. lambda_max / a in the detail says how far the quadrature was
     pushed."""
     quad = resolvent_via_laplace(H, a)
-    residual = _symmetrize(H.matrix @ quad + a * quad, H.measure_weights()) - np.eye(H.dim)
+    s = np.sqrt(H.measure_weights())
+    quad *= s[:, None]
+    quad /= s
+    residual = H.matrix @ quad + a * quad - np.eye(H.dim)
     return LedgerRow("resolvent-laplace-crosscheck", float(np.linalg.norm(residual)), rtol,
                      detail={"a": a, "lambda_max_over_a": float(H.eigh()[0][-1] / a)})
 
@@ -120,9 +123,9 @@ def check_hs_bound(W1, k: HeatKernel, cp: ControlPair, t: float) -> list[LedgerR
     pt = k.at(t)
     rho = k.rho
     w = _field(W1, k.vertices, 1).norms()
-    # direct: matrix of W P_t acting on coordinate vectors
-    mat = w[:, None] * (np.real(pt) * rho[None, :])
-    hs_direct_sq = float(np.linalg.norm(_symmetrize(mat, rho), "fro")) ** 2
+    # direct: D^{1/2} W P_t D^{-1/2}, for W P_t acting on coordinate vectors
+    s = np.sqrt(rho)
+    hs_direct_sq = float(np.linalg.norm((w * s)[:, None] * np.real(pt) * s, "fro")) ** 2
     diag_sq = float(np.sum(w ** 2 * np.real(np.diagonal(p2t)) * rho))
     scale = max(hs_direct_sq, diag_sq, 1e-300)
     identity = LedgerRow("hs-identity-relerr",
@@ -249,10 +252,10 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     T = H_cov and S = H_scal, both PSD, over the same vertex weights, with
     no positive off-diagonal entry in S (else ValueError).
 
-    Criterion. With A the symmetrized matrix and herm its Hermitian part,
-    (i) holds for every t >= 0, and (ii) for every a > 0, exactly when
-    ||herm(A_T)_xy||_2 <= |(A_S)_xy| for every pair x != y and
-    herm(A_T)_xx >= (A_S)_xx I at every vertex (Simon 1977; Hess, Schrader
+    Criterion. With A the stored matrix of each (`operators`), (i) holds
+    for every t >= 0, and (ii) for every a > 0, exactly when
+    ||(A_T)_xy||_2 <= |(A_S)_xy| for every pair x != y and
+    (A_T)_xx >= (A_S)_xx I at every vertex (Simon 1977; Hess, Schrader
     & Uhlenbrock 1977). Sufficiency is by Trotter: the semigroups of the
     diagonal and of the off-diagonal part of T are each dominated by those
     of S, and so is their product; (ii) is the Laplace transform of (i).
@@ -267,7 +270,7 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
     Rows. T~, T with each off-diagonal block shrunk by its excess and each
     diagonal block lifted by its excess, meets the criterion to within the
     allowances, which rounding cannot resolve, and
-    ||herm(A_T) - herm(A_T~)||_2 <= eta, the Schur test of the excesses.
+    ||A_T - A_T~||_2 <= eta, the Schur test of the excesses.
     So the gap of any section of unit coordinate norm is at most
     max t eta sqrt(max rho / min rho) for (i), by Duhamel, and at most
     eta / min a^2 sqrt(max rho / min rho) for (ii), by the resolvent
@@ -308,7 +311,7 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
         ordering = LedgerRow("kato-spectral-ordering", lam, lam - eta_g, tol=DOMINATION_TOL,
                              detail={"route": "gauge", "eta": eta_g})
     else:
-        lam_cov = float(np.linalg.eigvalsh(H_cov.hermitian())[0])
+        lam_cov = float(np.linalg.eigvalsh(H_cov.matrix)[0])
         require_psd(H_cov, lam_cov)
         ordering = LedgerRow("kato-spectral-ordering", lam, lam_cov, tol=DOMINATION_TOL)
     spread = float(np.sqrt(np.max(H_scal.rho) / np.min(H_scal.rho)))
@@ -324,23 +327,24 @@ def check_domination(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
 def _kato_excess(edges, H_scal: OperatorMatrix) -> tuple[float, float]:
     """(eta, margin) of `check_domination`'s criterion, for edges the
     `operators._edge_blocks` of T. The margin of a pair x != y of T's edge
-    pattern is ||B||_2 - |c|, for B = herm(A_T)_xy by `bundle.block_norms`
+    pattern is ||B||_2 - |c|, for B = (A_T)_xy by `bundle.block_norms`
     and c = (A_S)_xy; that of a vertex x is c - lambda_min(B), for
-    B = herm(A_T)_xx by a batched eigvalsh and c = (A_S)_xx. A pair outside T's pattern has margin -|c| <= 0. margin
-    is the largest of them, and eta the Schur test (the square root of the
-    largest row sum times the largest column sum) of the excesses
-    max(0, margin - k u (||B||_2 + |c|)), u = 2^-53 and k = KATO_ROUNDING.
+    B = (A_T)_xx by a batched eigvalsh and c = (A_S)_xx. A pair outside
+    T's pattern has margin -|c| <= 0. margin is the largest of them, and
+    eta the Schur test (the square root of the largest row sum times the
+    largest column sum) of the excesses max(0, margin - k u (||B||_2 + |c|)),
+    u = 2^-53 and k = KATO_ROUNDING.
 
     The allowance k u (||B|| + |c|) bounds what rounding puts into a margin
     that is 0 in exact arithmetic, to first order in u, at ranks
     d <= MAX_RANK = 8 (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 3.1 and 3.5): the stored maps are rounded unitary
-    matrices and T's entries rounded products b / rho phi, at most
-    2 sqrt(d) u ||B|| in the 2-norm; r = sqrt(rho_x) / sqrt(rho_y), the two
-    scaled entries and their mean take 5 roundings per entry, at most
-    5 sqrt(d) u ||B|| for B (the entrywise bound, through the Frobenius
-    norm) and 5 u |c| for c; `block_norms` is one rounding at d = 1, a few
-    at d = 2, and at d >= 3 a Gram product B*B, off by gamma_d |B|*|B|,
+    matrices, at most 2 sqrt(d) u ||B|| in the 2-norm; T's entries
+    -b / sqrt(rho_x rho_y) (back + phi*) / 2 take 5 roundings per entry, at
+    most 5 sqrt(d) u ||B|| for B (the entrywise bound, through the
+    Frobenius norm), and S's -b / sqrt(rho_x rho_y) 3, within 5 u |c| for
+    c; `block_norms` is one rounding at d = 1, a few at d = 2, and at
+    d >= 3 a Gram product B*B, off by gamma_d |B|*|B|,
     at most d^2 u ||B||^2 in the 2-norm, whose eigvalsh, taken as backward
     stable with error d u ||B*B||, and square root add (d^2 + d) u / 2 + u
     relative; the difference is one more. At d = 8 that is
@@ -349,11 +353,11 @@ def _kato_excess(edges, H_scal: OperatorMatrix) -> tuple[float, float]:
     within its allowance cannot be told from 0 in floating point; past
     rank 8 the allowance may fall short of the rounding, which can only
     leave a small positive eta."""
-    x, y, ratio, _, blocks, diag = edges
+    x, y, blocks, diag = edges
     S, n = H_scal.matrix, len(H_scal.vertices)
     unit = KATO_ROUNDING * np.finfo(float).eps / 2
     norms = block_norms(blocks)
-    c = -0.5 * (S[x, y] * ratio + S[y, x] / ratio)  # |(A_S)_xy|, as S_xy <= 0
+    c = -S[x, y]  # |(A_S)_xy|, as (A_S)_xy <= 0
     off = norms - c
     off_excess = np.clip(off - unit * (norms + c), 0.0, None)
     lam = np.linalg.eigvalsh(diag)
@@ -368,20 +372,18 @@ def _kato_excess(edges, H_scal: OperatorMatrix) -> tuple[float, float]:
 
 def _gauge_distance(H_cov: OperatorMatrix, H_scal: OperatorMatrix,
                     edges) -> float | None:
-    """A bound on ||herm(A_T) - G (herm(A_S) x I_d) G*||_2 for T = H_cov,
-    S = H_scal over T's vertex weights, and the gauge G of
-    `operators.scalar_gauge`, given edges, T's `_edge_blocks`: its eta plus
-    the Schur test on |A_S' - A_S|, for S' the scalar operator read from T.
-    None for T real of rank 1, which has no gauge."""
+    """A bound on ||A_T - G (A_S x I_d) G*||_2 for T = H_cov, S = H_scal
+    over T's vertex weights, and the gauge G of `operators.scalar_gauge`,
+    given edges, T's `_edge_blocks`: its eta plus the Schur test on
+    |A_S' - A_S|, for S' the scalar operator read from T. None for T real of
+    rank 1, which has no gauge."""
     gauge = scalar_gauge(H_cov, edges)
     if gauge is None:
         return None
     S_read, _, eta = gauge
     diff = S_read.matrix - H_scal.matrix  # S' stays as cached with T
     np.abs(diff, out=diff)
-    s = np.sqrt(H_scal.rho)
-    rows, cols = s * (diff @ (1.0 / s)), (s @ diff) / s
-    return eta + float(np.sqrt(np.max(rows) * np.max(cols)))
+    return eta + float(np.sqrt(np.max(diff.sum(axis=1)) * np.max(diff.sum(axis=0))))
 
 
 @dataclass

@@ -289,12 +289,13 @@ def verify_axioms(k: HeatKernel, H: OperatorMatrix | None = None) -> AxiomReport
 
 def _continuity_probe(H: OperatorMatrix, times=(1e-3, 1e-6)) -> bool:
     """||e^{-tH} f - f|| <= t ||H f|| as t drops to 0, on basis vectors
-    (weighted column norms of P_t - I and of H); the squared moduli are
-    taken in place, in one n x n array per time for a real H."""
+    (weighted column norms of P_t - I, and ||H e_j|| = sqrt(rho_j) ||A e_j||
+    for A = H.matrix); the squared moduli are taken in place, in one n x n
+    array per time for a real H."""
     w = H.measure_weights()
     mag = np.abs(H.matrix)
     mag **= 2
-    h_norms = np.sqrt(w @ mag)
+    h_norms = np.sqrt(w * mag.sum(axis=0))
     del mag
     for t in times:
         steps = semigroup_matrix(H, t)

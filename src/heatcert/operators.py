@@ -1,10 +1,12 @@
 """Self-adjoint operators on weighted graphs, scalar and bundle-valued.
 
-Every operator here lives in the weighted inner product
-<f, h> = sum_x (f(x), h(x)) rho(x). Matrices are stored as they act on
-plain coordinate vectors; spectral work happens on the symmetrized matrix
-A = D^{1/2} M D^{-1/2} (D the diagonal of the vertex weights rho, repeated
-per fiber dimension), which is genuinely Hermitian.
+Every operator H here lives in the weighted inner product
+<f, h> = sum_x (f(x), h(x)) rho(x). f -> D^{1/2} f, for D the diagonal of
+the vertex weights rho repeated per fiber dimension, maps it unitarily onto
+the plain one and carries H to A = D^{1/2} H D^{-1/2}. The matrix stored is
+A: Hermitian, exactly so for every assembled operator, and read as it is by
+all spectral work. Functions g(H) and heat kernels are returned as they act
+on coordinate vectors.
 
 Scalar operators (no connection) are real float64 matrices, so their
 spectral work runs in real arithmetic; covariant operators are complex.
@@ -21,7 +23,6 @@ import numpy as np
 from .bundle import EndomorphismField, UnitaryConnection, block_norms
 from .graph import WeightedGraph, _positions, validate_graph
 
-WEIGHTED_HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 # dense bytes of one row block of g(H) in `_spectral_rows`
 ROW_BLOCK_BYTES = 1 << 20
@@ -39,8 +40,9 @@ SVD_DENSE_COLUMNS = 200
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator over (vertices x fiber dims) with its vertex weights
-    rho, one per vertex in vertex order."""
+    """Dense operator H over (vertices x fiber dims) with its vertex
+    weights rho, one per vertex in vertex order; `matrix` holds
+    A = D^{1/2} H D^{-1/2} (module docstring)."""
 
     matrix: np.ndarray
     vertices: tuple[str, ...]
@@ -59,21 +61,10 @@ class OperatorMatrix:
         """Weight per scalar index (vertex weight repeated rank times)."""
         return np.repeat(self.rho, self.rank)
 
-    def symmetrized(self) -> np.ndarray:
-        """A = D^{1/2} M D^{-1/2}, Hermitian and unitarily equivalent to M."""
-        return _symmetrize(self.matrix, self.measure_weights())
-
-    def hermitian(self) -> np.ndarray:
-        """The symmetrized matrix with its round-off asymmetry averaged out."""
-        a = self.symmetrized()
-        a += a.conj().T
-        a *= 0.5
-        return a
-
     def eigh(self):
-        """Eigendecomposition of the symmetrized matrix, cached."""
+        """Eigendecomposition of the matrix, cached."""
         if "eigh" not in self._cache:
-            self._cache["eigh"] = np.linalg.eigh(self.hermitian())
+            self._cache["eigh"] = np.linalg.eigh(self.matrix)
         return self._cache["eigh"]
 
     def release_eigh(self):
@@ -84,23 +75,6 @@ class OperatorMatrix:
         require_psd(self)
         self._cache.pop("eigh", None)
         self._cache["psd"] = True
-
-    def check_self_adjoint(self) -> float:
-        """Largest entry of |A - A*|; zero when M is weighted-self-adjoint.
-        Rows r of A are compared with the columns r of A, in row blocks of
-        `_row_step` rows, so no dim x dim temporary is made; each entry is
-        formed as `_symmetrize` forms it."""
-        m, s = self.matrix, np.sqrt(self.measure_weights())
-        step, peaks = _row_step(m.shape[0] * m.itemsize), [0.0]
-        for i in range(0, self.dim, step):
-            r = slice(i, i + step)
-            rows = s[r, None] * m[r]
-            rows /= s
-            cols = s[:, None] * m[:, r]
-            cols /= s[r]
-            rows -= cols.conj().T
-            peaks.append(np.max(np.abs(rows)))
-        return float(np.max(peaks))
 
     def lambda_min(self) -> float:
         return float(self.eigh()[0][0])
@@ -140,61 +114,59 @@ def _flush_subnormals(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _symmetrize(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """D^{1/2} M D^{-1/2} for D = diag(weights)."""
-    s = np.sqrt(weights)
-    out = s[:, None] * mat
-    out /= s[None, :]
-    return out
-
-
 def _assemble(g: WeightedGraph, rank: int, connection, kind: str) -> OperatorMatrix:
-    """Block operator: diagonal deg(x)/rho(x) Id, off-diagonal
-    -(b(x,y)/rho(x)) phi(y, x), with phi(y, x) the connection's `back` at
+    """The block operator H with diagonal deg(x)/rho(x) Id and off-diagonal
+    -(b(x,y)/rho(x)) phi(y, x), for phi(y, x) the connection's `back` at
     (src, dst) and its `phi` at (dst, src), real rank-1 identity blocks when
-    connection is None. Each diagonal entry sums b(x,y)/rho(x) over the
-    edges at x in b order. The graph is validated, so the operator starts
-    with the PSD verdict "psd" in its cache (`require_psd`)."""
+    connection is None; stored as A (module docstring). Each diagonal entry
+    sums b(x,y)/rho(x) over the edges at x in b order. The (src, dst) block
+    of A is -b / sqrt(rho_src rho_dst) B, for B = (back + phi*) / 2, and the
+    (dst, src) block is its adjoint, so A is exactly Hermitian. The graph is
+    validated, so the operator starts with the PSD verdict "psd" in its
+    cache (`require_psd`)."""
     report = validate_graph(g)
     if not report.ok:
         raise ValueError(f"invalid graph: {report.violations}")
-    n, d = g.n, rank
-    # both orientations of every edge, per edge (src, dst) then (dst, src)
-    x = np.stack([g.src, g.dst], axis=1).ravel()
-    y = np.stack([g.dst, g.src], axis=1).ravel()
+    n, d, rho = g.n, rank, g.rho_vec
     if connection is None:
-        phi = np.ones((x.size, 1, 1))
+        B = np.ones((g.src.size, 1, 1))
     else:
-        phi = np.stack([connection.back, connection.phi], axis=1).reshape(-1, d, d)
-    coef = np.repeat(g.w, 2) / g.rho_vec[x]
-    m = np.zeros((n * d, n * d), dtype=phi.dtype)
-    m.reshape(n, d, n, d)[x, :, y, :] -= coef[:, None, None] * phi
+        B = 0.5 * (connection.back + connection.phi.conj().swapaxes(1, 2))
+    B *= -(g.w / np.sqrt(rho[g.src] * rho[g.dst]))[:, None, None]
+    m = np.zeros((n * d, n * d), dtype=B.dtype)
+    m.reshape(n, d, n, d)[g.src, :, g.dst, :] = B
+    m.reshape(n, d, n, d)[g.dst, :, g.src, :] = B.conj().swapaxes(1, 2)
+    # the row vertex of both orientations of every edge, per edge src then dst
+    x = np.stack([g.src, g.dst], axis=1).ravel()
     diag = np.arange(n * d)
-    m[diag, diag] = np.repeat(np.bincount(x, coef, minlength=n), d)
-    return OperatorMatrix(m, g.vertices, d, g.rho_vec, kind, {"psd": True})
+    m[diag, diag] = np.repeat(np.bincount(x, np.repeat(g.w, 2) / rho[x], minlength=n), d)
+    return OperatorMatrix(m, g.vertices, d, rho, kind, {"psd": True})
 
 
 def assemble_laplacian(g: WeightedGraph) -> OperatorMatrix:
-    """H[x,x] = deg(x)/rho(x), H[x,y] = -b(x,y)/rho(x); PSD, constants in kernel."""
+    """H[x,x] = deg(x)/rho(x), H[x,y] = -b(x,y)/rho(x), stored as A with
+    A[x,y] = -b(x,y)/sqrt(rho(x) rho(y)); PSD, constants in kernel."""
     return _assemble(g, 1, None, "scalar-laplacian")
 
 
 def assemble_covariant(g: WeightedGraph, rank: int,
                        connection: UnitaryConnection) -> OperatorMatrix:
     """Block operator: diagonal deg(x)/rho(x) Id, off-diagonal
-    -(b(x,y)/rho(x)) phi(y, x). Rank 1 with trivial phi reproduces the
-    scalar Laplacian entrywise."""
+    -(b(x,y)/rho(x)) phi(y, x), stored as `_assemble` stores it. Rank 1
+    with trivial phi reproduces the scalar Laplacian entrywise. The
+    connection's stacks are checked again (`UnitaryConnection.check`), in
+    O(|E| d^3), so a stack swapped in after construction is refused and the
+    PSD verdict of `_assemble` holds."""
     if connection.rank != rank:
         raise ValueError("connection rank mismatch")
-    op = _assemble(g, rank, connection, "covariant")
-    if op.check_self_adjoint() > WEIGHTED_HERMITIAN_TOL:
-        raise ValueError("covariant assembly lost self-adjointness; phi not unitary?")
-    return op
+    connection.check()
+    return _assemble(g, rank, connection, "covariant")
 
 
 def multiplication_operator(W: EndomorphismField, vertices, rho: np.ndarray
                             ) -> OperatorMatrix:
-    """Block-diagonal matrix f(x) -> W(x) f(x)."""
+    """Block-diagonal matrix f(x) -> W(x) f(x); it commutes with D, so it is
+    its own A."""
     d, n = W.rank, len(vertices)
     m = np.zeros((n, d, n, d), dtype=complex)
     m[np.arange(n), :, np.arange(n), :] = W.restrict(vertices).blocks
@@ -202,18 +174,24 @@ def multiplication_operator(W: EndomorphismField, vertices, rho: np.ndarray
 
 
 def add_potential(H: OperatorMatrix, V: EndomorphismField) -> OperatorMatrix:
-    """H + diag(V). On a finite host the form sum is the matrix sum,
-    since all operators are bounded and everywhere defined. The sum keeps
-    H's PSD verdict when every block of V has lambda_min >= 0; otherwise
-    `require_psd` leaves it to `eigh`."""
+    """H + V for a pointwise self-adjoint field V: the Hermitian part
+    (V(x) + V(x)*) / 2 of each block, added onto the diagonal blocks of a
+    copy of H.matrix, so the sum is exactly Hermitian when H is. On a
+    finite host the form sum is the matrix sum, since all operators are
+    bounded and everywhere defined. The sum keeps H's PSD verdict when every
+    added block has lambda_min >= 0; otherwise `require_psd` leaves it to
+    `eigh`."""
     if not V.self_adjoint:
         raise ValueError("potential must be pointwise self-adjoint")
     if V.rank != H.rank:
         raise ValueError("potential rank mismatch")
-    Vop = multiplication_operator(V, H.vertices, H.rho)
-    psd = H._cache.get("psd") and np.all(np.linalg.eigvalsh(V.blocks) >= 0)
-    return OperatorMatrix(H.matrix + Vop.matrix, H.vertices, H.rank, H.rho, "sum",
-                          {"psd": True} if psd else {})
+    n, d = len(H.vertices), H.rank
+    blocks = V.restrict(H.vertices).blocks
+    blocks = 0.5 * (blocks + blocks.conj().swapaxes(1, 2))
+    m = H.matrix.astype(np.result_type(H.matrix, blocks))
+    m.reshape(n, d, n, d)[np.arange(n), :, np.arange(n), :] += blocks
+    psd = H._cache.get("psd") and np.all(np.linalg.eigvalsh(blocks) >= 0)
+    return OperatorMatrix(m, H.vertices, d, H.rho, "sum", {"psd": True} if psd else {})
 
 
 def dirichlet_restriction(H: OperatorMatrix, pos) -> OperatorMatrix:
@@ -224,8 +202,8 @@ def dirichlet_restriction(H: OperatorMatrix, pos) -> OperatorMatrix:
     boundary condition. A pos holding every vertex of H gives H's own
     matrix and shares its cache.
 
-    The PSD check runs on H (`require_psd`). The level's symmetrized matrix
-    is a principal submatrix of H's, so by Cauchy interlacing its
+    The PSD check runs on H (`require_psd`). The level's matrix A is a
+    principal submatrix of H's, so by Cauchy interlacing its
     lambda_min is no smaller than H's: the level inherits the verdict, with
     "psd" in its cache, and needs no check of its own."""
     if np.size(pos) == 0:
@@ -242,38 +220,29 @@ def dirichlet_restriction(H: OperatorMatrix, pos) -> OperatorMatrix:
 
 
 def _edge_blocks(H: OperatorMatrix):
-    """(x, y, ratio, coord, blocks, diag): H's blocks as spectral work reads
-    them. x and y index the ordered vertex pairs of the edge pattern, the
-    nonzero off-diagonal blocks made symmetric, ascending in x, found in one
-    boolean pass over H; ratio is sqrt(rho_x / rho_y) per pair, coord the
-    blocks H_xy of the coordinate matrix, blocks those of herm(A_H) for A
-    the symmetrized matrix and herm its Hermitian part, and diag the n
-    diagonal blocks of herm(A_H). Past the pass, the work is O(|E| d^2)."""
+    """(x, y, blocks, diag): the blocks of A = H.matrix as spectral work
+    reads them. x and y index the ordered vertex pairs of the edge pattern,
+    the nonzero off-diagonal blocks, ascending in x, found in one boolean
+    pass over A (symmetric, as A is Hermitian); blocks holds the blocks A_xy
+    of the pairs and diag the n diagonal blocks A_xx. Past the pass, the
+    work is O(|E| d^2)."""
     n, d = len(H.vertices), H.rank
     m = H.matrix.reshape(n, d, n, d)
     pattern = (H.matrix != 0).reshape(n, d, n, d).any(axis=(1, 3))
-    pattern |= pattern.T
     np.fill_diagonal(pattern, False)
     x, y = np.nonzero(pattern)
-    s = np.sqrt(H.rho)
-    ratio = s[x] / s[y]
-    coord = m[x, :, y, :]
-    r = ratio[:, None, None]
-    blocks = 0.5 * (coord * r + (m[y, :, x, :] / r).conj().swapaxes(1, 2))
-    diag = m[np.arange(n), :, np.arange(n), :]
-    diag = 0.5 * (diag + diag.conj().swapaxes(1, 2))
-    return x, y, ratio, coord, blocks, diag
+    return x, y, m[x, :, y, :], m[np.arange(n), :, np.arange(n), :]
 
 
 def scalar_gauge(H: OperatorMatrix, edges=None):
     """(S, G, eta) for an operator H of rank d with a connection, or None
     for a real operator of rank 1, which is scalar already:
 
-    - S, the real rank-1 operator read from H's blocks: S_xy = -||H_xy||_2
-      off the diagonal and S_xx = Re tr H_xx / d;
+    - S, the real rank-1 operator read from the blocks of A_H = H.matrix:
+      S_xy = -||(A_H)_xy||_2 off the diagonal, the same at (x, y) and
+      (y, x), and S_xx = Re tr (A_H)_xx / d;
     - G, a block-diagonal unitary gauge as an (n, d, d) stack;
-    - eta >= ||herm(A_H) - G (herm(A_S) x I_d) G*||_2, for A the symmetrized
-      matrix and herm its Hermitian part, the matrices spectral work reads.
+    - eta >= ||A_H - G (A_S x I_d) G*||_2, for A_S = S.matrix.
 
     When H carries no holonomy, H = G (S x I_d) G* and eta is round-off: each
     eigenvalue of H is one of S's within eta (Weyl), and (H + a)^{-1} is
@@ -284,7 +253,7 @@ def scalar_gauge(H: OperatorMatrix, edges=None):
     read by the caller; the rest works on its |E| edge blocks.
     G is I at the root of a breadth-first spanning tree of each component,
     and each child c of p takes G_c = Q G_p, for Q the unitary polar factor
-    of -herm(A_H)_cp, which makes the tree blocks of G* A_H G scalar; G is
+    of -(A_H)_cp, which makes the tree blocks of G* A_H G scalar; G is
     then replaced by its polar factors, which are unitary at any depth. eta is
     the Schur test on the blocks of the residual, the diagonal ones
     included: the square root of the largest row sum times the largest
@@ -298,11 +267,11 @@ def scalar_gauge(H: OperatorMatrix, edges=None):
         return None
     if "gauge" in H._cache:
         return H._cache["gauge"]
-    x, y, ratio, coord, blocks, diag = edges or _edge_blocks(H)
+    x, y, blocks, diag = edges or _edge_blocks(H)
     S = np.zeros((n, n))
-    S[x, y] = -block_norms(coord)
+    up = x < y
+    S[x[up], y[up]] = S[y[up], x[up]] = -block_norms(blocks[up])
     S.flat[::n + 1] = np.trace(diag, axis1=1, axis2=2).real / d
-    s_xy = 0.5 * (S[x, y] * ratio + S[y, x] / ratio)
     # breadth-first spanning forest over the pattern; G in tree order
     ptr = np.searchsorted(x, np.arange(n + 1)).tolist()
     nbr = y.tolist()
@@ -326,7 +295,7 @@ def scalar_gauge(H: OperatorMatrix, edges=None):
     G = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)).copy()
     if tree:
         child, parent, edge = map(list, zip(*tree))
-        # herm(A_H)_cp is the adjoint of the (p, c) block
+        # (A_H)_cp is the adjoint of the (p, c) block
         u, _, vh = np.linalg.svd(-blocks[edge].conj().swapaxes(1, 2))
         for c, p, q in zip(child, parent, u @ vh):
             G[c] = q @ G[p]
@@ -337,7 +306,7 @@ def scalar_gauge(H: OperatorMatrix, edges=None):
     gh = G.conj().swapaxes(1, 2)
     eye = np.eye(d)
     # Frobenius norms: upper bounds on the 2-norms, at a fraction of the cost
-    off = np.linalg.norm(gh[x] @ blocks @ G[y] - s_xy[:, None, None] * eye, axis=(1, 2))
+    off = np.linalg.norm(gh[x] @ blocks @ G[y] - S[x, y][:, None, None] * eye, axis=(1, 2))
     on = np.linalg.norm(gh @ diag @ G - S.flat[::n + 1][:, None, None] * eye, axis=(1, 2))
     rows = np.bincount(x, off, minlength=n) + on
     cols = np.bincount(y, off, minlength=n) + on
@@ -500,17 +469,18 @@ def resolvent_singular_values(H: OperatorMatrix, Ws, a: float,
     coordinate. H PSD, a > 0.
 
     W commutes with the per-vertex D, so these are the numbers of
-    W (A + a)^{-1} for A the symmetrized matrix. Its rows vanish off the
+    W (A + a)^{-1} for A = H.matrix. Its rows vanish off the
     support S of W (blocks not exactly zero), and its adjoint is
     X = (A + a)^{-1} B with B the blocks W(x)* at the rows of x in S. One
     `np.linalg.solve` gives the columns (A + a)^{-1} e_x of every x in the
-    union of the supports; a stack takes those of its S (the solution
-    itself, uncopied, when S is the union), times W(x)*. The HS norm is the
-    Frobenius norm of X, and the top k come from `_top_singular_values`: no
-    dense SVD unless its sweep cap is reached. The shifted matrix and the
-    unit columns are released once solved, so past the solve the solution
-    and one stack's adjoint are live. The solve keeps the dtype of H, and a
-    scalar operator with a real potential stays real throughout."""
+    union of the supports, on one shifted copy of A; a stack takes those of
+    its S (the solution itself, uncopied, when S is the union), times W(x)*.
+    The HS norm is the Frobenius norm of X, and the top k come from
+    `_top_singular_values`: no dense SVD unless its sweep cap is reached.
+    The shifted copy and the unit columns are released once solved, so past
+    the solve the solution and one stack's adjoint are live. The solve keeps
+    the dtype of H, and a scalar operator with a real potential stays real
+    throughout."""
     if a <= 0:
         raise ValueError("resolvent shift must be positive")
     require_psd(H)
@@ -521,7 +491,7 @@ def resolvent_singular_values(H: OperatorMatrix, Ws, a: float,
     cols = np.flatnonzero(np.logical_or.reduce(supports, initial=False))
     rhs = np.zeros((n, r, cols.size, r), dtype=H.matrix.dtype)
     rhs[cols, :, np.arange(cols.size), :] = np.eye(r)
-    shifted = H.hermitian()
+    shifted = H.matrix.copy()
     shifted.flat[::H.dim + 1] += a
     sol = np.linalg.solve(shifted, rhs.reshape(H.dim, -1)).reshape(H.dim, cols.size, r)
     del shifted, rhs
@@ -567,7 +537,8 @@ def _semigroup_g(t: float):
 
 
 def resolvent(H: OperatorMatrix, a: float) -> np.ndarray:
-    """(H + a)^{-1} via the symmetrized eigendecomposition; a > 0."""
+    """(H + a)^{-1} acting on coordinate vectors, from the cached
+    eigendecomposition; a > 0."""
     return spectral_function(H, _resolvent_g(a))
 
 

@@ -11,6 +11,7 @@ from heatcert.bundle import (
     decompose_potential,
 )
 from heatcert.compactness import (
+    RESOLVENT_TOL,
     LedgerRow,
     certify_compactness,
     check_2a_bound,
@@ -32,7 +33,6 @@ from heatcert.operators import (
     OperatorMatrix,
     _resolvent_g,
     _semigroup_g,
-    _symmetrize,
     add_potential,
     assemble_covariant,
     assemble_laplacian,
@@ -75,6 +75,10 @@ class TestLedgerRow:
     def test_tolerance_band(self):
         assert LedgerRow("x", 1.0 + 1e-12, 1.0, tol=1e-10).ok
         assert not LedgerRow("x", 1.1, 1.0, tol=1e-10).ok
+        # the report shows the tolerance a negative slack passes by
+        row = LedgerRow("x", 1.0 + 1e-12, 1.0, tol=1e-10, detail={"t": 0.5}).to_dict()
+        assert row["slack"] < 0 and row["pass"] and row["tol"] == 1e-10
+        assert list(row) == ["name", "lhs", "rhs", "slack", "tol", "pass", "t"]
 
 
 class TestResolventLaplace:
@@ -409,7 +413,7 @@ class TestDomination:
 
 
 def eigh_min(H):
-    return float(np.linalg.eigvalsh(H.hermitian())[0])
+    return float(np.linalg.eigvalsh(H.matrix)[0])
 
 
 def fiber_norms(f, d):
@@ -646,10 +650,13 @@ class TestFastPathsAgainstReferences:
 
 
 def dense_singular_values(W: EndomorphismField, Hn, dense):
-    """The dense route: every singular value of the weighted W dense(Hn)."""
+    """The dense route: every singular value of the weighted W dense(Hn),
+    that is of D^{1/2} W dense(Hn) D^{-1/2}."""
     w = multiplication_operator(W, Hn.vertices, Hn.rho).matrix
-    return np.linalg.svd(_symmetrize(w @ dense(Hn), Hn.measure_weights()),
-                         compute_uv=False)
+    s = np.sqrt(Hn.measure_weights())
+    weighted = s[:, None] * (w @ dense(Hn))
+    weighted /= s
+    return np.linalg.svd(weighted, compute_uv=False)
 
 
 def random_field(g, d, rng, support=None):
@@ -974,7 +981,7 @@ class TestTopSingularValues:
         # so its entries past distance ~740 are subnormal
         g, connection, W = build_coulomb_demo(800, 1.0, 0.3)
         H = assemble_covariant(g, 1, connection)
-        shifted = H.hermitian()
+        shifted = H.matrix.copy()
         shifted.flat[::H.dim + 1] += 1.0
         adjoint = np.linalg.solve(shifted, np.diag(W.blocks[:, 0, 0]).astype(complex))
         tiny = np.finfo(float).tiny
@@ -1234,8 +1241,10 @@ class TestCertify:
         rep = certify_compactness(W, W1, H, cp, ex, a=1.0)
         assert rep.verdict == "hypothesis-failed:step1-resolvent-hs-bound"
         assert [r.ok for r in rep.bounds] == [False] * 3
-        assert all(set(r.to_dict()) == {"name", "lhs", "rhs", "slack", "pass", "level_dim",
-                                        "a", "quadrature_integral"} for r in rep.bounds)
+        assert all(set(r.to_dict()) == {"name", "lhs", "rhs", "slack", "tol", "pass",
+                                        "level_dim", "a", "quadrature_integral"}
+                   for r in rep.bounds)
+        assert all(r.to_dict()["tol"] == RESOLVENT_TOL for r in rep.bounds)
         # the true graph pair F2 = 1 verifies the same case at the same shift
         graph_cp = ControlPair(cp.F1, F2Family.constant(1.0), 1.0)
         assert certify_compactness(W, W1, H, graph_cp, ex, a=1.0).verdict == "hypotheses-verified"
@@ -1307,6 +1316,6 @@ def test_truncation_operator_norm_converges_exactly():
               for v in g.vertices}
         diff = EndomorphismField.scalar({v: W[v] - Wn[v] for v in g.vertices})
         op = multiplication_operator(diff, g.vertices, g.rho_vec)
-        gaps.append(np.linalg.norm(op.symmetrized(), 2))  # weighted 2->2 norm
+        gaps.append(np.linalg.norm(op.matrix, 2))  # weighted 2->2 norm
     assert gaps[-1] == 0.0
     assert gaps[0] >= gaps[-1]

@@ -43,10 +43,12 @@ def form(g, rank, connection, f1, f2):
 
 
 def weighted_pairing(H, f, h=None):
-    """<f, H h> in the weighted inner product, antilinear in f; h = f by
+    """<f, H h> in the weighted inner product, antilinear in f, read from the
+    stored A = D^{1/2} H D^{-1/2} as (D^{1/2} f)* A (D^{1/2} h); h = f by
     default."""
     h = f if h is None else h
-    return complex(np.sum(np.conj(f) * (H.matrix @ h) * H.measure_weights()))
+    s = np.sqrt(H.measure_weights())
+    return complex(np.sum(np.conj(s * f) * (H.matrix @ (s * h))))
 
 
 def two_vertex(beta=1.0, rho=(1.0, 1.0)):
@@ -89,17 +91,18 @@ class TestLaplacian:
         assert H.matrix.shape == (1, 1) and H.matrix[0, 0] == 0
 
     def test_nonuniform_rho(self):
+        # stored as A = D^{1/2} H D^{-1/2}, for H = [[1, -1], [-0.5, 0.5]]
         H = assemble_laplacian(two_vertex(1.0, rho=(1.0, 2.0)))
-        np.testing.assert_allclose(np.real(H.matrix),
-                                   [[1.0, -1.0], [-0.5, 0.5]], atol=1e-15)
-        assert H.check_self_adjoint() < 1e-12
+        off = -1.0 / np.sqrt(2.0)
+        np.testing.assert_allclose(H.matrix, [[1.0, off], [off, 0.5]], atol=1e-15)
+        assert np.array_equal(H.matrix, H.matrix.T)
 
     def test_constants_in_kernel(self):
+        # H 1 = 0, so A D^{1/2} 1 = 0
         rng = np.random.default_rng(0)
         g = random_graph(25, rng)
         H = assemble_laplacian(g)
-        ones = np.ones(g.n, dtype=complex)
-        assert np.max(np.abs(H.matrix @ ones)) < 1e-10
+        assert np.max(np.abs(H.matrix @ np.sqrt(g.rho_vec))) < 1e-10
 
 
 class TestQuadraticForm:
@@ -136,7 +139,7 @@ class TestQuadraticForm:
         g = random_graph(20, rng)
         H = assemble_laplacian(g)
         c = np.max(g.deg / g.rho_vec)
-        assert np.linalg.norm(H.symmetrized(), 2) <= 2 * c + 1e-10
+        assert np.linalg.norm(H.matrix, 2) <= 2 * c + 1e-10
         for _ in range(20):
             f = rng.standard_normal(g.n)
             nf = np.sum(f ** 2 * g.rho_vec)
@@ -199,48 +202,73 @@ class TestCovariant:
             lam2, _ = assemble_covariant(g, d, conn2).eigh()
             np.testing.assert_allclose(lam1, lam2, atol=1e-9)
 
-
-
-class TestCheckSelfAdjoint:
-    """|A - A*| is compared in row blocks: the whole-matrix value, with no
-    dim x dim temporary."""
-
-    @staticmethod
-    def whole(H):
-        a = H.symmetrized()
-        return float(np.max(np.abs(a - a.conj().T)))
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_value_and_peak(self, d):
-        import tracemalloc
-
-        rng = np.random.default_rng(8)
-        g = random_graph(600, rng, p=0.004)
-        H = assemble_covariant(g, d, random_connection(g, d, rng))
-        skewed = OperatorMatrix(H.matrix + 1e-3 * rng.standard_normal(H.matrix.shape),
-                                H.vertices, d, H.rho, "covariant")
-        for op in (H, skewed):
-            tracemalloc.start()
-            try:
-                value = op.check_self_adjoint()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert value == self.whole(op)
-            assert peak <= 1.5 * op.dim ** 2 * 16
-        assert self.whole(skewed) > 1e-4
-
     def test_non_unitary_connection_still_raises(self):
         # phi(v1, v0) = phi(v0, v1)^{-1} but not its adjoint, set past the
-        # connection's own check
+        # connection's own check, which assembly runs again
         g = path_graph(3)
         conn = UnitaryConnection.trivial(g, 1)
         phi, back = conn.phi.copy(), conn.back.copy()
         phi[0], back[0] = 2.0, 0.5
         object.__setattr__(conn, "phi", phi)
         object.__setattr__(conn, "back", back)
-        with pytest.raises(ValueError, match="lost self-adjointness"):
+        with pytest.raises(ValueError, match=r"phi\(v0,v1\) not unitary"):
             assemble_covariant(g, 1, conn)
+
+
+class TestHermitianStorage:
+    """Assembly and add_potential store A = D^{1/2} H D^{-1/2} exactly
+    Hermitian, and spectral work reads that matrix itself, with no
+    symmetrized or averaged copy."""
+
+    @staticmethod
+    def operators(seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(15, rng)
+        assert len(set(g.rho.values())) == g.n  # non-uniform rho
+        ops = [assemble_laplacian(g)]
+        for d in (1, 2, 3):
+            H = assemble_covariant(g, d, random_connection(g, d, rng))
+            blocks = rng.standard_normal((g.n, d, d)) + 1j * rng.standard_normal((g.n, d, d))
+            V = EndomorphismField.from_blocks(d, g.vertices, blocks + blocks.conj().swapaxes(1, 2),
+                                              True)
+            ops += [H, add_potential(H, V)]
+        ops.append(add_potential(ops[0], EndomorphismField.scalar(
+            {v: float(rng.standard_normal()) for v in g.vertices})))
+        return ops
+
+    @pytest.mark.parametrize("seed", [60, 61])
+    def test_exactly_hermitian(self, seed):
+        for H in self.operators(seed):
+            m = H.matrix
+            assert np.array_equal(m, m.conj().T)
+
+    def test_spectral_work_reads_the_matrix_itself(self, monkeypatch):
+        from heatcert.compactness import check_domination
+        from heatcert.operators import resolvent_singular_values
+
+        seen = []
+        for name in ("eigh", "eigvalsh", "solve"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *r, _n=name, _f=fn:
+                                seen.append((_n, a)) or _f(a, *r))
+        rng = np.random.default_rng(62)
+        g = random_graph(15, rng)
+        for H in self.operators(62):
+            seen.clear()
+            H.eigh()
+            assert [(n, a is H.matrix) for n, a in seen] == [("eigh", True)]
+        # a connection with holonomy: the ordering row reads lambda_min by eigvalsh
+        T = assemble_covariant(g, 2, random_connection(g, 2, rng))
+        seen.clear()
+        check_domination(T, assemble_laplacian(g), (1.0,), (1.0,), 0, rng)
+        assert [a is T.matrix for n, a in seen if n == "eigvalsh" and a.ndim == 2] == [True]
+        # the solve reads one shifted copy
+        seen.clear()
+        W = np.repeat(np.eye(2)[None], g.n, axis=0)
+        resolvent_singular_values(T, [W], 2.0, [1])
+        ((name, shifted),) = [(n, a) for n, a in seen if n == "solve"]
+        assert shifted is not T.matrix
+        assert np.array_equal(shifted, T.matrix + 2.0 * np.eye(T.dim))
 
 
 class TestPotential:
@@ -301,7 +329,7 @@ class TestMultiplication:
         W = EndomorphismField(d, vals)
         op = multiplication_operator(W, g.vertices, g.rho_vec)
         expected = max(W.norms())
-        assert np.linalg.norm(op.symmetrized(), 2) == pytest.approx(expected, rel=1e-10)
+        assert np.linalg.norm(op.matrix, 2) == pytest.approx(expected, rel=1e-10)
 
 
 class TestDirichlet:
@@ -381,7 +409,7 @@ class TestRequirePsd:
         with pytest.raises(ValueError, match="sum operator not PSD: lambda_min = ") as err:
             require_psd(op)
         reported = float(str(err.value).rsplit("= ", 1)[1])
-        assert reported == pytest.approx(np.linalg.eigvalsh(op.hermitian())[0],
+        assert reported == pytest.approx(np.linalg.eigvalsh(op.matrix)[0],
                                          rel=1e-12, abs=1e-14)
         assert reported < -0.4 and "psd" not in op._cache
 
@@ -594,7 +622,9 @@ def test_resolvent_two_vertex_analytic():
 # over the edge arrays; these loops walk the b dict directly.
 
 def loop_covariant(g, d, phi):
-    """phi(x, y) -> fiber map x -> y; None for the scalar Laplacian."""
+    """The stored A = D^{1/2} H D^{-1/2}: blocks -b / sqrt(rho_i rho_j) B at
+    (i, j), B = (phi(j, i) + phi(i, j)*) / 2, and B* at (j, i); phi(x, y)
+    the fiber map x -> y, None for the scalar Laplacian."""
     n = g.n
     m = np.zeros((n * d, n * d), dtype=complex)
     rho = g.rho_vec
@@ -604,12 +634,10 @@ def loop_covariant(g, d, phi):
         i, j = g.index(u), g.index(v)
         m[i * d:(i + 1) * d, i * d:(i + 1) * d] += (w / rho[i]) * eye
         m[j * d:(j + 1) * d, j * d:(j + 1) * d] += (w / rho[j]) * eye
-        if phi is None:
-            m[i, j] -= w / rho[i]
-            m[j, i] -= w / rho[j]
-        else:
-            m[i * d:(i + 1) * d, j * d:(j + 1) * d] -= (w / rho[i]) * phi(v, u)
-            m[j * d:(j + 1) * d, i * d:(i + 1) * d] -= (w / rho[j]) * phi(u, v)
+        B = np.ones((1, 1)) if phi is None else 0.5 * (phi(v, u) + phi(u, v).conj().T)
+        B = -(w / np.sqrt(rho[i] * rho[j])) * B
+        m[i * d:(i + 1) * d, j * d:(j + 1) * d] = B
+        m[j * d:(j + 1) * d, i * d:(i + 1) * d] = B.conj().T
     return m
 
 
