@@ -21,7 +21,6 @@ from .operators import (
     assemble_covariant,
     assemble_laplacian,
     dirichlet_restriction,
-    multiplication_operator,
     resolvent,
 )
 from .heat import (

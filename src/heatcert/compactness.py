@@ -26,7 +26,6 @@ from .operators import (
     _edge_blocks,
     _resolvent_g,
     _semigroup_g,
-    dirichlet_restriction,
     require_psd,
     resolvent_singular_values,
     scalar_gauge,
@@ -453,12 +452,15 @@ def certify_compactness(W, W1, H: OperatorMatrix, cp: ControlPair, ex: Exhaustio
     fields or vertex -> number maps (`_field`), of H's rank. The row is
     asserted at every level for every a > 0; drift is reported, not
     asserted. Each level is an array of vertex positions in H's order
-    (`graph.Exhaustion`): W and W1 are put in that order once, and a level
-    slices them. H is checked PSD once, by its construction verdict when it
-    has one, and each level inherits it; no level is diagonalised. The
-    numbers of W R, and sigma_1 of W1 R, come from one solve per level over
-    the union of their supports (`operators.resolvent_singular_values`).
-    k_top must be at least 1.
+    (`graph.Exhaustion`): W and W1 are put in that order once. H is checked
+    PSD once, by its construction verdict when it has one, and each level
+    inherits it; no level is diagonalised or restricted. The numbers of
+    W R, and sigma_1 of W1 R, come from one call of
+    `operators.resolvent_singular_values` over all levels: each level's
+    resolvent borders the previous one's with one solve of its shell's size,
+    in shell order, for a sum over shells of 2 |K|^2 |shell| + |shell|^3
+    work, and the top singular values come from its Chebyshev-filtered
+    iteration. k_top must be at least 1.
 
     Gauge route. For H with a connection, `operators.scalar_gauge` gives
     H = G (S x I_d) G* up to eta, which holds on every level as well; then
@@ -491,11 +493,9 @@ def certify_compactness(W, W1, H: OperatorMatrix, cp: ControlPair, ex: Exhaustio
     else:  # an S left unused goes before the solves, cached or not
         H._cache.pop("gauge", None)
     del gauge
-    for lv in ex.levels:
-        Hn = dirichlet_restriction(H, lv)
+    numbers = resolvent_singular_values(H, [W, W1], a, [k_top, 1], ex.levels)
+    for lv, ((sv, hs, columns), (sv1, _, _)) in zip(ex.levels, numbers):
         dim = lv.size * rank
-        (sv, hs, columns), (sv1, _, _) = resolvent_singular_values(
-            Hn, [W[lv], W1[lv]], a, [k_top, 1])
         singular[dim] = [float(x) for x in sv]
         hs_norms[dim] = hs
         support_columns[dim] = columns

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundle import EndomorphismField, UnitaryConnection, block_norms
-from .graph import WeightedGraph, _positions, validate_graph
+from .graph import Exhaustion, WeightedGraph, _positions, validate_graph
 
 PSD_TOL = 1e-10
 # dense bytes of one row block of g(H) in `_spectral_rows`
@@ -32,10 +32,14 @@ ROW_BLOCK_BYTES = 1 << 20
 SUBSPACE_GUARD = 4
 SUBSPACE_SWEEPS = 50
 SUBSPACE_RTOL = 1e-13
+# `_top_singular_values`: the degree of the Chebyshev filter applied per
+# sweep, one product x* (x U) per degree; on the bundle-certify adjoints no
+# degree up to 8 was faster
+CHEBYSHEV_DEGREE = 4
 # `_top_singular_values`: up to this many columns the dense SVD is cheaper
-# than the iteration (on the bundle-certify adjoints it wins at 160 columns
-# and loses at 380 to an iteration that converges)
-SVD_DENSE_COLUMNS = 200
+# than the filtered iteration (on bundle-certify adjoints the dense SVD won
+# at 40-100 columns, and the iteration on those of 154-160)
+SVD_DENSE_COLUMNS = 128
 
 
 @dataclass(frozen=True)
@@ -48,8 +52,7 @@ class OperatorMatrix:
     vertices: tuple[str, ...]
     rank: int
     rho: np.ndarray
-    # scalar-laplacian | covariant | dirichlet-restriction | multiplication |
-    # sum | scalar-gauge
+    # scalar-laplacian | covariant | dirichlet-restriction | sum | scalar-gauge
     kind: str
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -161,16 +164,6 @@ def assemble_covariant(g: WeightedGraph, rank: int,
         raise ValueError("connection rank mismatch")
     connection.check()
     return _assemble(g, rank, connection, "covariant")
-
-
-def multiplication_operator(W: EndomorphismField, vertices, rho: np.ndarray
-                            ) -> OperatorMatrix:
-    """Block-diagonal matrix f(x) -> W(x) f(x); it commutes with D, so it is
-    its own A."""
-    d, n = W.rank, len(vertices)
-    m = np.zeros((n, d, n, d), dtype=complex)
-    m[np.arange(n), :, np.arange(n), :] = W.restrict(vertices).blocks
-    return OperatorMatrix(m.reshape(n * d, n * d), tuple(vertices), d, rho, "multiplication")
 
 
 def add_potential(H: OperatorMatrix, V: EndomorphismField) -> OperatorMatrix:
@@ -394,6 +387,29 @@ def spectral_function(H: OperatorMatrix, g) -> np.ndarray:
     return out
 
 
+def _chebyshev_filter(x: np.ndarray, v: np.ndarray, mv: np.ndarray, top: float,
+                      bottom: float) -> np.ndarray:
+    """p(M) V for M = x*x, given mv = M V: p is T_CHEBYSHEV_DEGREE on
+    [0, bottom], scaled to 1 at top >= bottom (Zhou, Saad, Tiago &
+    Chelikowsky, J. Comput. Phys. 219, 2006). The scaled three-term
+    recurrence keeps every block at the size of V, whatever top / bottom;
+    each degree past the first costs one product M U, as x* (x U) without a
+    copy of x*. When bottom <= u top, u = 2^-53, the interval is below
+    rounding and p is the degree-1 step M - bottom / 2, unscaled, so nothing
+    divides by zero or overflows."""
+    c = bottom / 2  # centre and half-width of [0, bottom]
+    cur = mv - c * v
+    if bottom <= np.finfo(float).eps / 2 * top:
+        return cur
+    ell = top / c - 1  # top, where [0, bottom] maps onto [-1, 1]
+    prev, cur, sigma = v, cur / (top - c), 1 / ell
+    for _ in range(CHEBYSHEV_DEGREE - 1):
+        nxt = 1 / (2 * ell - sigma)
+        mu = (x.T @ (x @ cur).conj()).conj() - c * cur
+        prev, cur, sigma = cur, (2 * nxt / c) * mu - (sigma * nxt) * prev, nxt
+    return cur
+
+
 def _top_singular_values(x: np.ndarray, k: int) -> np.ndarray:
     """The min(k, N) largest singular values of the N x m matrix x (m <= N),
     descending and zero past the m-th, by block subspace iteration on
@@ -409,13 +425,16 @@ def _top_singular_values(x: np.ndarray, k: int) -> np.ndarray:
     A sweep forms Y = x V and the SVD of Y: its sigma are the Ritz values of
     x on span V, and its right vectors W turn V into the Ritz vectors V W.
     Then x* Y W = M V W gives the residual ||M z - sigma^2 z|| of each Ritz
-    pair and, shifted by sigma_p^2 / 2 and orthonormalised, the next block:
-    the shift centres [0, sigma_p^2], which holds the unwanted part of the
-    spectrum of M, on zero, so each sweep damps it more than M alone. The
-    iteration stops when the top-k residuals are at most SUBSPACE_RTOL
-    sigma_1^2. The dense SVD of x decides instead when m <= p, where the
-    block would span every column, or m <= SVD_DENSE_COLUMNS, where it is
-    the cheaper of the two; and after SUBSPACE_SWEEPS sweeps."""
+    pair and the first term of `_chebyshev_filter`, whose
+    T_CHEBYSHEV_DEGREE on [0, sigma_p^2], the interval that holds the
+    unwanted part of the spectrum of M, orthonormalised, is the next block:
+    the filter damps that interval to at most 1 while it raises the top of
+    the spectrum as the polynomial grows, at CHEBYSHEV_DEGREE - 1 more
+    products x* (x U) per sweep. The iteration stops when the top-k
+    residuals are at most SUBSPACE_RTOL sigma_1^2. The dense SVD of x
+    decides instead when m <= p, where the block would span every column,
+    or m <= SVD_DENSE_COLUMNS, where it is the cheaper of the two; and
+    after SUBSPACE_SWEEPS sweeps."""
     _flush_subnormals(x)
     out = np.zeros(min(k, x.shape[0]))
     m, p = x.shape[1], k + SUBSPACE_GUARD
@@ -438,8 +457,7 @@ def _top_singular_values(x: np.ndarray, k: int) -> np.ndarray:
         if np.all(residual <= SUBSPACE_RTOL * s[0] ** 2):
             out[:] = s[:k]
             return out
-        z -= (s[-1] ** 2 / 2) * v
-        v = np.linalg.qr(z)[0]
+        v = np.linalg.qr(_chebyshev_filter(x, v, z, s[0] ** 2, s[-1] ** 2))[0]
     out[:] = np.linalg.svd(x, compute_uv=False)[:k]
     return out
 
@@ -458,62 +476,121 @@ def singular_values(H: OperatorMatrix, W: np.ndarray, g, k: int) -> np.ndarray:
     return _top_singular_values((rows if g is None else rows * g(lam)).conj().T, k)
 
 
-def resolvent_singular_values(H: OperatorMatrix, Ws, a: float,
-                              ks) -> list[tuple[np.ndarray, float, int]]:
-    """Per (n, d, d) stack W in Ws, with its count k in ks, a triple for
-    W (H + a)^{-1} on the weighted L^2 space: its top min(k, n d) singular
-    values, zero past the support; its Hilbert-Schmidt norm; and its support
-    columns |S| d, the most singular values it can have that are not zero.
-    The stacks share d, which is H's rank or, for a scalar H, any rank: H
-    then acts as H x I_d, and one scalar solve serves every fiber
-    coordinate. H PSD, a > 0.
+def _level_resolvents(H: OperatorMatrix, levels, a: float, union: np.ndarray):
+    """Per level K of the strictly nested levels (vertex positions of H),
+    a pair (pos, cols): pos, the positions of K, in shell order (the first
+    level, then each shell, the vertices a level adds, each ascending), and
+    at the last level only those where union holds; cols, the columns of
+    R_K = (A_K + a)^{-1} at pos, rows in shell order. A = H.matrix.
+
+    Each shell D borders the previous level's R_K (Golub & Van Loan, Matrix
+    Computations, 4th ed.): with C = A + a I and P = C_DK R_K, the Schur
+    complement S = C_DD - P C_KD is solved once, Y = S^{-1} [P | -I], and
+    the level's inverse is [[R_K + P* Y_K, P* Y_D], [-Y_K, -Y_D]]. C_DK
+    vanishes off the vertices of K next to D, so P reads only their rows
+    of R_K.
+    Every level but the last is inverted whole, in place in one buffer of
+    the next-to-last level's size; the last takes only the columns at its
+    pos, with -I cut to its columns there, so a single level is one solve
+    of its own size for its pos columns. The work is the sum over shells of
+    2 |K|^2 |D| + |D|^3, in H's dtype; H must be PSD and a > 0."""
+    A, r = H.matrix, H.rank
+    shells = [levels[0], *(np.setdiff1d(outer, inner, assume_unique=True)
+                           for inner, outer in zip(levels, levels[1:]))]
+    order = np.concatenate(shells)
+    idx = (order[:, None] * r + np.arange(r)).ravel()
+    R = np.zeros((levels[-2].size * r,) * 2 if len(levels) > 1 else (0, 0), A.dtype)
+    k = m = 0  # the level inverted so far: scalar size, vertices
+    for j, shell in enumerate(shells):
+        last, m = j == len(shells) - 1, m + shell.size
+        D = idx[k:m * r]
+        want = np.flatnonzero(union[order[:m]]) if last else np.arange(m)
+        need = (want[:, None] * r + np.arange(r)).ravel()
+        nk = np.searchsorted(need, k)
+        # C_DK is zero off the columns of K's vertices next to the shell
+        c = A[np.ix_(D, idx[:k])]
+        edge = np.flatnonzero(np.any(c != 0, axis=0))
+        c = c[:, edge]
+        P = c @ R[edge, :k]
+        S = A[np.ix_(D, D)]
+        S.flat[::D.size + 1] += a
+        if edge.size:
+            S -= P[:, edge] @ c.conj().T
+        rhs = np.zeros((D.size, need.size), A.dtype)
+        rhs[:, :nk] = P[:, need[:nk]]
+        rhs[need[nk:] - k, np.arange(nk, need.size)] = -1.0
+        Y = np.linalg.solve(S, rhs)
+        del c, S, rhs
+        if last:
+            cols = np.zeros((m * r, need.size), Y.dtype)
+            cols[:k, :nk] = R[:k, need[:nk]]
+        else:
+            cols = R[:m * r, :m * r]
+        cols[:k] += P.conj().T @ Y
+        np.negative(Y, out=cols[k:])
+        k = m * r
+        yield order[want], cols
+
+
+def resolvent_singular_values(H: OperatorMatrix, Ws, a: float, ks, levels=None) -> list:
+    """Per (n, d, d) stack W in Ws, over H's vertices, with its count k in
+    ks, a triple for W (H + a)^{-1} on the weighted L^2 space: its top
+    min(k, n d) singular values, zero past the support; its Hilbert-Schmidt
+    norm; and its support columns |S| d, the most singular values it can
+    have that are not zero. The stacks share d, which is H's rank or, for a
+    scalar H, any rank: H then acts as H x I_d, and one scalar solve serves
+    every fiber coordinate. H PSD, a > 0. Without levels the list of
+    triples is H's; with levels, strictly nested arrays of vertex positions
+    of H such as `graph.Exhaustion.levels`, it is one such list per level K,
+    for W restricted to K and the Dirichlet restriction of H to K.
 
     W commutes with the per-vertex D, so these are the numbers of
     W (A + a)^{-1} for A = H.matrix. Its rows vanish off the
     support S of W (blocks not exactly zero), and its adjoint is
-    X = (A + a)^{-1} B with B the blocks W(x)* at the rows of x in S. One
-    `np.linalg.solve` gives the columns (A + a)^{-1} e_x of every x in the
-    union of the supports, on one shifted copy of A; a stack takes those of
-    its S (the solution itself, uncopied, when S is the union), times W(x)*.
-    The HS norm is the Frobenius norm of X, and the top k come from
-    `_top_singular_values`: no dense SVD unless its sweep cap is reached.
-    The shifted copy and the unit columns are released once solved, so past
-    the solve the solution and one stack's adjoint are live. The solve keeps
-    the dtype of H, and a scalar operator with a real potential stays real
-    throughout."""
+    X = (A + a)^{-1} B with B the blocks W(x)* at the rows of x in S. The
+    columns (A_K + a)^{-1} e_x of every x in the union of the supports come
+    from `_level_resolvents`: one solve of each shell's size, its Schur
+    complement, borders the previous level's inverse, and the last (or
+    only) level solves for those columns alone. Rows and columns stay in
+    shell order, which moves no singular value and no HS norm. A stack
+    takes the columns of its S (all of them, uncopied, when S is the
+    union), times W(x)*. The HS norm is the Frobenius norm of X, and the top
+    k come from `_top_singular_values`. The work keeps the dtype of H, and
+    a scalar operator with a real potential stays real throughout."""
     if a <= 0:
         raise ValueError("resolvent shift must be positive")
     require_psd(H)
     n, r, d = len(H.vertices), H.rank, Ws[0].shape[1]
     if r not in (1, d):
         raise ValueError(f"potential of rank {d} for an operator of rank {r}")
+    if levels is not None:
+        levels = Exhaustion(tuple(_positions(lv, n) for lv in levels)).levels
     supports = [np.any(W != 0, axis=(1, 2)) for W in Ws]
-    cols = np.flatnonzero(np.logical_or.reduce(supports, initial=False))
-    rhs = np.zeros((n, r, cols.size, r), dtype=H.matrix.dtype)
-    rhs[cols, :, np.arange(cols.size), :] = np.eye(r)
-    shifted = H.matrix.copy()
-    shifted.flat[::H.dim + 1] += a
-    sol = np.linalg.solve(shifted, rhs.reshape(H.dim, -1)).reshape(H.dim, cols.size, r)
-    del shifted, rhs
+    union = np.logical_or.reduce(supports, initial=False)
     out = []
-    for W, support, k in zip(Ws, supports, ks):
-        own = support[cols]
-        blocks = W[cols[own]]
-        if np.isrealobj(sol) and not np.any(blocks.imag):
-            blocks = blocks.real  # a real potential of a scalar operator stays real
-        # column block x of the adjoint: sol[:, x] W(x)*, with sol[:, x]
-        # (H + a)^{-1} e_x x I_d for a scalar H under stacks of rank d
-        own_sol = sol if own.all() else sol[:, own]
-        if r == d:
-            adjoint = own_sol.transpose(1, 0, 2) @ blocks.conj().swapaxes(1, 2)
-            adjoint = adjoint.transpose(1, 0, 2)
-        else:
-            adjoint = own_sol.T[0, :, :, None, None] * blocks.conj().swapaxes(1, 2)[:, None]
-            adjoint = adjoint.transpose(1, 2, 0, 3)
-        adjoint = adjoint.reshape(n * d, -1)
-        hs = float(np.linalg.norm(adjoint))
-        out.append((_top_singular_values(adjoint, k), hs, adjoint.shape[1]))
-    return out
+    for pos, cols in _level_resolvents(H, [np.arange(n)] if levels is None else levels,
+                                       a, union):
+        sol = cols.reshape(cols.shape[0], pos.size, r)
+        triples = []
+        for W, support, k in zip(Ws, supports, ks):
+            own = support[pos]
+            blocks = W[pos[own]]
+            if np.isrealobj(sol) and not np.any(blocks.imag):
+                blocks = blocks.real  # a real potential of a scalar operator stays real
+            # column block x of the adjoint: sol[:, x] W(x)*, with sol[:, x]
+            # (H + a)^{-1} e_x x I_d for a scalar H under stacks of rank d
+            own_sol = sol if own.all() else sol[:, own]
+            if r == d:
+                adjoint = own_sol.transpose(1, 0, 2) @ blocks.conj().swapaxes(1, 2)
+                adjoint = adjoint.transpose(1, 0, 2)
+            else:
+                adjoint = own_sol.T[0, :, :, None, None] * blocks.conj().swapaxes(1, 2)[:, None]
+                adjoint = adjoint.transpose(1, 2, 0, 3)
+            adjoint = adjoint.reshape(cols.shape[0] // r * d, -1)
+            hs = float(np.linalg.norm(adjoint))
+            triples.append((_top_singular_values(adjoint, k), hs, adjoint.shape[1]))
+        out.append(triples)
+    return out[0] if levels is None else out
 
 
 def _resolvent_g(a: float):

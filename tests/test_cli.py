@@ -369,8 +369,7 @@ class TestDominate:
         # so the ordering row reads lambda_min(H + V), with no route
         from heatcert.bundle import load_bundle
         from heatcert.compactness import check_domination
-        from heatcert.operators import (OperatorMatrix, assemble_covariant,
-                                        multiplication_operator)
+        from heatcert.operators import OperatorMatrix, assemble_covariant
 
         g = path_graph(6)
         gpath, bpath, out = tmp_path / "g.json", tmp_path / "b.json", tmp_path / "rep.json"
@@ -383,9 +382,8 @@ class TestDominate:
                      "--seed", "3", "--out", str(out)]) == EXIT_OK
         _, conn, pots = load_bundle(bpath, g)
         H = assemble_covariant(g, 1, conn)
-        Vop = multiplication_operator(pots["v"], g.vertices, H.rho)
-        labelled = OperatorMatrix(H.matrix + Vop.matrix, H.vertices, 1, H.rho,
-                                  "covariant")
+        Vop = np.diag(pots["v"].restrict(g.vertices).blocks[:, 0, 0])
+        labelled = OperatorMatrix(H.matrix + Vop, H.vertices, 1, H.rho, "covariant")
         rows = check_domination(labelled, assemble_laplacian(g), (0.1, 1.0), (1.0, 2.0),
                                 5, np.random.default_rng(3))
         expected = json.loads(json.dumps([r.to_dict() for r in rows]))
@@ -491,7 +489,8 @@ class TestCompactCertify:
                                                         monkeypatch):
         # the graph pair comes from the theorem and H >= 0 from the validated
         # inputs, so certify neither diagonalises nor factorises an operator
-        # nor tabulates a heat kernel: it takes one solve per level
+        # nor tabulates a heat kernel: it takes one solve per level, the
+        # size of the shell the level adds
         from heatcert import heat
 
         argv = self.path30_argv(tmp_path)

@@ -37,7 +37,6 @@ from heatcert.operators import (
     assemble_covariant,
     assemble_laplacian,
     dirichlet_restriction,
-    multiplication_operator,
     resolvent,
     resolvent_singular_values,
     semigroup_matrix as semigroup,
@@ -649,10 +648,20 @@ class TestFastPathsAgainstReferences:
             resolvent_via_laplace(shifted, 1.0)
 
 
+def block_diagonal(W: EndomorphismField, vertices) -> np.ndarray:
+    """The dense matrix of f(x) -> W(x) f(x) over vertices, the reference
+    multiplication operator; it commutes with D, so it is its own A."""
+    blocks = W.restrict(vertices).blocks
+    n, d = len(blocks), W.rank
+    m = np.zeros((n, d, n, d), dtype=complex)
+    m[np.arange(n), :, np.arange(n), :] = blocks
+    return m.reshape(n * d, n * d)
+
+
 def dense_singular_values(W: EndomorphismField, Hn, dense):
     """The dense route: every singular value of the weighted W dense(Hn),
     that is of D^{1/2} W dense(Hn) D^{-1/2}."""
-    w = multiplication_operator(W, Hn.vertices, Hn.rho).matrix
+    w = block_diagonal(W, Hn.vertices)
     s = np.sqrt(Hn.measure_weights())
     weighted = s[:, None] * (w @ dense(Hn))
     weighted /= s
@@ -1022,6 +1031,63 @@ class TestTopSingularValues:
         assert reports[0] == reports[1]
 
 
+    def test_zero_sigma_p_from_rank_one_blocks(self, monkeypatch):
+        # rank-1 blocks u u* on 6 vertices of a rank-2 host: 12 columns of
+        # rank 6, so every sigma past the 6th is 0, and so is the block's
+        # smallest Ritz value when k + SUBSPACE_GUARD > 6
+        rng = np.random.default_rng(62)
+        g = random_graph(16, rng)
+        Hc = assemble_covariant(g, 2, random_connection(g, 2, rng))
+        u = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        W = np.zeros((g.n, 2, 2), dtype=complex)
+        W[3:9] = u[:, :, None] * u[:, None, :].conj()
+        ref = dense_resolvent_sv(W, Hc, 1.0)
+        assert ref[6] <= 1e-15 * ref[0]
+        ends = []
+        fn = operators._chebyshev_filter
+        monkeypatch.setattr(operators, "_chebyshev_filter", lambda x, v, mv, top, bottom:
+                            ends.append((top, bottom)) or fn(x, v, mv, top, bottom))
+        with np.errstate(all="raise"):
+            for k in (1, 3, 5, 7):
+                (sv, _, columns), = resolvent_singular_values(Hc, [W], 1.0, [k])
+                assert columns == 12
+                assert_sv_close(sv, ref, k)
+        u = np.finfo(float).eps / 2
+        assert any(b <= u * t for t, b in ends) and any(b > u * t for t, b in ends)
+
+    def test_filter_on_a_vanishing_interval_is_the_degree_one_step(self):
+        # bottom <= u top: no division by the interval, at top = 0 as well
+        rng = np.random.default_rng(64)
+        x = rng.standard_normal((30, 20))
+        v = np.linalg.qr(rng.standard_normal((20, 6)))[0]
+        mv = x.T @ (x @ v)
+        with np.errstate(all="raise"):
+            for top, bottom in ((5.0, 0.0), (0.0, 0.0), (5.0, 1e-17)):
+                np.testing.assert_array_equal(
+                    operators._chebyshev_filter(x, v, mv, top, bottom), mv - bottom / 2 * v)
+            filtered = operators._chebyshev_filter(x, v, mv, 5.0, 1e-15)
+        assert not np.allclose(filtered, mv - 0.5e-15 * v)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-40, 1e-7])
+    def test_sigma_p_far_below_sigma_1(self, scale):
+        # x is a permuted block diagonal: 5 singular values of order 1 and
+        # 35 of order scale, exactly, so sigma_p / sigma_1 is about scale for
+        # k + SUBSPACE_GUARD > 5. At 0, x has 5 nonzero rows and the Ritz
+        # value sigma_p is exactly 0; at 0 and 1e-40 the filter falls back
+        # to the degree-1 step, and at 1e-7 its interval is 1e-14 of the
+        # spectrum
+        rng = np.random.default_rng(63)
+        top = np.linalg.qr(rng.standard_normal((5, 5)))[0] * [1.0, 0.7, 0.5, 0.3, 0.2]
+        x = np.zeros((60, 40))
+        x[:5, :5] = top
+        x[5:, 5:] = scale * rng.standard_normal((55, 35))
+        assert np.linalg.svd(x[5:, 5:], compute_uv=False)[0] <= 20 * scale
+        x = x[rng.permutation(60)][:, rng.permutation(40)]
+        ref = np.linalg.svd(x, compute_uv=False)
+        with np.errstate(all="raise"):
+            for k in (1, 3, 5):
+                assert_sv_close(operators._top_singular_values(x.copy(), k), ref, k)
+
 def flat_lattice_case(side, d, seed):
     """A side x side lattice with seeded b and rho, a random gauge U of the
     trivial connection, phi(x, y) = U_y U_x*, and a Hermitian W with its
@@ -1126,8 +1192,153 @@ class TestScalarGauge:
         assert operators.scalar_gauge(assemble_laplacian(path_graph(4))) is None
 
 
+def bundle_host(seed):
+    """A rank-2 host shaped like the bundle-certify benchmark's: 250
+    vertices and 600 edges over a random spanning path, rho and b in
+    [0.5, 2], a random SU(2) connection, and the potential
+    kappa S(x) (1 + dist(v0, x))^2, S(x) a random Hermitian shape with
+    eigenvalues 1 and t in [0.2, 1]."""
+    rng = np.random.default_rng(seed)
+    n = 250
+    order = rng.permutation(n).tolist()
+    pairs = {tuple(sorted(e)) for e in zip(order, order[1:])}
+    while len(pairs) < 600:
+        pairs.add(tuple(sorted(rng.choice(n, 2, replace=False).tolist())))
+    ids = [f"v{i}" for i in range(n)]
+    g = make_graph(ids, {v: float(rng.uniform(0.5, 2.0)) for v in ids},
+                   [(ids[i], ids[j], float(rng.uniform(0.5, 2.0))) for i, j in sorted(pairs)])
+    q = rng.standard_normal((g.src.size, 4))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    a, c = q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3]
+    phi = np.stack([np.stack([a, -c.conj()], -1), np.stack([c, a.conj()], -1)], 1)
+    conn = UnitaryConnection(g, phi, phi.conj().swapaxes(1, 2))
+    balls = build_exhaustion(g, "v0", range(n)).levels
+    dist = np.zeros(n)
+    for r, ball in reversed(list(enumerate(balls))):
+        dist[ball] = r
+    frames = np.array([random_unitary(rng, 2) for _ in ids])
+    t = np.stack([np.ones(n), rng.uniform(0.2, 1.0, n)], axis=1)
+    shapes = (frames * t[:, None, :]) @ frames.conj().swapaxes(1, 2)
+    shapes = 0.5 * (shapes + shapes.conj().swapaxes(1, 2))
+    W = float(rng.uniform(0.5, 2.0)) * shapes * ((1.0 + dist) ** 2)[:, None, None]
+    return g, assemble_covariant(g, 2, conn), EndomorphismField.from_blocks(2, ids, W, True)
+
+
+class TestBorderedLevels:
+    """certify_compactness, and resolvent_singular_values with levels,
+    border each level's resolvent from the last one's; every level's sigma,
+    HS norm and support columns must equal those of a solve on the level's
+    Dirichlet restriction, to 1e-12 max(1, sigma_1)."""
+
+    @staticmethod
+    def assert_levels_match(H, ex, stacks, a, ks, numbers):
+        assert len(numbers) == len(ex.levels)
+        for lv, triples in zip(ex.levels, numbers):
+            ref = resolvent_singular_values(dirichlet_restriction(H, lv),
+                                            [W[lv] for W in stacks], a, ks)
+            for (sv, hs, columns), (ref_sv, ref_hs, ref_columns) in zip(triples, ref):
+                tol = 1e-12 * max(1.0, ref_sv[0] if ref_sv.size else 0.0)
+                assert sv.shape == ref_sv.shape
+                assert np.max(np.abs(sv - ref_sv), initial=0.0) <= tol
+                assert abs(hs - ref_hs) <= tol and columns == ref_columns
+
+    @staticmethod
+    def assert_report_matches(rep, H, ex, W, W1, a, rank):
+        ks = [rep.top_k, 1]
+        ref = [resolvent_singular_values(dirichlet_restriction(H, lv),
+                                         [W.blocks[lv], W1.blocks[lv]], a, ks)
+               for lv in ex.levels]
+        assert rep.levels == [rank * lv.size for lv in ex.levels]
+        for dim, ((sv, hs, columns), (sv1, _, _)), row in zip(rep.levels, ref, rep.bounds):
+            tol = 1e-12 * max(1.0, sv[0])
+            assert np.max(np.abs(np.array(rep.singular_values[dim]) - sv)) <= tol
+            assert abs(rep.hs_norms[dim] - hs) <= tol
+            assert rep.support_columns[dim] == columns
+            assert abs(row.lhs - sv1[0]) <= 1e-12 * max(1.0, sv1[0])
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_thin_shells_on_random_hosts(self, rank, monkeypatch):
+        # every radius from 1 to the diameter; rho in [0.1, 10]; W on all
+        # of the host or on about half of it, W1 its part above the median
+        rng = np.random.default_rng(70 + rank)
+        g = random_graph(20, rng, p=0.06)
+        H = (assemble_laplacian(g) if rank == 1
+             else assemble_covariant(g, rank, random_connection(g, rank, rng)))
+        ex = build_exhaustion(g, g.vertices[0], range(1, g.n))
+        assert len(ex.levels) >= 4 and ex.levels[-1].size == g.n
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
+        half = [v for v in g.vertices if rng.random() < 0.5]
+        for dense_columns in (0, operators.SVD_DENSE_COLUMNS):
+            monkeypatch.setattr(operators, "SVD_DENSE_COLUMNS", dense_columns)
+            for support in (None, half):
+                W = random_field(g, rank, rng, support)
+                W1, _ = decompose_potential(W, float(np.median(W.norms())))
+                for a in (0.5, 2.0):
+                    numbers = resolvent_singular_values(
+                        H, [W.blocks, W1.blocks], a, [5, 1], ex.levels)
+                    self.assert_levels_match(H, ex, [W.blocks, W1.blocks], a, [5, 1],
+                                             numbers)
+                    rep = certify_compactness(W, W1, H, cp, ex, a=a)
+                    self.assert_report_matches(rep, H, ex, W, W1, a, rank)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_thin_shells_on_the_gauge_route(self, d, monkeypatch):
+        # certify solves on the real scalar operator; the reference solves
+        # each covariant level
+        g, Hc, W, W1 = flat_lattice_case(6, d, 34)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
+        ex = build_exhaustion(g, g.vertices[0], range(1, 11))
+        assert len(ex.levels) == 10
+        kinds = []
+        fn = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: kinds.append(a[0].dtype.kind)
+                            or fn(*a))
+        rep = certify_compactness(W, W1, Hc, cp, ex, a=2.0)
+        assert kinds == ["f"] * len(ex.levels)
+        monkeypatch.undo()
+        self.assert_report_matches(rep, Hc, ex, W, W1, 2.0, d)
+
+    def test_thin_shells_on_the_decaying_rho_path(self):
+        # rho_j = (1 + j)^-2: lambda_max / a reaches 1.5e5 at a = 0.5, and
+        # each of the 59 shells is a single vertex
+        n = 60
+        g = path_graph(n, rho=[(1.0 + j) ** -2 for j in range(n)])
+        H = assemble_laplacian(g)
+        W = EndomorphismField.scalar({v: 1.0 / (1 + j * j) for j, v in enumerate(g.vertices)})
+        W1, _ = decompose_potential(W, 0.01)
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
+        ex = build_exhaustion(g, "v0", range(1, n))
+        assert [lv.size for lv in ex.levels] == list(range(2, n + 1))
+        for a in (0.5, 2.0):
+            rep = certify_compactness(W, W1, H, cp, ex, a=a)
+            self.assert_report_matches(rep, H, ex, W, W1, a, 1)
+        assert H.eigh()[0][-1] / 0.5 > 1e4
+
+    def test_grow_potential_converges_on_every_level(self, monkeypatch):
+        # the benchmark's grow potential clusters the top sigma of W R: the
+        # filtered iteration must converge below its sweep cap, so no SVD
+        # wider than the block runs past the dense crossover
+        g, Hc, W = bundle_host(5)
+        W1, _ = decompose_potential(W, 0.1)
+        ex = build_exhaustion(g, "v0", range(2, g.n))
+        assert len(ex.levels) >= 4
+        cp = ControlPair(np.ones(g.n), F2Family.constant(1.0), 1.0)
+        widths = svd_widths(monkeypatch)
+        rep = certify_compactness(W, W1, Hc, cp, ex, a=2.0)
+        assert max(rep.support_columns.values()) > operators.SVD_DENSE_COLUMNS
+        blocks = {k + operators.SUBSPACE_GUARD for k in (rep.top_k, 1)}
+        assert all(w <= operators.SVD_DENSE_COLUMNS or w in blocks for w in widths)
+
+    def test_levels_are_checked(self):
+        g, Hc, W, _, _, _ = rank2_certify_case(50)
+        stacks = [W.blocks]
+        with pytest.raises(ValueError, match="strictly nested"):
+            resolvent_singular_values(Hc, stacks, 1.0, [1], [np.arange(4), np.arange(1, 6)])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            resolvent_singular_values(Hc, stacks, 1.0, [1], [np.arange(g.n + 1)])
+
 class TestCertifyFormsNoDenseProducts:
-    def test_no_resolvent_no_multiplication_one_solve_per_level(self, monkeypatch):
+    def test_no_resolvent_no_restriction_one_solve_per_shell(self, monkeypatch):
         from heatcert import compactness, operators
 
         g, Hc, W, W1, cp, ex = rank2_certify_case(46)
@@ -1135,25 +1346,33 @@ class TestCertifyFormsNoDenseProducts:
         assert sizes[-1] == g.n and len(set(sizes)) == len(sizes)
         calls = []
         for mod in (operators, compactness):
-            for name in ("resolvent", "multiplication_operator"):
+            for name in ("resolvent", "dirichlet_restriction"):
                 if hasattr(mod, name):
                     fn = getattr(mod, name)
                     monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=fn, **k:
                                         calls.append(_n) or _f(*a, **k))
-        widths = []
+        shapes = []
         for name in ("eigh", "cholesky", "solve"):
             fn = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda *a, _n=name, _f=fn:
-                                calls.append(_n) or widths.append(a[-1].shape) or _f(*a))
+                                calls.append(_n) or shapes.append((a[0].shape, a[-1].shape))
+                                or _f(*a))
         rep = certify_compactness(W, W1, Hc, cp, ex, a=2.0)
         assert rep.levels == [2 * s for s in sizes]
-        # the host is PSD by construction: nothing is factorised or
-        # diagonalised, and each level takes one solve
+        # the host is PSD by construction: nothing is factorised,
+        # diagonalised or restricted, and each shell takes one solve of its
+        # own size: for every column of its level but the last, whose
+        # solve takes W's support columns (W1 is W on part of its support)
         assert calls == ["solve"] * len(sizes)
-        # W1 is W on part of its support, so W's columns serve both
+        shells = np.diff([0, *sizes])
         supp = np.any(W.blocks != 0, axis=(1, 2))
-        assert widths == [(2 * s, 2 * supp[lv].sum())
-                          for s, lv in zip(sizes, ex.levels)]
+        columns = [*(2 * s for s in sizes[:-1]), 2 * supp.sum()]
+        assert shapes == [((2 * s, 2 * s), (2 * s, c)) for s, c in zip(shells, columns)]
+        # a single level solves its support columns on the whole operator
+        shapes.clear()
+        part = random_field(g, 2, np.random.default_rng(0), g.vertices[2:5])
+        check_resolvent_bound(part, Hc, ControlPair(cp.F1, cp.F2, 2.0), 2.0)
+        assert shapes == [((Hc.dim, Hc.dim), (Hc.dim, 6))]
 
     def test_non_psd_operator_rejected(self):
         g, Hc, W, W1, cp, ex = rank2_certify_case(47)
@@ -1315,7 +1534,6 @@ def test_truncation_operator_norm_converges_exactly():
         Wn = {v: (np.sign(W[v]) * min(n, abs(W[v])) if v in level else 0.0)
               for v in g.vertices}
         diff = EndomorphismField.scalar({v: W[v] - Wn[v] for v in g.vertices})
-        op = multiplication_operator(diff, g.vertices, g.rho_vec)
-        gaps.append(np.linalg.norm(op.matrix, 2))  # weighted 2->2 norm
+        gaps.append(np.linalg.norm(block_diagonal(diff, g.vertices), 2))  # weighted 2->2 norm
     assert gaps[-1] == 0.0
     assert gaps[0] >= gaps[-1]
