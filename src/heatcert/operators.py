@@ -553,8 +553,8 @@ def resolvent_singular_values(H: OperatorMatrix, Ws, a: float, ks, levels=None) 
     complement, borders the previous level's inverse, and the last (or
     only) level solves for those columns alone. Rows and columns stay in
     shell order, which moves no singular value and no HS norm. A stack
-    takes the columns of its S (all of them, uncopied, when S is the
-    union), times W(x)*. The HS norm is the Frobenius norm of X, and the top
+    takes the columns of its S (all of them, uncopied, when S holds every
+    vertex they belong to), times W(x)*. The HS norm is the Frobenius norm of X, and the top
     k come from `_top_singular_values`. The work keeps the dtype of H, and
     a scalar operator with a real potential stays real throughout."""
     if a <= 0:
