@@ -1,15 +1,16 @@
 """Heat semigroups and minimal heat kernels on weighted graphs.
 
 Kernel convention: e^{-tH} f(x) = sum_y p(t, x, y) f(y) rho(y), so
-p(t, x, y) = [e^{-tH} D^{-1}]_{x, y}, the kernel scaling of
-`operators._spectral_rows`; this module forms no eigenbasis product of
-its own, and a complex kernel (nontrivial connection) is refused rather
-than truncated to its real part. The four kernel axioms
-(Chapman-Kolmogorov, symmetry, sub-Markov row mass, strong continuity at
-t = 0) and the rho bound are verified, never assumed, in one pass over
-the time grid in ascending order (`_KernelChecks`): each slice p(t) is
-checked as it comes and held only while a later pair (t, s, t + s) on the
-grid still needs it as a factor, and every check runs in row blocks.
+p(t, x, y) = [e^{-tH} D^{-1}]_{x, y}, each slice of an operator one
+symmetric product of its scaled factor (`operators._kernel_slices`), so
+symmetry (A2) is exact there and a real check only on a stored stack; a
+complex kernel (nontrivial connection) is refused rather than truncated
+to its real part. The four kernel axioms (Chapman-Kolmogorov, symmetry,
+sub-Markov row mass, strong continuity at t = 0) and the rho bound are
+verified, never assumed, in one pass over the time grid in ascending
+order (`_KernelChecks`): each slice p(t) is checked as it comes and held
+only while a later pair (t, s, t + s) on the grid still needs it as a
+factor, and every check runs in row blocks.
 `verify_semigroup` forms each slice of an operator once and holds no
 stack; `verify_kernel` runs the same pass once over a stored stack, such
 as the one `kernel_from_semigroup` tabulates for `heat kernel`, and
@@ -29,12 +30,11 @@ import numpy as np
 from .graph import Exhaustion, WeightedGraph
 from .operators import (
     OperatorMatrix,
+    _kernel_slices,
+    _psd_eigh,
     _row_step,
-    _semigroup_g,
-    _spectral_rows,
     assemble_laplacian,
     dirichlet_restriction,
-    semigroup_matrix,
 )
 
 A1_TOL = 1e-8
@@ -68,8 +68,11 @@ class HeatKernel:
 
 
 def _grid(times) -> tuple[float, ...]:
-    """A time grid as sorted floats."""
-    return tuple(sorted(float(t) for t in times))
+    """A time grid as sorted floats; a negative time is refused."""
+    times = tuple(sorted(float(t) for t in times))
+    if times and times[0] < 0:
+        raise ValueError("negative time")
+    return times
 
 
 def _on_grid(times, t) -> int | None:
@@ -101,23 +104,23 @@ def _a1_plan(times):
 
 def _kernel_former(H: OperatorMatrix, times):
     """form(i, out): the kernel p(t_i) = e^{-t_i H} D^{-1} of the scalar
-    operator H, one `operators._spectral_rows` kernel block written into the
-    real n x n array out, which it returns; p(0) is exactly diag(1/rho). A
-    kernel with an imaginary part above round-off (a nontrivial connection)
-    is refused. Guards first: a rank above 1 or a t < 0 raises before the
+    operator H on the grid (`_grid`), formed by `operators._kernel_slices`
+    into the real n x n array out, which it returns, with i ascending; p(0)
+    is exactly diag(1/rho). A kernel with an imaginary part above round-off
+    (a nontrivial connection) is refused. A rank above 1 raises before the
     eigendecomposition, and a non-PSD H right after it."""
     if H.rank != 1:
         raise ValueError("heat kernels are scalar; trivialize first")
-    gs = [_semigroup_g(t) for t in times]
-    rows = _spectral_rows(H, kernel=True)
+    slices = _kernel_slices(H)
     scratch = np.empty((H.dim, H.dim), H.matrix.dtype) if np.iscomplexobj(H.matrix) else None
 
     def form(i, out):
-        ((_, p),) = rows(gs[i], out=out if scratch is None else scratch)
-        if scratch is not None:
-            if np.max(np.abs(p.imag)) > KERNEL_IMAG_TOL * np.max(np.abs(p)):
-                raise ValueError("heat kernel is not real; the connection is not trivial")
-            out[...] = p.real
+        if scratch is None:
+            return slices(times[i], out)
+        p = slices(times[i], scratch)
+        if np.max(np.abs(p.imag)) > KERNEL_IMAG_TOL * np.max(np.abs(p)):
+            raise ValueError("heat kernel is not real; the connection is not trivial")
+        out[...] = p.real
         return out
 
     return form
@@ -183,12 +186,12 @@ class RhoBoundReport:
                 "saturating_sample": list(self.saturating), "pass": self.ok}
 
 
-def _first_max(block: np.ndarray, row0: int) -> tuple[float, int, int]:
-    """The max of a row block of an n x n array and its (row, column) in
-    the whole array, the block starting at row row0; the first in row-major
-    order of those that reach it."""
+def _first_max(block: np.ndarray, row0: int, col0: int = 0) -> tuple[float, int, int]:
+    """The max of a block of an n x n array and its (row, column) in the
+    whole array, the block starting at row row0 and column col0; the first
+    in row-major order of those that reach it."""
     x, y = np.unravel_index(np.argmax(block), block.shape)
-    return float(block[x, y]), row0 + int(x), int(y)
+    return float(block[x, y]), row0 + int(x), col0 + int(y)
 
 
 class _KernelChecks:
@@ -202,7 +205,10 @@ class _KernelChecks:
     (p(t)[r] rho) p(s) are formed in row blocks r of ROW_BLOCK_BYTES
     (`operators._row_step`), so no check makes an n x n temporary. A worst
     sample is the first of the grid, in row-major order within a slice, to
-    reach the max."""
+    reach the max. A2 reads each row block r from column r.start on, which
+    gives the same value and sample: |p_xy - p_yx| is symmetric, so the
+    first sample to reach the max has x <= y (else (y, x) comes first), and
+    it lies in those parts, which are read in the slice's row-major order."""
 
     def __init__(self, times, vertices, rho, a1: bool = True):
         self.times, self.vertices, self.rho = times, vertices, rho
@@ -222,11 +228,11 @@ class _KernelChecks:
         step = _row_step(n * mat.itemsize)
         blocks = [slice(v, min(v + step, n)) for v in range(0, n, step)]
         for r in blocks:
-            buf = mat[r] - mat[:, r].T
-            value, x, y = _first_max(np.abs(buf, out=buf), r.start)
+            upper = mat[r, r.start:] - mat[r.start:, r].T
+            value, x, y = _first_max(np.abs(upper, out=upper), r.start, r.start)
             if value > self.a2:
                 self.a2, self.a2_worst = value, (t, vertices[x], vertices[y])
-            value, x, y = _first_max(np.multiply(mat[r], rho, out=buf), r.start)
+            value, x, y = _first_max(mat[r] * rho, r.start)
             if value > self.rho_max:
                 self.rho_max, self.rho_worst = value, (t, vertices[x], vertices[y])
         self.a3 = max(self.a3, float(np.max(mat @ rho) - 1.0))
@@ -288,23 +294,21 @@ def verify_axioms(k: HeatKernel, H: OperatorMatrix | None = None) -> AxiomReport
 
 
 def _continuity_probe(H: OperatorMatrix, times=(1e-3, 1e-6)) -> bool:
-    """||e^{-tH} f - f|| <= t ||H f|| as t drops to 0, on basis vectors
-    (weighted column norms of P_t - I, and ||H e_j|| = sqrt(rho_j) ||A e_j||
-    for A = H.matrix); the squared moduli are taken in place, in one n x n
-    array per time for a real H."""
+    """||e^{-tH} f - f|| <= t ||H f|| as t drops to 0, on basis vectors:
+    ||(P_t - I) e_j|| = sqrt(rho_j sum_k expm1(-t lambda_k)^2 |U_jk|^2) from
+    the cached eigendecomposition (lambda clipped at 0), against
+    ||H e_j|| = sqrt(rho_j) ||A e_j|| for A = H.matrix; O(n^2) per time,
+    the squared moduli of A, then of U, in one n x n array."""
     w = H.measure_weights()
+    lam, u = _psd_eigh(H)
     mag = np.abs(H.matrix)
     mag **= 2
     h_norms = np.sqrt(w * mag.sum(axis=0))
-    del mag
-    for t in times:
-        steps = semigroup_matrix(H, t)
-        steps[np.diag_indices(H.dim)] -= 1.0
-        mag = np.abs(steps, out=steps) if np.isrealobj(steps) else np.abs(steps)
-        mag **= 2
-        if not np.all(np.sqrt(w @ mag) <= t * h_norms + 1e-12):
-            return False
-    return True
+    np.abs(u, out=mag)
+    mag **= 2
+    lam = np.clip(lam, 0.0, None)
+    return all(np.all(np.sqrt(w * (mag @ np.expm1(-t * lam) ** 2)) <= t * h_norms + 1e-12)
+               for t in times)
 
 
 def verify_rho_bound(k: HeatKernel) -> RhoBoundReport:
@@ -346,13 +350,13 @@ class MinimalKernelReport:
 
 class _LevelStream:
     """The minimal kernel's pass over an ascending time grid. `step(i)`
-    forms every level's p(t_i) from its kernel rows (`_spectral_rows`) into
-    the level's one slice buffer, the product that its stack from
-    `kernel_from_semigroup` would hold, and compares each pair of
-    consecutive levels before the next time. With host_given, a level that
-    is the whole host forms nothing and takes the host slice passed to
-    `step`. Each level operator is dropped once its rows are formed, which
-    hold one n_l x n_l factor, formed in place of the level's U.
+    forms every level's p(t_i) (`operators._kernel_slices`) into the
+    level's one slice buffer, as its `kernel_from_semigroup` stack would
+    hold it, and compares each pair of consecutive levels in row blocks
+    before the next time. With host_given, a level that is the whole host
+    forms nothing and takes the host slice passed to `step`. Each level
+    operator is dropped once its former, which holds one n_l x n_l factor
+    in place of the level's U, is made.
 
     Monotonicity is asserted on the full common index set of each pair of
     consecutive levels. The sup increments are measured on the first
@@ -368,13 +372,12 @@ class _LevelStream:
             if lv.size and lv[-1] >= len(H.vertices):
                 raise ValueError("exhaustion level not contained in host")
         self.host, self.levels, self.times = H, list(levels), times
-        self.gs = [_semigroup_g(t) for t in times]
-        # per level its kernel rows and slice buffer, or None for the host's
+        # per level its slice former and buffer, or None for the host's
         self.sources = []
         for lv in self.levels:
             op = dirichlet_restriction(H, lv)
             self.sources.append(None if host_given and op.dim == H.dim else
-                                (_spectral_rows(op, kernel=True), np.empty((op.dim, op.dim))))
+                                (_kernel_slices(op), np.empty((op.dim, op.dim))))
         window = self.levels[0]
         # where level a, and the window, sit inside the nested levels
         self.pairs = [(np.searchsorted(lv_b, lv_a), np.searchsorted(lv_a, window),
@@ -384,14 +387,14 @@ class _LevelStream:
         self.sup_inc = [{} for _ in self.pairs]
 
     def step(self, i: int, host: np.ndarray | None = None):
-        t, g = self.times[i], self.gs[i]
-        mats = [host if src is None else next(src[0](g, out=src[1]))[1]
-                for src in self.sources]
+        t = self.times[i]
+        mats = [host if src is None else src[0](t, src[1]) for src in self.sources]
         for (pos, win_a, win_b), mat_a, mat_b, inc in zip(self.pairs, mats, mats[1:],
                                                           self.sup_inc):
-            diff = mat_b[np.ix_(pos, pos)]
-            diff -= mat_a
-            self.worst = min(self.worst, float(np.min(diff)))
+            step = _row_step(pos.size * mat_a.itemsize)
+            for v in range(0, pos.size, step):
+                diff = mat_b[pos[v:v + step]].take(pos, axis=1) - mat_a[v:v + step]
+                self.worst = min(self.worst, float(np.min(diff)))
             inc[t] = float(np.max(mat_b[np.ix_(win_b, win_b)] - mat_a[np.ix_(win_a, win_a)]))
 
     def report(self) -> MinimalKernelReport:
@@ -408,11 +411,9 @@ def minimal_kernel(g: WeightedGraph, ex: Exhaustion, times, *,
 
     H is the host Laplacian `assemble_laplacian(g)` when the caller has
     already built it (its cached spectrum then serves a level that is the
-    whole host, and that level's kernel factor takes its place); by default
-    it is assembled here. The levels are streamed by time (`_LevelStream`):
-    one slice per level is live and no stack is built. `verify_semigroup`
-    runs the same stream next to the host's kernel checks.
-    """
+    whole host); by default it is assembled here. The levels are streamed
+    by time (`_LevelStream`), one slice per level live and no stack built,
+    as `verify_semigroup` streams them next to the host's checks."""
     if H is None:
         H = assemble_laplacian(g)
     elif H.vertices != g.vertices:
@@ -434,18 +435,14 @@ def verify_semigroup(H: OperatorMatrix, times, *, ex: Exhaustion | None = None,
     no stack.
 
     The continuity probe runs first, on H's eigenbasis; then the kernel
-    factor D^{-1/2} U is formed in its place, and H keeps only its PSD
-    verdict (`operators._spectral_rows`). So the pass holds H, the factor,
-    the level factors and slice buffers, the current slice and the held
-    ones, and an operator of H's spectrum read after it is diagonalised
-    again. Each slice feeds `_KernelChecks`, which holds it only while a
-    later Chapman-Kolmogorov pair needs it, and, where a level is the whole
-    host, the level stream at the same t. The slices of the times in keep
-    (each on the grid) are written into a small stack and returned; the
-    rest are dropped when the pass no longer needs them. Returns (axioms,
-    rho bound, minimal kernel report or None, HeatKernel of the kept
-    times); the reports equal those of the stack-based functions exactly.
-    """
+    factor forms in its place (`operators._kernel_slices`), so the pass
+    holds H, the factor, the level factors and slice buffers and the live
+    slices, and a later function of H diagonalises again. Each slice feeds
+    `_KernelChecks` and, where a level is the whole host, the level stream.
+    The slices of the times in keep (each on the grid) are returned in a
+    small stack. Returns (axioms, rho bound, minimal kernel report or None,
+    HeatKernel of the kept times); the reports equal those of the
+    stack-based functions exactly."""
     times = _grid(times)
     at = [_on_grid(times, t) for t in keep]
     if None in at:

@@ -24,7 +24,7 @@ from .bundle import EndomorphismField, UnitaryConnection, block_norms
 from .graph import Exhaustion, WeightedGraph, _positions, validate_graph
 
 PSD_TOL = 1e-10
-# dense bytes of one row block of g(H) in `_spectral_rows`
+# dense bytes of one row block of the heat kernel checks and `_kernel_slices`
 ROW_BLOCK_BYTES = 1 << 20
 # `_top_singular_values`: block columns past the k values it returns, the
 # sweep cap past which the dense SVD decides, and the stopping rule (every
@@ -104,12 +104,12 @@ def require_psd(op: OperatorMatrix, lam: float | None = None):
 
 def _flush_subnormals(x: np.ndarray) -> np.ndarray:
     """Zero, in place, each real and imaginary part of x below the smallest
-    normal float in magnitude, and return x; a complex x must be C- or
-    F-contiguous. A product operand with subnormal entries slows the GEMM
-    several times over. The flush moves an entry of a product x B by at
-    most tiny times the l1 norm of a column of B (n tiny for B = U*), and
-    each singular value of an N x m matrix x by at most sqrt(2 N m) tiny
-    (Weyl)."""
+    normal float in magnitude, and return x; a complex x must be
+    F-contiguous or contiguous along its last axis. A product operand with
+    subnormal entries slows the GEMM several times over. The flush moves an
+    entry of a product x B by at most tiny times the l1 norm of a column of
+    B (n tiny for B = U*), and each singular value of an N x m matrix x by
+    at most sqrt(2 N m) tiny (Weyl)."""
     tiny = np.finfo(float).tiny
     # both parts in one pass, as float64 over x's memory in its own order
     parts = (x.T if x.flags.f_contiguous else x).view(np.float64)
@@ -320,70 +320,72 @@ def _psd_eigh(H: OperatorMatrix):
 
 def _row_step(row_bytes: int) -> int:
     """Rows of row_bytes bytes each that fill one ROW_BLOCK_BYTES block, at
-    least one: the block height of `_spectral_rows` and of the heat kernel
-    checks."""
+    least one: the block height of the heat kernel checks and slices."""
     return max(1, ROW_BLOCK_BYTES // row_bytes)
 
 
-def _spectral_rows(H: OperatorMatrix, kernel: bool = False):
-    """Where every dense g(H) is formed from the eigenbasis: returns
-    rows(g, block_vertices, out), an iterator of (vertex slice, rows at
-    those vertices' fiber indices) of g(H) = D^{-1/2} U g(Lambda) U* D^{1/2}
-    on coordinate vectors or, with kernel, of g(H) D^{-1} = D^{-1/2} U
-    g(Lambda) U* D^{-1/2}. A block holds `block_vertices` vertices, by
-    default as many as fit in ROW_BLOCK_BYTES (at least one). With out
-    given, the blocks are written into out's rows and one block, out, is
-    yielded: the operand U[r] g(Lambda) of a product is one row block, never
-    n x n. g maps the eigenvalue array to the diagonal of g(Lambda); g None
-    (`_semigroup_g(0)`) is exact, I or diag(1/rho).
-
-    The eigendecomposition, the PSD check and the factors are made on the
-    call, and rows holds no reference to H. The kernel's D factors go on
-    the factors: D^{-1/2} U, divided in place of the cached U, which H
-    releases (`OperatorMatrix.release_eigh`: H keeps its PSD verdict, and a
-    later g(H) diagonalises again), and its conjugate transpose, a view, so
-    rows holds one n x n array. g(H) keeps U* (a view of a real U) and
-    scales each block, as a copy U* D^{1/2} would cost an n x n array.
-    H must be PSD."""
+def _kernel_slices(H: OperatorMatrix):
+    """form(t, out): the heat kernel p(t) = e^{-tH} D^{-1} = F_t F_t* of the
+    PSD operator H, F_t = D^{-1/2} U e^{-t Lambda / 2}, written into out (of
+    H's shape and dtype) and returned; the times of the calls must ascend.
+    F is divided in place of the cached U, which H releases (H keeps its PSD
+    verdict, `OperatorMatrix.release_eigh`). Each t scales the live columns
+    of F in place by e^{-(t - t') lambda / 2}, t' the previous time, lambda
+    clipped as `_semigroup_g` clips it; the live columns, those with
+    e^{-t lambda} > 2^-53 e^{-t lambda_0}, are a prefix that never grows
+    with t. Subnormals are flushed in row blocks, and out = F_k F_k^T is one
+    symmetric product (BLAS syrk, mirrored), exactly symmetric; a complex F
+    gives F_k F_k* in row blocks. p(0) is exactly diag(1/rho). Nothing
+    n x n is made beyond F and out. Error: the dropped columns move an entry
+    by at most 2^-53 e^{-t lambda_0} / sqrt(rho_x rho_y), the rows of U
+    having unit norm; each column scale carries one rounding per time, on
+    top of that of exp."""
     lam, u = _psd_eigh(H)
-    n, d, dim, dtype = len(H.vertices), H.rank, H.dim, H.matrix.dtype
+    H.release_eigh()
     w = H.measure_weights()
-    s = np.sqrt(w)
-    if kernel:
-        H.release_eigh()
-        u /= s[:, None]
-    right = u.conj().T
+    u /= np.sqrt(w)[:, None]
+    dim, step = H.dim, _row_step(H.dim * u.itemsize)
+    blocks = [slice(v, v + step) for v in range(0, dim, step)]
+    t_prev, k = 0.0, dim
 
-    def rows(g, block_vertices: int | None = None, out=None):
-        step = block_vertices or _row_step(d * dim * dtype.itemsize)
-        g_lam = None if g is None else g(lam)
-        for v in range(0, n, step):
-            vs = slice(v, min(v + step, n))
-            r = slice(v * d, vs.stop * d)
-            block = np.empty((r.stop - r.start, dim), dtype) if out is None else out[r]
-            if g is None:
-                block.fill(0)
-                block.flat[r.start::dim + 1] = 1.0 / w[r] if kernel else 1.0
-            else:
-                np.matmul(_flush_subnormals(u[r] * g_lam), right, out=block)
-                if not kernel:
-                    block /= s[r, None]
-                    block *= s
-            if out is None:
-                yield vs, block
-        if out is not None:
-            yield slice(0, n), out
+    def form(t, out):
+        nonlocal t_prev, k
+        if t < t_prev:
+            raise ValueError(f"kernel time {t} after {t_prev}: times must ascend")
+        if t == 0:
+            out.fill(0)
+            out.flat[::dim + 1] = 1.0 / w
+            return out
+        g = _semigroup_g(t)(lam[:k])
+        # g[:1] is empty once no column is live
+        k = int(np.count_nonzero(g > 2.0 ** -53 * g[:1]))
+        f, half = u[:, :k], (t - t_prev) / 2
+        if half > 0:  # else every scale rounds to 1
+            f *= _semigroup_g(half)(lam[:k])
+        t_prev = t
+        for r in blocks:
+            _flush_subnormals(f[r])
+        if np.isrealobj(f):
+            return np.matmul(f, f.T, out=out)
+        for r in blocks:
+            np.conjugate(np.matmul(f, f[r].conj().T).T, out=out[r])
+        return out
 
-    return rows
+    return form
 
 
 def spectral_function(H: OperatorMatrix, g) -> np.ndarray:
-    """g(H) acting on coordinate vectors, D^{-1/2} U g(Lambda) U* D^{1/2}
-    from the cached eigendecomposition as one `_spectral_rows` block; g None
-    is the identity, exactly and with no spectral work. H must be PSD."""
+    """g(H) on coordinate vectors, D^{-1/2} U g(Lambda) U* D^{1/2} from the
+    cached eigendecomposition, with U g(Lambda) flushed of subnormals; g maps
+    the eigenvalues to g(Lambda), and g None is the identity, exactly and
+    with no spectral work. H must be PSD."""
     if g is None:
         return np.eye(H.dim, dtype=H.matrix.dtype)
-    ((_, out),) = _spectral_rows(H)(g, len(H.vertices))
+    lam, u = _psd_eigh(H)
+    s = np.sqrt(H.measure_weights())
+    out = np.matmul(_flush_subnormals(u * g(lam)), u.conj().T)
+    out /= s[:, None]
+    out *= s
     return out
 
 

@@ -286,7 +286,7 @@ def test_spectral_products_see_no_subnormal_operand(monkeypatch):
     def subnormal(x):
         return any(np.any((part != 0) & (np.abs(part) < tiny)) for part in (x.real, x.imag))
 
-    # one product per level and time, per stack time and per row block
+    # one product per level and time, per stack time and per function
     assert len(operands) >= 2 * 8
     assert not any(subnormal(x) for x in operands)
 
@@ -415,24 +415,17 @@ class TestTabulatedStack:
         times = (0.0, 0.5, 1.0)
         to_host = build_exhaustion(g, "v0", [3, 9])
         assert to_host.levels[-1].tolist() == list(range(g.n))
-        made, formed = {}, []
+        formed = []
 
-        def tagged(t):
-            # the time each spectral function was made for (t = 0 gives None)
-            g_t = operators._semigroup_g(t)
-            made[id(g_t)] = (t, g_t)
-            return g_t
+        def counting(op):
+            form = operators._kernel_slices(op)
 
-        def counting(op, kernel=False):
-            rows = operators._spectral_rows(op, kernel)
-
-            def counted(g_t, *a, **k):
-                formed.append((op.dim, made[id(g_t)][0]))
-                return rows(g_t, *a, **k)
+            def counted(t, out):
+                formed.append((op.dim, t))
+                return form(t, out)
             return counted
 
-        monkeypatch.setattr(heat, "_semigroup_g", tagged)
-        monkeypatch.setattr(heat, "_spectral_rows", counting)
+        monkeypatch.setattr(heat, "_kernel_slices", counting)
         H = assemble_laplacian(g)
         heat.verify_semigroup(H, times, ex=to_host)
         dims = [4, g.n]
@@ -468,12 +461,54 @@ class TestTabulatedStack:
                        "--times", "0.5,1.0", "--out", str(tmp_path / "m.json")])
         assert rc == 0 and slices == []
 
-    def test_continuity_probe_subtracts_identity(self, monkeypatch):
+
+def random_orthonormal(n, rng, keep=None):
+    """A random n x n orthogonal matrix; with keep, a unit vector, its first
+    column is keep and the rest span keep's complement at random."""
+    x = rng.standard_normal((n, n))
+    if keep is not None:
+        x[:, 0] = keep
+    q, r = np.linalg.qr(x)
+    return q * np.sign(np.diag(r))
+
+
+class TestContinuityProbe:
+    """The probe reads ||(P_t - I) e_j|| from the cached eigendecomposition
+    and ||H e_j|| from A, so a wrong eigendecomposition cached on H fails
+    it."""
+
+    FAULTS = {
+        "scaled-eigenvalues": lambda H, lam, u, rng: (1.5 * lam, u),
+        "random-basis": lambda H, lam, u, rng: (lam, random_orthonormal(H.dim, rng)),
+        "another-graph": lambda H, lam, u, rng: np.linalg.eigh(
+            assemble_laplacian(random_graph(H.dim, rng)).matrix),
+        "keeps-the-constant": lambda H, lam, u, rng: (
+            lam, random_orthonormal(H.dim, rng, np.sqrt(H.rho) / np.linalg.norm(np.sqrt(H.rho)))),
+    }
+
+    @pytest.mark.parametrize("host", ["random", "varying-path"])
+    def test_the_true_eigenbasis_passes(self, host):
         from heatcert import heat
 
-        H = assemble_laplacian(random_graph(15, np.random.default_rng(73)))
+        g = random_graph(60, np.random.default_rng(73)) if host == "random" else varying_path(200)
+        H = assemble_laplacian(g)
         assert heat._continuity_probe(H)
-        monkeypatch.setattr(heat, "semigroup_matrix", lambda H, t: 2.0 * np.eye(H.dim))
+        assert "eigh" in H._cache
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    @pytest.mark.parametrize("host", ["random", "varying-path"])
+    def test_a_wrong_eigenbasis_fails(self, host, fault):
+        from heatcert import heat
+
+        rng = np.random.default_rng(74)
+        g = random_graph(60, rng) if host == "random" else varying_path(200)
+        H = assemble_laplacian(g)
+        lam, u = np.linalg.eigh(H.matrix)
+        wrong = self.FAULTS[fault](H, lam, u, rng)
+        if fault == "keeps-the-constant":
+            assert np.allclose(wrong[1] @ (wrong[1].T @ np.sqrt(H.rho)), np.sqrt(H.rho))
+        assert np.allclose(wrong[1].T @ wrong[1], np.eye(H.dim))
+        H._cache["eigh"] = wrong
         assert not heat._continuity_probe(H)
 
 
@@ -647,3 +682,47 @@ def test_semigroup_g_clip_keeps_values_bit_for_bit(t):
     with np.errstate(over="raise"):
         clipped = _semigroup_g(t)(lam)
     assert np.array_equal(clipped, unclipped)
+
+
+def test_operator_slices_have_no_asymmetry(tmp_path):
+    # each slice of an operator is one symmetric product, so A2 reads 0 and
+    # names no worst sample; on this path a row-blocked product once moved
+    # the worst sample by round-off alone
+    from heatcert.cli import main
+    from heatcert.graph import dump_graph
+
+    dump_graph(varying_path(700), tmp_path / "g.json")
+    assert main(["heat", "verify", "--graph", str(tmp_path / "g.json"),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    axioms = json.loads((tmp_path / "r.json").read_text())["axioms"]
+    assert axioms["A2_max_violation"] == 0.0 and axioms["A2_worst"] is None
+    assert main(["demo", "coulomb-lattice", "--n", "120", "--out", str(tmp_path / "d.json")]) == 0
+    axioms = json.loads((tmp_path / "d.json").read_text())["axioms"]
+    assert axioms["A2_max_violation"] == 0.0 and axioms["A2_worst"] is None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a2_fold_finds_the_first_worst_sample(seed):
+    # A2 reads each row block from its first row's column on; on a stack
+    # with tied worst samples it finds the value and the first sample in
+    # grid and row-major order that the whole slices give
+    from heatcert.heat import _KernelChecks
+    from heatcert.operators import _row_step
+
+    rng = np.random.default_rng(seed)
+    n, times = 400, (0.5, 1.0)
+    assert _row_step(n * 8) < 330
+    kernels = rng.random((len(times), n, n))
+    kernels += kernels.swapaxes(1, 2)
+    # tied asymmetries of 3 in the second slice, inside the last row block
+    # and on either side of the diagonal
+    rows, cols = rng.integers(330, n, (2, 6))
+    kernels[1, rows, cols] += 3.0
+    k = HeatKernel(times, kernels, tuple(f"v{i}" for i in range(n)), np.ones(n))
+    checks = _KernelChecks(k.times, k.vertices, k.rho, a1=False)
+    for mat in k.kernels:
+        checks.add(mat)
+    gaps = np.abs(kernels - kernels.swapaxes(1, 2))
+    i, x, y = np.unravel_index(np.argmax(gaps), gaps.shape)
+    assert checks.a2 == gaps.max() and i == 1
+    assert checks.a2_worst == (times[i], f"v{x}", f"v{y}")

@@ -3,12 +3,12 @@ import pytest
 
 from heatcert.bundle import EndomorphismField, UnitaryConnection
 from heatcert.graph import make_graph, path_graph, random_graph
-from heatcert.heat import kernel_from_semigroup
+from heatcert.heat import DEFAULT_TIMES, kernel_from_semigroup
 from heatcert.operators import (
     OperatorMatrix,
     _flush_subnormals,
+    _kernel_slices,
     _semigroup_g,
-    _spectral_rows,
     add_potential,
     assemble_covariant,
     assemble_laplacian,
@@ -492,8 +492,8 @@ class TestRequirePsd:
         lambda H: resolvent(H, 1.0),
         lambda H: semigroup_matrix(H, 0.5),
         lambda H: kernel_from_semigroup(H, (0.0, 0.5)),
-        lambda H: _spectral_rows(H),  # on the call, before any block
-        lambda H: _spectral_rows(H, kernel=True),
+        lambda H: spectral_function(H, np.sqrt),
+        lambda H: _kernel_slices(H),  # on the call, before any slice
     ])
     def test_spectral_consumers_reject_a_non_psd_operator(self, consumer):
         with pytest.raises(ValueError, match="sum operator not PSD"):
@@ -512,88 +512,126 @@ class TestRequirePsd:
             dirichlet_restriction(op, np.arange(3))
 
 
-class TestSpectralRows:
-    G_OF = (_semigroup_g(0.5), lambda lam: 1.0 / (lam + 2.0))
+def dense_function(H, g_lam):
+    """D^{-1/2} U diag(g_lam) U* D^{-1/2}, from a fresh eigendecomposition
+    of the stored A: the kernel g(H) D^{-1} as one dense product; g_lam
+    maps the eigenvalues to the diagonal."""
+    lam, u = np.linalg.eigh(H.matrix)
+    s = np.sqrt(H.measure_weights())
+    return (u * g_lam(lam)) @ u.conj().T / s[:, None] / s
+
+
+def dense_kernel(H, t):
+    """The reference heat kernel p(t) = e^{-tH} D^{-1}, with lambda clipped
+    to [0, 746 / t], where e^{-t lambda} is 0 already."""
+    return dense_function(H, lambda lam: np.exp(-t * np.clip(lam, 0.0, 746.0 / t)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_spectral_function_is_the_dense_product(d):
+    rng = np.random.default_rng(96)
+    g = random_graph(150, rng)
+    H = assemble_covariant(g, d, random_connection(g, d, rng))
+    s = np.sqrt(H.measure_weights())
+    for g_of in (_semigroup_g(0.5), lambda lam: 1.0 / (lam + 2.0)):
+        whole = spectral_function(H, g_of)
+        ref = dense_function(H, g_of) * s * s
+        assert np.max(np.abs(whole - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # e^{-0H} is the identity exactly, with no spectral work
+    fresh = assemble_covariant(g, d, random_connection(g, d, rng))
+    assert np.array_equal(semigroup_matrix(fresh, 0.0), np.eye(H.dim, dtype=complex))
+    assert "eigh" not in fresh._cache
+
+
+def decaying_rho_path(n):
+    """The path with b = 1 and rho_j = (1 + j)^-2: kernel entries up to
+    (1 + n)^2 at small t."""
+    return path_graph(n, rho=[(1.0 + j) ** -2 for j in range(n)])
+
+
+class TestKernelSlices:
+    """`_kernel_slices`: each slice one symmetric product F_k F_k^T of the
+    factor F = D^{-1/2} U, scaled in place along ascending times."""
+
+    @pytest.mark.parametrize("times", [DEFAULT_TIMES, (1.0, 1e308), (5e-324, 1e-300, 1.0)],
+                             ids=["default", "huge", "tiny"])
+    @pytest.mark.parametrize("host", ["random-0", "random-1", "random-2", "decaying-rho"])
+    def test_slices_are_symmetric_and_the_dense_product(self, host, times):
+        if host == "decaying-rho":
+            g = decaying_rho_path(150)
+        else:
+            g = random_graph(80, np.random.default_rng(int(host[-1])))
+        H = assemble_laplacian(g)
+        refs = [dense_kernel(H, t) for t in times]
+        form = _kernel_slices(H)
+        for t, ref in zip(times, refs):
+            out = np.full((g.n, g.n), np.nan)
+            p = form(t, out)
+            assert p is out and np.array_equal(p, p.T)
+            assert np.max(np.abs(p - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_blocks_tile_spectral_function(self, d):
-        rng = np.random.default_rng(96)
-        g = random_graph(150, rng)
-        H = assemble_covariant(g, d, random_connection(g, d, rng))
-        rows = _spectral_rows(H)
-        for g_of in self.G_OF:
-            spans, blocks = zip(*rows(g_of, 40))
-            assert [(vs.start, vs.stop) for vs in spans] == [(0, 40), (40, 80),
-                                                             (80, 120), (120, 150)]
-            whole = spectral_function(H, g_of)
-            assert np.max(np.abs(np.vstack(blocks) - whole)) <= 1e-14 * np.max(np.abs(whole))
-        # e^{-0H} is the identity exactly: with no spectral work as a
-        # function of H, and in row blocks
-        fresh = assemble_covariant(g, d, random_connection(g, d, rng))
-        eye = np.eye(H.dim, dtype=complex)
-        assert np.array_equal(semigroup_matrix(fresh, 0.0), eye)
-        assert "eigh" not in fresh._cache
-        assert np.array_equal(np.vstack([b for _, b in rows(None, 40)]), eye)
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_kernel_blocks_tile_the_kernel(self, d):
-        # the kernel scaling is g(H) D^{-1}, in row blocks or in one out
-        rng = np.random.default_rng(97)
-        g = random_graph(150, rng)
-        H = assemble_covariant(g, d, random_connection(g, d, rng))
-        rows = _spectral_rows(H, kernel=True)
-        for g_of in self.G_OF:
-            spans, blocks = zip(*rows(g_of, 40))
-            assert [vs.stop - vs.start for vs in spans] == [40, 40, 40, 30]
-            whole = spectral_function(H, g_of) / H.measure_weights()[None, :]
-            assert np.max(np.abs(np.vstack(blocks) - whole)) <= 1e-14 * np.max(np.abs(whole))
-            out = np.empty((H.dim, H.dim), dtype=complex)
-            ((vs, one),) = rows(g_of, out=out)
-            assert one is out and vs == slice(0, 150)
-            assert np.max(np.abs(one - whole)) <= 1e-14 * np.max(np.abs(whole))
-
-    @pytest.mark.parametrize("kernel", [False, True], ids=["g(H)", "kernel"])
-    @pytest.mark.parametrize("d", [1, 2], ids=["real", "complex"])
-    def test_out_is_the_block_stream_bit_for_bit(self, d, kernel):
-        # with out, the blocks of the default stream are written into its
-        # rows; n spans more than one ROW_BLOCK_BYTES block
+    def test_covariant_slices_are_the_dense_product(self, d):
+        # a complex F gives F_k F_k* in row blocks; n spans more than one
         from heatcert.operators import ROW_BLOCK_BYTES
 
-        rng = np.random.default_rng(95)
-        g = random_graph(400 // d, rng)
-        if d == 1:
-            H = assemble_laplacian(g)
-        else:
-            H = assemble_covariant(g, d, random_connection(g, d, rng))
-        dtype = H.matrix.dtype
-        assert H.dim * H.dim * dtype.itemsize > ROW_BLOCK_BYTES
-        rows = _spectral_rows(H, kernel=kernel)
-        for g_of in (None, *self.G_OF):
-            spans, blocks = zip(*rows(g_of))
-            assert len(spans) > 1
-            out = np.full((H.dim, H.dim), np.nan, dtype)
-            ((vs, one),) = rows(g_of, out=out)
-            assert one is out and vs == slice(0, g.n)
-            assert np.array_equal(out, np.vstack(blocks))
+        rng = np.random.default_rng(97)
+        g = random_graph(300 // d, rng)
+        H = assemble_covariant(g, d, random_connection(g, d, rng))
+        assert H.dim * H.dim * 16 > ROW_BLOCK_BYTES
+        times = (0.0, 0.5, 4.0)
+        refs = [dense_kernel(H, t) if t else np.diag(1.0 / H.measure_weights())
+                for t in times]
+        form = _kernel_slices(H)
+        for t, ref in zip(times, refs):
+            p = form(t, np.empty((H.dim, H.dim), complex))
+            assert np.max(np.abs(p - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_identity_kernel_is_exactly_inverse_rho(self):
         g = random_graph(30, np.random.default_rng(98))
-        H = assemble_laplacian(g)
-        rows = _spectral_rows(H, kernel=True)
-        expected = np.diag(1.0 / g.rho_vec)
-        assert np.array_equal(np.vstack([b for _, b in rows(None, 7)]), expected)
-        out = np.full((g.n, g.n), np.nan)
-        ((_, p),) = rows(None, out=out)
-        assert p is out and np.array_equal(out, expected)
+        form = _kernel_slices(assemble_laplacian(g))
+        for _ in range(2):
+            out = np.full((g.n, g.n), np.nan)
+            assert form(0.0, out) is out and np.array_equal(out, np.diag(1.0 / g.rho_vec))
 
-    def test_kernel_stack_is_the_routine_bit_for_bit(self):
-        g = random_graph(60, np.random.default_rng(99))
+    def test_descending_time_is_refused(self):
+        g = random_graph(20, np.random.default_rng(99))
+        ref = dense_kernel(assemble_laplacian(g), 1.0)
+        form = _kernel_slices(assemble_laplacian(g))
+        out = np.empty((g.n, g.n))
+        form(1.0, out)
+        form(1.0, out)  # a repeated time scales nothing
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(ref)
+        with pytest.raises(ValueError, match="times must ascend"):
+            form(0.5, out)
+        with pytest.raises(ValueError, match="times must ascend"):
+            form(0.0, out)
+
+    def test_live_columns_shrink_with_t(self, monkeypatch):
+        # on a path the spectrum spreads over (0, 4): at t = 100 only the
+        # eigenpairs with e^{-t lambda} > 2^-53 e^{-t lambda_0} enter
+        g = path_graph(200)
         H = assemble_laplacian(g)
+        lam = np.linalg.eigvalsh(H.matrix)
+        widths = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul",
+                            lambda a, b, **k: widths.append(a.shape[1]) or matmul(a, b, **k))
+        form = _kernel_slices(H)
+        times = (0.01, 1.0, 10.0, 100.0)
+        for t in times:
+            form(t, np.empty((g.n, g.n)))
+        live = [int(np.sum(t * (np.clip(lam, 0, None) - max(lam[0], 0)) < 53 * np.log(2)))
+                for t in times]
+        assert widths == live and widths[0] == g.n and widths[-1] < g.n // 4
+
+    def test_kernel_stack_is_the_former_bit_for_bit(self):
+        g = random_graph(60, np.random.default_rng(99))
         times = (0.0, 0.01, 1.0, 100.0)
-        k = kernel_from_semigroup(H, times)
-        rows = _spectral_rows(H, kernel=True)
+        k = kernel_from_semigroup(assemble_laplacian(g), times)
+        form = _kernel_slices(assemble_laplacian(g))
         for t, mat in zip(times, k.kernels):
-            ((_, p),) = rows(_semigroup_g(t), g.n)
+            p = form(t, np.empty((g.n, g.n)))
             assert p.dtype == mat.dtype and np.array_equal(p, mat)
 
 
